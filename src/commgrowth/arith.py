@@ -131,24 +131,47 @@ def prime_sieve(limit: int) -> np.ndarray:
     return mask
 
 
-def omega_sieve(limit: int) -> np.ndarray:
-    """Array w with w[k] = omega(k) for 0 <= k <= limit (w[0] = w[1] = 0)."""
+def _factor_sieve(limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """Arrays (w, t) with w[k] = omega(k) and t[k] = divisor_count(k) for
+    0 <= k <= limit, from one pass over the primes up to isqrt(limit).
+
+    On the multiples of each prime power p**j <= limit, the factor that p
+    contributes to t goes from j to j+1 and one p is divided out of a
+    cofactor array.  A cofactor left above 1 is the single prime factor
+    above isqrt(limit), which adds one to omega and doubles t.
+    """
     if limit < 1:
         raise DomainError("limit must be >= 1")
     w = np.zeros(limit + 1, dtype=np.uint8)
-    for p in np.flatnonzero(prime_sieve(limit)):
+    t = np.ones(limit + 1, dtype=np.int32)
+    t[0] = 0
+    cofactor = np.arange(limit + 1, dtype=np.int32)
+    for p in np.flatnonzero(prime_sieve(math.isqrt(limit))).tolist():
         w[p::p] += 1
-    return w
+        t[p::p] *= 2
+        cofactor[p::p] //= p
+        q, j = p * p, 2
+        while q <= limit:
+            multiples = t[q::q]
+            multiples //= j
+            multiples *= j + 1
+            cofactor[q::q] //= p
+            q, j = q * p, j + 1
+    # whole-array updates: masked indexing would cost more than the sieve
+    large = cofactor > 1
+    w += large
+    t <<= large
+    return w, t
+
+
+def omega_sieve(limit: int) -> np.ndarray:
+    """Array w with w[k] = omega(k) for 0 <= k <= limit (w[0] = w[1] = 0)."""
+    return _factor_sieve(limit)[0]
 
 
 def divisor_count_sieve(limit: int) -> np.ndarray:
     """Array t with t[k] = divisor_count(k) for 0 <= k <= limit (t[0] = 0)."""
-    if limit < 1:
-        raise DomainError("limit must be >= 1")
-    t = np.zeros(limit + 1, dtype=np.int32)
-    for q in range(1, limit + 1):
-        t[q::q] += 1
-    return t
+    return _factor_sieve(limit)[1]
 
 
 def growth_series_rank1(n: int) -> GrowthSeries:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -29,6 +29,10 @@ EXIT_FAILED_CHECK = 1
 EXIT_DOMAIN = 2
 EXIT_RESOURCE = 3
 
+#: Largest result, in decimal digits, that the CLI prints; documented
+#: inputs stay near 15,000 digits.
+MAX_OUTPUT_DIGITS = 10 ** 5
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -41,25 +45,6 @@ class RunConfig:
     seed: int = 0
 
 
-def thread_cap() -> int | None:
-    """Optional worker cap from GROWTH_THREADS.
-
-    The enumeration kernels run single-threaded, which satisfies any cap
-    of at least one; the variable is still validated so misconfiguration
-    fails loudly instead of silently.
-    """
-    raw = os.environ.get("GROWTH_THREADS")
-    if raw is None:
-        return None
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise DomainError(f"GROWTH_THREADS must be an integer, got {raw!r}") from None
-    if cap < 1:
-        raise DomainError(f"GROWTH_THREADS must be >= 1, got {cap}")
-    return cap
-
-
 def _emit(text: str):
     sys.stdout.write(text)
     if not text.endswith("\n"):
@@ -70,18 +55,40 @@ def _emit_json(obj):
     _emit(json.dumps(obj, indent=2))
 
 
+def _decimal(value: int) -> str:
+    """Decimal text of a result integer, past CPython's default int->str
+    digit limit but refused above MAX_OUTPUT_DIGITS, estimated from the
+    bit length before any conversion work is done."""
+    digits = int(value.bit_length() * math.log10(2)) + 1
+    if digits > MAX_OUTPUT_DIGITS:
+        raise ResourceLimitError(f"result has about {digits} decimal digits, "
+                                 f"above the output guard {MAX_OUTPUT_DIGITS}")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _run_rank1(cfg: RunConfig) -> int:
     n = int(cfg.parameters["n"])
     series = growth_series_rank1(n)
     if cfg.output == "json":
-        _emit_json({"n": n, "c": list(series.c), "C": list(series.C)})
-    elif cfg.output == "csv":
-        rows = [f"{k},{ck},{Ck}" for k, (ck, Ck) in enumerate(zip(series.c, series.C), 1)]
-        _emit("k,c_k,C_k\n" + "\n".join(rows))
+        # json.dumps(..., indent=2) layout, built in bulk
+        _emit('{\n  "n": %d,\n  "c": [\n    %s\n  ],\n  "C": [\n    %s\n  ]\n}'
+              % (n, ",\n    ".join(map(str, series.c)),
+                 ",\n    ".join(map(str, series.C))))
+        return EXIT_OK
+    flat = [0] * (3 * n)
+    flat[0::3] = range(1, n + 1)
+    flat[1::3] = series.c
+    flat[2::3] = series.C
+    if cfg.output == "csv":
+        _emit("k,c_k,C_k\n" + "%d,%d,%d\n" * n % tuple(flat))
     else:
         width = len(str(series.C[-1]))
-        _emit("\n".join(f"{k:>6} {ck:>{width}} {Ck:>{width}}"
-                        for k, (ck, Ck) in enumerate(zip(series.c, series.C), 1)))
+        _emit(f"%6d %{width}d %{width}d\n" * n % tuple(flat))
     return EXIT_OK
 
 
@@ -128,7 +135,7 @@ def _run_order(cfg: RunConfig) -> int:
     p = int(cfg.parameters["p"])
     k = int(cfg.parameters["k"])
     value = order_zpk(rs, p, k)
-    payload = {"label": rs.label, "p": p, "k": k, "order": str(value)}
+    payload = {"label": rs.label, "p": p, "k": k, "order": _decimal(value)}
     status = EXIT_OK
     if cfg.parameters.get("brute_force"):
         family = ORACLE_FAMILIES.get(rs.label)
@@ -136,16 +143,17 @@ def _run_order(cfg: RunConfig) -> int:
             raise DomainError(f"no matrix oracle for type {rs.label}; "
                               f"supported: {sorted(ORACLE_FAMILIES)}")
         brute = brute_force_order(family, p ** k)
-        payload["brute_force"] = str(brute)
+        payload["brute_force"] = _decimal(brute)
         if brute != value:
             status = EXIT_FAILED_CHECK
-            print(f"mismatch: formula {value} != enumeration {brute}", file=sys.stderr)
+            print(f"mismatch: formula {payload['order']} != enumeration "
+                  f"{payload['brute_force']}", file=sys.stderr)
     if cfg.output == "json":
         _emit_json(payload)
     elif cfg.parameters.get("brute_force"):
-        _emit(f"{value} (enumeration: {payload['brute_force']})")
+        _emit(f"{payload['order']} (enumeration: {payload['brute_force']})")
     else:
-        _emit(str(value))
+        _emit(payload["order"])
     return status
 
 
@@ -157,9 +165,9 @@ def _run_parahoric(cfg: RunConfig) -> int:
     count = count_admissible_cocharacters(rs, k + 1)
     paper_bound = (2 * k + 3) ** rs.dimension
     payload = {
-        "exact": None if count.exact is None else str(count.exact),
-        "box_bound": str(count.box_bound),
-        "paper_bound": str(paper_bound),
+        "exact": None if count.exact is None else _decimal(count.exact),
+        "box_bound": _decimal(count.box_bound),
+        "paper_bound": _decimal(paper_bound),
         "per_prime": None,
         "m_bound": None,
     }
@@ -169,12 +177,12 @@ def _run_parahoric(cfg: RunConfig) -> int:
     p = cfg.parameters.get("p")
     if p is not None:
         report = per_prime_bound(rs, int(p), k)
-        payload["per_prime"] = str(report.lhs)
+        payload["per_prime"] = _decimal(report.lhs)
         if not report.holds:
             status = EXIT_FAILED_CHECK
     m = cfg.parameters.get("m")
     if m is not None:
-        payload["m_bound"] = str(maximal_lattice_bound(rs, int(m)))
+        payload["m_bound"] = _decimal(maximal_lattice_bound(rs, int(m)))
     if cfg.output == "json":
         _emit_json(payload)
     else:
@@ -260,7 +268,6 @@ def run(config: RunConfig) -> int:
     """Dispatch one parsed invocation; see the module docstring for the
     exit-status contract."""
     try:
-        thread_cap()
         return _HANDLERS[config.subcommand](config)
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import factorize, is_prime
+from .arith import is_prime
 from .errors import DomainError, ResourceLimitError
 from .reporting import BoundReport, compare
 from .root_systems import RootSystem
@@ -128,13 +128,7 @@ def maximal_lattice_bound(rs: RootSystem, m: int) -> int:
     and equal to the product of the per-prime crude bounds."""
     if m < 1:
         raise DomainError(f"m must be >= 1, got {m}")
-    exponent = 3 + 2 * rs.dimension
-    value = m ** exponent
-    per_prime = 1
-    for p, kp in factorize(m).factors:
-        per_prime *= p ** (exponent * kp)
-    assert per_prime == value
-    return value
+    return m ** (3 + 2 * rs.dimension)
 
 
 def upper_bound_profile(rs: RootSystem, n: int, s, c_const=1, D_const=1) -> int:

@@ -6,6 +6,7 @@ import pytest
 
 from commgrowth import arith
 from commgrowth.errors import DomainError
+from conftest import DESK_LIMIT, divisor_count_sieve_oracle, omega_sieve_oracle
 
 
 def coprime_pair_count(n):
@@ -110,6 +111,27 @@ class TestRank1Series:
         for n in range(1, 3001):
             assert int(w[n]) == arith.omega(n)
             assert int(t[n]) == arith.divisor_count(n)
+
+    def test_sieves_match_slice_oracles_at_every_small_limit(self):
+        # every limit up to 300 covers isqrt(limit) < 2, and prime squares
+        # and prime powers at or just below the limit
+        for limit in range(1, 301):
+            w = arith.omega_sieve(limit)
+            t = arith.divisor_count_sieve(limit)
+            assert w.dtype == np.uint8 and t.dtype == np.int32
+            assert np.array_equal(w, omega_sieve_oracle(limit)), limit
+            assert np.array_equal(t, divisor_count_sieve_oracle(limit)), limit
+
+    def test_sieves_match_slice_oracles_at_desk_limit(self, omega_upto_million,
+                                                      divisor_count_upto_million):
+        assert np.array_equal(arith.omega_sieve(DESK_LIMIT), omega_upto_million)
+        assert np.array_equal(arith.divisor_count_sieve(DESK_LIMIT),
+                              divisor_count_upto_million)
+
+    def test_sieves_reject_empty_range(self):
+        for sieve in (arith.omega_sieve, arith.divisor_count_sieve):
+            with pytest.raises(DomainError):
+                sieve(0)
 
 
 class TestSummatory:

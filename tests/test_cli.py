@@ -4,8 +4,12 @@ import sys
 
 import pytest
 
+from commgrowth.arith import growth_series_rank1
+from commgrowth.chevalley import order_zpk
 from commgrowth.cli import (EXIT_DOMAIN, EXIT_FAILED_CHECK, EXIT_OK,
-                            EXIT_RESOURCE, main)
+                            EXIT_RESOURCE, MAX_OUTPUT_DIGITS, main)
+from commgrowth.parahoric import per_prime_bound
+from commgrowth.root_systems import root_system
 
 
 def run_cli(*args, env_extra=None):
@@ -15,6 +19,37 @@ def run_cli(*args, env_extra=None):
         env.update(env_extra)
     return subprocess.run([sys.executable, "-m", "commgrowth", *args],
                           capture_output=True, text=True, env=env, timeout=120)
+
+
+def decimal(value):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def assert_output_guard(result):
+    assert result.returncode == EXIT_RESOURCE
+    assert result.stdout == ""
+    assert result.stderr.startswith("resource guard: ")
+    assert result.stderr.count("\n") == 1
+    assert str(MAX_OUTPUT_DIGITS) in result.stderr
+
+
+def reference_rank1(n, fmt):
+    """Row-by-row rendering of `growth rank1` that the bulk formatter must
+    reproduce byte for byte."""
+    series = growth_series_rank1(n)
+    rows = list(zip(range(1, n + 1), series.c, series.C))
+    if fmt == "--json":
+        return json.dumps({"n": n, "c": list(series.c), "C": list(series.C)},
+                          indent=2) + "\n"
+    if fmt == "--csv":
+        return "k,c_k,C_k\n" + "".join(f"{k},{ck},{Ck}\n" for k, ck, Ck in rows)
+    width = len(str(series.C[-1]))
+    return "".join(f"{k:>6} {ck:>{width}} {Ck:>{width}}\n" for k, ck, Ck in rows)
 
 
 class TestRank1:
@@ -36,6 +71,15 @@ class TestRank1:
     def test_csv_and_json_exclusive(self):
         result = run_cli("rank1", "--n", "5", "--csv", "--json")
         assert result.returncode == 2
+
+    # 10**6 is the first k whose row overflows the six-wide k column
+    @pytest.mark.parametrize("n", [1, 2, 9, 10, 99, 12345, 10 ** 6])
+    @pytest.mark.parametrize("fmt", ["--csv", "--json", None])
+    def test_output_bytes(self, n, fmt, capsys):
+        assert main(["rank1", "--n", str(n)] + ([fmt] if fmt else [])) == EXIT_OK
+        assert capsys.readouterr().out == reference_rank1(n, fmt)
+
+
 
 
 class TestBall:
@@ -102,6 +146,21 @@ class TestOrder:
         result = run_cli("order", "--type", "C2", "--p", "5", "--brute-force")
         assert result.returncode == EXIT_RESOURCE
 
+    @pytest.mark.parametrize("fmt", [None, "--json"])
+    def test_past_int_str_digit_limit(self, fmt):
+        value = order_zpk(root_system("E8"), 1000003, 3)
+        result = run_cli("order", "--type", "E8", "--p", "1000003", "--k", "3",
+                         *([fmt] if fmt else []))
+        assert result.returncode == EXIT_OK, result.stderr
+        text = json.loads(result.stdout)["order"] if fmt else result.stdout.rstrip("\n")
+        assert text == decimal(value) and len(text) > 4300
+
+    @pytest.mark.parametrize("fmt", [None, "--json"])
+    def test_output_digit_guard(self, fmt):
+        result = run_cli("order", "--type", "E8", "--p", "1000003", "--k", "100",
+                         *([fmt] if fmt else []))
+        assert_output_guard(result)
+
 
 class TestParahoric:
     def test_json_schema(self):
@@ -120,6 +179,24 @@ class TestParahoric:
         result = run_cli("parahoric", "--type", "A1", "--k", "1", "--json")
         payload = json.loads(result.stdout)
         assert payload["per_prime"] is None and payload["m_bound"] is None
+
+    @pytest.mark.parametrize("fmt", [None, "--json"])
+    def test_per_prime_past_int_str_digit_limit(self, fmt):
+        value = per_prime_bound(root_system("A2"), 100000007, 99).lhs
+        result = run_cli("parahoric", "--type", "A2", "--k", "99",
+                         "--p", "100000007", *([fmt] if fmt else []))
+        assert result.returncode == EXIT_OK, result.stderr
+        if fmt:
+            text = json.loads(result.stdout)["per_prime"]
+        else:
+            text = dict(line.split(": ") for line in result.stdout.splitlines())["per_prime"]
+        assert text == decimal(value) and len(text) > 4300
+
+    @pytest.mark.parametrize("fmt", [None, "--json"])
+    def test_output_digit_guard(self, fmt):
+        result = run_cli("parahoric", "--type", "E8", "--k", "99", "--p", "100003",
+                         *([fmt] if fmt else []))
+        assert_output_guard(result)
 
 
 class TestCheck:
@@ -145,11 +222,11 @@ class TestHarness:
         result = run_cli("rank1", "--n", "3", "--bogus")
         assert result.returncode == 2
 
-    def test_thread_env_validated(self):
+    def test_thread_env_ignored(self):
+        plain = run_cli("rank1", "--n", "3")
         result = run_cli("rank1", "--n", "3", env_extra={"GROWTH_THREADS": "zero"})
-        assert result.returncode == EXIT_DOMAIN
-        ok = run_cli("rank1", "--n", "3", env_extra={"GROWTH_THREADS": "4"})
-        assert ok.returncode == EXIT_OK
+        assert result.returncode == plain.returncode == EXIT_OK
+        assert result.stdout == plain.stdout
 
     def test_repeat_runs_byte_identical(self):
         a = run_cli("ball", "--family", "lattice", "--dim", "2", "--n", "4", "--json")
