@@ -15,13 +15,12 @@ import sys
 from dataclasses import dataclass, field
 
 from . import __version__
-from .arith import growth_series_rank1
+from .arith import growth_series_rank1, is_prime
 from .chevalley import ORACLE_FAMILIES, brute_force_order, order_zpk
 from .commgraph import (RationalCyclic, RationalLattice, enumerate_ball,
                         run_metric_checks)
 from .errors import DomainError, ResourceLimitError
-from .parahoric import (check_cocharacter_bound, count_admissible_cocharacters,
-                        maximal_lattice_bound, per_prime_bound)
+from .parahoric import count_admissible_cocharacters, maximal_lattice_bound, per_prime_bound
 from .root_systems import root_system
 
 EXIT_OK = 0
@@ -55,14 +54,28 @@ def _emit_json(obj):
     _emit(json.dumps(obj, indent=2))
 
 
+def _refuse_digits(digits: float, estimate: str) -> None:
+    """Refuse (exit 3) a result of more than MAX_OUTPUT_DIGITS digits."""
+    if digits > MAX_OUTPUT_DIGITS:
+        raise ResourceLimitError(f"result has {estimate} {int(digits)} decimal digits, "
+                                 f"above the output guard {MAX_OUTPUT_DIGITS}")
+
+
+def _refuse_prime_power(p: int, exponent: int) -> None:
+    """Refuse, before it is computed, a result that is a multiple of
+    p**exponent with more than MAX_OUTPUT_DIGITS digits.  This lower bound
+    refuses nothing that _decimal would print.  A p that is not prime is
+    left to the library's domain error."""
+    digits = exponent * math.log10(p) if p > 1 else 0.0
+    if digits > MAX_OUTPUT_DIGITS and is_prime(p):
+        _refuse_digits(digits, "more than")
+
+
 def _decimal(value: int) -> str:
     """Decimal text of a result integer, past CPython's default int->str
     digit limit but refused above MAX_OUTPUT_DIGITS, estimated from the
     bit length before any conversion work is done."""
-    digits = int(value.bit_length() * math.log10(2)) + 1
-    if digits > MAX_OUTPUT_DIGITS:
-        raise ResourceLimitError(f"result has about {digits} decimal digits, "
-                                 f"above the output guard {MAX_OUTPUT_DIGITS}")
+    _refuse_digits(int(value.bit_length() * math.log10(2)) + 1, "about")
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
@@ -134,6 +147,7 @@ def _run_order(cfg: RunConfig) -> int:
     rs = root_system(cfg.parameters["type"])
     p = int(cfg.parameters["p"])
     k = int(cfg.parameters["k"])
+    _refuse_prime_power(p, (k - 1) * rs.dimension + rs.num_positive_roots)
     value = order_zpk(rs, p, k)
     payload = {"label": rs.label, "p": p, "k": k, "order": _decimal(value)}
     status = EXIT_OK
@@ -172,16 +186,19 @@ def _run_parahoric(cfg: RunConfig) -> int:
         "m_bound": None,
     }
     status = EXIT_OK
-    if count.exact is not None and not check_cocharacter_bound(rs, k).holds:
+    if count.exact is not None and count.exact > paper_bound:
         status = EXIT_FAILED_CHECK
     p = cfg.parameters.get("p")
     if p is not None:
+        _refuse_prime_power(int(p), (3 + rs.dimension) * k)
         report = per_prime_bound(rs, int(p), k)
         payload["per_prime"] = _decimal(report.lhs)
         if not report.holds:
             status = EXIT_FAILED_CHECK
     m = cfg.parameters.get("m")
     if m is not None:
+        if int(m) > 1:
+            _refuse_digits((3 + 2 * rs.dimension) * math.log10(int(m)), "more than")
         payload["m_bound"] = _decimal(maximal_lattice_bound(rs, int(m)))
     if cfg.output == "json":
         _emit_json(payload)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
@@ -28,28 +27,6 @@ from .reporting import BoundReport, compare
 def _matmul(A, B):
     k, m = len(B), len(B[0])
     return [[sum(row[t] * B[t][j] for t in range(k)) for j in range(m)] for row in A]
-
-
-def _det(rows):
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    total = 0
-    for j in range(n):
-        if rows[0][j]:
-            minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-            term = rows[0][j] * _det(minor)
-            total += -term if j % 2 else term
-    return total
-
-
-def _adjugate(rows):
-    n = len(rows)
-    if n == 1:
-        return [[1]]
-    cof = [[(-1) ** (i + j) * _det([r[:j] + r[j + 1:] for t, r in enumerate(rows) if t != i])
-            for j in range(n)] for i in range(n)]
-    return [list(col) for col in zip(*cof)]
 
 
 def _row_hnf(rows, cols):
@@ -77,39 +54,18 @@ def _row_hnf(rows, cols):
     return m[:pivot_row]
 
 
-def _kernel_basis(rows):
-    """Basis of {x integer : x . rows = 0}, via unimodular row reduction
-    of the matrix augmented with an identity block."""
-    nrows, ncols = len(rows), len(rows[0])
-    aug = [list(rows[i]) + [int(i == t) for t in range(nrows)] for i in range(nrows)]
-    pivot_row = 0
-    for j in range(ncols):
-        pivot = next((i for i in range(pivot_row, nrows) if aug[i][j]), None)
-        if pivot is None:
-            continue
-        aug[pivot_row], aug[pivot] = aug[pivot], aug[pivot_row]
-        for i in range(pivot_row + 1, nrows):
-            while aug[i][j]:
-                q = aug[pivot_row][j] // aug[i][j]
-                aug[pivot_row] = [a - q * b for a, b in zip(aug[pivot_row], aug[i])]
-                aug[pivot_row], aug[i] = aug[i], aug[pivot_row]
-        pivot_row += 1
-    return [row[ncols:] for row in aug[pivot_row:]]
-
-
 def _intersect_integer(A, B):
     """HNF basis of the intersection of the row lattices of the full-rank
-    integer matrices A and B.
+    integer d x d matrices A and B.
 
-    x.A lies in the span of B iff x.A.adj(B) vanishes mod |det B|; the
-    kernel of the stacked system recovers exactly those x.
+    The rows (a, a) for a in A and (b, 0) for b in B span
+    {(x + y, x) : x in A, y in B}.  Its first half spans A + B, which has
+    full rank, so the last d rows of its HNF have a zero first half; their
+    second halves are the HNF basis of A & B.
     """
     d = len(A)
-    big_d = abs(_det(B))
-    M = _matmul(A, _adjugate(B))
-    stacked = M + [[big_d if i == j else 0 for j in range(d)] for i in range(d)]
-    xs = [row[:d] for row in _kernel_basis(stacked)]
-    return _row_hnf(_matmul(xs, A), d)
+    stacked = [list(a) + list(a) for a in A] + [list(b) + [0] * d for b in B]
+    return [row[d:] for row in _row_hnf(stacked, 2 * d)[d:]]
 
 
 def _solve_upper(H, vec):
@@ -219,43 +175,28 @@ class RationalLattice:
         return cls(dim, den, tuple(tuple(num * int(i == j) for j in range(dim))
                                    for i in range(dim)))
 
-    def _det(self) -> int:
-        out = 1
-        for i in range(self.dim):
-            out *= self.basis[i][i]
-        return out
+    def _numerators(self, q: int):
+        """Basis rows written over the denominator q, a multiple of denom."""
+        return [[v * (q // self.denom) for v in row] for row in self.basis]
 
     def intersection(self, other: "RationalLattice") -> "RationalLattice":
         _require_same_family(self, other)
         q = math.lcm(self.denom, other.denom)
-        A = [[v * (q // self.denom) for v in row] for row in self.basis]
-        B = [[v * (q // other.denom) for v in row] for row in other.basis]
-        return RationalLattice(self.dim, q,
-                               tuple(tuple(r) for r in _intersect_integer(A, B)))
+        inter = _intersect_integer(self._numerators(q), other._numerators(q))
+        return RationalLattice(self.dim, q, tuple(tuple(r) for r in inter))
 
     def contains(self, other: "RationalLattice") -> bool:
         _require_same_family(self, other)
-        for row in other.basis:
-            target = [Fraction(self.denom * v, other.denom) for v in row]
-            x = []
-            ok = True
-            for j in range(self.dim):
-                rem = target[j] - sum(x[i] * self.basis[i][j] for i in range(j))
-                q = rem / self.basis[j][j]
-                if q.denominator != 1:
-                    ok = False
-                    break
-                x.append(q)
-            if not ok:
-                return False
-        return True
+        q = math.lcm(self.denom, other.denom)
+        H = self._numerators(q)
+        return all(_solve_upper(H, row) is not None for row in other._numerators(q))
 
     def index_of(self, sub: "RationalLattice") -> int:
         if not self.contains(sub):
             raise DomainError(f"{sub} is not a sublattice of {self}")
-        num = sub._det() * self.denom ** self.dim
-        den = self._det() * sub.denom ** self.dim
-        assert num % den == 0
+        # covolumes are the HNF diagonal products over denom**dim
+        num = math.prod(sub.basis[i][i] for i in range(self.dim)) * self.denom ** self.dim
+        den = math.prod(self.basis[i][i] for i in range(self.dim)) * sub.denom ** self.dim
         return num // den
 
     def sort_key(self):
@@ -344,7 +285,6 @@ def chain_length(chain) -> int:
     total = 1
     for sub, sup in zip(groups, groups[1:]):
         total *= sup.index_of(sub)
-    assert total == comm_index(groups[0], groups[-1]).value
     return total
 
 
@@ -469,9 +409,9 @@ def _random_cyclic(rng: random.Random) -> RationalCyclic:
 def _random_lattice(rng: random.Random, dim: int = 2) -> RationalLattice:
     while True:
         rows = [[rng.randint(-4, 4) for _ in range(dim)] for _ in range(dim)]
-        if _det(rows) != 0:
-            return RationalLattice(dim, rng.randint(1, 6),
-                                   tuple(tuple(r) for r in rows))
+        hnf = _row_hnf(rows, dim)
+        if len(hnf) == dim:
+            return RationalLattice(dim, rng.randint(1, 6), tuple(tuple(r) for r in hnf))
 
 
 def _random_chain(rng: random.Random, sample, max_len: int = 5):

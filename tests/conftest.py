@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,6 +27,33 @@ def divisor_count_sieve_oracle(limit):
     for q in range(1, limit + 1):
         t[q::q] += 1
     return t
+
+
+def lattice_contains_oracle(sup, sub):
+    """Whether the RationalLattice sub lies in sup: each row of sub, over
+    sup's denominator, must solve against sup's upper-triangular basis by
+    back-substitution over the rationals."""
+    for row in sub.basis:
+        target = [Fraction(sup.denom * v, sub.denom) for v in row]
+        x = []
+        for j in range(sup.dim):
+            q = (target[j] - sum(x[i] * sup.basis[i][j] for i in range(j))) / sup.basis[j][j]
+            if q.denominator != 1:
+                return False
+            x.append(q)
+    return True
+
+
+def upper_row_span_mask(H, points):
+    """For each row of the integer array points, whether it is an integer
+    combination of the rows of the square upper-triangular matrix H."""
+    rem = points.copy()
+    inside = np.ones(len(points), dtype=bool)
+    for j, row in enumerate(H):
+        x, r = np.divmod(rem[:, j], row[j])
+        inside &= r == 0
+        rem -= np.outer(x, row)
+    return inside
 
 
 @pytest.fixture(scope="session")

@@ -8,7 +8,8 @@ from commgrowth.arith import growth_series_rank1
 from commgrowth.chevalley import order_zpk
 from commgrowth.cli import (EXIT_DOMAIN, EXIT_FAILED_CHECK, EXIT_OK,
                             EXIT_RESOURCE, MAX_OUTPUT_DIGITS, main)
-from commgrowth.parahoric import per_prime_bound
+from commgrowth.errors import DomainError
+from commgrowth.parahoric import CocharacterCount, per_prime_bound
 from commgrowth.root_systems import root_system
 
 
@@ -19,6 +20,10 @@ def run_cli(*args, env_extra=None):
         env.update(env_extra)
     return subprocess.run([sys.executable, "-m", "commgrowth", *args],
                           capture_output=True, text=True, env=env, timeout=120)
+
+
+def never_called(*args, **kwargs):
+    raise AssertionError("called past the output digit guard")
 
 
 def decimal(value):
@@ -161,6 +166,19 @@ class TestOrder:
                          *([fmt] if fmt else []))
         assert_output_guard(result)
 
+    def test_digit_guard_refuses_before_computing(self, monkeypatch, capsys):
+        monkeypatch.setattr("commgrowth.cli.order_zpk", never_called)
+        assert main(["order", "--type", "E8", "--p", "2", "--k", "10000000"]) == EXIT_RESOURCE
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("resource guard: ")
+
+    def test_digit_guard_leaves_composite_p_to_domain_error(self, monkeypatch):
+        def order_zpk_rejecting(rs, p, k):
+            raise DomainError(f"p must be prime, got {p}")
+        monkeypatch.setattr("commgrowth.cli.order_zpk", order_zpk_rejecting)
+        assert main(["order", "--type", "E8", "--p", "1000000", "--k", "10000000"]) \
+            == EXIT_DOMAIN
+
 
 class TestParahoric:
     def test_json_schema(self):
@@ -198,6 +216,14 @@ class TestParahoric:
                          *([fmt] if fmt else []))
         assert_output_guard(result)
 
+    @pytest.mark.parametrize("flags, name", [
+        (["--p", "100003"], "per_prime_bound"),
+        (["--m", str(10 ** 201)], "maximal_lattice_bound"),
+    ])
+    def test_digit_guard_refuses_before_computing(self, monkeypatch, flags, name):
+        monkeypatch.setattr(f"commgrowth.cli.{name}", never_called)
+        assert main(["parahoric", "--type", "E8", "--k", "99", *flags]) == EXIT_RESOURCE
+
 
 class TestCheck:
     def test_metric_suite_passes(self):
@@ -233,13 +259,22 @@ class TestHarness:
         b = run_cli("ball", "--family", "lattice", "--dim", "2", "--n", "4", "--json")
         assert a.stdout == b.stdout
 
-    def test_failed_report_maps_to_exit_one(self):
-        # exercised in-process: a handler that sees a failing report must
-        # translate it to the failed-check status
-        from commgrowth.reporting import compare
+    def test_failed_report_maps_to_exit_one(self, monkeypatch, capsys):
+        # a cocharacter count above the paper bound fails the check, and the
+        # handler scans once
+        scans = []
+
+        def count_above_bound(rs, c, **guards):
+            scans.append(c)
+            over = (2 * c + 1) ** rs.dimension + 1
+            return CocharacterCount(rs.label, c, over, over)
+
+        monkeypatch.setattr("commgrowth.cli.count_admissible_cocharacters",
+                            count_above_bound)
         assert EXIT_FAILED_CHECK == 1
-        failing = compare("synthetic", 2, 1)
-        assert not failing.holds
+        assert main(["parahoric", "--type", "A2", "--k", "1"]) == EXIT_FAILED_CHECK
+        assert scans == [2]
+        assert f"exact: {5 ** 8 + 1}\n" in capsys.readouterr().out
 
     def test_main_in_process(self, capsys):
         assert main(["rank1", "--n", "3", "--csv"]) == EXIT_OK

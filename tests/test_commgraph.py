@@ -1,7 +1,9 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from conftest import lattice_contains_oracle, upper_row_span_mask
 
 from commgrowth import commgraph as cg
 from commgrowth.arith import divisors, growth_series_rank1
@@ -99,6 +101,65 @@ class TestIntersectIndex:
     def test_mixed_families_rejected(self):
         with pytest.raises(DomainError):
             comm_index(Z, Z2)
+
+
+def random_lattice_pair(rng, dim, entry=6, denom=8):
+    """Two full-rank lattices in Q^dim, entries in [-entry, entry],
+    denominators 1..denom."""
+    def one():
+        while True:
+            rows = [[rng.randint(-entry, entry) for _ in range(dim)] for _ in range(dim)]
+            try:
+                return RationalLattice(dim, rng.randint(1, denom), tuple(map(tuple, rows)))
+            except DomainError:
+                continue
+    return one(), one()
+
+
+def integer_basis(L, q):
+    """The rows of L's basis written over the denominator q."""
+    return [[v * (q // L.denom) for v in row] for row in L.basis]
+
+
+def diagonal_product(H):
+    return math.prod(H[i][i] for i in range(len(H)))
+
+
+class TestIntersectContainsOracles:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_contains_matches_back_substitution(self, dim):
+        rng = random.Random(100 + dim)
+        seen = set()
+        for _ in range(300):
+            A, B = random_lattice_pair(rng, dim)
+            inter = A.intersection(B)
+            for sup, sub in ((A, B), (B, A), (A, inter), (inter, A), (B, inter)):
+                want = lattice_contains_oracle(sup, sub)
+                assert sup.contains(sub) == want, (sup, sub)
+                seen.add(want)
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_intersection_index_matches_point_count(self, dim):
+        # with A', B' = q*A, q*B integer, N*Z^dim lies in A' & B' for
+        # N = det A' * det B', so the points of A' & B' in the period box
+        # [0, N)^dim number N**dim / [Z^dim : A' & B']
+        rng = random.Random(200 + dim)
+        checked = 0
+        while checked < 100:
+            A, B = random_lattice_pair(rng, dim, entry=3, denom=4)
+            q = math.lcm(A.denom, B.denom)
+            Aq, Bq = integer_basis(A, q), integer_basis(B, q)
+            n = diagonal_product(Aq) * diagonal_product(Bq)
+            if n ** dim > 10 ** 5:
+                continue
+            box = np.indices((n,) * dim).reshape(dim, -1).T
+            points = int(np.count_nonzero(upper_row_span_mask(Aq, box)
+                                          & upper_row_span_mask(Bq, box)))
+            inter = A.intersection(B)
+            index = diagonal_product(inter.basis) * (q // inter.denom) ** dim
+            assert index * points == n ** dim, (A, B)
+            checked += 1
 
 
 class TestCommIndex:
