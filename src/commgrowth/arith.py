@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate, chain, cycle
 
 import numpy as np
 
@@ -45,6 +46,11 @@ class GrowthSeries:
     C: tuple[int, ...]
 
 
+def _trial_divisors():
+    """2, 3, 5 and then every integer from 7 on that is prime to 30."""
+    return chain((2, 3, 5), accumulate(cycle(_WHEEL), initial=7))
+
+
 def factorize(n: int) -> Factorization:
     """Factor n >= 1 by deterministic trial division (2/3/5 wheel).
 
@@ -54,23 +60,15 @@ def factorize(n: int) -> Factorization:
         raise DomainError(f"factorize requires n >= 1, got {n}")
     m = n
     factors = []
-    for p in (2, 3, 5):
+    for p in _trial_divisors():
+        if p * p > m:
+            break
         if m % p == 0:
             e = 0
             while m % p == 0:
                 m //= p
                 e += 1
             factors.append((p, e))
-    p, i = 7, 0
-    while p * p <= m:
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            factors.append((p, e))
-        p += _WHEEL[i % 8]
-        i += 1
     if m > 1:
         factors.append((m, 1))
     return Factorization(n, tuple(factors))
@@ -80,16 +78,11 @@ def is_prime(n: int) -> bool:
     """Deterministic primality test by wheel trial division."""
     if n < 2:
         return False
-    for p in (2, 3, 5):
-        if n % p == 0:
-            return n == p
-    p, i = 7, 0
-    while p * p <= n:
+    for p in _trial_divisors():
+        if p * p > n:
+            return True
         if n % p == 0:
             return False
-        p += _WHEEL[i % 8]
-        i += 1
-    return True
 
 
 def divisors(n: int) -> list[int]:

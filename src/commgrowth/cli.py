@@ -12,7 +12,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 
 from . import __version__
 from .arith import growth_series_rank1, is_prime
@@ -31,17 +30,6 @@ EXIT_RESOURCE = 3
 #: Largest result, in decimal digits, that the CLI prints; documented
 #: inputs stay near 15,000 digits.
 MAX_OUTPUT_DIGITS = 10 ** 5
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One parsed invocation: subcommand, its parameters, output format,
-    and the seed used by sampled property runs (fixed default 0)."""
-
-    subcommand: str
-    parameters: dict = field(default_factory=dict)
-    output: str = "text"
-    seed: int = 0
 
 
 def _emit(text: str):
@@ -84,10 +72,10 @@ def _decimal(value: int) -> str:
         sys.set_int_max_str_digits(limit)
 
 
-def _run_rank1(cfg: RunConfig) -> int:
-    n = int(cfg.parameters["n"])
+def _run_rank1(args: argparse.Namespace) -> int:
+    n = args.n
     series = growth_series_rank1(n)
-    if cfg.output == "json":
+    if args.json:
         # json.dumps(..., indent=2) layout, built in bulk
         _emit('{\n  "n": %d,\n  "c": [\n    %s\n  ],\n  "C": [\n    %s\n  ]\n}'
               % (n, ",\n    ".join(map(str, series.c)),
@@ -97,7 +85,7 @@ def _run_rank1(cfg: RunConfig) -> int:
     flat[0::3] = range(1, n + 1)
     flat[1::3] = series.c
     flat[2::3] = series.C
-    if cfg.output == "csv":
+    if args.csv:
         _emit("k,c_k,C_k\n" + "%d,%d,%d\n" * n % tuple(flat))
     else:
         width = len(str(series.C[-1]))
@@ -105,29 +93,26 @@ def _run_rank1(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _run_ball(cfg: RunConfig) -> int:
-    family = cfg.parameters["family"]
-    dim = int(cfg.parameters["dim"])
-    n = int(cfg.parameters["n"])
-    if family == "cyclic":
-        if dim != 1:
+def _run_ball(args: argparse.Namespace) -> int:
+    if args.family == "cyclic":
+        if args.dim != 1:
             raise DomainError("cyclic subgroups live in dimension 1")
-        ball = enumerate_ball(RationalCyclic(1, 1), n)
+        ball = enumerate_ball(RationalCyclic(1, 1), args.n)
         descriptors = [{"a": s.a, "b": s.b} for s in ball]
         lines = [f"{s.a}/{s.b}" for s in ball]
     else:
-        ball = enumerate_ball(RationalLattice.standard(dim), n)
+        ball = enumerate_ball(RationalLattice.standard(args.dim), args.n)
         descriptors = [{"denom": s.denom, "hnf": [list(r) for r in s.basis]} for s in ball]
         lines = [str(s) for s in ball]
-    if cfg.output == "json":
+    if args.json:
         _emit_json(descriptors)
     else:
         _emit("\n".join(lines))
     return EXIT_OK
 
 
-def _run_rootsys(cfg: RunConfig) -> int:
-    rs = root_system(cfg.parameters["type"])
+def _run_rootsys(args: argparse.Namespace) -> int:
+    rs = root_system(args.type)
     payload = {
         "label": rs.label,
         "rank": rs.rank,
@@ -136,22 +121,21 @@ def _run_rootsys(cfg: RunConfig) -> int:
         "degrees": list(rs.degrees),
         "positive_roots": [list(r) for r in rs.positive_roots],
     }
-    if cfg.output == "json":
+    if args.json:
         _emit_json(payload)
     else:
         _emit("\n".join(f"{key}: {value}" for key, value in payload.items()))
     return EXIT_OK
 
 
-def _run_order(cfg: RunConfig) -> int:
-    rs = root_system(cfg.parameters["type"])
-    p = int(cfg.parameters["p"])
-    k = int(cfg.parameters["k"])
+def _run_order(args: argparse.Namespace) -> int:
+    rs = root_system(args.type)
+    p, k = args.p, args.k
     _refuse_prime_power(p, (k - 1) * rs.dimension + rs.num_positive_roots)
     value = order_zpk(rs, p, k)
     payload = {"label": rs.label, "p": p, "k": k, "order": _decimal(value)}
     status = EXIT_OK
-    if cfg.parameters.get("brute_force"):
+    if args.brute_force:
         family = ORACLE_FAMILIES.get(rs.label)
         if family is None:
             raise DomainError(f"no matrix oracle for type {rs.label}; "
@@ -162,18 +146,18 @@ def _run_order(cfg: RunConfig) -> int:
             status = EXIT_FAILED_CHECK
             print(f"mismatch: formula {payload['order']} != enumeration "
                   f"{payload['brute_force']}", file=sys.stderr)
-    if cfg.output == "json":
+    if args.json:
         _emit_json(payload)
-    elif cfg.parameters.get("brute_force"):
+    elif args.brute_force:
         _emit(f"{payload['order']} (enumeration: {payload['brute_force']})")
     else:
         _emit(payload["order"])
     return status
 
 
-def _run_parahoric(cfg: RunConfig) -> int:
-    rs = root_system(cfg.parameters["type"])
-    k = int(cfg.parameters["k"])
+def _run_parahoric(args: argparse.Namespace) -> int:
+    rs = root_system(args.type)
+    k = args.k
     if k < 0:
         raise DomainError(f"k must be >= 0, got {k}")
     count = count_admissible_cocharacters(rs, k + 1)
@@ -188,19 +172,17 @@ def _run_parahoric(cfg: RunConfig) -> int:
     status = EXIT_OK
     if count.exact is not None and count.exact > paper_bound:
         status = EXIT_FAILED_CHECK
-    p = cfg.parameters.get("p")
-    if p is not None:
-        _refuse_prime_power(int(p), (3 + rs.dimension) * k)
-        report = per_prime_bound(rs, int(p), k)
+    if args.p is not None:
+        _refuse_prime_power(args.p, (3 + rs.dimension) * k)
+        report = per_prime_bound(rs, args.p, k)
         payload["per_prime"] = _decimal(report.lhs)
         if not report.holds:
             status = EXIT_FAILED_CHECK
-    m = cfg.parameters.get("m")
-    if m is not None:
-        if int(m) > 1:
-            _refuse_digits((3 + 2 * rs.dimension) * math.log10(int(m)), "more than")
-        payload["m_bound"] = _decimal(maximal_lattice_bound(rs, int(m)))
-    if cfg.output == "json":
+    if args.m is not None:
+        if args.m > 1:
+            _refuse_digits((3 + 2 * rs.dimension) * math.log10(args.m), "more than")
+        payload["m_bound"] = _decimal(maximal_lattice_bound(rs, args.m))
+    if args.json:
         _emit_json(payload)
     else:
         _emit("\n".join(f"{key}: {value}" for key, value in payload.items()
@@ -208,9 +190,8 @@ def _run_parahoric(cfg: RunConfig) -> int:
     return status
 
 
-def _run_check(cfg: RunConfig) -> int:
-    samples = int(cfg.parameters["samples"])
-    reports = run_metric_checks(samples=samples, seed=cfg.seed)
+def _run_check(args: argparse.Namespace) -> int:
+    reports = run_metric_checks(samples=args.samples, seed=args.seed)
     _emit("\n".join(str(r) for r in reports))
     return EXIT_OK if all(r.holds for r in reports) else EXIT_FAILED_CHECK
 
@@ -272,31 +253,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _to_config(args: argparse.Namespace) -> RunConfig:
-    params = {k: v for k, v in vars(args).items()
-              if k not in ("subcommand", "csv", "json", "suite", "seed") and v is not None}
-    output = "json" if getattr(args, "json", False) else \
-             "csv" if getattr(args, "csv", False) else "text"
-    return RunConfig(subcommand=args.subcommand, parameters=params,
-                     output=output, seed=getattr(args, "seed", 0))
-
-
-def run(config: RunConfig) -> int:
-    """Dispatch one parsed invocation; see the module docstring for the
+def main(argv=None) -> int:
+    """Parse and dispatch one invocation; see the module docstring for the
     exit-status contract."""
+    args = build_parser().parse_args(argv)
     try:
-        return _HANDLERS[config.subcommand](config)
+        return _HANDLERS[args.subcommand](args)
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except ResourceLimitError as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-
-
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return run(_to_config(args))
 
 
 if __name__ == "__main__":

@@ -68,15 +68,9 @@ def _intersect_integer(A, B):
     return [row[d:] for row in _row_hnf(stacked, 2 * d)[d:]]
 
 
-def _solve_upper(H, vec):
-    """Integer x with x.H = vec for upper-triangular H, or None."""
-    x = []
-    for j in range(len(H)):
-        rem = vec[j] - sum(x[i] * H[i][j] for i in range(j))
-        if rem % H[j][j]:
-            return None
-        x.append(rem // H[j][j])
-    return x
+def _span_det(rows, cols):
+    """Determinant of the full-rank lattice spanned by the integer rows."""
+    return math.prod(row[t] for t, row in enumerate(_row_hnf(rows, cols)))
 
 
 # ---------------------------------------------------------------------------
@@ -106,14 +100,20 @@ class RationalCyclic:
         _require_same_family(self, other)
         return RationalCyclic(math.lcm(self.a, other.a), math.gcd(self.b, other.b))
 
-    def contains(self, other: "RationalCyclic") -> bool:
+    def _indices(self, other: "RationalCyclic") -> tuple[int, int]:
+        # the intersection is (lcm(a, a')/gcd(b, b'))Z
         _require_same_family(self, other)
-        return (other.a * self.b) % (other.b * self.a) == 0
+        a, b = math.lcm(self.a, other.a), math.gcd(self.b, other.b)
+        return a // self.a * (self.b // b), a // other.a * (other.b // b)
+
+    def contains(self, other: "RationalCyclic") -> bool:
+        return self._indices(other)[1] == 1
 
     def index_of(self, sub: "RationalCyclic") -> int:
-        if not self.contains(sub):
+        index, outside = self._indices(sub)
+        if outside != 1:
             raise DomainError(f"{sub} is not a subgroup of {self}")
-        return (sub.a * self.b) // (sub.b * self.a)
+        return index
 
     def sort_key(self):
         return (self.a, self.b)
@@ -185,19 +185,23 @@ class RationalLattice:
         inter = _intersect_integer(self._numerators(q), other._numerators(q))
         return RationalLattice(self.dim, q, tuple(tuple(r) for r in inter))
 
-    def contains(self, other: "RationalLattice") -> bool:
+    def _indices(self, other: "RationalLattice") -> tuple[int, int]:
+        # [A : A & B] = [A + B : B]; over a common denominator each
+        # index is a ratio of determinants
         _require_same_family(self, other)
         q = math.lcm(self.denom, other.denom)
-        H = self._numerators(q)
-        return all(_solve_upper(H, row) is not None for row in other._numerators(q))
+        A, B = self._numerators(q), other._numerators(q)
+        total = _span_det(A + B, self.dim)
+        return _span_det(B, self.dim) // total, _span_det(A, self.dim) // total
+
+    def contains(self, other: "RationalLattice") -> bool:
+        return self._indices(other)[1] == 1
 
     def index_of(self, sub: "RationalLattice") -> int:
-        if not self.contains(sub):
+        index, outside = self._indices(sub)
+        if outside != 1:
             raise DomainError(f"{sub} is not a sublattice of {self}")
-        # covolumes are the HNF diagonal products over denom**dim
-        num = math.prod(sub.basis[i][i] for i in range(self.dim)) * self.denom ** self.dim
-        den = math.prod(self.basis[i][i] for i in range(self.dim)) * sub.denom ** self.dim
-        return num // den
+        return index
 
     def sort_key(self):
         return (self.denom,) + tuple(v for row in self.basis for v in row)
@@ -251,8 +255,7 @@ def index_in(sub, sup) -> int:
 
 def comm_index(A, B) -> CommIndex:
     """Exact commensurability index data of two commensurable subgroups."""
-    inter = intersect(A, B)
-    return CommIndex(A.index_of(inter), B.index_of(inter))
+    return CommIndex(*A._indices(B))
 
 
 def distance(A, B) -> float:
@@ -266,14 +269,12 @@ def geodesic(A, B) -> GeodesicPath:
     The generic shape is [A, A&B, B]; when one subgroup contains the other
     the degenerate vertex is merged away.
     """
-    inter = intersect(A, B)
+    ci = comm_index(A, B)
     if A == B:
         return GeodesicPath((A,), 1)
-    if inter == A:  # A inside B: single ascending edge
-        return GeodesicPath((A, B), B.index_of(A))
-    if inter == B:  # B inside A: single descending edge
-        return GeodesicPath((A, B), A.index_of(B))
-    return GeodesicPath((A, inter, B), A.index_of(inter) * B.index_of(inter))
+    if 1 in (ci.left_index, ci.right_index):  # nested: a single edge
+        return GeodesicPath((A, B), ci.value)
+    return GeodesicPath((A, intersect(A, B), B), ci.value)
 
 
 def chain_length(chain) -> int:
@@ -322,16 +323,12 @@ def _overlattice_frames(dim, j):
     Scaling such a frame by 1/j gives exactly the overlattices of index j
     of any lattice written in its own basis coordinates.
     """
-    if j == 1:
-        return (tuple(tuple(int(i == t) for t in range(dim)) for i in range(dim)),)
-    frames = []
-    for mat in _hnf_matrices_with_det(dim, j ** (dim - 1)):
-        if any(j % mat[t][t] for t in range(dim)):
-            continue
-        units = (tuple(j * int(i == t) for t in range(dim)) for i in range(dim))
-        if all(_solve_upper(mat, e) is not None for e in units):
-            frames.append(tuple(tuple(row) for row in mat))
-    return tuple(frames)
+    # j*Z^dim lies in K exactly when adding it leaves the determinant; the
+    # pivots of such a K divide j, a cheap test that rejects most candidates
+    units = [[j * (i == t) for t in range(dim)] for i in range(dim)]
+    return tuple(tuple(map(tuple, mat)) for mat in _hnf_matrices_with_det(dim, j ** (dim - 1))
+                 if not any(j % mat[t][t] for t in range(dim))
+                 and _span_det(mat + units, dim) == j ** (dim - 1))
 
 
 def _cyclic_ball(gamma: RationalCyclic, n: int):
@@ -347,21 +344,23 @@ def _cyclic_ball(gamma: RationalCyclic, n: int):
 
 
 def _lattice_ball(gamma: RationalLattice, n: int):
-    # Each commensurable L is found once, through its trace M = L & gamma:
-    # enumerate sublattices M of index i, overlattices L of M of index j
-    # with i*j <= n, and keep L exactly when its trace is M.
+    # Around Z^d each commensurable L is found once, through its trace
+    # M = L & Z^d: M runs over the sublattices of index i and L = (1/j)K,
+    # K = frame*M, over the overlattices of M of index j with i*j <= n.
+    # The trace is M exactly when [L + Z^d : Z^d] = j, that is when K and
+    # j*Z^d span a lattice of determinant j**(d-1).  Mapping Z^d onto
+    # gamma's basis transports the ball, as in _cyclic_ball.
     out = []
     dim = gamma.dim
     for i in range(1, n + 1):
         for rel in _hnf_matrices_with_det(dim, i):
-            sub = RationalLattice(dim, gamma.denom,
-                                  tuple(tuple(r) for r in _matmul(rel, gamma.basis)))
             for j in range(1, n // i + 1):
+                units = [[j * (r == t) for t in range(dim)] for r in range(dim)]
                 for frame in _overlattice_frames(dim, j):
-                    over = RationalLattice(dim, sub.denom * j,
-                                           tuple(tuple(r) for r in _matmul(frame, sub.basis)))
-                    if over.intersection(gamma) == sub:
-                        out.append(over)
+                    K = _matmul(frame, rel)
+                    if _span_det(K + units, dim) == j ** (dim - 1):
+                        out.append(RationalLattice(dim, gamma.denom * j, tuple(
+                            map(tuple, _matmul(K, gamma.basis)))))
     return out
 
 

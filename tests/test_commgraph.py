@@ -159,6 +159,9 @@ class TestIntersectContainsOracles:
             inter = A.intersection(B)
             index = diagonal_product(inter.basis) * (q // inter.denom) ** dim
             assert index * points == n ** dim, (A, B)
+            ci = comm_index(A, B)
+            assert ci.left_index * diagonal_product(Aq) * points == n ** dim, (A, B)
+            assert ci.right_index * diagonal_product(Bq) * points == n ** dim, (A, B)
             checked += 1
 
 
@@ -302,22 +305,38 @@ class TestBallEnumeration:
 
     def test_ball_complete_against_undeduplicated_search(self):
         # independent route: collect every (sublattice, overlattice)
-        # candidate without the trace condition, filter by the index value
+        # candidate around the basepoint itself, with neither the trace
+        # condition nor transport from Z^d, filter by the index value
         # computed directly, and deduplicate as a set
-        n, dim = 6, 2
-        seen = set()
-        for i in range(1, 2 * n + 1):
-            for rel in cg._hnf_matrices_with_det(dim, i):
-                M = RationalLattice(dim, 1, tuple(tuple(r) for r in
-                                                  cg._matmul(rel, Z2.basis)))
-                for j in range(1, 2 * n // i + 1):
-                    for frame in cg._overlattice_frames(dim, j):
-                        L = RationalLattice(dim, M.denom * j,
-                                            tuple(tuple(r) for r in
-                                                  cg._matmul(frame, M.basis)))
-                        if comm_index(Z2, L).value <= n:
-                            seen.add(L)
-        assert seen == set(enumerate_ball(Z2, n))
+        gamma2, gamma3 = (cg._random_lattice(random.Random(0), dim) for dim in (2, 3))
+        assert all(g.denom > 1 and g.basis[0][-1] != 0 for g in (gamma2, gamma3))
+        for gamma, n in ((Z2, 6), (gamma2, 6), (gamma3, 4)):
+            dim = gamma.dim
+            seen = set()
+            for i in range(1, 2 * n + 1):
+                for rel in cg._hnf_matrices_with_det(dim, i):
+                    M = RationalLattice(dim, gamma.denom, tuple(tuple(r) for r in
+                                                                cg._matmul(rel, gamma.basis)))
+                    for j in range(1, 2 * n // i + 1):
+                        for frame in cg._overlattice_frames(dim, j):
+                            L = RationalLattice(dim, M.denom * j,
+                                                tuple(tuple(r) for r in
+                                                      cg._matmul(frame, M.basis)))
+                            if comm_index(gamma, L).value <= n:
+                                seen.add(L)
+            assert seen == set(enumerate_ball(gamma, n)), gamma
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_overlattice_frames_against_brute_filter(self, dim):
+        # the frames are the HNF matrices of determinant j**(dim-1) whose
+        # row span holds each j*e_t, tested by back-substitution
+        for j in range(1, 7):
+            units = j * np.eye(dim, dtype=np.int64)
+            want = {tuple(map(tuple, mat))
+                    for mat in cg._hnf_matrices_with_det(dim, j ** (dim - 1))
+                    if upper_row_span_mask(np.array(mat, dtype=np.int64), units).all()}
+            frames = cg._overlattice_frames(dim, j)
+            assert len(frames) == len(want) and set(frames) == want, (dim, j)
 
     def test_ball_sorted_deterministic(self):
         ball = enumerate_ball(Z2, 4)
