@@ -22,6 +22,9 @@ EULER_MASCHERONI = 0.57721566490153286061
 # increments of the 2/3/5 trial-division wheel, starting from 7
 _WHEEL = (4, 2, 4, 2, 4, 6, 2, 6)
 
+# rows per block of the exhaustive box walker
+_BOX_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True)
 class Factorization:
@@ -110,6 +113,18 @@ def cn_rank1(n: int) -> int:
     """Number of subgroups of the rationals at commensurability index
     exactly n from the integers: 2**omega(n)."""
     return 1 << omega(n)
+
+
+def _box_blocks(side: int, width: int):
+    """The points of [0, side)**width in lexicographic order, as int64
+    digit arrays of shape (rows, width), at most _BOX_BLOCK rows each."""
+    total = side ** width
+    for start in range(0, total, _BOX_BLOCK):
+        rem = np.arange(start, min(start + _BOX_BLOCK, total), dtype=np.int64)
+        digits = np.empty((width, len(rem)), dtype=np.int64)  # contiguous columns
+        for col in range(width - 1, -1, -1):
+            rem, digits[col] = np.divmod(rem, side)
+        yield digits.T
 
 
 def prime_sieve(limit: int) -> np.ndarray:

@@ -4,14 +4,14 @@ Over a prime field the order comes from Steinberg's formula
 p**N * prod_i (p**d_i - 1); over Z/p**k the congruence filtration
 contributes a clean factor p**((k-1)*d).  Both are cross-checkable against
 exhaustive matrix enumeration for the small special-linear and symplectic
-cases, which is what ``brute_force_order`` provides.
+cases, which ``brute_force_order`` provides by scanning in numpy blocks.
 """
 
 from __future__ import annotations
 
-import itertools
+import numpy as np
 
-from .arith import factorize, is_prime
+from .arith import _box_blocks, factorize, is_prime
 from .errors import DomainError, ResourceLimitError
 from .reporting import BoundReport, compare
 from .root_systems import RootSystem
@@ -56,49 +56,18 @@ def order_zm(rs: RootSystem, m: int) -> int:
     return value
 
 
-def _det_mod(rows, m: int) -> int:
-    """Determinant of a small integer matrix, reduced mod m."""
+def _det_mod(rows, m: int):
+    """Determinant mod m of a small matrix whose entries are integers or
+    equal-length integer arrays (one determinant per array position)."""
     n = len(rows)
     if n == 1:
         return rows[0][0] % m
     total = 0
     for j in range(n):
-        if rows[0][j]:
-            minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-            term = rows[0][j] * _det_mod(minor, m)
-            total += -term if j % 2 else term
+        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
+        term = rows[0][j] * _det_mod(minor, m)
+        total += -term if j % 2 else term
     return total % m
-
-
-def _count_sl(n: int, m: int) -> int:
-    one = 1 % m
-    count = 0
-    for entries in itertools.product(range(m), repeat=n * n):
-        rows = [entries[i * n:(i + 1) * n] for i in range(n)]
-        if _det_mod(rows, m) == one:
-            count += 1
-    return count
-
-
-def _preserves_sp4_form(rows, m: int) -> bool:
-    # M^T J M is alternating automatically; only the upper triangle needs checking
-    for i in range(4):
-        for j in range(i + 1, 4):
-            acc = (rows[0][i] * rows[3][j] + rows[1][i] * rows[2][j]
-                   - rows[2][i] * rows[1][j] - rows[3][i] * rows[0][j])
-            if acc % m != _SP4_FORM[i][j] % m:
-                return False
-    return True
-
-
-def _count_sp4(m: int) -> int:
-    one = 1 % m
-    count = 0
-    for entries in itertools.product(range(m), repeat=16):
-        rows = [entries[0:4], entries[4:8], entries[8:12], entries[12:16]]
-        if _preserves_sp4_form(rows, m) and _det_mod(rows, m) == one:
-            count += 1
-    return count
 
 
 def brute_force_order(family: str, m: int, *, max_candidates: int = 10 ** 8) -> int:
@@ -107,8 +76,8 @@ def brute_force_order(family: str, m: int, *, max_candidates: int = 10 ** 8) -> 
     antidiagonal alternating form preserved, determinant one).
 
     This is the independent oracle for the closed-form orders; it scans
-    every candidate matrix and must stay well inside desk scale, hence the
-    guard on m**(n*n).
+    every candidate matrix in numpy blocks and must stay well inside desk
+    scale, hence the guard on m**(n*n).
     """
     if m < 1:
         raise DomainError(f"modulus must be >= 1, got {m}")
@@ -119,9 +88,22 @@ def brute_force_order(family: str, m: int, *, max_candidates: int = 10 ** 8) -> 
     if m ** (n * n) > max_candidates:
         raise ResourceLimitError(
             f"{family} mod {m} needs {m ** (n * n)} candidates, guard is {max_candidates}")
-    if family == "Sp4":
-        return _count_sp4(m)
-    return _count_sl(n, m)
+    one = 1 % m
+    count = 0
+    for digits in _box_blocks(m, n * n):
+        # rows[a][b] holds entry (a, b) of every candidate in the block
+        rows = [list(digits.T[a * n:(a + 1) * n]) for a in range(n)]
+        if family == "Sp4":
+            # M^T J M is alternating, so test its upper triangle only
+            keep = np.ones(len(digits), dtype=bool)
+            for i in range(4):
+                for j in range(i + 1, 4):
+                    pair = (rows[0][i] * rows[3][j] + rows[1][i] * rows[2][j]
+                            - rows[2][i] * rows[1][j] - rows[3][i] * rows[0][j])
+                    keep &= pair % m == _SP4_FORM[i][j] % m
+            rows = [[entry[keep] for entry in row] for row in rows]
+        count += int(np.count_nonzero(_det_mod(rows, m) == one))
+    return count
 
 
 def check_order_bound(rs: RootSystem, p: int) -> BoundReport:

@@ -321,14 +321,18 @@ def _overlattice_frames(dim, j):
     """Frames K with j*Z^dim <= K <= Z^dim and [Z^dim : K] = j**(dim-1).
 
     Scaling such a frame by 1/j gives exactly the overlattices of index j
-    of any lattice written in its own basis coordinates.
+    of any lattice written in its own basis coordinates.  They are the
+    annihilators K = {x : x.h = 0 mod j for each row h of H} of the index-j
+    sublattices H.  As in _intersect_integer, the rows (column r of H, e_r)
+    and (j*e_r, 0) span {(Hx + jy, x)}, so the last dim rows of its HNF are (0, K).
     """
-    # j*Z^dim lies in K exactly when adding it leaves the determinant; the
-    # pivots of such a K divide j, a cheap test that rejects most candidates
-    units = [[j * (i == t) for t in range(dim)] for i in range(dim)]
-    return tuple(tuple(map(tuple, mat)) for mat in _hnf_matrices_with_det(dim, j ** (dim - 1))
-                 if not any(j % mat[t][t] for t in range(dim))
-                 and _span_det(mat + units, dim) == j ** (dim - 1))
+    eye = [[int(r == t) for t in range(dim)] for r in range(dim)]
+    frames = []
+    for H in _hnf_matrices_with_det(dim, j):
+        stacked = ([[h[r] for h in H] + eye[r] for r in range(dim)]
+                   + [[j * v for v in eye[r]] + [0] * dim for r in range(dim)])
+        frames.append(tuple(tuple(row[dim:]) for row in _row_hnf(stacked, 2 * dim)[dim:]))
+    return tuple(frames)
 
 
 def _cyclic_ball(gamma: RationalCyclic, n: int):
@@ -430,7 +434,7 @@ def _random_chain(rng: random.Random, sample, max_len: int = 5):
 
 def run_metric_checks(samples: int = 1000, seed: int = 0) -> list[BoundReport]:
     """Seeded property suite over both families: metric axioms on triples,
-    geodesic length against the commensurability index on pairs, and
+    geodesic length against the product of its edge indices on pairs, and
     nested-chain length against the endpoint index.
 
     Each report counts violations (lhs) against zero (rhs), so the suite
@@ -454,7 +458,9 @@ def run_metric_checks(samples: int = 1000, seed: int = 0) -> list[BoundReport]:
         geo = 0
         for _ in range(samples):
             A, B = sample(rng), sample(rng)
-            if geodesic(A, B).length != comm_index(A, B).value:
+            path = geodesic(A, B)
+            edges = zip(path.vertices, path.vertices[1:])
+            if path.length != math.prod(comm_index(u, v).value for u, v in edges):
                 geo += 1
         chains = 0
         for _ in range(samples):

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import is_prime
+from .arith import _box_blocks, is_prime
 from .errors import DomainError, ResourceLimitError
 from .reporting import BoundReport, compare
 from .root_systems import RootSystem
@@ -38,21 +38,13 @@ class CocharacterCount:
             raise ValueError("exact count cannot exceed the box bound")
 
 
-def _exhaustive_count(rs: RootSystem, c: int, block: int = 1 << 20) -> int:
-    # chunked scan over the coefficient box, decoded from flat indices so
-    # memory stays bounded regardless of rank and cutoff
-    side = 2 * c + 1
-    total = side ** rs.rank
+def _exhaustive_count(rs: RootSystem, c: int) -> int:
+    # blockwise scan over the coefficient box, so memory stays bounded
+    # regardless of rank and cutoff
     roots_t = np.asarray(rs.positive_roots, dtype=np.int64).T
     count = 0
-    for start in range(0, total, block):
-        stop = min(start + block, total)
-        rem = np.arange(start, stop, dtype=np.int64)
-        coords = np.empty((stop - start, rs.rank), dtype=np.int64)
-        for col in range(rs.rank - 1, -1, -1):
-            rem, digit = np.divmod(rem, side)
-            coords[:, col] = digit - c
-        pairings = coords @ roots_t
+    for digits in _box_blocks(2 * c + 1, rs.rank):
+        pairings = (digits - c) @ roots_t
         count += int(np.count_nonzero((np.abs(pairings) <= c).all(axis=1)))
     return count
 

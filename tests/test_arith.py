@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -204,3 +205,12 @@ def test_parallel_aggregation_order_independent():
 
 def test_euler_mascheroni_constant_digits():
     assert abs(arith.EULER_MASCHERONI - 0.5772156649015329) < 1e-15
+
+
+@pytest.mark.parametrize("side,width", [(1, 3), (3, 4), (4, 2), (5, 1)])
+def test_box_blocks_walk_the_box_in_order(monkeypatch, side, width):
+    monkeypatch.setattr(arith, "_BOX_BLOCK", 7)
+    blocks = list(arith._box_blocks(side, width))
+    assert all(b.shape[1] == width and 0 < len(b) <= 7 for b in blocks)
+    want = list(itertools.product(range(side), repeat=width))
+    assert np.concatenate(blocks).tolist() == [list(point) for point in want]

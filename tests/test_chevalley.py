@@ -3,15 +3,18 @@ import random
 
 import pytest
 
+from commgrowth import arith
 from commgrowth.arith import prime_sieve
 from commgrowth.chevalley import (ORACLE_FAMILIES, brute_force_order,
                                   check_order_bound, order_fp, order_zm,
                                   order_zpk)
 from commgrowth.errors import DomainError, ResourceLimitError
+from commgrowth.parahoric import count_admissible_cocharacters
 from commgrowth.root_systems import root_system
 
 A1 = root_system("A1")
 A2 = root_system("A2")
+B2 = root_system("B2")
 C2 = root_system("C2")
 
 
@@ -73,18 +76,30 @@ class TestOrderZm:
 
 class TestBruteForce:
     @pytest.mark.parametrize("family,m,expected", [
-        ("SL2", 2, 6), ("SL2", 4, 48), ("Sp4", 2, 720),
+        ("SL2", 2, 6), ("SL2", 4, 48), ("SL3", 4, 43008), ("Sp4", 2, 720),
     ])
     def test_examples(self, family, m, expected):
         assert brute_force_order(family, m) == expected
 
-    @pytest.mark.parametrize("m", range(1, 10))
+    @pytest.mark.parametrize("m", [*range(1, 10), 60])
     def test_every_inguard_sl2_modulus(self, m):
-        # includes the composite non-prime-power m=6 (CRT path)
+        # includes the composite non-prime-power m=6 (CRT path) and
+        # m=60 = 4*3*5, three primes through the multiplicative path
         assert brute_force_order("SL2", m) == order_zm(A1, m)
 
     def test_trivial_modulus(self):
         assert brute_force_order("SL2", 1) == 1
+
+    def test_small_odd_block_changes_nothing(self, monkeypatch):
+        # an odd block leaves a partial last block on these boxes, so a
+        # walker that drops it changes a count
+        orders = [("SL2", 1), ("SL2", 5), ("SL3", 2), ("Sp4", 2)]
+        cutoffs = [(rs, c) for rs in (A2, B2) for c in range(4)]
+        want = ([brute_force_order(f, m) for f, m in orders],
+                [count_admissible_cocharacters(rs, c) for rs, c in cutoffs])
+        monkeypatch.setattr(arith, "_BOX_BLOCK", 7)
+        assert ([brute_force_order(f, m) for f, m in orders],
+                [count_admissible_cocharacters(rs, c) for rs, c in cutoffs]) == want
 
     def test_guard(self):
         with pytest.raises(ResourceLimitError):
