@@ -336,35 +336,26 @@ def _overlattice_frames(dim, j):
 
 
 def _cyclic_ball(gamma: RationalCyclic, n: int):
-    # commensurability index k against Z splits as k = c*d over coprime
-    # pairs; scaling by gamma's generator transports the ball around Z
-    out = []
-    for k in range(1, n + 1):
-        for c in divisors(k):
-            d = k // c
-            if math.gcd(c, d) == 1:
-                out.append(RationalCyclic(gamma.a * c, gamma.b * d))
-    return out
+    # as in _lattice_ball with S = (a*i/b)Z: every candidate lies in the
+    # ball, each member arises with S = its intersection with gamma, and
+    # the set drops the repeats
+    return {RationalCyclic(gamma.a * i, gamma.b * j)
+            for i in range(1, n + 1) for j in range(1, n // i + 1)}
 
 
 def _lattice_ball(gamma: RationalLattice, n: int):
-    # Around Z^d each commensurable L is found once, through its trace
-    # M = L & Z^d: M runs over the sublattices of index i and L = (1/j)K,
-    # K = frame*M, over the overlattices of M of index j with i*j <= n.
-    # The trace is M exactly when [L + Z^d : Z^d] = j, that is when K and
-    # j*Z^d span a lattice of determinant j**(d-1).  Mapping Z^d onto
-    # gamma's basis transports the ball, as in _cyclic_ball.
-    out = []
+    # S = rel*gamma has index i in gamma, L = (1/j)*frame*S index j over S;
+    # S <= L & gamma, so c(gamma, L) <= i*j <= n, and each member arises
+    # with S = L & gamma.  The set drops candidates found more than once.
+    out = set()
     dim = gamma.dim
     for i in range(1, n + 1):
         for rel in _hnf_matrices_with_det(dim, i):
+            sub = _matmul(rel, gamma.basis)
             for j in range(1, n // i + 1):
-                units = [[j * (r == t) for t in range(dim)] for r in range(dim)]
                 for frame in _overlattice_frames(dim, j):
-                    K = _matmul(frame, rel)
-                    if _span_det(K + units, dim) == j ** (dim - 1):
-                        out.append(RationalLattice(dim, gamma.denom * j, tuple(
-                            map(tuple, _matmul(K, gamma.basis)))))
+                    out.add(RationalLattice(dim, gamma.denom * j,
+                                            tuple(map(tuple, _matmul(frame, sub)))))
     return out
 
 

@@ -14,9 +14,13 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import DomainError
+from .errors import DomainError, ResourceLimitError
 
 _LABEL_RE = re.compile(r"^([A-Ga-g])(\d+)$")
+
+# root-string closure costs about rank**4 steps, so the rank is bounded
+# before it runs
+MAX_RANK = 48
 
 # minimal rank per family; E is special-cased to {6, 7, 8}
 _MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 4, "E": 6, "F": 4, "G": 2}
@@ -189,9 +193,12 @@ def root_system(label: str) -> RootSystem:
     """Build the root system for a type label such as "A3", "C2", "E8".
 
     Well-formed labels: A_l (l >= 1), B_l (l >= 2), C_l (l >= 2),
-    D_l (l >= 4), E6, E7, E8, F4, G2.
+    D_l (l >= 4), E6, E7, E8, F4, G2.  A rank above MAX_RANK raises
+    ResourceLimitError before any root is built.
     """
     family, rank = _parse_label(label)
+    if rank > MAX_RANK:
+        raise ResourceLimitError(f"rank {rank} exceeds guard {MAX_RANK}")
     cartan = _cartan_matrix(family, rank)
     positive = _closure(cartan)
     degrees = _degrees(family, rank)

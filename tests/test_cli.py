@@ -1,6 +1,8 @@
 import json
 import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +17,7 @@ from commgrowth.root_systems import root_system
 
 def run_cli(*args, env_extra=None):
     import os
-    env = dict(os.environ)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     if env_extra:
         env.update(env_extra)
     return subprocess.run([sys.executable, "-m", "commgrowth", *args],
@@ -123,6 +125,24 @@ class TestRootsys:
     def test_bad_label_is_domain_error(self):
         result = run_cli("rootsys", "--type", "E5")
         assert result.returncode == EXIT_DOMAIN
+
+    def test_rank_guard_exit(self):
+        result = run_cli("rootsys", "--type", "A49")
+        assert result.returncode == EXIT_RESOURCE
+        assert result.stdout == ""
+        assert result.stderr == "resource guard: rank 49 exceeds guard 48\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["rootsys", "--type", "A100000"],
+        ["order", "--type", "A100000", "--p", "2"],
+        ["parahoric", "--type", "C100000", "--k", "1"],
+    ])
+    def test_huge_rank_refused_at_once(self, argv, capsys):
+        start = time.perf_counter()
+        assert main(argv) == EXIT_RESOURCE
+        assert time.perf_counter() - start < 1.0
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("resource guard: rank 100000 ")
 
 
 class TestOrder:

@@ -301,17 +301,30 @@ class TestBallEnumeration:
             count = sum(1 for _ in cg._hnf_matrices_with_det(2, k))
             assert count == sigma(k)
 
+    # Macdonald counts of the ball around Z^d, the same around every
+    # basepoint by transport; the two non-standard lattices are
+    # _random_lattice(Random(0), d) for d = 2, 3
+    @pytest.mark.parametrize("gamma, n, size", [
+        (Z, 1000, 4987),
+        (Z2, 31, 3541),
+        (RationalLattice.standard(3), 8, 1395),
+        (RationalLattice.from_rows([[2, 2], [0, 4]], denom=5), 31, 3541),
+        (RationalLattice.from_rows([[2, 0, 3], [0, 2, 10], [0, 0, 17]], denom=3), 5, 215),
+    ], ids=["Z-1000", "Z2-31", "Z3-8", "gamma2-31", "gamma3-5"])
+    def test_ball_size_pinned(self, gamma, n, size):
+        assert len(enumerate_ball(gamma, n)) == size
+
     def test_ball_duplicate_free_and_value_closed(self):
-        for n in (3, 4, 6):
+        for n in (3, 4, 6, 31):
             ball = enumerate_ball(Z2, n)
             assert len(set(ball)) == len(ball)
             assert all(comm_index(Z2, L).value <= n for L in ball)
 
     def test_ball_complete_against_undeduplicated_search(self):
         # independent route: collect every (sublattice, overlattice)
-        # candidate around the basepoint itself, with neither the trace
-        # condition nor transport from Z^d, filter by the index value
-        # computed directly, and deduplicate as a set
+        # candidate of radius 2n around the basepoint itself, without
+        # transport from Z^d, keep those whose comm_index value is at
+        # most n, and deduplicate as a set
         gamma2, gamma3 = (cg._random_lattice(random.Random(0), dim) for dim in (2, 3))
         assert all(g.denom > 1 and g.basis[0][-1] != 0 for g in (gamma2, gamma3))
         for gamma, n in ((Z2, 6), (gamma2, 6), (gamma3, 4)):

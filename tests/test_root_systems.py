@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from commgrowth.errors import DomainError
-from commgrowth.root_systems import root_system, supported_labels
+from commgrowth.errors import DomainError, ResourceLimitError
+from commgrowth.root_systems import MAX_RANK, root_system, supported_labels
 
 # closed-form positive-root counts, independent of the closure code
 CLASSICAL_N = {
@@ -46,6 +46,13 @@ class TestBuild:
     def test_malformed_labels(self, bad):
         with pytest.raises(DomainError):
             root_system(bad)
+
+    def test_rank_guard_boundary(self):
+        assert MAX_RANK == 48
+        assert root_system("A48").num_positive_roots == CLASSICAL_N["A"](48)
+        for label in ("A49", "B49", "D100000"):
+            with pytest.raises(ResourceLimitError):
+                root_system(label)
 
 
 class TestStructuralInvariants:

@@ -6,13 +6,34 @@ from pathlib import Path
 import commgrowth
 
 
+def library_nodes():
+    """(file name, node) for every AST node of every library module."""
+    sources = sorted(Path(commgrowth.__file__).parent.glob("*.py"))
+    assert {"cli.py", "commgraph.py", "root_systems.py"} <= {p.name for p in sources}
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            yield path.name, node
+
+
 def test_no_assert_in_library():
     # python -O strips assert statements, so a runtime check of the
     # library must raise explicitly
-    sources = sorted(Path(commgrowth.__file__).parent.glob("*.py"))
-    assert {"cli.py", "commgraph.py", "root_systems.py"} <= {p.name for p in sources}
-    found = [f"{path.name}:{node.lineno}"
-             for path in sources
-             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+    found = [f"{name}:{node.lineno}" for name, node in library_nodes()
              if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_library_does_not_import_the_benchmark_oracles():
+    # perfbench/oracles.py checks the library independently, so the
+    # library must never lean on it
+    found = []
+    for name, node in library_nodes():
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""] + [alias.name for alias in node.names]
+        else:
+            continue
+        if any({"perfbench", "oracles"} & set(m.split(".")) for m in modules):
+            found.append(f"{name}:{node.lineno}")
     assert found == []
