@@ -19,7 +19,7 @@ from .chevalley import ORACLE_FAMILIES, brute_force_order, order_zpk
 from .commgraph import (RationalCyclic, RationalLattice, enumerate_ball,
                         run_metric_checks)
 from .errors import DomainError, ResourceLimitError
-from .parahoric import count_admissible_cocharacters, maximal_lattice_bound, per_prime_bound
+from .parahoric import _per_prime_lhs, count_admissible_cocharacters, maximal_lattice_bound
 from .root_systems import root_system
 
 EXIT_OK = 0
@@ -94,20 +94,17 @@ def _run_rank1(args: argparse.Namespace) -> int:
 
 
 def _run_ball(args: argparse.Namespace) -> int:
-    if args.family == "cyclic":
-        if args.dim != 1:
-            raise DomainError("cyclic subgroups live in dimension 1")
-        ball = enumerate_ball(RationalCyclic(1, 1), args.n)
-        descriptors = [{"a": s.a, "b": s.b} for s in ball]
-        lines = [f"{s.a}/{s.b}" for s in ball]
+    cyclic = args.family == "cyclic"
+    if cyclic and args.dim != 1:
+        raise DomainError("cyclic subgroups live in dimension 1")
+    ball = enumerate_ball(RationalCyclic(1, 1) if cyclic
+                          else RationalLattice.standard(args.dim), args.n)
+    if not args.json:
+        _emit("\n".join(f"{s.a}/{s.b}" if cyclic else str(s) for s in ball))
+    elif cyclic:
+        _emit_json([{"a": s.a, "b": s.b} for s in ball])
     else:
-        ball = enumerate_ball(RationalLattice.standard(args.dim), args.n)
-        descriptors = [{"denom": s.denom, "hnf": [list(r) for r in s.basis]} for s in ball]
-        lines = [str(s) for s in ball]
-    if args.json:
-        _emit_json(descriptors)
-    else:
-        _emit("\n".join(lines))
+        _emit_json([{"denom": s.denom, "hnf": [list(r) for r in s.basis]} for s in ball])
     return EXIT_OK
 
 
@@ -174,10 +171,7 @@ def _run_parahoric(args: argparse.Namespace) -> int:
         status = EXIT_FAILED_CHECK
     if args.p is not None:
         _refuse_prime_power(args.p, (3 + rs.dimension) * k)
-        report = per_prime_bound(rs, args.p, k)
-        payload["per_prime"] = _decimal(report.lhs)
-        if not report.holds:
-            status = EXIT_FAILED_CHECK
+        payload["per_prime"] = _decimal(_per_prime_lhs(rs, args.p, k))
     if args.m is not None:
         if args.m > 1:
             _refuse_digits((3 + 2 * rs.dimension) * math.log10(args.m), "more than")

@@ -68,9 +68,10 @@ def _intersect_integer(A, B):
     return [row[d:] for row in _row_hnf(stacked, 2 * d)[d:]]
 
 
-def _span_det(rows, cols):
-    """Determinant of the full-rank lattice spanned by the integer rows."""
-    return math.prod(row[t] for t, row in enumerate(_row_hnf(rows, cols)))
+def _hnf_det(hnf):
+    """Determinant of a full-rank lattice from its HNF basis: the product
+    of the pivots."""
+    return math.prod(row[t] for t, row in enumerate(hnf))
 
 
 # ---------------------------------------------------------------------------
@@ -187,12 +188,12 @@ class RationalLattice:
 
     def _indices(self, other: "RationalLattice") -> tuple[int, int]:
         # [A : A & B] = [A + B : B]; over a common denominator each
-        # index is a ratio of determinants
+        # index is a ratio of determinants, and A and B are already HNF
         _require_same_family(self, other)
         q = math.lcm(self.denom, other.denom)
         A, B = self._numerators(q), other._numerators(q)
-        total = _span_det(A + B, self.dim)
-        return _span_det(B, self.dim) // total, _span_det(A, self.dim) // total
+        total = _hnf_det(_row_hnf(A + B, self.dim))
+        return _hnf_det(B) // total, _hnf_det(A) // total
 
     def contains(self, other: "RationalLattice") -> bool:
         return self._indices(other)[1] == 1

@@ -96,21 +96,22 @@ def check_two_k_plus_three(p: int, k: int) -> BoundReport:
                    p=p, k=k, crude_bound=crude, sharp_applies=p >= 5)
 
 
+def _per_prime_lhs(rs: RootSystem, p: int, k: int) -> int:
+    """(d+1)*p**((3+d)k) for a prime p and level k >= 1, and 1 at level 0."""
+    if not is_prime(p):
+        raise DomainError(f"p must be prime, got {p}")
+    if k < 0:
+        raise DomainError(f"k must be >= 0, got {k}")
+    return (rs.dimension + 1) * p ** ((3 + rs.dimension) * k) if k else 1
+
+
 def per_prime_bound(rs: RootSystem, p: int, k: int) -> BoundReport:
     """Bound on the maximal compact open subgroups over Q_p containing the
     level-k principal congruence subgroup: (d+1)*p**((3+d)k), dominated by
     the cruder p**((3+2d)k) for k >= 1.  At level 0 there is exactly one
     such subgroup, so the report carries 1 on both sides."""
-    if not is_prime(p):
-        raise DomainError(f"p must be prime, got {p}")
-    if k < 0:
-        raise DomainError(f"k must be >= 0, got {k}")
-    d = rs.dimension
-    if k == 0:
-        return compare("per_prime_maximal_count", 1, 1,
-                       label=rs.label, p=p, k=k)
-    lhs = (d + 1) * p ** ((3 + d) * k)
-    return compare("per_prime_maximal_count", lhs, p ** ((3 + 2 * d) * k),
+    lhs = _per_prime_lhs(rs, p, k)
+    return compare("per_prime_maximal_count", lhs, p ** ((3 + 2 * rs.dimension) * k),
                    label=rs.label, p=p, k=k)
 
 

@@ -5,7 +5,7 @@ roots; no Euclidean embedding is kept.  Positive roots are generated by
 root-string closure from the Cartan matrix.  The hard-coded table of Weyl
 degrees must agree with that enumeration (the count of positive roots
 equals sum(d_i - 1)); the test suite checks this for every label up to
-rank 8 (`supported_labels()`).
+rank 16 (`supported_labels(16)`).
 """
 
 from __future__ import annotations
@@ -22,8 +22,9 @@ _LABEL_RE = re.compile(r"^([A-Ga-g])(\d+)$")
 # before it runs
 MAX_RANK = 48
 
-# minimal rank per family; E is special-cased to {6, 7, 8}
-_MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 4, "E": 6, "F": 4, "G": 2}
+# least and greatest rank per family; None: no greatest (A-D)
+_RANKS = {"A": (1, None), "B": (2, None), "C": (2, None), "D": (4, None),
+          "E": (6, 8), "F": (4, 4), "G": (2, 2)}
 
 
 @dataclass(frozen=True)
@@ -74,68 +75,43 @@ def _parse_label(label: str) -> tuple[str, int]:
     m = _LABEL_RE.match(label.strip())
     if not m:
         raise DomainError(f"malformed type label {label!r}")
-    family = m.group(1).upper()
-    rank = int(m.group(2))
-    if family == "E":
-        if rank not in (6, 7, 8):
-            raise DomainError(f"type E exists only in ranks 6, 7, 8, got {rank}")
-    elif family == "F":
-        if rank != 4:
-            raise DomainError(f"type F exists only in rank 4, got {rank}")
-    elif family == "G":
-        if rank != 2:
-            raise DomainError(f"type G exists only in rank 2, got {rank}")
-    elif rank < _MIN_RANK[family]:
-        raise DomainError(f"type {family} requires rank >= {_MIN_RANK[family]}, got {rank}")
+    family, digits = m.group(1).upper(), m.group(2).lstrip("0") or "0"
+    # int() refuses past 4300 digits, and a message should not echo them
+    # all; a rank of more than 18 digits exceeds every bound anyway
+    short = len(digits) <= 18
+    rank = int(digits) if short else 10 ** 18
+    shown = str(rank) if short else f"{digits[:8]}... ({len(digits)} digits)"
+    least, greatest = _RANKS[family]
+    if rank < least:
+        raise DomainError(f"type {family} requires rank >= {least}, got {shown}")
+    if greatest is not None and rank > greatest:
+        raise DomainError(f"type {family} requires rank <= {greatest}, got {shown}")
+    if rank > MAX_RANK:
+        raise ResourceLimitError(f"rank {shown} exceeds guard {MAX_RANK}")
     return family, rank
 
 
-def _chain_cartan(l: int) -> list[list[int]]:
-    c = [[0] * l for _ in range(l)]
-    for i in range(l):
-        c[i][i] = 2
-        if i + 1 < l:
-            c[i][i + 1] = -1
-            c[i + 1][i] = -1
-    return c
-
-
-def _tree_cartan(l: int, edges) -> list[list[int]]:
-    c = [[0] * l for _ in range(l)]
-    for i in range(l):
-        c[i][i] = 2
-    for i, j in edges:
-        c[i][j] = -1
-        c[j][i] = -1
-    return c
-
-
 def _cartan_matrix(family: str, l: int) -> list[list[int]]:
-    if family == "A":
-        return _chain_cartan(l)
-    if family == "B":
-        # last simple root short: its coroot pairs to -2 against the neighbor
-        c = _chain_cartan(l)
-        c[l - 2][l - 1] = -2
-        c[l - 1][l - 2] = -1
-        return c
-    if family == "C":
-        c = _chain_cartan(l)
-        c[l - 2][l - 1] = -1
-        c[l - 1][l - 2] = -2
-        return c
+    """2 on the diagonal and -1 on each edge of the Dynkin diagram, in
+    Bourbaki node order, then the one multiple bond: entry [i][j] pairs
+    simple root i against the coroot of simple root j."""
     if family == "D":
-        return _tree_cartan(l, [(i, i + 1) for i in range(l - 2)] + [(l - 3, l - 1)])
-    if family == "G":
-        return [[2, -1], [-3, 2]]
-    if family == "F":
-        c = _chain_cartan(4)
-        c[1][2] = -2
-        c[2][1] = -1
-        return c
-    # E6/E7/E8, Bourbaki node order: chain 1-3-4-5-..., node 2 hangs off node 4
-    edges = [(0, 2), (2, 3), (3, 4), (1, 3)] + [(i, i + 1) for i in range(4, l - 1)]
-    return _tree_cartan(l, edges)
+        edges = [(i, i + 1) for i in range(l - 2)] + [(l - 3, l - 1)]
+    elif family == "E":
+        # chain 1-3-4-5-..., node 2 hangs off node 4
+        edges = [(0, 2), (2, 3), (3, 4), (1, 3)] + [(i, i + 1) for i in range(4, l - 1)]
+    else:
+        edges = [(i, i + 1) for i in range(l - 1)]
+    c = [[2 * (i == j) for j in range(l)] for i in range(l)]
+    for i, j in edges:
+        c[i][j] = c[j][i] = -1
+    # B: the last simple root is short; C: it is long
+    bond = {"B": (l - 2, l - 1, -2), "C": (l - 1, l - 2, -2),
+            "F": (1, 2, -2), "G": (1, 0, -3)}.get(family)
+    if bond:
+        i, j, value = bond
+        c[i][j] = value
+    return c
 
 
 def _degrees(family: str, l: int) -> tuple[int, ...]:
@@ -197,8 +173,6 @@ def root_system(label: str) -> RootSystem:
     ResourceLimitError before any root is built.
     """
     family, rank = _parse_label(label)
-    if rank > MAX_RANK:
-        raise ResourceLimitError(f"rank {rank} exceeds guard {MAX_RANK}")
     cartan = _cartan_matrix(family, rank)
     positive = _closure(cartan)
     degrees = _degrees(family, rank)
@@ -213,13 +187,5 @@ def root_system(label: str) -> RootSystem:
 
 def supported_labels(max_rank: int = 8) -> list[str]:
     """Every well-formed label with rank up to max_rank."""
-    out = [f"A{l}" for l in range(1, max_rank + 1)]
-    out += [f"B{l}" for l in range(2, max_rank + 1)]
-    out += [f"C{l}" for l in range(2, max_rank + 1)]
-    out += [f"D{l}" for l in range(4, max_rank + 1)]
-    out += [e for e in ("E6", "E7", "E8") if int(e[1]) <= max_rank]
-    if max_rank >= 4:
-        out.append("F4")
-    if max_rank >= 2:
-        out.append("G2")
-    return out
+    return [f"{family}{l}" for family, (least, greatest) in _RANKS.items()
+            for l in range(least, min(max_rank, greatest or max_rank) + 1)]

@@ -237,7 +237,7 @@ class TestParahoric:
         assert_output_guard(result)
 
     @pytest.mark.parametrize("flags, name", [
-        (["--p", "100003"], "per_prime_bound"),
+        (["--p", "100003"], "_per_prime_lhs"),
         (["--m", str(10 ** 201)], "maximal_lattice_bound"),
     ])
     def test_digit_guard_refuses_before_computing(self, monkeypatch, flags, name):
@@ -256,6 +256,35 @@ class TestCheck:
         a = run_cli("check", "metric", "--samples", "40", "--seed", "3")
         b = run_cli("check", "metric", "--samples", "40", "--seed", "3")
         assert a.stdout == b.stdout
+
+
+LONG_RANK = "9" * 5000
+
+
+class TestMalformedInput:
+    # every malformed request ends in one stderr line, never a traceback
+    @pytest.mark.parametrize("argv, status", [
+        (["rootsys", "--type", "A" + LONG_RANK], EXIT_RESOURCE),
+        (["rootsys", "--type", "E" + LONG_RANK], EXIT_DOMAIN),
+        (["order", "--type", "A" + LONG_RANK, "--p", "2"], EXIT_RESOURCE),
+        (["parahoric", "--type", "A" + LONG_RANK, "--k", "1"], EXIT_RESOURCE),
+        (["ball", "--family", "lattice", "--dim", "0", "--n", "2"], EXIT_DOMAIN),
+        (["ball", "--family", "lattice", "--dim", "-2", "--n", "2"], EXIT_DOMAIN),
+        (["check", "metric", "--samples", "0"], EXIT_DOMAIN),
+        (["order", "--type", "A1", "--p", "0"], EXIT_DOMAIN),
+        (["order", "--type", "A1", "--p", "-7"], EXIT_DOMAIN),
+        (["order", "--type", "A1", "--p", "2", "--k", "0"], EXIT_DOMAIN),
+        (["parahoric", "--type", "A1", "--k", "1", "--m", "0"], EXIT_DOMAIN),
+        (["parahoric", "--type", "A1", "--k", "1", "--m", "-4"], EXIT_DOMAIN),
+        (["order", "--type", "G2", "--p", "2", "--brute-force"], EXIT_DOMAIN),
+    ])
+    def test_one_line_diagnostic(self, argv, status, capsys):
+        start = time.perf_counter()
+        assert main(argv) == status
+        assert time.perf_counter() - start < 1.0
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.endswith("\n") and err.count("\n") == 1 and len(err) < 200
 
 
 class TestHarness:

@@ -14,6 +14,20 @@ CLASSICAL_N = {
 }
 EXCEPTIONAL_N = {"G2": 6, "F4": 24, "E6": 36, "E7": 63, "E8": 120}
 
+# a rank past CPython's 4300-digit limit on int(str)
+LONG_RANK = "9" * 5000
+
+
+def euclidean_simple_roots(family, l):
+    """Bourbaki's simple roots of B_l, C_l and D_l in R^l: e_i - e_(i+1),
+    then e_l (B, short), 2e_l (C, long) or e_(l-1) + e_l (D)."""
+    def e(i):
+        return [int(i == t) for t in range(l)]
+    chain = [[a - b for a, b in zip(e(i), e(i + 1))] for i in range(l - 1)]
+    last = {"B": e(l - 1), "C": [2 * v for v in e(l - 1)],
+            "D": [a + b for a, b in zip(e(l - 2), e(l - 1))]}[family]
+    return chain + [last]
+
 
 class TestBuild:
     def test_a1(self):
@@ -54,16 +68,38 @@ class TestBuild:
             with pytest.raises(ResourceLimitError):
                 root_system(label)
 
+    @pytest.mark.parametrize("family", "ABCD")
+    def test_long_classical_rank_hits_the_guard(self, family):
+        with pytest.raises(ResourceLimitError, match="exceeds guard 48") as exc:
+            root_system(family + LONG_RANK)
+        assert "5000 digits" in str(exc.value) and len(str(exc.value)) < 200
+
+    @pytest.mark.parametrize("family", "EFG")
+    def test_long_exceptional_rank_is_out_of_range(self, family):
+        with pytest.raises(DomainError, match=f"type {family} requires rank <=") as exc:
+            root_system(family + LONG_RANK)
+        assert len(str(exc.value)) < 200
+
+    def test_long_leading_zeros_accepted(self):
+        assert root_system("A" + "0" * 5000 + "3") == root_system("A3")
+
+    def test_supported_labels_order_and_counts(self):
+        assert supported_labels(4) == ["A1", "A2", "A3", "A4", "B2", "B3", "B4",
+                                       "C2", "C3", "C4", "D4", "F4", "G2"]
+        assert len(supported_labels()) == 32
+        assert len(supported_labels(16)) == 64
+        assert supported_labels(16)[-5:] == ["E6", "E7", "E8", "F4", "G2"]
+
 
 class TestStructuralInvariants:
-    @pytest.mark.parametrize("label", supported_labels())
+    @pytest.mark.parametrize("label", supported_labels(16))
     def test_degree_identity_and_dimension(self, label):
         rs = root_system(label)
         n = rs.num_positive_roots
         assert n == sum(d - 1 for d in rs.degrees)
         assert rs.dimension == 2 * n + rs.rank
 
-    @pytest.mark.parametrize("label", supported_labels())
+    @pytest.mark.parametrize("label", supported_labels(16))
     def test_closure_count_against_closed_form(self, label):
         rs = root_system(label)
         family = label[0]
@@ -78,12 +114,22 @@ class TestStructuralInvariants:
         units = {tuple(int(i == j) for j in range(rs.rank)) for i in range(rs.rank)}
         assert units <= set(rs.positive_roots)
 
-    @pytest.mark.parametrize("label", supported_labels())
+    @pytest.mark.parametrize("label", supported_labels(16))
     def test_cartan_shape(self, label):
         rs = root_system(label)
         for i, row in enumerate(rs.cartan):
             assert row[i] == 2
             assert all(v <= 0 for j, v in enumerate(row) if j != i)
+
+    @pytest.mark.parametrize("label", [lab for lab in supported_labels(16) if lab[0] in "BCD"])
+    def test_cartan_against_euclidean_roots(self, label):
+        # cartan[i][j] = 2(a_i, a_j)/(a_j, a_j); B_l and C_l differ only here
+        roots = euclidean_simple_roots(label[0], int(label[1:]))
+
+        def dot(x, y):
+            return sum(a * b for a, b in zip(x, y))
+        want = tuple(tuple(2 * dot(a, b) // dot(b, b) for b in roots) for a in roots)
+        assert root_system(label).cartan == want
 
     @pytest.mark.parametrize("label", ["A3", "B3", "C3", "D4", "F4", "G2", "E6"])
     def test_root_string_closure_property(self, label):
