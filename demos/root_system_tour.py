@@ -1,8 +1,8 @@
 """Census of every supported simple type.
 
-The positive roots come from root-string closure over the Cartan matrix;
-the Weyl degrees come from a fixed table.  The two datasets must agree
-through N = sum(d_i - 1), and the group dimension is always 2N + rank.
+The positive roots come from root-string closure over the Cartan matrix,
+and the Weyl degrees are read off their heights, so N = sum(d_i - 1); the
+group dimension is always 2N + rank.
 """
 
 from commgrowth import root_system, supported_labels

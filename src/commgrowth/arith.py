@@ -14,7 +14,7 @@ from itertools import accumulate, chain, cycle
 import numpy as np
 
 from .errors import DomainError
-from .reporting import BoundReport
+from .reporting import BoundReport, compare
 
 #: Euler-Mascheroni constant, 20 significant digits.
 EULER_MASCHERONI = 0.57721566490153286061
@@ -251,15 +251,5 @@ def check_sandwich_bounds(series: GrowthSeries, n_min: int) -> BoundReport:
     upper_ratio = float((cs / (ks * logs)).max())
     lower_ratio = float((cs / (ks * logs ** math.log(2))).min())
 
-    return BoundReport(
-        name="rank1_sandwich_chain",
-        lhs=worst,
-        rhs=0,
-        holds=worst <= 0,
-        context={
-            "upper_ratio_max": upper_ratio,
-            "lower_ratio_min": lower_ratio,
-            "n_min": n_min,
-            "upto": upto,
-        },
-    )
+    return compare("rank1_sandwich_chain", worst, 0, upper_ratio_max=upper_ratio,
+                   lower_ratio_min=lower_ratio, n_min=n_min, upto=upto)

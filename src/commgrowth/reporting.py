@@ -11,20 +11,18 @@ class BoundReport:
     """Outcome of evaluating a single inequality ``lhs <= rhs``.
 
     ``context`` carries the parameters the check ran with (prime, level,
-    type label, auxiliary ratios), keyed by name.  ``holds`` is always
-    equivalent to ``lhs <= rhs``; the constructor enforces it.
+    type label, auxiliary ratios), keyed by name.  The verdict ``holds``
+    is derived from ``lhs <= rhs``, not stored.
     """
 
     name: str
     lhs: Any
     rhs: Any
-    holds: bool
     context: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        if self.holds != (self.lhs <= self.rhs):
-            raise ValueError(f"inconsistent report {self.name!r}: "
-                             f"holds={self.holds} but lhs={self.lhs}, rhs={self.rhs}")
+    @property
+    def holds(self) -> bool:
+        return bool(self.lhs <= self.rhs)
 
     def __str__(self):
         verdict = "PASS" if self.holds else "FAIL"
@@ -34,6 +32,6 @@ class BoundReport:
 
 
 def compare(name: str, lhs, rhs, **context) -> BoundReport:
-    """Build a report whose verdict is exactly ``lhs <= rhs``."""
-    return BoundReport(name=name, lhs=lhs, rhs=rhs, holds=bool(lhs <= rhs),
-                       context=context)
+    """Build the report of ``lhs <= rhs``; every check builds its report
+    here."""
+    return BoundReport(name=name, lhs=lhs, rhs=rhs, context=context)

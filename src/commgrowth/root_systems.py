@@ -2,15 +2,15 @@
 
 Roots are stored purely as integer coefficient vectors over the simple
 roots; no Euclidean embedding is kept.  Positive roots are generated by
-root-string closure from the Cartan matrix.  The hard-coded table of Weyl
-degrees must agree with that enumeration (the count of positive roots
-equals sum(d_i - 1)); the test suite checks this for every label up to
-rank 16 (`supported_labels(16)`).
+root-string closure from the Cartan matrix, and the Weyl degrees are read
+off their heights (Kostant 1959); the test suite checks the degrees against
+the Weyl group orders for every label up to rank 16.
 """
 
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -71,16 +71,23 @@ class RootSystem:
         return sum(a * r for a, r in zip(coeffs, root))
 
 
+def _shorten(text: str, unit: str, show=str) -> str:
+    """text as shown in a message: past 18 characters only its first 8
+    and its length, so a diagnostic stays one short line."""
+    if len(text) <= 18:
+        return show(text)
+    return f"{show(text[:8])}... ({len(text)} {unit})"
+
+
 def _parse_label(label: str) -> tuple[str, int]:
     m = _LABEL_RE.match(label.strip())
     if not m:
-        raise DomainError(f"malformed type label {label!r}")
+        raise DomainError(f"malformed type label {_shorten(label, 'characters', repr)}")
     family, digits = m.group(1).upper(), m.group(2).lstrip("0") or "0"
-    # int() refuses past 4300 digits, and a message should not echo them
-    # all; a rank of more than 18 digits exceeds every bound anyway
-    short = len(digits) <= 18
-    rank = int(digits) if short else 10 ** 18
-    shown = str(rank) if short else f"{digits[:8]}... ({len(digits)} digits)"
+    # int() refuses past 4300 digits; a rank of more than 18 digits
+    # exceeds every bound anyway
+    rank = int(digits) if len(digits) <= 18 else 10 ** 18
+    shown = _shorten(digits, "digits")
     least, greatest = _RANKS[family]
     if rank < least:
         raise DomainError(f"type {family} requires rank >= {least}, got {shown}")
@@ -112,22 +119,6 @@ def _cartan_matrix(family: str, l: int) -> list[list[int]]:
         i, j, value = bond
         c[i][j] = value
     return c
-
-
-def _degrees(family: str, l: int) -> tuple[int, ...]:
-    if family == "A":
-        return tuple(range(2, l + 2))
-    if family in ("B", "C"):
-        return tuple(range(2, 2 * l + 1, 2))
-    if family == "D":
-        return tuple(sorted(list(range(2, 2 * l - 1, 2)) + [l]))
-    return {
-        ("G", 2): (2, 6),
-        ("F", 4): (2, 6, 8, 12),
-        ("E", 6): (2, 5, 6, 8, 9, 12),
-        ("E", 7): (2, 6, 8, 10, 12, 14, 18),
-        ("E", 8): (2, 8, 12, 14, 18, 20, 24, 30),
-    }[(family, l)]
 
 
 def _closure(cartan) -> list[tuple[int, ...]]:
@@ -175,7 +166,10 @@ def root_system(label: str) -> RootSystem:
     family, rank = _parse_label(label)
     cartan = _cartan_matrix(family, rank)
     positive = _closure(cartan)
-    degrees = _degrees(family, rank)
+    # Kostant: as many degrees equal k + 1 as there are roots of height k
+    # less roots of height k + 1
+    heights = Counter(sum(r) for r in positive)
+    degrees = [k + 1 for k in sorted(heights) for _ in range(heights[k] - heights[k + 1])]
     return RootSystem(
         label=f"{family}{rank}",
         rank=rank,

@@ -277,6 +277,9 @@ class TestMalformedInput:
         (["parahoric", "--type", "A1", "--k", "1", "--m", "0"], EXIT_DOMAIN),
         (["parahoric", "--type", "A1", "--k", "1", "--m", "-4"], EXIT_DOMAIN),
         (["order", "--type", "G2", "--p", "2", "--brute-force"], EXIT_DOMAIN),
+        (["rootsys", "--type", "H" + LONG_RANK], EXIT_DOMAIN),
+        (["order", "--type", "H" + LONG_RANK, "--p", "2"], EXIT_DOMAIN),
+        (["parahoric", "--type", "H" + LONG_RANK, "--k", "1"], EXIT_DOMAIN),
     ])
     def test_one_line_diagnostic(self, argv, status, capsys):
         start = time.perf_counter()

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -13,6 +14,15 @@ CLASSICAL_N = {
     "D": lambda l: l * (l - 1),
 }
 EXCEPTIONAL_N = {"G2": 6, "F4": 24, "E6": 36, "E7": 63, "E8": 120}
+
+# Weyl group orders, independent of the degrees and of the closure
+CLASSICAL_W = {
+    "A": lambda l: math.factorial(l + 1),
+    "B": lambda l: 2 ** l * math.factorial(l),
+    "C": lambda l: 2 ** l * math.factorial(l),
+    "D": lambda l: 2 ** (l - 1) * math.factorial(l),
+}
+EXCEPTIONAL_W = {"G2": 12, "F4": 1152, "E6": 51840, "E7": 2903040, "E8": 696729600}
 
 # a rank past CPython's 4300-digit limit on int(str)
 LONG_RANK = "9" * 5000
@@ -42,6 +52,15 @@ class TestBuild:
         assert rs.num_positive_roots == 6
         assert rs.degrees == (2, 6)
         assert rs.dimension == 14
+
+    @pytest.mark.parametrize("label, degrees", [
+        ("F4", (2, 6, 8, 12)),
+        ("E6", (2, 5, 6, 8, 9, 12)),
+        ("E7", (2, 6, 8, 10, 12, 14, 18)),
+        ("E8", (2, 8, 12, 14, 18, 20, 24, 30)),
+    ])
+    def test_exceptional_degrees(self, label, degrees):
+        assert root_system(label).degrees == degrees
 
     def test_a2_roots(self):
         rs = root_system("A2")
@@ -80,6 +99,16 @@ class TestBuild:
             root_system(family + LONG_RANK)
         assert len(str(exc.value)) < 200
 
+    def test_long_malformed_label_is_shortened(self):
+        # up to 18 characters the label is echoed whole, past that only
+        # its first 8 characters and its length
+        with pytest.raises(DomainError) as exc:
+            root_system("H" + "9" * 17)
+        assert str(exc.value) == "malformed type label 'H99999999999999999'"
+        with pytest.raises(DomainError) as exc:
+            root_system("H" + LONG_RANK)
+        assert str(exc.value) == "malformed type label 'H9999999'... (5001 characters)"
+
     def test_long_leading_zeros_accepted(self):
         assert root_system("A" + "0" * 5000 + "3") == root_system("A3")
 
@@ -98,6 +127,21 @@ class TestStructuralInvariants:
         n = rs.num_positive_roots
         assert n == sum(d - 1 for d in rs.degrees)
         assert rs.dimension == 2 * n + rs.rank
+
+    @pytest.mark.parametrize("label", supported_labels(16) + ["A48"])
+    def test_degrees_against_weyl_group_order(self, label):
+        # the degrees are read off the root heights; check them against
+        # facts that do not come from the heights: their number, their
+        # product |W|, and their pairing d_i + d_(l+1-i) = h + 2 for the
+        # Coxeter number h
+        rs = root_system(label)
+        degrees = rs.degrees
+        assert len(degrees) == rs.rank
+        order = EXCEPTIONAL_W.get(label) or CLASSICAL_W[label[0]](rs.rank)
+        assert math.prod(degrees) == order
+        assert sum(d - 1 for d in degrees) == rs.num_positive_roots
+        h = 1 + sum(rs.highest_root)
+        assert all(a + b == h + 2 for a, b in zip(degrees, reversed(degrees)))
 
     @pytest.mark.parametrize("label", supported_labels(16))
     def test_closure_count_against_closed_form(self, label):

@@ -37,3 +37,25 @@ def test_library_does_not_import_the_benchmark_oracles():
         if any({"perfbench", "oracles"} & set(m.split(".")) for m in modules):
             found.append(f"{name}:{node.lineno}")
     assert found == []
+
+
+def talks_to_the_process(node):
+    """True for a call of print, or a use of sys.exit, sys.stdout,
+    sys.stderr or sys.set_int_max_str_digits (also imported from sys)."""
+    names = {"exit", "stdout", "stderr", "set_int_max_str_digits"}
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+        return node.func.id == "print"
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+        return node.value.id == "sys" and node.attr in names
+    if isinstance(node, ast.ImportFrom) and node.module == "sys":
+        return any(alias.name in names for alias in node.names)
+    return False
+
+
+def test_only_the_cli_talks_to_the_process():
+    # stdout is byte-identical for identical flags and stderr carries one
+    # diagnostic line, so only the CLI may print, exit, or touch the
+    # streams and the interpreter's digit limit
+    found = [f"{name}:{node.lineno}" for name, node in library_nodes()
+             if name not in ("cli.py", "__main__.py") and talks_to_the_process(node)]
+    assert found == []
