@@ -199,10 +199,13 @@ def sum_omega(n: int) -> int:
 
 
 def sum_divisor_count(n: int) -> int:
-    """Exact value of sum_{k<=n} divisor_count(k)."""
+    """Exact value of sum_{k<=n} divisor_count(k), by Dirichlet's hyperbola
+    method: the pairs (m, q) with m*q <= n, counted on both sides of the
+    diagonal, are 2*sum_{m<=r} floor(n/m) - r**2 with r = isqrt(n)."""
     if n < 1:
         raise DomainError("n must be >= 1")
-    return int(divisor_count_sieve(n).sum(dtype=np.int64))
+    r = math.isqrt(n)
+    return 2 * sum(n // m for m in range(1, r + 1)) - r * r
 
 
 def omega_sum_ratio(n: int) -> float:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .arith import _box_blocks, factorize, is_prime
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, ResourceLimitError, _shown
 from .reporting import BoundReport, compare
 from .root_systems import RootSystem
 
@@ -43,7 +43,7 @@ def order_zpk(rs: RootSystem, p: int, k: int) -> int:
     a full p**d factor on top of the prime-field order."""
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
-    return p ** ((k - 1) * rs.dimension) * order_fp(rs, p)
+    return order_fp(rs, p) * p ** ((k - 1) * rs.dimension)
 
 
 def order_zm(rs: RootSystem, m: int) -> int:
@@ -86,8 +86,8 @@ def brute_force_order(family: str, m: int, *, max_candidates: int = 10 ** 8) -> 
         raise DomainError(f"unsupported family {family!r}; choose from {sorted(sizes)}")
     n = sizes[family]
     if m ** (n * n) > max_candidates:
-        raise ResourceLimitError(
-            f"{family} mod {m} needs {m ** (n * n)} candidates, guard is {max_candidates}")
+        raise ResourceLimitError(f"{family} mod {_shown(m)} needs {_shown(m ** (n * n))} "
+                                 f"candidates, guard is {_shown(max_candidates)}")
     one = 1 % m
     count = 0
     for digits in _box_blocks(m, n * n):

@@ -12,14 +12,15 @@ import argparse
 import json
 import math
 import sys
+from fractions import Fraction
 
 from . import __version__
 from .arith import growth_series_rank1, is_prime
 from .chevalley import ORACLE_FAMILIES, brute_force_order, order_zpk
 from .commgraph import (RationalCyclic, RationalLattice, enumerate_ball,
                         run_metric_checks)
-from .errors import DomainError, ResourceLimitError
-from .parahoric import _per_prime_lhs, count_admissible_cocharacters, maximal_lattice_bound
+from .errors import DomainError, ResourceLimitError, _shown
+from .parahoric import _level_count, _per_prime_lhs, maximal_lattice_bound
 from .root_systems import root_system
 
 EXIT_OK = 0
@@ -42,21 +43,35 @@ def _emit_json(obj):
     _emit(json.dumps(obj, indent=2))
 
 
-def _refuse_digits(digits: float, estimate: str) -> None:
+def _emit_fields(payload: dict, as_json: bool):
+    """The payload as JSON, or as `key: value` lines without the None ones."""
+    if as_json:
+        _emit_json(payload)
+    else:
+        _emit("\n".join(f"{key}: {value}" for key, value in payload.items()
+                        if value is not None))
+
+
+def _refuse_digits(digits, estimate: str) -> None:
     """Refuse (exit 3) a result of more than MAX_OUTPUT_DIGITS digits."""
     if digits > MAX_OUTPUT_DIGITS:
-        raise ResourceLimitError(f"result has {estimate} {int(digits)} decimal digits, "
-                                 f"above the output guard {MAX_OUTPUT_DIGITS}")
+        raise ResourceLimitError(f"result has {estimate} {_shown(int(digits))} decimal "
+                                 f"digits, above the output guard {MAX_OUTPUT_DIGITS}")
 
 
 def _refuse_prime_power(p: int, exponent: int) -> None:
     """Refuse, before it is computed, a result that is a multiple of
     p**exponent with more than MAX_OUTPUT_DIGITS digits.  This lower bound
     refuses nothing that _decimal would print.  A p that is not prime is
-    left to the library's domain error."""
-    digits = exponent * math.log10(p) if p > 1 else 0.0
-    if digits > MAX_OUTPUT_DIGITS and is_prime(p):
-        _refuse_digits(digits, "more than")
+    left to the library's domain error.
+
+    The int exponent is compared with a float quotient, which Python does
+    exactly; the digit count exponent*log10(p) overflows a float past
+    10**308, so there it is formed as a Fraction."""
+    if p > 1 and exponent > MAX_OUTPUT_DIGITS / math.log10(p) and is_prime(p):
+        log_p = math.log10(p)
+        _refuse_digits(exponent * (log_p if exponent < 10 ** 300 else Fraction(log_p)),
+                       "more than")
 
 
 def _decimal(value: int) -> str:
@@ -118,10 +133,7 @@ def _run_rootsys(args: argparse.Namespace) -> int:
         "degrees": list(rs.degrees),
         "positive_roots": [list(r) for r in rs.positive_roots],
     }
-    if args.json:
-        _emit_json(payload)
-    else:
-        _emit("\n".join(f"{key}: {value}" for key, value in payload.items()))
+    _emit_fields(payload, args.json)
     return EXIT_OK
 
 
@@ -155,10 +167,7 @@ def _run_order(args: argparse.Namespace) -> int:
 def _run_parahoric(args: argparse.Namespace) -> int:
     rs = root_system(args.type)
     k = args.k
-    if k < 0:
-        raise DomainError(f"k must be >= 0, got {k}")
-    count = count_admissible_cocharacters(rs, k + 1)
-    paper_bound = (2 * k + 3) ** rs.dimension
+    count, paper_bound = _level_count(rs, k)
     payload = {
         "exact": None if count.exact is None else _decimal(count.exact),
         "box_bound": _decimal(count.box_bound),
@@ -176,11 +185,7 @@ def _run_parahoric(args: argparse.Namespace) -> int:
         if args.m > 1:
             _refuse_digits((3 + 2 * rs.dimension) * math.log10(args.m), "more than")
         payload["m_bound"] = _decimal(maximal_lattice_bound(rs, args.m))
-    if args.json:
-        _emit_json(payload)
-    else:
-        _emit("\n".join(f"{key}: {value}" for key, value in payload.items()
-                        if value is not None))
+    _emit_fields(payload, args.json)
     return status
 
 
@@ -188,16 +193,6 @@ def _run_check(args: argparse.Namespace) -> int:
     reports = run_metric_checks(samples=args.samples, seed=args.seed)
     _emit("\n".join(str(r) for r in reports))
     return EXIT_OK if all(r.holds for r in reports) else EXIT_FAILED_CHECK
-
-
-_HANDLERS = {
-    "rank1": _run_rank1,
-    "ball": _run_ball,
-    "rootsys": _run_rootsys,
-    "order": _run_order,
-    "parahoric": _run_parahoric,
-    "check": _run_check,
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -209,22 +204,26 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     rank1 = sub.add_parser("rank1", help="exact growth series c_k, C_k")
+    rank1.set_defaults(run=_run_rank1)
     rank1.add_argument("--n", type=int, required=True)
     fmt = rank1.add_mutually_exclusive_group()
     fmt.add_argument("--csv", action="store_true")
     fmt.add_argument("--json", action="store_true")
 
     ball = sub.add_parser("ball", help="enumerate a commensurability ball")
+    ball.set_defaults(run=_run_ball)
     ball.add_argument("--family", choices=("cyclic", "lattice"), required=True)
     ball.add_argument("--dim", type=int, default=1)
     ball.add_argument("--n", type=int, required=True)
     ball.add_argument("--json", action="store_true")
 
     rootsys = sub.add_parser("rootsys", help="root system data for a type label")
+    rootsys.set_defaults(run=_run_rootsys)
     rootsys.add_argument("--type", required=True)
     rootsys.add_argument("--json", action="store_true")
 
     order = sub.add_parser("order", help="group order over Z/p^k")
+    order.set_defaults(run=_run_order)
     order.add_argument("--type", required=True)
     order.add_argument("--p", type=int, required=True)
     order.add_argument("--k", type=int, default=1)
@@ -232,6 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     order.add_argument("--json", action="store_true")
 
     para = sub.add_parser("parahoric", help="cocharacter counts and lattice bounds")
+    para.set_defaults(run=_run_parahoric)
     para.add_argument("--type", required=True)
     para.add_argument("--k", type=int, required=True)
     para.add_argument("--p", type=int)
@@ -241,6 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser("check", help="seeded property suites")
     checks = check.add_subparsers(dest="suite", required=True)
     metric = checks.add_parser("metric", help="metric axioms, geodesics, chains")
+    metric.set_defaults(run=_run_check)
     metric.add_argument("--samples", type=int, default=100)
     metric.add_argument("--seed", type=int, default=0)
 
@@ -252,7 +253,7 @@ def main(argv=None) -> int:
     exit-status contract."""
     args = build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.subcommand](args)
+        return args.run(args)
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

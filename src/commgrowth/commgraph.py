@@ -54,18 +54,22 @@ def _row_hnf(rows, cols):
     return m[:pivot_row]
 
 
-def _intersect_integer(A, B):
-    """HNF basis of the intersection of the row lattices of the full-rank
-    integer d x d matrices A and B.
-
-    The rows (a, a) for a in A and (b, 0) for b in B span
-    {(x + y, x) : x in A, y in B}.  Its first half spans A + B, which has
-    full rank, so the last d rows of its HNF have a zero first half; their
-    second halves are the HNF basis of A & B.
-    """
-    d = len(A)
-    stacked = [list(a) + list(a) for a in A] + [list(b) + [0] * d for b in B]
+def _stacked_kernel(top, bottom):
+    """HNF basis of {y : (0, y) in S}, where S of rank 2d is spanned by the
+    rows (x, y) for the pairs in top and (x, 0) for the x in bottom.  When
+    the first halves have full rank d, the echelon HNF of S puts its first
+    d pivots there, so its last d rows have a zero first half and span every
+    vector of S that has one: their second halves are the answer."""
+    d = len(top[0][0])
+    stacked = [list(x) + list(y) for x, y in top] + [list(x) + [0] * d for x in bottom]
     return [row[d:] for row in _row_hnf(stacked, 2 * d)[d:]]
+
+
+def _intersect_integer(A, B):
+    """HNF basis of A & B for full-rank integer d x d row bases A and B:
+    the rows (a, a) and (b, 0) span {(x + y, x) : x in A, y in B}, whose
+    first halves span A + B, and (0, x) lies in it exactly when x is in A & B."""
+    return _stacked_kernel([(a, a) for a in A], B)
 
 
 def _hnf_det(hnf):
@@ -78,8 +82,21 @@ def _hnf_det(hnf):
 # the two subgroup families
 
 
+class _Subgroup:
+    """contains and index_of, read off [self : self&other], [other : self&other]."""
+
+    def contains(self, other) -> bool:
+        return self._indices(other)[1] == 1
+
+    def index_of(self, sub) -> int:
+        index, outside = self._indices(sub)
+        if outside != 1:
+            raise DomainError(f"{sub} is not a subgroup of {self}")
+        return index
+
+
 @dataclass(frozen=True)
-class RationalCyclic:
+class RationalCyclic(_Subgroup):
     """The subgroup (a/b)Z of the additive rationals, kept with gcd(a,b)=1.
 
     (1, 1) is the integers themselves.
@@ -107,15 +124,6 @@ class RationalCyclic:
         a, b = math.lcm(self.a, other.a), math.gcd(self.b, other.b)
         return a // self.a * (self.b // b), a // other.a * (other.b // b)
 
-    def contains(self, other: "RationalCyclic") -> bool:
-        return self._indices(other)[1] == 1
-
-    def index_of(self, sub: "RationalCyclic") -> int:
-        index, outside = self._indices(sub)
-        if outside != 1:
-            raise DomainError(f"{sub} is not a subgroup of {self}")
-        return index
-
     def sort_key(self):
         return (self.a, self.b)
 
@@ -124,7 +132,7 @@ class RationalCyclic:
 
 
 @dataclass(frozen=True)
-class RationalLattice:
+class RationalLattice(_Subgroup):
     """A full-rank subgroup (1/denom)*rowspan(basis) of Q^dim.
 
     The constructor canonicalizes: it accepts any generating integer rows,
@@ -183,8 +191,8 @@ class RationalLattice:
     def intersection(self, other: "RationalLattice") -> "RationalLattice":
         _require_same_family(self, other)
         q = math.lcm(self.denom, other.denom)
-        inter = _intersect_integer(self._numerators(q), other._numerators(q))
-        return RationalLattice(self.dim, q, tuple(tuple(r) for r in inter))
+        return RationalLattice(self.dim, q,
+                               _intersect_integer(self._numerators(q), other._numerators(q)))
 
     def _indices(self, other: "RationalLattice") -> tuple[int, int]:
         # [A : A & B] = [A + B : B]; over a common denominator each
@@ -194,15 +202,6 @@ class RationalLattice:
         A, B = self._numerators(q), other._numerators(q)
         total = _hnf_det(_row_hnf(A + B, self.dim))
         return _hnf_det(B) // total, _hnf_det(A) // total
-
-    def contains(self, other: "RationalLattice") -> bool:
-        return self._indices(other)[1] == 1
-
-    def index_of(self, sub: "RationalLattice") -> int:
-        index, outside = self._indices(sub)
-        if outside != 1:
-            raise DomainError(f"{sub} is not a sublattice of {self}")
-        return index
 
     def sort_key(self):
         return (self.denom,) + tuple(v for row in self.basis for v in row)
@@ -244,13 +243,11 @@ class GeodesicPath:
 
 def intersect(L1, L2):
     """Intersection inside either family (canonical form)."""
-    _require_same_family(L1, L2)
     return L1.intersection(L2)
 
 
 def index_in(sub, sup) -> int:
     """[sup : sub] for nested subgroups of one family."""
-    _require_same_family(sub, sup)
     return sup.index_of(sub)
 
 
@@ -324,16 +321,13 @@ def _overlattice_frames(dim, j):
     Scaling such a frame by 1/j gives exactly the overlattices of index j
     of any lattice written in its own basis coordinates.  They are the
     annihilators K = {x : x.h = 0 mod j for each row h of H} of the index-j
-    sublattices H.  As in _intersect_integer, the rows (column r of H, e_r)
-    and (j*e_r, 0) span {(Hx + jy, x)}, so the last dim rows of its HNF are (0, K).
+    sublattices H: the rows (column r of H, e_r) and (j*e_r, 0) span
+    {(Hx + jy, x)}, whose first half contains j*Z^dim.
     """
     eye = [[int(r == t) for t in range(dim)] for r in range(dim)]
-    frames = []
-    for H in _hnf_matrices_with_det(dim, j):
-        stacked = ([[h[r] for h in H] + eye[r] for r in range(dim)]
-                   + [[j * v for v in eye[r]] + [0] * dim for r in range(dim)])
-        frames.append(tuple(tuple(row[dim:]) for row in _row_hnf(stacked, 2 * dim)[dim:]))
-    return tuple(frames)
+    jeye = [[j * v for v in row] for row in eye]
+    return tuple(tuple(map(tuple, _stacked_kernel(list(zip(zip(*H), eye)), jeye)))
+                 for H in _hnf_matrices_with_det(dim, j))
 
 
 def _cyclic_ball(gamma: RationalCyclic, n: int):
@@ -355,8 +349,7 @@ def _lattice_ball(gamma: RationalLattice, n: int):
             sub = _matmul(rel, gamma.basis)
             for j in range(1, n // i + 1):
                 for frame in _overlattice_frames(dim, j):
-                    out.add(RationalLattice(dim, gamma.denom * j,
-                                            tuple(map(tuple, _matmul(frame, sub)))))
+                    out.add(RationalLattice(dim, gamma.denom * j, _matmul(frame, sub)))
     return out
 
 
@@ -406,7 +399,7 @@ def _random_lattice(rng: random.Random, dim: int = 2) -> RationalLattice:
         rows = [[rng.randint(-4, 4) for _ in range(dim)] for _ in range(dim)]
         hnf = _row_hnf(rows, dim)
         if len(hnf) == dim:
-            return RationalLattice(dim, rng.randint(1, 6), tuple(tuple(r) for r in hnf))
+            return RationalLattice(dim, rng.randint(1, 6), hnf)
 
 
 def _random_chain(rng: random.Random, sample, max_len: int = 5):
@@ -419,8 +412,7 @@ def _random_chain(rng: random.Random, sample, max_len: int = 5):
         else:
             det = rng.randint(1, 4)
             rel = rng.choice(list(_hnf_matrices_with_det(last.dim, det)))
-            desc.append(RationalLattice(last.dim, last.denom,
-                                        tuple(tuple(r) for r in _matmul(rel, last.basis))))
+            desc.append(RationalLattice(last.dim, last.denom, _matmul(rel, last.basis)))
     return list(reversed(desc))
 
 

@@ -1,4 +1,7 @@
-"""Exception types shared by every module in the package."""
+"""Exception types shared by every module in the package, and the way
+their messages show an integer."""
+
+import math
 
 
 class DomainError(ValueError):
@@ -11,3 +14,13 @@ class ResourceLimitError(RuntimeError):
     Distinct from DomainError on purpose: the input is legal, but the
     requested computation is not affordable at the current guard settings.
     """
+
+
+def _shown(value: int) -> str:
+    """A positive integer as a one-line message shows it: in full up to 18
+    digits, past that as a power of ten read off its bit length, so no huge
+    integer is ever converted to decimal text."""
+    if value < 10 ** 18:
+        return str(value)
+    shift = value.bit_length() - 53
+    return f"about 10^{round(math.log10(value >> shift) + shift * math.log10(2))}"

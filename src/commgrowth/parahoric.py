@@ -5,7 +5,8 @@ c when its pairing against every root (positive and negative) stays within
 c; the coefficient box |a| <= c is implied, since the simple roots are
 among the positive roots.  The exact count, the (2c+1)-power box bounds,
 and the per-prime and global maximal-lattice estimates built from them are
-all exposed as checkable inequalities.
+all exposed as checkable inequalities.  Level k means cutoff k+1 and the
+bound (2k+3)**dim: one rule, in _level_count, for the library and the CLI.
 """
 
 from __future__ import annotations
@@ -68,18 +69,22 @@ def count_admissible_cocharacters(rs: RootSystem, c: int, *,
     return CocharacterCount(rs.label, c, _exhaustive_count(rs, c), box)
 
 
-def check_cocharacter_bound(rs: RootSystem, k: int, **guards) -> BoundReport:
-    """At level k the admissible cutoff is c = k+1 and the count is at
-    most (2k+3)**dim; the sharper rank-exponent box (2k+3)**rank is
-    carried along in the context."""
+def _level_count(rs: RootSystem, k: int, **guards) -> tuple[CocharacterCount, int]:
+    """The count at level k, which is cutoff k+1, and its bound (2k+3)**dim."""
     if k < 0:
-        raise DomainError(f"level must be >= 0, got {k}")
-    cc = count_admissible_cocharacters(rs, k + 1, **guards)
+        raise DomainError(f"k must be >= 0, got {k}")
+    return count_admissible_cocharacters(rs, k + 1, **guards), (2 * k + 3) ** rs.dimension
+
+
+def check_cocharacter_bound(rs: RootSystem, k: int, **guards) -> BoundReport:
+    """At level k the admissible count (cutoff k+1) is at most (2k+3)**dim.
+    The guards go to the scan, and past its rank guard the check is refused;
+    the sharper box (2k+3)**rank is carried along in the context."""
+    cc, paper_bound = _level_count(rs, k, **guards)
     if cc.exact is None:
         raise ResourceLimitError(
             f"exact cocharacter count unavailable for rank {rs.rank} (guard)")
-    return compare("cocharacter_count_le_(2k+3)^d", cc.exact,
-                   (2 * k + 3) ** rs.dimension,
+    return compare("cocharacter_count_le_(2k+3)^d", cc.exact, paper_bound,
                    label=rs.label, k=k, rank_box_bound=cc.box_bound)
 
 

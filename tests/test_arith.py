@@ -147,6 +147,14 @@ class TestSummatory:
             assert arith.sum_divisor_count(n) == \
                 sum(arith.divisor_count(k) for k in range(1, n + 1))
 
+    def test_divisor_sum_closed_form_against_sieve(self, divisor_prefix_upto_million):
+        # the hyperbola closed form against the conftest sieve: every n up to
+        # 5000, every square up to 10**6 (where r = isqrt(n) is exact), and
+        # the last 50 values
+        squares = [r * r for r in range(1, math.isqrt(DESK_LIMIT) + 1)]
+        for n in [*range(1, 5001), *squares, *range(DESK_LIMIT - 49, DESK_LIMIT + 1)]:
+            assert arith.sum_divisor_count(n) == divisor_prefix_upto_million[n - 1], n
+
     def test_dirichlet_residual_is_small(self):
         # the test reports the constant K it observed; the acceptance suite
         # pins the hard window

@@ -11,8 +11,11 @@ from commgrowth.chevalley import order_zpk
 from commgrowth.cli import (EXIT_DOMAIN, EXIT_FAILED_CHECK, EXIT_OK,
                             EXIT_RESOURCE, MAX_OUTPUT_DIGITS, main)
 from commgrowth.errors import DomainError
-from commgrowth.parahoric import CocharacterCount, per_prime_bound
-from commgrowth.root_systems import root_system
+from commgrowth.parahoric import CocharacterCount, check_cocharacter_bound, per_prime_bound
+from commgrowth.root_systems import root_system, supported_labels
+
+
+RANK_LE_4 = [lab for lab in supported_labels() if root_system(lab).rank <= 4]
 
 
 def run_cli(*args, env_extra=None):
@@ -192,6 +195,14 @@ class TestOrder:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("resource guard: ")
 
+    @pytest.mark.parametrize("k", [10 ** 306, 6 * 10 ** 307], ids=["1e306", "6e307"])
+    def test_digit_guard_refuses_huge_k_before_computing(self, monkeypatch, capsys, k):
+        # past 10**308 digits the estimate no longer fits a float
+        monkeypatch.setattr("commgrowth.cli.order_zpk", never_called)
+        assert main(["order", "--type", "A1", "--p", "2", "--k", str(k)]) == EXIT_RESOURCE
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("resource guard: ")
+
     def test_digit_guard_leaves_composite_p_to_domain_error(self, monkeypatch):
         def order_zpk_rejecting(rs, p, k):
             raise DomainError(f"p must be prime, got {p}")
@@ -245,6 +256,18 @@ class TestParahoric:
         assert main(["parahoric", "--type", "E8", "--k", "99", *flags]) == EXIT_RESOURCE
 
 
+    @pytest.mark.parametrize("label", RANK_LE_4)
+    def test_agrees_with_library_check(self, label, capsys):
+        rs = root_system(label)
+        for k in range(4):
+            report = check_cocharacter_bound(rs, k)
+            status = main(["parahoric", "--type", label, "--k", str(k), "--json"])
+            payload = json.loads(capsys.readouterr().out)
+            assert (status == EXIT_OK) == report.holds
+            assert payload["exact"] == str(report.lhs)
+            assert payload["paper_bound"] == str(report.rhs)
+
+
 class TestCheck:
     def test_metric_suite_passes(self):
         result = run_cli("check", "metric", "--samples", "50", "--seed", "0")
@@ -280,6 +303,11 @@ class TestMalformedInput:
         (["rootsys", "--type", "H" + LONG_RANK], EXIT_DOMAIN),
         (["order", "--type", "H" + LONG_RANK, "--p", "2"], EXIT_DOMAIN),
         (["parahoric", "--type", "H" + LONG_RANK, "--k", "1"], EXIT_DOMAIN),
+        (["order", "--type", "A1", "--p", "2", "--k", "1000", "--brute-force"], EXIT_RESOURCE),
+        (["order", "--type", "A1", "--p", "2", "--k", "3600", "--brute-force"], EXIT_RESOURCE),
+        (["order", "--type", "A1", "--p", "2", "--k", str(10 ** 306)], EXIT_RESOURCE),
+        (["order", "--type", "A1", "--p", "2", "--k", str(6 * 10 ** 307)], EXIT_RESOURCE),
+        (["order", "--type", "A1", "--p", "4", "--k", str(10 ** 8)], EXIT_DOMAIN),
     ])
     def test_one_line_diagnostic(self, argv, status, capsys):
         start = time.perf_counter()
@@ -321,7 +349,7 @@ class TestHarness:
             over = (2 * c + 1) ** rs.dimension + 1
             return CocharacterCount(rs.label, c, over, over)
 
-        monkeypatch.setattr("commgrowth.cli.count_admissible_cocharacters",
+        monkeypatch.setattr("commgrowth.parahoric.count_admissible_cocharacters",
                             count_above_bound)
         assert EXIT_FAILED_CHECK == 1
         assert main(["parahoric", "--type", "A2", "--k", "1"]) == EXIT_FAILED_CHECK

@@ -165,6 +165,32 @@ class TestIntersectContainsOracles:
             checked += 1
 
 
+class TestSharedProtocol:
+    # contains and index_of are one protocol over both families, read off
+    # the commensurability index
+    @pytest.mark.parametrize("dim", [0, 2, 3])
+    def test_contains_and_index_of_follow_comm_index(self, dim):
+        rng = random.Random(300 + dim)
+        seen = set()
+        for _ in range(200):
+            if dim:
+                A, B = random_lattice_pair(rng, dim, entry=4, denom=6)
+            else:
+                A, B = (RationalCyclic(rng.randint(1, 40), rng.randint(1, 40)) for _ in "AB")
+            inter = A.intersection(B)
+            for sup, sub in ((A, B), (B, A), (A, inter), (inter, B)):
+                ci = comm_index(sup, sub)
+                contained = sup.contains(sub)
+                assert contained == (ci.right_index == 1), (sup, sub)
+                if contained:
+                    assert sup.index_of(sub) == ci.left_index, (sup, sub)
+                else:
+                    with pytest.raises(DomainError, match="is not a subgroup of"):
+                        sup.index_of(sub)
+                seen.add(contained)
+        assert seen == {True, False}
+
+
 class TestCommIndex:
     def test_examples(self):
         ci = comm_index(Z, RationalCyclic(3, 2))

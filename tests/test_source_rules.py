@@ -59,3 +59,22 @@ def test_only_the_cli_talks_to_the_process():
     found = [f"{name}:{node.lineno}" for name, node in library_nodes()
              if name not in ("cli.py", "__main__.py") and talks_to_the_process(node)]
     assert found == []
+
+
+def reads_the_environment(node):
+    """True for a use of os.environ, os.environb or os.getenv (also
+    imported from os)."""
+    names = {"environ", "environb", "getenv"}
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+        return node.value.id == "os" and node.attr in names
+    if isinstance(node, ast.ImportFrom) and node.module == "os":
+        return any(alias.name in names for alias in node.names)
+    return False
+
+
+def test_library_reads_no_environment_variables():
+    # the README promises that `growth` reads no environment variables, so
+    # no flag can be overridden from outside the command line
+    found = [f"{name}:{node.lineno}" for name, node in library_nodes()
+             if reads_the_environment(node)]
+    assert found == []
