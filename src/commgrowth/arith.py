@@ -199,9 +199,8 @@ def sum_omega(n: int) -> int:
 
 
 def sum_divisor_count(n: int) -> int:
-    """Exact value of sum_{k<=n} divisor_count(k), by Dirichlet's hyperbola
-    method: the pairs (m, q) with m*q <= n, counted on both sides of the
-    diagonal, are 2*sum_{m<=r} floor(n/m) - r**2 with r = isqrt(n)."""
+    """Exact value of sum_{k<=n} divisor_count(k) by Dirichlet's hyperbola
+    method: 2*sum_{m<=r} floor(n/m) - r**2 with r = isqrt(n)."""
     if n < 1:
         raise DomainError("n must be >= 1")
     r = math.isqrt(n)

@@ -63,13 +63,11 @@ def _refuse_prime_power(p: int, exponent: int) -> None:
     """Refuse, before it is computed, a result that is a multiple of
     p**exponent with more than MAX_OUTPUT_DIGITS digits.  This lower bound
     refuses nothing that _decimal would print.  A p that is not prime is
-    left to the library's domain error.
-
-    The int exponent is compared with a float quotient, which Python does
-    exactly; the digit count exponent*log10(p) overflows a float past
-    10**308, so there it is formed as a Fraction."""
-    if p > 1 and exponent > MAX_OUTPUT_DIGITS / math.log10(p) and is_prime(p):
-        log_p = math.log10(p)
+    left to the library's domain error.  The int exponent is compared with
+    a float exactly; a huge one gets a Fraction digit count, as a float's
+    would overflow past 10**308."""
+    log_p = math.log10(p) if p > 1 else math.inf
+    if exponent > MAX_OUTPUT_DIGITS / log_p and is_prime(p):
         _refuse_digits(exponent * (log_p if exponent < 10 ** 300 else Fraction(log_p)),
                        "more than")
 

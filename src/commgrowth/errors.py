@@ -1,5 +1,4 @@
-"""Exception types shared by every module in the package, and the way
-their messages show an integer."""
+"""Exception types shared by every module, and how a message shows an int."""
 
 import math
 
@@ -17,9 +16,8 @@ class ResourceLimitError(RuntimeError):
 
 
 def _shown(value: int) -> str:
-    """A positive integer as a one-line message shows it: in full up to 18
-    digits, past that as a power of ten read off its bit length, so no huge
-    integer is ever converted to decimal text."""
+    """A positive int for a one-line message: in full up to 18 digits, past
+    that as a power of ten read off its bit length, never as decimal text."""
     if value < 10 ** 18:
         return str(value)
     shift = value.bit_length() - 53

@@ -107,6 +107,20 @@ class TestBruteForce:
         with pytest.raises(ResourceLimitError):
             brute_force_order("SL2", 9, max_candidates=1000)
 
+    def test_guard_message_shows_huge_counts_by_size(self):
+        # up to 18 digits a number is printed in full, past that by its size
+        with pytest.raises(ResourceLimitError) as caught:
+            brute_force_order("SL2", 31622)
+        assert str(caught.value) == ("SL2 mod 31622 needs 999901770412381456 candidates, "
+                                     "guard is 100000000")
+        with pytest.raises(ResourceLimitError) as caught:
+            brute_force_order("SL2", 31623)
+        assert "needs about 10^18 candidates" in str(caught.value)
+        with pytest.raises(ResourceLimitError) as caught:
+            brute_force_order("SL2", 2 ** 3600, max_candidates=10 ** 30)
+        assert str(caught.value) == ("SL2 mod about 10^1084 needs about 10^4335 candidates, "
+                                     "guard is about 10^30")
+
     def test_unknown_family(self):
         with pytest.raises(DomainError):
             brute_force_order("SO5", 2)
