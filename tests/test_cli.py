@@ -197,7 +197,7 @@ class TestOrder:
 
     @pytest.mark.parametrize("k", [10 ** 306, 6 * 10 ** 307], ids=["1e306", "6e307"])
     def test_digit_guard_refuses_huge_k_before_computing(self, monkeypatch, capsys, k):
-        # past 10**308 digits the estimate no longer fits a float
+        # at 6e307 the exponent 3*(k-1)+1 no longer fits a float
         monkeypatch.setattr("commgrowth.cli.order_zpk", never_called)
         assert main(["order", "--type", "A1", "--p", "2", "--k", str(k)]) == EXIT_RESOURCE
         captured = capsys.readouterr()
@@ -254,7 +254,6 @@ class TestParahoric:
     def test_digit_guard_refuses_before_computing(self, monkeypatch, flags, name):
         monkeypatch.setattr(f"commgrowth.cli.{name}", never_called)
         assert main(["parahoric", "--type", "E8", "--k", "99", *flags]) == EXIT_RESOURCE
-
 
     @pytest.mark.parametrize("label", RANK_LE_4)
     def test_agrees_with_library_check(self, label, capsys):
