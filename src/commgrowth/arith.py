@@ -13,11 +13,15 @@ from itertools import accumulate, chain, cycle
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, ResourceLimitError, _shown
 from .reporting import BoundReport, compare
 
 #: Euler-Mascheroni constant, 20 significant digits.
 EULER_MASCHERONI = 0.57721566490153286061
+
+#: Largest power of a caller's base, and largest printed result, in decimal
+#: digits; documented inputs stay near 15,000 digits.
+MAX_OUTPUT_DIGITS = 10 ** 5
 
 # increments of the 2/3/5 trial-division wheel, starting from 7
 _WHEEL = (4, 2, 4, 2, 4, 6, 2, 6)
@@ -60,7 +64,7 @@ def factorize(n: int) -> Factorization:
     n = 1 yields the empty factor sequence.
     """
     if n < 1:
-        raise DomainError(f"factorize requires n >= 1, got {n}")
+        raise DomainError(f"factorize requires n >= 1, got {_shown(n)}")
     m = n
     factors = []
     for p in _trial_divisors():
@@ -113,6 +117,15 @@ def cn_rank1(n: int) -> int:
     """Number of subgroups of the rationals at commensurability index
     exactly n from the integers: 2**omega(n)."""
     return 1 << omega(n)
+
+
+def _power(base: int, exponent: int) -> int:
+    """base**exponent, refused before any work past MAX_OUTPUT_DIGITS digits;
+    an int compares with a float exactly, so no float product can overflow."""
+    if base > 1 and exponent > MAX_OUTPUT_DIGITS / math.log10(base):
+        raise ResourceLimitError(f"{_shown(base)} to the power {_shown(exponent)} is above "
+                                 f"the output guard of {MAX_OUTPUT_DIGITS} decimal digits")
+    return base ** exponent
 
 
 def _box_blocks(side: int, width: int):

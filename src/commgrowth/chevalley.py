@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .arith import _box_blocks, factorize, is_prime
+from .arith import _box_blocks, _power, factorize, is_prime
 from .errors import DomainError, ResourceLimitError, _shown
 from .reporting import BoundReport, compare
 from .root_systems import RootSystem
@@ -31,10 +31,10 @@ ORACLE_FAMILIES = {"A1": "SL2", "A2": "SL3", "B2": "Sp4", "C2": "Sp4"}
 def order_fp(rs: RootSystem, p: int) -> int:
     """Order of the group of F_p-points: p**N * prod_i (p**d_i - 1)."""
     if not is_prime(p):
-        raise DomainError(f"p must be prime, got {p}")
-    value = p ** rs.num_positive_roots
+        raise DomainError(f"p must be prime, got {_shown(p)}")
+    value = _power(p, rs.num_positive_roots)
     for d in rs.degrees:
-        value *= p ** d - 1
+        value *= _power(p, d) - 1
     return value
 
 
@@ -42,14 +42,14 @@ def order_zpk(rs: RootSystem, p: int, k: int) -> int:
     """Order over Z/p**k: each of the k-1 congruence layers contributes
     a full p**d factor on top of the prime-field order."""
     if k < 1:
-        raise DomainError(f"k must be >= 1, got {k}")
-    return order_fp(rs, p) * p ** ((k - 1) * rs.dimension)
+        raise DomainError(f"k must be >= 1, got {_shown(k)}")
+    return order_fp(rs, p) * _power(p, (k - 1) * rs.dimension)
 
 
 def order_zm(rs: RootSystem, m: int) -> int:
     """Order over Z/m, multiplicative over the prime powers of m."""
     if m < 1:
-        raise DomainError(f"m must be >= 1, got {m}")
+        raise DomainError(f"m must be >= 1, got {_shown(m)}")
     value = 1
     for p, k in factorize(m).factors:
         value *= order_zpk(rs, p, k)
@@ -80,13 +80,14 @@ def brute_force_order(family: str, m: int, *, max_candidates: int = 10 ** 8) -> 
     scale, hence the guard on m**(n*n).
     """
     if m < 1:
-        raise DomainError(f"modulus must be >= 1, got {m}")
+        raise DomainError(f"modulus must be >= 1, got {_shown(m)}")
     sizes = {"SL2": 2, "SL3": 3, "Sp4": 4}
     if family not in sizes:
         raise DomainError(f"unsupported family {family!r}; choose from {sorted(sizes)}")
     n = sizes[family]
-    if m ** (n * n) > max_candidates:
-        raise ResourceLimitError(f"{family} mod {_shown(m)} needs {_shown(m ** (n * n))} "
+    candidates = _power(m, n * n)
+    if candidates > max_candidates:
+        raise ResourceLimitError(f"{family} mod {_shown(m)} needs {_shown(candidates)} "
                                  f"candidates, guard is {_shown(max_candidates)}")
     one = 1 % m
     count = 0
@@ -109,5 +110,5 @@ def brute_force_order(family: str, m: int, *, max_candidates: int = 10 ** 8) -> 
 def check_order_bound(rs: RootSystem, p: int) -> BoundReport:
     """Check the crude estimate: the F_p-point count is at most p**dim."""
     lhs = order_fp(rs, p)
-    return compare("order_fp_le_p_pow_dim", lhs, p ** rs.dimension,
+    return compare("order_fp_le_p_pow_dim", lhs, _power(p, rs.dimension),
                    label=rs.label, p=p)

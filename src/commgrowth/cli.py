@@ -12,14 +12,13 @@ import argparse
 import json
 import math
 import sys
-from fractions import Fraction
 
 from . import __version__
-from .arith import growth_series_rank1, is_prime
+from .arith import MAX_OUTPUT_DIGITS, growth_series_rank1
 from .chevalley import ORACLE_FAMILIES, brute_force_order, order_zpk
-from .commgraph import (RationalCyclic, RationalLattice, enumerate_ball,
+from .commgraph import (RationalCyclic, RationalLattice, _check_ball, enumerate_ball,
                         run_metric_checks)
-from .errors import DomainError, ResourceLimitError, _shown
+from .errors import DomainError, ResourceLimitError
 from .parahoric import _level_count, _per_prime_lhs, maximal_lattice_bound
 from .root_systems import root_system
 
@@ -27,10 +26,6 @@ EXIT_OK = 0
 EXIT_FAILED_CHECK = 1
 EXIT_DOMAIN = 2
 EXIT_RESOURCE = 3
-
-#: Largest result, in decimal digits, that the CLI prints; documented
-#: inputs stay near 15,000 digits.
-MAX_OUTPUT_DIGITS = 10 ** 5
 
 
 def _emit(text: str):
@@ -52,31 +47,14 @@ def _emit_fields(payload: dict, as_json: bool):
                         if value is not None))
 
 
-def _refuse_digits(digits, estimate: str) -> None:
-    """Refuse (exit 3) a result of more than MAX_OUTPUT_DIGITS digits."""
-    if digits > MAX_OUTPUT_DIGITS:
-        raise ResourceLimitError(f"result has {estimate} {_shown(int(digits))} decimal "
-                                 f"digits, above the output guard {MAX_OUTPUT_DIGITS}")
-
-
-def _refuse_prime_power(p: int, exponent: int) -> None:
-    """Refuse, before it is computed, a result that is a multiple of
-    p**exponent with more than MAX_OUTPUT_DIGITS digits.  This lower bound
-    refuses nothing that _decimal would print.  A p that is not prime is
-    left to the library's domain error.  The int exponent is compared with
-    a float exactly; a huge one gets a Fraction digit count, as a float's
-    would overflow past 10**308."""
-    log_p = math.log10(p) if p > 1 else math.inf
-    if exponent > MAX_OUTPUT_DIGITS / log_p and is_prime(p):
-        _refuse_digits(exponent * (log_p if exponent < 10 ** 300 else Fraction(log_p)),
-                       "more than")
-
-
 def _decimal(value: int) -> str:
     """Decimal text of a result integer, past CPython's default int->str
     digit limit but refused above MAX_OUTPUT_DIGITS, estimated from the
     bit length before any conversion work is done."""
-    _refuse_digits(int(value.bit_length() * math.log10(2)) + 1, "about")
+    digits = int(value.bit_length() * math.log10(2)) + 1
+    if digits > MAX_OUTPUT_DIGITS:
+        raise ResourceLimitError(f"result has about {digits} decimal digits, "
+                                 f"above the output guard {MAX_OUTPUT_DIGITS}")
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
@@ -110,6 +88,8 @@ def _run_ball(args: argparse.Namespace) -> int:
     cyclic = args.family == "cyclic"
     if cyclic and args.dim != 1:
         raise DomainError("cyclic subgroups live in dimension 1")
+    if args.dim > 1:
+        _check_ball(args.n, args.dim)  # before Z^dim is built
     ball = enumerate_ball(RationalCyclic(1, 1) if cyclic
                           else RationalLattice.standard(args.dim), args.n)
     if not args.json:
@@ -138,7 +118,6 @@ def _run_rootsys(args: argparse.Namespace) -> int:
 def _run_order(args: argparse.Namespace) -> int:
     rs = root_system(args.type)
     p, k = args.p, args.k
-    _refuse_prime_power(p, (k - 1) * rs.dimension + rs.num_positive_roots)
     value = order_zpk(rs, p, k)
     payload = {"label": rs.label, "p": p, "k": k, "order": _decimal(value)}
     status = EXIT_OK
@@ -177,11 +156,8 @@ def _run_parahoric(args: argparse.Namespace) -> int:
     if count.exact is not None and count.exact > paper_bound:
         status = EXIT_FAILED_CHECK
     if args.p is not None:
-        _refuse_prime_power(args.p, (3 + rs.dimension) * k)
         payload["per_prime"] = _decimal(_per_prime_lhs(rs, args.p, k))
     if args.m is not None:
-        if args.m > 1:
-            _refuse_digits((3 + 2 * rs.dimension) * math.log10(args.m), "more than")
         payload["m_bound"] = _decimal(maximal_lattice_bound(rs, args.m))
     _emit_fields(payload, args.json)
     return status

@@ -16,7 +16,7 @@ from functools import lru_cache
 from itertools import product
 
 from .arith import divisors
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, ResourceLimitError, _shown
 from .reporting import BoundReport, compare
 
 
@@ -108,7 +108,8 @@ class RationalCyclic(_Subgroup):
     def __post_init__(self):
         if not isinstance(self.a, int) or not isinstance(self.b, int) \
                 or self.a < 1 or self.b < 1:
-            raise DomainError(f"generator must be a positive rational, got {self.a}/{self.b}")
+            raise DomainError("generator must be a positive rational, "
+                              f"got {_shown(self.a)}/{_shown(self.b)}")
         g = math.gcd(self.a, self.b)
         if g > 1:
             object.__setattr__(self, "a", self.a // g)
@@ -147,9 +148,10 @@ class RationalLattice(_Subgroup):
 
     def __post_init__(self):
         if not isinstance(self.dim, int) or self.dim < 1:
-            raise DomainError(f"dim must be a positive integer, got {self.dim}")
+            raise DomainError(f"dim must be a positive integer, got {_shown(self.dim)}")
         if not isinstance(self.denom, int) or self.denom < 1:
-            raise DomainError(f"denominator must be a positive integer, got {self.denom}")
+            raise DomainError("denominator must be a positive integer, "
+                              f"got {_shown(self.denom)}")
         rows = [list(r) for r in self.basis]
         if any(len(r) != self.dim for r in rows):
             raise DomainError("basis rows must have length dim")
@@ -353,35 +355,41 @@ def _lattice_ball(gamma: RationalLattice, n: int):
     return out
 
 
-def enumerate_ball(gamma, n: int, *, max_dim: int = 3, max_bound: int = 1000):
+def _check_ball(n: int, dim: int | None, *, max_dim: int = 3, max_bound: int = 1000):
+    """Refuse a ball radius, or a lattice dimension (None for the cyclic
+    family), past its guard, before anything of the ball's size is built."""
+    if n < 1:
+        raise DomainError(f"ball radius must be >= 1, got {_shown(n)}")
+    if n > max_bound:
+        raise ResourceLimitError(f"ball bound {_shown(n)} exceeds guard {max_bound}")
+    if dim is not None and dim > max_dim:
+        raise ResourceLimitError(f"lattice dimension {_shown(dim)} exceeds guard {max_dim}")
+
+
+def enumerate_ball(gamma, n: int, **guards):
     """All subgroups in gamma's family at commensurability index <= n,
     in canonical form, sorted, duplicate free.
 
-    The guards are explicit parameters: finiteness of the ball is
-    guaranteed, smallness is not.
+    The guards are the keywords of _check_ball, max_dim (lattices only)
+    and max_bound: finiteness of the ball is guaranteed, smallness is not.
     """
-    if n < 1:
-        raise DomainError(f"ball radius must be >= 1, got {n}")
-    if n > max_bound:
-        raise ResourceLimitError(f"ball bound {n} exceeds guard {max_bound}")
+    _check_ball(n, gamma.dim if isinstance(gamma, RationalLattice) else None, **guards)
     if isinstance(gamma, RationalCyclic):
         found = _cyclic_ball(gamma, n)
     elif isinstance(gamma, RationalLattice):
-        if gamma.dim > max_dim:
-            raise ResourceLimitError(f"lattice dimension {gamma.dim} exceeds guard {max_dim}")
         found = _lattice_ball(gamma, n)
     else:
         raise DomainError(f"unsupported family {type(gamma).__name__}")
     return sorted(found, key=lambda s: s.sort_key())
 
 
-def check_transfer_inequality(A, B, n: int, *, max_dim: int = 3,
-                              max_bound: int = 1000) -> BoundReport:
+def check_transfer_inequality(A, B, n: int, **guards) -> BoundReport:
     """Ball-size transfer between commensurable basepoints: the ball of
-    radius n around A injects into the ball of radius c(A,B)*n around B."""
+    radius n around A injects into the ball of radius c(A,B)*n around B.
+    The guards go to enumerate_ball."""
     c_ab = comm_index(A, B).value
-    ball_a = enumerate_ball(A, n, max_dim=max_dim, max_bound=max_bound)
-    ball_b = enumerate_ball(B, c_ab * n, max_dim=max_dim, max_bound=max_bound)
+    ball_a = enumerate_ball(A, n, **guards)
+    ball_b = enumerate_ball(B, c_ab * n, **guards)
     return compare("ball_transfer", len(ball_a), len(ball_b),
                    n=n, c_ab=c_ab, left_card=len(ball_a), right_card=len(ball_b))
 

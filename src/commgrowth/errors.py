@@ -15,10 +15,11 @@ class ResourceLimitError(RuntimeError):
     """
 
 
-def _shown(value: int) -> str:
-    """A positive int for a one-line message: in full up to 18 digits, past
-    that as a power of ten read off its bit length, never as decimal text."""
-    if value < 10 ** 18:
+def _shown(value) -> str:
+    """A value for a one-line message, in full unless it is an int of more
+    than 18 digits: that is its sign and a power of ten off its bit length."""
+    if not isinstance(value, int) or abs(value) < 10 ** 18:
         return str(value)
-    shift = value.bit_length() - 53
-    return f"about 10^{round(math.log10(value >> shift) + shift * math.log10(2))}"
+    shift = abs(value).bit_length() - 53
+    sign = "-" if value < 0 else ""
+    return f"about {sign}10^{round(math.log10(abs(value) >> shift) + shift * math.log10(2))}"

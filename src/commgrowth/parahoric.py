@@ -17,8 +17,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import _box_blocks, is_prime
-from .errors import DomainError, ResourceLimitError
+from .arith import _box_blocks, _power, is_prime
+from .errors import DomainError, ResourceLimitError, _shown
 from .reporting import BoundReport, compare
 from .root_systems import RootSystem
 
@@ -60,9 +60,9 @@ def count_admissible_cocharacters(rs: RootSystem, c: int, *,
     reported (exact=None); past the cutoff guard the request is refused.
     """
     if c < 0:
-        raise DomainError(f"cutoff must be >= 0, got {c}")
+        raise DomainError(f"cutoff must be >= 0, got {_shown(c)}")
     if c > max_cutoff:
-        raise ResourceLimitError(f"cutoff {c} exceeds guard {max_cutoff}")
+        raise ResourceLimitError(f"cutoff {_shown(c)} exceeds guard {max_cutoff}")
     box = (2 * c + 1) ** rs.rank
     if rs.rank > max_exhaustive_rank:
         return CocharacterCount(rs.label, c, None, box)
@@ -72,7 +72,7 @@ def count_admissible_cocharacters(rs: RootSystem, c: int, *,
 def _level_count(rs: RootSystem, k: int, **guards) -> tuple[CocharacterCount, int]:
     """The count at level k, which is cutoff k+1, and its bound (2k+3)**dim."""
     if k < 0:
-        raise DomainError(f"k must be >= 0, got {k}")
+        raise DomainError(f"k must be >= 0, got {_shown(k)}")
     return count_admissible_cocharacters(rs, k + 1, **guards), (2 * k + 3) ** rs.dimension
 
 
@@ -92,11 +92,11 @@ def check_two_k_plus_three(p: int, k: int) -> BoundReport:
     """The linear factor 2k+3 is absorbed by p**k once p >= 5, and by the
     cruder p**(3k) for every prime."""
     if not is_prime(p):
-        raise DomainError(f"p must be prime, got {p}")
+        raise DomainError(f"p must be prime, got {_shown(p)}")
     if k < 1:
-        raise DomainError(f"k must be >= 1, got {k}")
-    crude = p ** (3 * k)
-    rhs = p ** k if p >= 5 else crude
+        raise DomainError(f"k must be >= 1, got {_shown(k)}")
+    crude = _power(p, 3 * k)
+    rhs = _power(p, k) if p >= 5 else crude
     return compare("2k+3_absorbed_by_prime_power", 2 * k + 3, rhs,
                    p=p, k=k, crude_bound=crude, sharp_applies=p >= 5)
 
@@ -104,10 +104,10 @@ def check_two_k_plus_three(p: int, k: int) -> BoundReport:
 def _per_prime_lhs(rs: RootSystem, p: int, k: int) -> int:
     """(d+1)*p**((3+d)k) for a prime p and level k >= 1, and 1 at level 0."""
     if not is_prime(p):
-        raise DomainError(f"p must be prime, got {p}")
+        raise DomainError(f"p must be prime, got {_shown(p)}")
     if k < 0:
-        raise DomainError(f"k must be >= 0, got {k}")
-    return (rs.dimension + 1) * p ** ((3 + rs.dimension) * k) if k else 1
+        raise DomainError(f"k must be >= 0, got {_shown(k)}")
+    return (rs.dimension + 1) * _power(p, (3 + rs.dimension) * k) if k else 1
 
 
 def per_prime_bound(rs: RootSystem, p: int, k: int) -> BoundReport:
@@ -116,7 +116,7 @@ def per_prime_bound(rs: RootSystem, p: int, k: int) -> BoundReport:
     the cruder p**((3+2d)k) for k >= 1.  At level 0 there is exactly one
     such subgroup, so the report carries 1 on both sides."""
     lhs = _per_prime_lhs(rs, p, k)
-    return compare("per_prime_maximal_count", lhs, p ** ((3 + 2 * rs.dimension) * k),
+    return compare("per_prime_maximal_count", lhs, _power(p, (3 + 2 * rs.dimension) * k),
                    label=rs.label, p=p, k=k)
 
 
@@ -125,8 +125,8 @@ def maximal_lattice_bound(rs: RootSystem, m: int) -> int:
     the level-m principal congruence subgroup; completely multiplicative,
     and equal to the product of the per-prime crude bounds."""
     if m < 1:
-        raise DomainError(f"m must be >= 1, got {m}")
-    return m ** (3 + 2 * rs.dimension)
+        raise DomainError(f"m must be >= 1, got {_shown(m)}")
+    return _power(m, 3 + 2 * rs.dimension)
 
 
 def upper_bound_profile(rs: RootSystem, n: int, s, c_const=1, D_const=1) -> int:
@@ -140,7 +140,7 @@ def upper_bound_profile(rs: RootSystem, n: int, s, c_const=1, D_const=1) -> int:
     are parameters, defaulting to 1.
     """
     if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
+        raise DomainError(f"n must be >= 1, got {_shown(n)}")
     c_frac, d_frac = Fraction(c_const), Fraction(D_const)
     if c_frac <= 0 or d_frac <= 0:
         raise DomainError("profile constants must be positive")
@@ -149,6 +149,6 @@ def upper_bound_profile(rs: RootSystem, n: int, s, c_const=1, D_const=1) -> int:
     s = list(s)
     if len(s) < s_index:
         raise DomainError(
-            f"growth data too short: need index {s_index}, got {len(s)} values")
+            f"growth data too short: need index {_shown(s_index)}, got {len(s)} values")
     m0 = 3 + 2 * rs.dimension
     return sum(j ** m0 for j in range(1, top + 1)) * s[s_index - 1]

@@ -1,12 +1,14 @@
 import itertools
 import math
 import random
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from commgrowth import arith
-from commgrowth.errors import DomainError
+from commgrowth.errors import DomainError, ResourceLimitError
 from conftest import DESK_LIMIT, divisor_count_sieve_oracle, omega_sieve_oracle
 
 
@@ -222,3 +224,41 @@ def test_box_blocks_walk_the_box_in_order(monkeypatch, side, width):
     assert all(b.shape[1] == width and 0 < len(b) <= 7 for b in blocks)
     want = list(itertools.product(range(side), repeat=width))
     assert np.concatenate(blocks).tolist() == [list(point) for point in want]
+
+
+class TestPower:
+    def test_equals_pow_below_the_limit(self):
+        for base in (0, 1, 2, 3, 7, 10, 1000003):
+            for exponent in (0, 1, 2, 5, 100, 4000):
+                assert arith._power(base, exponent) == base ** exponent
+
+    # the largest admitted exponent keeps p**e at most 100000 digits long
+    @pytest.mark.parametrize("p, largest", [(2, 332192), (3, 209590), (1000003, 16666)])
+    def test_boundary(self, p, largest):
+        assert arith.MAX_OUTPUT_DIGITS == 100000
+        value = arith._power(p, largest)
+        assert value == p ** largest < 10 ** arith.MAX_OUTPUT_DIGITS
+        assert p ** (largest + 1) >= 10 ** arith.MAX_OUTPUT_DIGITS
+        with pytest.raises(ResourceLimitError) as caught:
+            arith._power(p, largest + 1)
+        assert str(caught.value) == (f"{p} to the power {largest + 1} is above the output "
+                                     "guard of 100000 decimal digits")
+
+    def test_refuses_before_any_work(self):
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(ResourceLimitError) as caught:
+                arith._power(2, 10 ** 12)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 0.01 and peak < 10 ** 6
+        assert str(caught.value).startswith("2 to the power 1000000000000 is above")
+
+    def test_huge_exponent_needs_no_float_product(self):
+        # 6e307 * log10(2) would overflow a float
+        with pytest.raises(ResourceLimitError) as caught:
+            arith._power(2, 6 * 10 ** 307)
+        assert str(caught.value).startswith("2 to the power about 10^308 is above")

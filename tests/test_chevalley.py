@@ -37,6 +37,12 @@ class TestOrderFp:
         with pytest.raises(DomainError):
             order_fp(A1, 1)
 
+    def test_huge_composite_shown_by_size(self):
+        # past CPython's 4300-digit int->str limit the message shows the size
+        with pytest.raises(DomainError) as caught:
+            order_fp(A1, 10 ** 5000)
+        assert str(caught.value) == "p must be prime, got about 10^5000"
+
 
 class TestOrderZpk:
     @pytest.mark.parametrize("p,k,expected", [(2, 1, 6), (2, 2, 48), (3, 2, 648)])
@@ -57,6 +63,17 @@ class TestOrderZpk:
     def test_rejects_bad_k(self):
         with pytest.raises(DomainError):
             order_zpk(A1, 2, 0)
+
+    def test_congruence_power_past_the_output_guard_refused(self):
+        with pytest.raises(ResourceLimitError) as caught:
+            order_zpk(root_system("E8"), 2, 10 ** 7)
+        assert str(caught.value) == ("2 to the power 2479999752 is above the output guard "
+                                     "of 100000 decimal digits")
+        # p and k are checked before the power is built
+        with pytest.raises(DomainError):
+            order_zpk(A1, 4, 10 ** 8)
+        with pytest.raises(DomainError):
+            order_zpk(A1, 2, -10 ** 5000)
 
 
 class TestOrderZm:
@@ -120,6 +137,10 @@ class TestBruteForce:
             brute_force_order("SL2", 2 ** 3600, max_candidates=10 ** 30)
         assert str(caught.value) == ("SL2 mod about 10^1084 needs about 10^4335 candidates, "
                                      "guard is about 10^30")
+        # a candidate count past the output guard is not built
+        with pytest.raises(ResourceLimitError) as caught:
+            brute_force_order("SL2", 2 ** 90000)
+        assert str(caught.value).startswith("about 10^27093 to the power 4 is above")
 
     def test_unknown_family(self):
         with pytest.raises(DomainError):

@@ -2,15 +2,16 @@ import json
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from commgrowth.arith import growth_series_rank1
+from commgrowth import parahoric
+from commgrowth.arith import MAX_OUTPUT_DIGITS, growth_series_rank1
 from commgrowth.chevalley import order_zpk
-from commgrowth.cli import (EXIT_DOMAIN, EXIT_FAILED_CHECK, EXIT_OK,
-                            EXIT_RESOURCE, MAX_OUTPUT_DIGITS, main)
-from commgrowth.errors import DomainError
+from commgrowth.cli import EXIT_DOMAIN, EXIT_FAILED_CHECK, EXIT_OK, EXIT_RESOURCE, main
+from commgrowth.errors import DomainError, ResourceLimitError
 from commgrowth.parahoric import CocharacterCount, check_cocharacter_bound, per_prime_bound
 from commgrowth.root_systems import root_system, supported_labels
 
@@ -25,10 +26,6 @@ def run_cli(*args, env_extra=None):
         env.update(env_extra)
     return subprocess.run([sys.executable, "-m", "commgrowth", *args],
                           capture_output=True, text=True, env=env, timeout=120)
-
-
-def never_called(*args, **kwargs):
-    raise AssertionError("called past the output digit guard")
 
 
 def decimal(value):
@@ -46,6 +43,20 @@ def assert_output_guard(result):
     assert result.stderr.startswith("resource guard: ")
     assert result.stderr.count("\n") == 1
     assert str(MAX_OUTPUT_DIGITS) in result.stderr
+
+
+def assert_refused_in_little_memory(argv, capsys):
+    """`growth argv` is refused by the output guard with a traced peak under
+    1 MB, so the power it would print is never built."""
+    tracemalloc.start()
+    try:
+        status = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert_output_guard(subprocess.CompletedProcess(argv, status, captured.out, captured.err))
+    assert peak < 10 ** 6
 
 
 def reference_rank1(n, fmt):
@@ -189,19 +200,16 @@ class TestOrder:
                          *([fmt] if fmt else []))
         assert_output_guard(result)
 
-    def test_digit_guard_refuses_before_computing(self, monkeypatch, capsys):
-        monkeypatch.setattr("commgrowth.cli.order_zpk", never_called)
-        assert main(["order", "--type", "E8", "--p", "2", "--k", "10000000"]) == EXIT_RESOURCE
-        captured = capsys.readouterr()
-        assert captured.out == "" and captured.err.startswith("resource guard: ")
+    def test_digit_guard_refuses_before_computing(self, capsys):
+        # the result is a multiple of 2**2479999752, a 310 MB integer
+        assert_refused_in_little_memory(["order", "--type", "E8", "--p", "2", "--k", "10000000"],
+                                        capsys)
 
     @pytest.mark.parametrize("k", [10 ** 306, 6 * 10 ** 307], ids=["1e306", "6e307"])
-    def test_digit_guard_refuses_huge_k_before_computing(self, monkeypatch, capsys, k):
-        # at 6e307 the exponent 3*(k-1)+1 no longer fits a float
-        monkeypatch.setattr("commgrowth.cli.order_zpk", never_called)
-        assert main(["order", "--type", "A1", "--p", "2", "--k", str(k)]) == EXIT_RESOURCE
-        captured = capsys.readouterr()
-        assert captured.out == "" and captured.err.startswith("resource guard: ")
+    def test_digit_guard_refuses_huge_k_before_computing(self, capsys, k):
+        # at 6e307 the exponent 3*(k-1) no longer fits a float
+        assert_refused_in_little_memory(["order", "--type", "A1", "--p", "2", "--k", str(k)],
+                                        capsys)
 
     def test_digit_guard_leaves_composite_p_to_domain_error(self, monkeypatch):
         def order_zpk_rejecting(rs, p, k):
@@ -251,9 +259,13 @@ class TestParahoric:
         (["--p", "100003"], "_per_prime_lhs"),
         (["--m", str(10 ** 201)], "maximal_lattice_bound"),
     ])
-    def test_digit_guard_refuses_before_computing(self, monkeypatch, flags, name):
-        monkeypatch.setattr(f"commgrowth.cli.{name}", never_called)
-        assert main(["parahoric", "--type", "E8", "--k", "99", *flags]) == EXIT_RESOURCE
+    def test_digit_guard_refuses_before_computing(self, flags, name, capsys):
+        # the library refuses the power itself, so the CLI never holds it
+        rs, value = root_system("E8"), int(flags[1])
+        with pytest.raises(ResourceLimitError):
+            getattr(parahoric, name)(rs, value, *([99] if name == "_per_prime_lhs" else []))
+        assert_refused_in_little_memory(["parahoric", "--type", "E8", "--k", "99", *flags],
+                                        capsys)
 
     @pytest.mark.parametrize("label", RANK_LE_4)
     def test_agrees_with_library_check(self, label, capsys):
@@ -307,6 +319,23 @@ class TestMalformedInput:
         (["order", "--type", "A1", "--p", "2", "--k", str(10 ** 306)], EXIT_RESOURCE),
         (["order", "--type", "A1", "--p", "2", "--k", str(6 * 10 ** 307)], EXIT_RESOURCE),
         (["order", "--type", "A1", "--p", "4", "--k", str(10 ** 8)], EXIT_DOMAIN),
+        # Z^dim is never built past the dimension guard
+        (["ball", "--family", "lattice", "--dim", str(10 ** 6), "--n", "2"], EXIT_RESOURCE),
+        (["ball", "--family", "lattice", "--dim", str(10 ** 399), "--n", "2"], EXIT_RESOURCE),
+        # a huge argument is echoed by its size, with its sign
+        (["ball", "--family", "lattice", "--dim", str(-10 ** 399), "--n", "2"], EXIT_DOMAIN),
+        (["ball", "--family", "cyclic", "--n", str(10 ** 399)], EXIT_RESOURCE),
+        (["ball", "--family", "cyclic", "--n", str(-10 ** 399)], EXIT_DOMAIN),
+        (["ball", "--family", "lattice", "--dim", "2", "--n", str(10 ** 399)], EXIT_RESOURCE),
+        (["ball", "--family", "lattice", "--dim", "2", "--n", str(-10 ** 399)], EXIT_DOMAIN),
+        (["parahoric", "--type", "A1", "--k", str(10 ** 399)], EXIT_RESOURCE),
+        (["parahoric", "--type", "A1", "--k", str(-10 ** 399)], EXIT_DOMAIN),
+        (["order", "--type", "A1", "--p", str(10 ** 399)], EXIT_DOMAIN),
+        (["order", "--type", "A1", "--p", str(-10 ** 399)], EXIT_DOMAIN),
+        (["parahoric", "--type", "A1", "--k", "1", "--p", str(10 ** 399)], EXIT_DOMAIN),
+        (["parahoric", "--type", "A1", "--k", "1", "--p", str(-10 ** 399)], EXIT_DOMAIN),
+        (["order", "--type", "A1", "--p", "2", "--k", str(-10 ** 399)], EXIT_DOMAIN),
+        (["parahoric", "--type", "A1", "--k", "1", "--m", str(-10 ** 399)], EXIT_DOMAIN),
     ])
     def test_one_line_diagnostic(self, argv, status, capsys):
         start = time.perf_counter()

@@ -393,6 +393,13 @@ class TestBallEnumeration:
             enumerate_ball(Z, 10 ** 6)
         with pytest.raises(DomainError):
             enumerate_ball(Z, 0)
+        # past CPython's 4300-digit int->str limit the message shows the size
+        with pytest.raises(ResourceLimitError) as caught:
+            enumerate_ball(Z, 10 ** 5000)
+        assert str(caught.value) == "ball bound about 10^5000 exceeds guard 1000"
+        with pytest.raises(DomainError) as caught:
+            enumerate_ball(Z, -10 ** 5000)
+        assert str(caught.value) == "ball radius must be >= 1, got about -10^5000"
         # guards are parameters, not constants
         assert len(enumerate_ball(Z, 3, max_bound=3)) == 5
 
@@ -402,6 +409,14 @@ class TestTransfer:
         assert check_transfer_inequality(Z, cyclic(2), 3).holds
         report = check_transfer_inequality(Z2, RationalLattice.scaled(2, 2), 2)
         assert report.holds
+
+    def test_guards_go_to_the_balls(self):
+        # c(Z, 2Z) = 2, so the second ball has radius 6, past max_bound=5
+        assert check_transfer_inequality(Z, cyclic(2), 3).holds
+        with pytest.raises(ResourceLimitError):
+            check_transfer_inequality(Z, cyclic(2), 3, max_bound=5)
+        with pytest.raises(ResourceLimitError):
+            check_transfer_inequality(Z2, Z2, 1, max_dim=1)
 
     def test_equal_basepoints_give_equal_balls(self):
         report = check_transfer_inequality(cyclic(3), cyclic(3), 5)

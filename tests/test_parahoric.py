@@ -80,6 +80,15 @@ class TestCount:
         with pytest.raises(DomainError):
             count_admissible_cocharacters(A1, -1)
 
+    def test_huge_cutoff_shown_by_size(self):
+        # past CPython's 4300-digit int->str limit the message shows the size
+        with pytest.raises(ResourceLimitError) as caught:
+            count_admissible_cocharacters(A1, 10 ** 5000)
+        assert str(caught.value) == "cutoff about 10^5000 exceeds guard 100"
+        with pytest.raises(DomainError) as caught:
+            count_admissible_cocharacters(A1, -10 ** 5000)
+        assert str(caught.value) == "cutoff must be >= 0, got about -10^5000"
+
 
 class TestCocharacterBound:
     def test_a1_examples(self):
@@ -136,6 +145,19 @@ class TestPerPrimeBound:
     def test_rejects_composite(self):
         with pytest.raises(DomainError):
             per_prime_bound(A1, 9, 1)
+
+
+@pytest.mark.parametrize("bound", [
+    lambda: check_two_k_plus_three(2, 200000),
+    lambda: per_prime_bound(A1, 2, 10 ** 5),
+    # lhs 2**240000 is admitted, rhs 2**360000 is not
+    lambda: per_prime_bound(A1, 2, 40000),
+    lambda: maximal_lattice_bound(A1, 10 ** 20000),
+], ids=["two_k_plus_three", "per_prime_lhs", "per_prime_rhs", "maximal_lattice"])
+def test_power_past_the_output_guard_refused(bound):
+    with pytest.raises(ResourceLimitError) as caught:
+        bound()
+    assert "is above the output guard of 100000 decimal digits" in str(caught.value)
 
 
 class TestMaximalLatticeBound:

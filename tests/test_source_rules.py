@@ -78,3 +78,13 @@ def test_library_reads_no_environment_variables():
     found = [f"{name}:{node.lineno}" for name, node in library_nodes()
              if reads_the_environment(node)]
     assert found == []
+
+
+def test_powers_of_p_and_m_go_through_the_guard():
+    # a power of a caller's prime or modulus can outgrow any memory, so the
+    # bound modules build it with arith._power, which refuses it first
+    found = [f"{name}:{node.lineno}" for name, node in library_nodes()
+             if name in ("chevalley.py", "parahoric.py") and isinstance(node, ast.BinOp)
+             and isinstance(node.op, ast.Pow) and isinstance(node.left, ast.Name)
+             and node.left.id in ("p", "m")]
+    assert found == []
