@@ -27,6 +27,9 @@ _SP4_FORM = (
 #: matrix oracle attached to each type that has one at desk scale
 ORACLE_FAMILIES = {"A1": "SL2", "A2": "SL3", "B2": "Sp4", "C2": "Sp4"}
 
+#: Largest number of candidate matrices brute_force_order scans.
+MAX_CANDIDATES = 10 ** 8
+
 
 def order_fp(rs: RootSystem, p: int) -> int:
     """Order of the group of F_p-points: p**N * prod_i (p**d_i - 1)."""
@@ -70,14 +73,14 @@ def _det_mod(rows, m: int):
     return total % m
 
 
-def brute_force_order(family: str, m: int, *, max_candidates: int = 10 ** 8) -> int:
+def brute_force_order(family: str, m: int) -> int:
     """Exhaustively count matrices over Z/m in one of the supported
     families: "SL2", "SL3" (determinant one) or "Sp4" (standard
     antidiagonal alternating form preserved, determinant one).
 
     This is the independent oracle for the closed-form orders; it scans
     every candidate matrix in numpy blocks and must stay well inside desk
-    scale, hence the guard on m**(n*n).
+    scale, hence MAX_CANDIDATES on m**(n*n).
     """
     if m < 1:
         raise DomainError(f"modulus must be >= 1, got {_shown(m)}")
@@ -86,9 +89,9 @@ def brute_force_order(family: str, m: int, *, max_candidates: int = 10 ** 8) -> 
         raise DomainError(f"unsupported family {family!r}; choose from {sorted(sizes)}")
     n = sizes[family]
     candidates = _power(m, n * n)
-    if candidates > max_candidates:
+    if candidates > MAX_CANDIDATES:
         raise ResourceLimitError(f"{family} mod {_shown(m)} needs {_shown(candidates)} "
-                                 f"candidates, guard is {_shown(max_candidates)}")
+                                 f"candidates, guard is {_shown(MAX_CANDIDATES)}")
     one = 1 % m
     count = 0
     for digits in _box_blocks(m, n * n):

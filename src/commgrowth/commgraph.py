@@ -19,6 +19,12 @@ from .arith import divisors
 from .errors import DomainError, ResourceLimitError, _shown
 from .reporting import BoundReport, compare
 
+#: Largest ball radius and lattice dimension enumerate_ball admits (a ball
+#: is finite, not small), and largest run_metric_checks sample count.
+MAX_BALL_RADIUS = 1000
+MAX_BALL_DIM = 3
+MAX_SAMPLES = 10 ** 5
+
 
 # ---------------------------------------------------------------------------
 # exact integer linear algebra on small row matrices
@@ -355,25 +361,23 @@ def _lattice_ball(gamma: RationalLattice, n: int):
     return out
 
 
-def _check_ball(n: int, dim: int | None, *, max_dim: int = 3, max_bound: int = 1000):
+def _check_ball(n: int, dim: int | None):
     """Refuse a ball radius, or a lattice dimension (None for the cyclic
     family), past its guard, before anything of the ball's size is built."""
     if n < 1:
         raise DomainError(f"ball radius must be >= 1, got {_shown(n)}")
-    if n > max_bound:
-        raise ResourceLimitError(f"ball bound {_shown(n)} exceeds guard {max_bound}")
-    if dim is not None and dim > max_dim:
-        raise ResourceLimitError(f"lattice dimension {_shown(dim)} exceeds guard {max_dim}")
+    if n > MAX_BALL_RADIUS:
+        raise ResourceLimitError(f"ball bound {_shown(n)} exceeds guard {MAX_BALL_RADIUS}")
+    if dim is not None and dim > MAX_BALL_DIM:
+        raise ResourceLimitError(f"lattice dimension {_shown(dim)} "
+                                 f"exceeds guard {MAX_BALL_DIM}")
 
 
-def enumerate_ball(gamma, n: int, **guards):
+def enumerate_ball(gamma, n: int):
     """All subgroups in gamma's family at commensurability index <= n,
-    in canonical form, sorted, duplicate free.
-
-    The guards are the keywords of _check_ball, max_dim (lattices only)
-    and max_bound: finiteness of the ball is guaranteed, smallness is not.
-    """
-    _check_ball(n, gamma.dim if isinstance(gamma, RationalLattice) else None, **guards)
+    in canonical form, sorted, duplicate free, within MAX_BALL_RADIUS and
+    (lattices only) MAX_BALL_DIM."""
+    _check_ball(n, gamma.dim if isinstance(gamma, RationalLattice) else None)
     if isinstance(gamma, RationalCyclic):
         found = _cyclic_ball(gamma, n)
     elif isinstance(gamma, RationalLattice):
@@ -383,13 +387,12 @@ def enumerate_ball(gamma, n: int, **guards):
     return sorted(found, key=lambda s: s.sort_key())
 
 
-def check_transfer_inequality(A, B, n: int, **guards) -> BoundReport:
+def check_transfer_inequality(A, B, n: int) -> BoundReport:
     """Ball-size transfer between commensurable basepoints: the ball of
-    radius n around A injects into the ball of radius c(A,B)*n around B.
-    The guards go to enumerate_ball."""
+    radius n around A injects into the ball of radius c(A,B)*n around B."""
     c_ab = comm_index(A, B).value
-    ball_a = enumerate_ball(A, n, **guards)
-    ball_b = enumerate_ball(B, c_ab * n, **guards)
+    ball_a = enumerate_ball(A, n)
+    ball_b = enumerate_ball(B, c_ab * n)
     return compare("ball_transfer", len(ball_a), len(ball_b),
                    n=n, c_ab=c_ab, left_card=len(ball_a), right_card=len(ball_b))
 
@@ -410,10 +413,10 @@ def _random_lattice(rng: random.Random, dim: int = 2) -> RationalLattice:
             return RationalLattice(dim, rng.randint(1, 6), hnf)
 
 
-def _random_chain(rng: random.Random, sample, max_len: int = 5):
+def _random_chain(rng: random.Random, sample):
     top = sample(rng)
     desc = [top]
-    for _ in range(rng.randint(1, max_len - 1)):
+    for _ in range(rng.randint(1, 4)):
         last = desc[-1]
         if isinstance(last, RationalCyclic):
             desc.append(RationalCyclic(last.a * rng.randint(1, 4), last.b))
@@ -434,6 +437,8 @@ def run_metric_checks(samples: int = 1000, seed: int = 0) -> list[BoundReport]:
     """
     if samples < 1:
         raise DomainError("samples must be >= 1")
+    if samples > MAX_SAMPLES:
+        raise ResourceLimitError(f"sample count {_shown(samples)} exceeds guard {MAX_SAMPLES}")
     rng = random.Random(seed)
     reports = []
     for family, sample in (("cyclic", _random_cyclic), ("lattice2", _random_lattice)):

@@ -8,10 +8,11 @@ class DomainError(ValueError):
 
 
 class ResourceLimitError(RuntimeError):
-    """An enumeration would exceed its configured resource guard.
+    """A computation would exceed its resource guard, a module constant
+    such as commgraph.MAX_BALL_RADIUS or arith.MAX_OUTPUT_DIGITS.
 
     Distinct from DomainError on purpose: the input is legal, but the
-    requested computation is not affordable at the current guard settings.
+    requested computation is not affordable within the guard.
     """
 
 

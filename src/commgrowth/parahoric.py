@@ -22,12 +22,16 @@ from .errors import DomainError, ResourceLimitError, _shown
 from .reporting import BoundReport, compare
 from .root_systems import RootSystem
 
+#: Largest cutoff, and largest rank that gets an exhaustive box scan.
+MAX_CUTOFF = 100
+MAX_EXHAUSTIVE_RANK = 4
+
 
 @dataclass(frozen=True)
 class CocharacterCount:
     """Exact admissible count at a cutoff, next to its coefficient-box
-    bound (2c+1)**rank.  ``exact`` is None above the exhaustive-scan rank
-    guard, where only the box bound is available."""
+    bound (2c+1)**rank.  ``exact`` is None above MAX_EXHAUSTIVE_RANK,
+    where only the box bound is available."""
 
     label: str
     cutoff: int
@@ -50,37 +54,35 @@ def _exhaustive_count(rs: RootSystem, c: int) -> int:
     return count
 
 
-def count_admissible_cocharacters(rs: RootSystem, c: int, *,
-                                  max_cutoff: int = 100,
-                                  max_exhaustive_rank: int = 4) -> CocharacterCount:
+def count_admissible_cocharacters(rs: RootSystem, c: int) -> CocharacterCount:
     """Count coweight coefficient vectors whose pairing with every root
     lies in [-c, c], by exhaustive scan of the coefficient box.
 
-    Above the rank guard the scan is skipped and only the box bound is
-    reported (exact=None); past the cutoff guard the request is refused.
+    Above MAX_EXHAUSTIVE_RANK the scan is skipped and only the box bound is
+    reported (exact=None); past MAX_CUTOFF the request is refused.
     """
     if c < 0:
         raise DomainError(f"cutoff must be >= 0, got {_shown(c)}")
-    if c > max_cutoff:
-        raise ResourceLimitError(f"cutoff {_shown(c)} exceeds guard {max_cutoff}")
+    if c > MAX_CUTOFF:
+        raise ResourceLimitError(f"cutoff {_shown(c)} exceeds guard {MAX_CUTOFF}")
     box = (2 * c + 1) ** rs.rank
-    if rs.rank > max_exhaustive_rank:
+    if rs.rank > MAX_EXHAUSTIVE_RANK:
         return CocharacterCount(rs.label, c, None, box)
     return CocharacterCount(rs.label, c, _exhaustive_count(rs, c), box)
 
 
-def _level_count(rs: RootSystem, k: int, **guards) -> tuple[CocharacterCount, int]:
+def _level_count(rs: RootSystem, k: int) -> tuple[CocharacterCount, int]:
     """The count at level k, which is cutoff k+1, and its bound (2k+3)**dim."""
     if k < 0:
         raise DomainError(f"k must be >= 0, got {_shown(k)}")
-    return count_admissible_cocharacters(rs, k + 1, **guards), (2 * k + 3) ** rs.dimension
+    return count_admissible_cocharacters(rs, k + 1), (2 * k + 3) ** rs.dimension
 
 
-def check_cocharacter_bound(rs: RootSystem, k: int, **guards) -> BoundReport:
+def check_cocharacter_bound(rs: RootSystem, k: int) -> BoundReport:
     """At level k the admissible count (cutoff k+1) is at most (2k+3)**dim.
-    The guards go to the scan, and past its rank guard the check is refused;
-    the sharper box (2k+3)**rank is carried along in the context."""
-    cc, paper_bound = _level_count(rs, k, **guards)
+    Past MAX_EXHAUSTIVE_RANK the check is refused; the sharper box
+    (2k+3)**rank is carried along in the context."""
+    cc, paper_bound = _level_count(rs, k)
     if cc.exact is None:
         raise ResourceLimitError(
             f"exact cocharacter count unavailable for rank {rs.rank} (guard)")
@@ -90,15 +92,13 @@ def check_cocharacter_bound(rs: RootSystem, k: int, **guards) -> BoundReport:
 
 def check_two_k_plus_three(p: int, k: int) -> BoundReport:
     """The linear factor 2k+3 is absorbed by p**k once p >= 5, and by the
-    cruder p**(3k) for every prime."""
+    cruder p**(3k) for every prime; only the sharpest that applies is built."""
     if not is_prime(p):
         raise DomainError(f"p must be prime, got {_shown(p)}")
     if k < 1:
         raise DomainError(f"k must be >= 1, got {_shown(k)}")
-    crude = _power(p, 3 * k)
-    rhs = _power(p, k) if p >= 5 else crude
-    return compare("2k+3_absorbed_by_prime_power", 2 * k + 3, rhs,
-                   p=p, k=k, crude_bound=crude, sharp_applies=p >= 5)
+    return compare("2k+3_absorbed_by_prime_power", 2 * k + 3,
+                   _power(p, k if p >= 5 else 3 * k), p=p, k=k, sharp_applies=p >= 5)
 
 
 def _per_prime_lhs(rs: RootSystem, p: int, k: int) -> int:

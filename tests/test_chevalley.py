@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from commgrowth import arith
+from commgrowth import arith, chevalley
 from commgrowth.arith import prime_sieve
 from commgrowth.chevalley import (ORACLE_FAMILIES, brute_force_order,
                                   check_order_bound, order_fp, order_zm,
@@ -118,13 +118,15 @@ class TestBruteForce:
         assert ([brute_force_order(f, m) for f, m in orders],
                 [count_admissible_cocharacters(rs, c) for rs, c in cutoffs]) == want
 
-    def test_guard(self):
+    def test_guard(self, monkeypatch):
         with pytest.raises(ResourceLimitError):
             brute_force_order("SL3", 30)
+        # the guard is read when the scan is asked for
+        monkeypatch.setattr(chevalley, "MAX_CANDIDATES", 1000)
         with pytest.raises(ResourceLimitError):
-            brute_force_order("SL2", 9, max_candidates=1000)
+            brute_force_order("SL2", 9)
 
-    def test_guard_message_shows_huge_counts_by_size(self):
+    def test_guard_message_shows_huge_counts_by_size(self, monkeypatch):
         # up to 18 digits a number is printed in full, past that by its size
         with pytest.raises(ResourceLimitError) as caught:
             brute_force_order("SL2", 31622)
@@ -133,8 +135,9 @@ class TestBruteForce:
         with pytest.raises(ResourceLimitError) as caught:
             brute_force_order("SL2", 31623)
         assert "needs about 10^18 candidates" in str(caught.value)
+        monkeypatch.setattr(chevalley, "MAX_CANDIDATES", 10 ** 30)
         with pytest.raises(ResourceLimitError) as caught:
-            brute_force_order("SL2", 2 ** 3600, max_candidates=10 ** 30)
+            brute_force_order("SL2", 2 ** 3600)
         assert str(caught.value) == ("SL2 mod about 10^1084 needs about 10^4335 candidates, "
                                      "guard is about 10^30")
         # a candidate count past the output guard is not built

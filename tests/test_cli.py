@@ -291,6 +291,15 @@ class TestCheck:
         b = run_cli("check", "metric", "--samples", "40", "--seed", "3")
         assert a.stdout == b.stdout
 
+    @pytest.mark.parametrize("samples", [10 ** 5 + 1, 10 ** 4000], ids=["guard+1", "huge"])
+    def test_samples_past_the_guard_refused(self, samples, capsys):
+        start = time.perf_counter()
+        assert main(["check", "metric", "--samples", str(samples)]) == EXIT_RESOURCE
+        assert time.perf_counter() - start < 1.0
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and len(err) < 200
+        assert err.startswith("resource guard: sample count ")
+
 
 LONG_RANK = "9" * 5000
 
@@ -372,7 +381,7 @@ class TestHarness:
         # handler scans once
         scans = []
 
-        def count_above_bound(rs, c, **guards):
+        def count_above_bound(rs, c):
             scans.append(c)
             over = (2 * c + 1) ** rs.dimension + 1
             return CocharacterCount(rs.label, c, over, over)

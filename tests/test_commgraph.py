@@ -234,6 +234,20 @@ class TestMetric:
         b = run_metric_checks(samples=50, seed=9)
         assert a == b
 
+    def test_samples_guard(self, monkeypatch):
+        # 10^5 itself takes about a minute, so the boundary is pinned on a
+        # lowered guard, which is read when the suite is asked for
+        with pytest.raises(ResourceLimitError) as caught:
+            run_metric_checks(samples=10 ** 5 + 1)
+        assert str(caught.value) == "sample count 100001 exceeds guard 100000"
+        with pytest.raises(ResourceLimitError) as caught:
+            run_metric_checks(samples=10 ** 4000)
+        assert str(caught.value) == "sample count about 10^4000 exceeds guard 100000"
+        monkeypatch.setattr(cg, "MAX_SAMPLES", 3)
+        assert all(r.holds for r in run_metric_checks(samples=3))
+        with pytest.raises(ResourceLimitError):
+            run_metric_checks(samples=4)
+
 
 class TestGeodesic:
     def test_generic_path_through_intersection(self):
@@ -386,7 +400,7 @@ class TestBallEnumeration:
         assert ball == sorted(ball, key=lambda s: s.sort_key())
         assert ball == enumerate_ball(Z2, 4)
 
-    def test_resource_guards(self):
+    def test_resource_guards(self, monkeypatch):
         with pytest.raises(ResourceLimitError):
             enumerate_ball(RationalLattice.standard(4), 2)
         with pytest.raises(ResourceLimitError):
@@ -400,8 +414,27 @@ class TestBallEnumeration:
         with pytest.raises(DomainError) as caught:
             enumerate_ball(Z, -10 ** 5000)
         assert str(caught.value) == "ball radius must be >= 1, got about -10^5000"
-        # guards are parameters, not constants
-        assert len(enumerate_ball(Z, 3, max_bound=3)) == 5
+        # the guard is a module constant read when the ball is asked for
+        monkeypatch.setattr(cg, "MAX_BALL_RADIUS", 3)
+        assert len(enumerate_ball(Z, 3)) == 5
+        with pytest.raises(ResourceLimitError) as caught:
+            enumerate_ball(Z, 4)
+        assert str(caught.value) == "ball bound 4 exceeds guard 3"
+        with pytest.raises(TypeError):
+            enumerate_ball(Z, 3, max_bound=3)
+
+    def test_radius_guard_boundary(self):
+        assert len(enumerate_ball(Z, 1000)) == growth_series_rank1(1000).C[-1]
+        with pytest.raises(ResourceLimitError) as caught:
+            enumerate_ball(Z, 1001)
+        assert str(caught.value) == "ball bound 1001 exceeds guard 1000"
+
+    def test_dimension_guard_boundary(self):
+        Z3 = RationalLattice.standard(3)
+        assert enumerate_ball(Z3, 1) == [Z3]
+        with pytest.raises(ResourceLimitError) as caught:
+            enumerate_ball(RationalLattice.standard(4), 1)
+        assert str(caught.value) == "lattice dimension 4 exceeds guard 3"
 
 
 class TestTransfer:
@@ -411,12 +444,14 @@ class TestTransfer:
         assert report.holds
 
     def test_guards_go_to_the_balls(self):
-        # c(Z, 2Z) = 2, so the second ball has radius 6, past max_bound=5
-        assert check_transfer_inequality(Z, cyclic(2), 3).holds
+        # c(Z, 2Z) = 2, so the second ball has radius 2n, past 1000 at n = 501
+        assert check_transfer_inequality(Z, cyclic(2), 500).holds
+        with pytest.raises(ResourceLimitError) as caught:
+            check_transfer_inequality(Z, cyclic(2), 501)
+        assert str(caught.value) == "ball bound 1002 exceeds guard 1000"
+        Z4 = RationalLattice.standard(4)
         with pytest.raises(ResourceLimitError):
-            check_transfer_inequality(Z, cyclic(2), 3, max_bound=5)
-        with pytest.raises(ResourceLimitError):
-            check_transfer_inequality(Z2, Z2, 1, max_dim=1)
+            check_transfer_inequality(Z4, Z4, 1)
 
     def test_equal_basepoints_give_equal_balls(self):
         report = check_transfer_inequality(cyclic(3), cyclic(3), 5)

@@ -73,10 +73,17 @@ class TestCount:
         cc = count_admissible_cocharacters(root_system("E6"), 2)
         assert cc.exact is None
         assert cc.box_bound == 5 ** 6
+        # rank 4 is the largest scanned and rank 5 the smallest skipped
+        F4 = root_system("F4")
+        assert count_admissible_cocharacters(F4, 1).exact == scan_oracle(F4, 1)
+        for label in ("A5", "E6"):
+            assert count_admissible_cocharacters(root_system(label), 1).exact is None
 
     def test_guards(self):
-        with pytest.raises(ResourceLimitError):
+        assert count_admissible_cocharacters(A1, 100).exact == 201
+        with pytest.raises(ResourceLimitError) as caught:
             count_admissible_cocharacters(A1, 101)
+        assert str(caught.value) == "cutoff 101 exceeds guard 100"
         with pytest.raises(DomainError):
             count_admissible_cocharacters(A1, -1)
 
@@ -119,6 +126,23 @@ class TestTwoKPlusThree:
     def test_sharp_boundary(self):
         report = check_two_k_plus_three(5, 1)
         assert report.lhs == report.rhs == 5
+
+    def test_context_names_the_bound_checked(self):
+        assert check_two_k_plus_three(5, 2).context == {"p": 5, "k": 2, "sharp_applies": True}
+        assert check_two_k_plus_three(3, 2).context == {"p": 3, "k": 2, "sharp_applies": False}
+
+    def test_builds_only_the_power_it_checks(self):
+        # for p >= 5 the verdict needs p**k alone: 5**50000 has 34,949 digits,
+        # while the crude 5**150000 would be past the output guard
+        report = check_two_k_plus_three(5, 50000)
+        assert report.holds and report.rhs == 5 ** 50000
+
+    def test_output_guard_boundary_at_five(self):
+        # 10^5 / log10(5) = 143067.6...
+        assert check_two_k_plus_three(5, 143067).holds
+        with pytest.raises(ResourceLimitError) as caught:
+            check_two_k_plus_three(5, 143068)
+        assert "is above the output guard of 100000 decimal digits" in str(caught.value)
 
     def test_rejects_k_zero(self):
         with pytest.raises(DomainError):

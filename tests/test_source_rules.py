@@ -80,6 +80,17 @@ def test_library_reads_no_environment_variables():
     assert found == []
 
 
+def test_guards_are_constants_not_keywords():
+    # a resource guard is a module constant read at call time, so no
+    # library function takes keyword-only parameters, and only
+    # reporting.compare takes ** keywords (the report context)
+    found = [f"{name}:{node.lineno}" for name, node in library_nodes()
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+             and (node.args.kwonlyargs or node.args.kwarg
+                  and (name, getattr(node, "name", None)) != ("reporting.py", "compare"))]
+    assert found == []
+
+
 def test_powers_of_p_and_m_go_through_the_guard():
     # a power of a caller's prime or modulus can outgrow any memory, so the
     # bound modules build it with arith._power, which refuses it first
