@@ -20,9 +20,11 @@ for label in ("A1", "A2", "C2", "G2", "F4"):
               f"{(2 * c + 1) ** rs.dimension:>12}")
 
 print()
-print("above rank 4 the scan steps aside and only the box bound remains:")
-e7 = count_admissible_cocharacters(root_system("E7"), 2)
-print(f"  E7 cutoff 2: exact={e7.exact}, box bound={e7.box_bound}")
+print("any rank is scanned while the scan stays within 10^9 root pairings;")
+print("past that the scan steps aside and only the box bound remains:")
+for label, c in (("E7", 2), ("E8", 4)):
+    cc = count_admissible_cocharacters(root_system(label), c)
+    print(f"  {label} cutoff {c}: exact={cc.exact}, box bound={cc.box_bound}")
 
 print()
 print("=== the inequality ladder at one prime ===")

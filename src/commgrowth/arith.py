@@ -22,6 +22,8 @@ EULER_MASCHERONI = 0.57721566490153286061
 #: Largest power of a caller's base, and largest printed result, in decimal
 #: digits; documented inputs stay near 15,000 digits.
 MAX_OUTPUT_DIGITS = 10 ** 5
+#: Largest factor sieve; `growth rank1` holds about 170 bytes per row.
+MAX_SIEVE_LIMIT = 10 ** 7
 
 # increments of the 2/3/5 trial-division wheel, starting from 7
 _WHEEL = (4, 2, 4, 2, 4, 6, 2, 6)
@@ -163,6 +165,8 @@ def _factor_sieve(limit: int) -> tuple[np.ndarray, np.ndarray]:
     """
     if limit < 1:
         raise DomainError("limit must be >= 1")
+    if limit > MAX_SIEVE_LIMIT:
+        raise ResourceLimitError(f"sieve limit {_shown(limit)} exceeds guard {MAX_SIEVE_LIMIT}")
     w = np.zeros(limit + 1, dtype=np.uint8)
     t = np.ones(limit + 1, dtype=np.int32)
     t[0] = 0

@@ -20,6 +20,7 @@ from .commgraph import (RationalCyclic, RationalLattice, _check_ball, enumerate_
                         run_metric_checks)
 from .errors import DomainError, ResourceLimitError
 from .parahoric import _level_count, _per_prime_lhs, maximal_lattice_bound
+from .reporting import _decimal_text
 from .root_systems import root_system
 
 EXIT_OK = 0
@@ -55,12 +56,7 @@ def _decimal(value: int) -> str:
     if digits > MAX_OUTPUT_DIGITS:
         raise ResourceLimitError(f"result has about {digits} decimal digits, "
                                  f"above the output guard {MAX_OUTPUT_DIGITS}")
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        return str(value)
-    finally:
-        sys.set_int_max_str_digits(limit)
+    return _decimal_text(value)
 
 
 def _run_rank1(args: argparse.Namespace) -> int:

@@ -3,9 +3,10 @@
 A cocharacter written on the fundamental coweights is admissible at cutoff
 c when its pairing against every root (positive and negative) stays within
 c; the coefficient box |a| <= c is implied, since the simple roots are
-among the positive roots.  The exact count, the (2c+1)-power box bounds,
-and the per-prime and global maximal-lattice estimates built from them are
-all exposed as checkable inequalities.  Level k means cutoff k+1 and the
+among the positive roots.  The exact count (a box scan of at most
+MAX_SCAN_PAIRINGS root pairings), the (2c+1)-power box bounds, and the
+per-prime and global maximal-lattice estimates built from them are all
+exposed as checkable inequalities.  Level k means cutoff k+1 and the
 bound (2k+3)**dim: one rule, in _level_count, for the library and the CLI.
 """
 
@@ -22,16 +23,16 @@ from .errors import DomainError, ResourceLimitError, _shown
 from .reporting import BoundReport, compare
 from .root_systems import RootSystem
 
-#: Largest cutoff, and largest rank that gets an exhaustive box scan.
+#: Largest cutoff, and most root pairings an exhaustive box scan may compute.
 MAX_CUTOFF = 100
-MAX_EXHAUSTIVE_RANK = 4
+MAX_SCAN_PAIRINGS = 10 ** 9
 
 
 @dataclass(frozen=True)
 class CocharacterCount:
     """Exact admissible count at a cutoff, next to its coefficient-box
-    bound (2c+1)**rank.  ``exact`` is None above MAX_EXHAUSTIVE_RANK,
-    where only the box bound is available."""
+    bound (2c+1)**rank.  ``exact`` is None past MAX_SCAN_PAIRINGS root
+    pairings, where only the box bound is available."""
 
     label: str
     cutoff: int
@@ -58,7 +59,8 @@ def count_admissible_cocharacters(rs: RootSystem, c: int) -> CocharacterCount:
     """Count coweight coefficient vectors whose pairing with every root
     lies in [-c, c], by exhaustive scan of the coefficient box.
 
-    Above MAX_EXHAUSTIVE_RANK the scan is skipped and only the box bound is
+    A scan of more than MAX_SCAN_PAIRINGS root pairings, (2c+1)**rank box
+    points times the positive roots, is skipped and only the box bound is
     reported (exact=None); past MAX_CUTOFF the request is refused.
     """
     if c < 0:
@@ -66,7 +68,7 @@ def count_admissible_cocharacters(rs: RootSystem, c: int) -> CocharacterCount:
     if c > MAX_CUTOFF:
         raise ResourceLimitError(f"cutoff {_shown(c)} exceeds guard {MAX_CUTOFF}")
     box = (2 * c + 1) ** rs.rank
-    if rs.rank > MAX_EXHAUSTIVE_RANK:
+    if box * rs.num_positive_roots > MAX_SCAN_PAIRINGS:
         return CocharacterCount(rs.label, c, None, box)
     return CocharacterCount(rs.label, c, _exhaustive_count(rs, c), box)
 
@@ -80,12 +82,13 @@ def _level_count(rs: RootSystem, k: int) -> tuple[CocharacterCount, int]:
 
 def check_cocharacter_bound(rs: RootSystem, k: int) -> BoundReport:
     """At level k the admissible count (cutoff k+1) is at most (2k+3)**dim.
-    Past MAX_EXHAUSTIVE_RANK the check is refused; the sharper box
-    (2k+3)**rank is carried along in the context."""
+    Where the count's scan is past MAX_SCAN_PAIRINGS the check is refused;
+    the sharper box (2k+3)**rank is carried along in the context."""
     cc, paper_bound = _level_count(rs, k)
     if cc.exact is None:
         raise ResourceLimitError(
-            f"exact cocharacter count unavailable for rank {rs.rank} (guard)")
+            f"cocharacter scan of {_shown(cc.box_bound * rs.num_positive_roots)} "
+            f"root pairings exceeds guard {MAX_SCAN_PAIRINGS}")
     return compare("cocharacter_count_le_(2k+3)^d", cc.exact, paper_bound,
                    label=rs.label, k=k, rank_box_bound=cc.box_bound)
 

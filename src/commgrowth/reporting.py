@@ -26,9 +26,21 @@ class BoundReport:
 
     def __str__(self):
         verdict = "PASS" if self.holds else "FAIL"
-        extra = " ".join(f"{k}={v}" for k, v in sorted(self.context.items()))
-        line = f"{verdict} {self.name}: {self.lhs} <= {self.rhs}"
+        extra = " ".join(f"{k}={_decimal_text(v)}" for k, v in sorted(self.context.items()))
+        line = f"{verdict} {self.name}: {_decimal_text(self.lhs)} <= {_decimal_text(self.rhs)}"
         return f"{line} [{extra}]" if extra else line
+
+
+def _decimal_text(value) -> str:
+    """str(value), but an int past 2000 bits (603 digits, under the smallest
+    int->str limit CPython allows) is split on a power of ten first."""
+    if type(value) is not int or value.bit_length() <= 2000:
+        return str(value)
+    if value < 0:
+        return "-" + _decimal_text(-value)
+    k = value.bit_length() * 3 // 20
+    high, low = divmod(value, 10 ** k)
+    return _decimal_text(high) + _decimal_text(low).zfill(k)
 
 
 def compare(name: str, lhs, rhs, **context) -> BoundReport:

@@ -136,6 +136,32 @@ class TestRank1Series:
             with pytest.raises(DomainError):
                 sieve(0)
 
+    def test_sieve_guard_boundary(self, monkeypatch):
+        monkeypatch.setattr(arith, "MAX_SIEVE_LIMIT", 30)
+        assert np.array_equal(arith.omega_sieve(30), omega_sieve_oracle(30))
+        assert arith.growth_series_rank1(30).C[-1] == arith.cn_rank1(30) + \
+            arith.growth_series_rank1(29).C[-1]
+        for call in (arith.omega_sieve, arith.divisor_count_sieve,
+                     arith.growth_series_rank1, arith.sum_omega):
+            with pytest.raises(ResourceLimitError) as caught:
+                call(31)
+            assert str(caught.value) == "sieve limit 31 exceeds guard 30"
+
+    @pytest.mark.parametrize("limit, shown", [(10 ** 7 + 1, "10000001"),
+                                              (10 ** 400, "about 10^400")])
+    def test_sieve_refuses_before_any_work(self, limit, shown):
+        # 10**7 itself is never run here: it takes about 1.7 GB in the CLI
+        assert arith.MAX_SIEVE_LIMIT == 10 ** 7
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError) as caught:
+                arith.growth_series_rank1(limit)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 ** 6
+        assert str(caught.value) == f"sieve limit {shown} exceeds guard 10000000"
+
 
 class TestSummatory:
     def test_hand_sums(self):

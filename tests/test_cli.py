@@ -267,6 +267,24 @@ class TestParahoric:
         assert_refused_in_little_memory(["parahoric", "--type", "E8", "--k", "99", *flags],
                                         capsys)
 
+    @pytest.mark.parametrize("fmt", [None, "--json"])
+    def test_past_the_scan_budget_prints_no_count(self, fmt, capsys):
+        # F4 at level 99 would scan 201**4 box points against 24 roots
+        start = time.perf_counter()
+        status = main(["parahoric", "--type", "F4", "--k", "99", *([fmt] if fmt else [])])
+        assert time.perf_counter() - start < 1.0
+        out, err = capsys.readouterr()
+        assert status == EXIT_OK and err == ""
+        if fmt:
+            payload = json.loads(out)
+            assert payload["exact"] is None and payload["box_bound"] == str(201 ** 4)
+        else:
+            assert out == f"box_bound: {201 ** 4}\npaper_bound: {201 ** 52}\n"
+
+    def test_rank_above_four_prints_its_count(self, capsys):
+        assert main(["parahoric", "--type", "E7", "--k", "1", "--json"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["exact"] == "1571"
+
     @pytest.mark.parametrize("label", RANK_LE_4)
     def test_agrees_with_library_check(self, label, capsys):
         rs = root_system(label)
@@ -345,6 +363,11 @@ class TestMalformedInput:
         (["parahoric", "--type", "A1", "--k", "1", "--p", str(-10 ** 399)], EXIT_DOMAIN),
         (["order", "--type", "A1", "--p", "2", "--k", str(-10 ** 399)], EXIT_DOMAIN),
         (["parahoric", "--type", "A1", "--k", "1", "--m", str(-10 ** 399)], EXIT_DOMAIN),
+        # the sieve guard refuses before any array is allocated; 10**7 itself,
+        # about 1.7 GB, is never run here
+        (["rank1", "--n", str(10 ** 7 + 1)], EXIT_RESOURCE),
+        (["rank1", "--n", str(10 ** 20)], EXIT_RESOURCE),
+        (["rank1", "--n", str(10 ** 400)], EXIT_RESOURCE),
     ])
     def test_one_line_diagnostic(self, argv, status, capsys):
         start = time.perf_counter()

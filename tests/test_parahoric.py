@@ -1,8 +1,10 @@
+import time
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
+from commgrowth import parahoric
 from commgrowth.errors import DomainError, ResourceLimitError
 from commgrowth.parahoric import (check_cocharacter_bound, check_two_k_plus_three,
                                   count_admissible_cocharacters,
@@ -40,12 +42,28 @@ class TestCount:
         assert cc.exact == 19
         assert cc.exact == scan_oracle(A2, 2)
 
-    @pytest.mark.parametrize("label", RANK_LE_4)
+    @pytest.mark.parametrize("label", supported_labels())
     def test_matches_independent_scan(self, label):
         rs = root_system(label)
-        top = 3 if rs.rank <= 3 else 2
+        top = 3 if rs.rank <= 3 else 2 if rs.rank == 4 else 1
         for c in range(0, top + 1):
             assert count_admissible_cocharacters(rs, c).exact == scan_oracle(rs, c)
+
+    @pytest.mark.parametrize("label, c, exact", [("E6", 3, 6085), ("E7", 2, 1571),
+                                                 ("E8", 2, 2401)])
+    def test_exceptional_pins(self, label, c, exact):
+        # E6 and E8 agree with the benchmark's independent peeling count
+        assert count_admissible_cocharacters(root_system(label), c).exact == exact
+
+    @pytest.mark.parametrize("label, c", [("F4", 40), ("F4", 100), ("E8", 4)])
+    def test_past_the_scan_budget_returns_marker_at_once(self, label, c):
+        # F4 scans up to cutoff 39 (79**4 * 24 pairings), E8 up to cutoff 3
+        rs = root_system(label)
+        start = time.perf_counter()
+        cc = count_admissible_cocharacters(rs, c)
+        assert time.perf_counter() - start < 0.1
+        assert cc.exact is None and cc.box_bound == (2 * c + 1) ** rs.rank
+        assert cc.box_bound * rs.num_positive_roots > parahoric.MAX_SCAN_PAIRINGS
 
     @pytest.mark.parametrize("label", RANK_LE_4)
     def test_monotone_and_boxed(self, label):
@@ -69,15 +87,21 @@ class TestCount:
         for label in RANK_LE_4:
             assert count_admissible_cocharacters(root_system(label), 0).exact == 1
 
-    def test_high_rank_returns_marker(self):
-        cc = count_admissible_cocharacters(root_system("E6"), 2)
+    def test_high_rank_returns_marker(self, monkeypatch):
+        # E6 at cutoff 2 scans 5**6 box points against 36 positive roots: a
+        # scan of exactly MAX_SCAN_PAIRINGS is done, one pairing more is not
+        E6 = root_system("E6")
+        pairings = 5 ** 6 * 36
+        monkeypatch.setattr(parahoric, "MAX_SCAN_PAIRINGS", pairings)
+        assert count_admissible_cocharacters(E6, 2).exact == 883
+        monkeypatch.setattr(parahoric, "MAX_SCAN_PAIRINGS", pairings - 1)
+        cc = count_admissible_cocharacters(E6, 2)
         assert cc.exact is None
         assert cc.box_bound == 5 ** 6
-        # rank 4 is the largest scanned and rank 5 the smallest skipped
-        F4 = root_system("F4")
-        assert count_admissible_cocharacters(F4, 1).exact == scan_oracle(F4, 1)
-        for label in ("A5", "E6"):
-            assert count_admissible_cocharacters(root_system(label), 1).exact is None
+        # the rank alone no longer decides: A5 and F4 at cutoff 1 are scanned
+        for label in ("A5", "F4"):
+            rs = root_system(label)
+            assert count_admissible_cocharacters(rs, 1).exact == scan_oracle(rs, 1)
 
     def test_guards(self):
         assert count_admissible_cocharacters(A1, 100).exact == 201
@@ -112,9 +136,28 @@ class TestCocharacterBound:
         report = check_cocharacter_bound(A2, 1)
         assert report.context["rank_box_bound"] == 5 ** 2
 
-    def test_high_rank_refused(self):
-        with pytest.raises(ResourceLimitError):
-            check_cocharacter_bound(root_system("E8"), 1)
+    def test_high_rank_refused(self, monkeypatch):
+        # level 0 is cutoff 1: A5 scans 3**5 box points against 15 roots
+        A5 = root_system("A5")
+        monkeypatch.setattr(parahoric, "MAX_SCAN_PAIRINGS", 3 ** 5 * 15)
+        assert check_cocharacter_bound(A5, 0).lhs == scan_oracle(A5, 1)
+        monkeypatch.setattr(parahoric, "MAX_SCAN_PAIRINGS", 3 ** 5 * 15 - 1)
+        with pytest.raises(ResourceLimitError) as caught:
+            check_cocharacter_bound(A5, 0)
+        assert str(caught.value) == "cocharacter scan of 3645 root pairings exceeds guard 3644"
+
+    def test_reports_wherever_the_scan_fits(self):
+        report = check_cocharacter_bound(root_system("E7"), 1)
+        assert report.holds and report.lhs == 1571 and report.rhs == 5 ** 133
+        # level 3 is cutoff 4: 9**8 box points against 120 roots
+        with pytest.raises(ResourceLimitError) as caught:
+            check_cocharacter_bound(root_system("E8"), 3)
+        assert str(caught.value) == ("cocharacter scan of 5165606520 root pairings "
+                                     "exceeds guard 1000000000")
+        with pytest.raises(ResourceLimitError) as caught:
+            check_cocharacter_bound(root_system("A48"), 99)
+        assert str(caught.value) == ("cocharacter scan of about 10^114 root pairings "
+                                     "exceeds guard 1000000000")
 
 
 class TestTwoKPlusThree:

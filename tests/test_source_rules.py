@@ -61,6 +61,16 @@ def test_only_the_cli_talks_to_the_process():
     assert found == []
 
 
+def test_no_module_touches_the_digit_limit():
+    # results print past CPython's int->str digit limit through
+    # reporting._decimal_text, so no module, the CLI included, reads or
+    # changes that interpreter-wide setting
+    names = {"get_int_max_str_digits", "set_int_max_str_digits"}
+    found = [f"{name}:{node.lineno}" for name, node in library_nodes()
+             if {getattr(node, field, None) for field in ("attr", "id", "name")} & names]
+    assert found == []
+
+
 def reads_the_environment(node):
     """True for a use of os.environ, os.environb or os.getenv (also
     imported from os)."""
