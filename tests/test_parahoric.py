@@ -98,7 +98,7 @@ class TestCount:
         cc = count_admissible_cocharacters(E6, 2)
         assert cc.exact is None
         assert cc.box_bound == 5 ** 6
-        # the rank alone no longer decides: A5 and F4 at cutoff 1 are scanned
+        # A5 and F4 at cutoff 1 fit the real budget, so both are scanned
         for label in ("A5", "F4"):
             rs = root_system(label)
             assert count_admissible_cocharacters(rs, 1).exact == scan_oracle(rs, 1)
