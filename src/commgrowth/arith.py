@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate, chain, cycle
+from itertools import accumulate, chain, count, cycle, islice, takewhile
 
 import numpy as np
 
@@ -27,6 +27,14 @@ MAX_SIEVE_LIMIT = 10 ** 7
 
 # increments of the 2/3/5 trial-division wheel, starting from 7
 _WHEEL = (4, 2, 4, 2, 4, 6, 2, 6)
+# factorize divides by the wheel up to here, then splits a cofactor below
+# _PSI13 by Miller-Rabin and Brent's rho
+_WHEEL_LIMIT = 1000
+
+# Miller-Rabin bases 2..41 and psi_13, the least odd composite that passes
+# all thirteen (Sorenson and Webster 2015): below it they decide primality
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI13 = 3317044064679887385961981
 
 # rows per block of the exhaustive box walker
 _BOX_BLOCK = 1 << 16
@@ -60,16 +68,16 @@ def _trial_divisors():
     return chain((2, 3, 5), accumulate(cycle(_WHEEL), initial=7))
 
 
-def factorize(n: int) -> Factorization:
-    """Factor n >= 1 by deterministic trial division (2/3/5 wheel).
+# the trial divisors up to _WHEEL_LIMIT, built once: a small n is factored
+# without building the wheel
+_SMALL_DIVISORS = tuple(takewhile(lambda p: p <= _WHEEL_LIMIT, _trial_divisors()))
 
-    n = 1 yields the empty factor sequence.
-    """
-    if n < 1:
-        raise DomainError(f"factorize requires n >= 1, got {_shown(n)}")
-    m = n
-    factors = []
-    for p in _trial_divisors():
+
+def _trial_divide(m: int, divisors, factors: list, floor: int) -> int:
+    """Divide m by each of divisors while its square is at most what is left,
+    appending (p, e) to factors for each p that divides, until what is left
+    falls below floor; return what is left."""
+    for p in divisors:
         if p * p > m:
             break
         if m % p == 0:
@@ -78,20 +86,82 @@ def factorize(n: int) -> Factorization:
                 m //= p
                 e += 1
             factors.append((p, e))
+            if m < floor:
+                break
+    return m
+
+
+def factorize(n: int) -> Factorization:
+    """Factor n >= 1 by the 2/3/5 wheel up to _WHEEL_LIMIT, then a cofactor
+    below _PSI13 by Miller-Rabin and Brent's rho; a larger cofactor stays
+    on the wheel until it falls below _PSI13 or is found prime.
+
+    n = 1 yields the empty factor sequence.
+    """
+    if n < 1:
+        raise DomainError(f"factorize requires n >= 1, got {_shown(n)}")
+    factors = []
+    m = _trial_divide(n, _SMALL_DIVISORS, factors, 0)
+    if m >= _PSI13:
+        m = _trial_divide(m, islice(_trial_divisors(), len(_SMALL_DIVISORS), None),
+                          factors, _PSI13)
+    # m has no prime factor up to _WHEEL_LIMIT, so below its square it is 1 or prime
+    if _WHEEL_LIMIT ** 2 <= m < _PSI13:
+        large = _rho_primes(m)
+        factors += [(q, large.count(q)) for q in sorted(set(large))]
+        m = 1
     if m > 1:
         factors.append((m, 1))
     return Factorization(n, tuple(factors))
 
 
+def _rho_primes(m: int) -> list[int]:
+    """The prime factors, with repeats, of an m < _PSI13 with no base prime."""
+    if is_prime(m):
+        return [m]
+    d = _brent_factor(m)
+    return _rho_primes(d) + _rho_primes(m // d)
+
+
+def _brent_factor(n: int) -> int:
+    """A proper factor of an odd composite n by Pollard's rho with Brent's
+    cycle search (Brent 1980): y -> y*y + c from 2 is compared with its
+    value x at the last power of two, and c moves on when the gcd meets n."""
+    for c in count(1):
+        y, r, g = 2, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+                g = math.gcd(x - y, n)
+                if g != 1:
+                    break
+            r *= 2
+        if g != n:
+            return g
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic primality test by wheel trial division."""
+    """Deterministic Miller-Rabin with the bases 2..41, exact below _PSI13.
+
+    At or above _PSI13 an n with a base prime as factor is composite; any
+    other n raises ResourceLimitError, since no base set is proven there.
+    """
     if n < 2:
         return False
-    for p in _trial_divisors():
-        if p * p > n:
-            return True
-        if n % p == 0:
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    if n >= _PSI13:
+        raise ResourceLimitError(f"primality of {_shown(n)} is not decided at or above "
+                                 f"{_PSI13}, the least strong pseudoprime to bases 2..41")
+    s = ((n - 1) & -(n - 1)).bit_length() - 1  # 2**s exactly divides n - 1
+    for a in _MR_BASES:
+        # a passes when x = a**((n-1) >> s) is 1, or -1 after j < s squarings
+        x = pow(a, (n - 1) >> s, n)
+        if x != 1 and n - 1 not in accumulate(range(s - 1), lambda y, _: y * y % n, initial=x):
             return False
+    return True
 
 
 def divisors(n: int) -> list[int]:
@@ -146,6 +216,8 @@ def prime_sieve(limit: int) -> np.ndarray:
     """Boolean mask of length limit+1 with mask[p] == True iff p is prime."""
     if limit < 0:
         raise DomainError("limit must be nonnegative")
+    if limit > MAX_SIEVE_LIMIT:
+        raise ResourceLimitError(f"sieve limit {_shown(limit)} exceeds guard {MAX_SIEVE_LIMIT}")
     mask = np.ones(limit + 1, dtype=bool)
     mask[: min(2, limit + 1)] = False
     for p in range(2, math.isqrt(limit) + 1):

@@ -9,7 +9,8 @@ import pytest
 
 from commgrowth import arith
 from commgrowth.errors import DomainError, ResourceLimitError
-from conftest import DESK_LIMIT, divisor_count_sieve_oracle, omega_sieve_oracle
+from conftest import (DESK_LIMIT, divisor_count_sieve_oracle, factorize_oracle, is_prime_oracle,
+                      omega_sieve_oracle)
 
 
 def coprime_pair_count(n):
@@ -43,6 +44,77 @@ class TestFactorize:
             assert primes == sorted(primes) and len(set(primes)) == len(primes)
             assert all(arith.is_prime(p) for p in primes)
             assert all(e >= 1 for _, e in fac.factors)
+
+    def test_against_trial_division(self):
+        # log-uniform n up to 10**12, so most cofactors go past the wheel
+        rng = random.Random(13)
+        for _ in range(300):
+            n = round(10 ** rng.uniform(0, 12))
+            factors = arith.factorize(n).factors
+            assert factors == factorize_oracle(n)
+            assert arith.omega(n) == len(factors)
+            assert arith.divisor_count(n) == math.prod(e + 1 for _, e in factors)
+
+    @pytest.mark.parametrize("p, q", [(999999937, 999999929), (999999999989, 999999999961)])
+    def test_two_large_primes(self, p, q):
+        assert arith.factorize(p * q).factors == ((q, 1), (p, 1))
+
+    @pytest.mark.parametrize("n", [1009 ** 2, 1009 ** 3 * 1013, 1000003 ** 2,
+                                   2 ** 40 * 3 ** 5 * 1000003, 10 ** 12 + 1])
+    def test_prime_powers_and_mixed_cofactors(self, n):
+        assert arith.factorize(n).factors == factorize_oracle(n)
+
+    @pytest.mark.parametrize("n, factors", [
+        (1009 ** 9, ((1009, 9),)),
+        (1009 ** 8 * 1013, ((1009, 8), (1013, 1))),
+        (1009 ** 3 * 999999929 * 999999937, ((1009, 3), (999999929, 1), (999999937, 1))),
+    ])
+    def test_cofactor_past_psi13_stays_on_the_wheel(self, n, factors):
+        # each is past psi_13 after the primes up to 1000, so the wheel goes
+        # on to 1009; the last one then falls below psi_13 and goes to rho
+        assert n >= 3317044064679887385961981
+        assert arith.factorize(n).factors == factors
+
+
+class TestIsPrime:
+    def test_against_sieve(self):
+        mask = arith.prime_sieve(10 ** 5)
+        assert [n for n in range(10 ** 5 + 1) if arith.is_prime(n)] == \
+            np.flatnonzero(mask).tolist()
+
+    def test_against_trial_division(self):
+        # odd n prime to 3 and 5 of 1-14 digits, so about one in eight of
+        # the largest is prime
+        rng = random.Random(17)
+        for digits in range(1, 15):
+            for _ in range(25):
+                n = rng.randrange(10 ** (digits - 1), 10 ** digits) | 1
+                while n % 3 == 0 or n % 5 == 0:
+                    n += 2
+                assert arith.is_prime(n) == is_prime_oracle(n), n
+
+    @pytest.mark.parametrize("n", [2047, 1373653, 25326001, 3215031751, 2152302898747,
+                                   3474749660383, 341550071728321, 3825123056546413051,
+                                   318665857834031151167461])
+    def test_strong_pseudoprimes_below_psi13(self, n):
+        # psi_1 ... psi_12 (OEIS A014233) each pass a prefix of the bases
+        assert not arith.is_prime(n)
+
+    def test_mersenne_prime_2_61(self):
+        assert arith.is_prime(2 ** 61 - 1)
+
+    @pytest.mark.parametrize("n", [3317044064679887385961981, 2 ** 89 - 1],
+                             ids=["psi13", "2^89-1"])
+    def test_undecided_above_psi13(self, n):
+        with pytest.raises(ResourceLimitError) as caught:
+            arith.is_prime(n)
+        assert "3317044064679887385961981" in str(caught.value)
+        assert "\n" not in str(caught.value)
+
+    @pytest.mark.parametrize("n", [41 * 3317044064679887385961981, 3 * (2 ** 89 - 1), 10 ** 5000],
+                             ids=["41*psi13", "3*(2^89-1)", "10^5000"])
+    def test_base_prime_factor_above_psi13(self, n):
+        assert not arith.is_prime(n)
 
 
 class TestArithmeticFunctions:
@@ -161,6 +233,25 @@ class TestRank1Series:
             tracemalloc.stop()
         assert peak < 10 ** 6
         assert str(caught.value) == f"sieve limit {shown} exceeds guard 10000000"
+
+    @pytest.mark.parametrize("limit", [10 ** 7 + 1, 10 ** 20])
+    def test_prime_sieve_refuses_before_any_work(self, limit):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError):
+                arith.prime_sieve(limit)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 ** 6
+
+    def test_prime_sieve_guard_boundary(self, monkeypatch):
+        monkeypatch.setattr(arith, "MAX_SIEVE_LIMIT", 30)
+        assert np.flatnonzero(arith.prime_sieve(30)).tolist() == [2, 3, 5, 7, 11, 13, 17,
+                                                                   19, 23, 29]
+        with pytest.raises(ResourceLimitError) as caught:
+            arith.prime_sieve(31)
+        assert str(caught.value) == "sieve limit 31 exceeds guard 30"
 
 
 class TestSummatory:

@@ -219,6 +219,27 @@ class TestOrder:
             == EXIT_DOMAIN
 
 
+class TestPrimeArguments:
+    def test_eighteen_digit_prime(self):
+        p = 10 ** 18 + 3
+        result = run_cli("order", "--type", "A1", "--p", str(p))
+        assert result.returncode == EXIT_OK, result.stderr
+        assert result.stdout == f"{p * (p * p - 1)}\n"
+
+    @pytest.mark.parametrize("argv", [["order", "--type", "A1"],
+                                      ["parahoric", "--type", "A1", "--k", "1"]],
+                             ids=["order", "parahoric"])
+    def test_prime_past_psi13_refused(self, argv, capsys):
+        # 2**89 - 1 is prime, but no Miller-Rabin base set is proven past psi_13
+        start = time.perf_counter()
+        assert main([*argv, "--p", str(2 ** 89 - 1)]) == EXIT_RESOURCE
+        assert time.perf_counter() - start < 1.0
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("resource guard: ") and err.count("\n") == 1
+        assert "3317044064679887385961981" in err
+
+
 class TestParahoric:
     def test_json_schema(self):
         result = run_cli("parahoric", "--type", "C2", "--k", "2",
