@@ -22,7 +22,8 @@ EULER_MASCHERONI = 0.57721566490153286061
 #: Largest power of a caller's base, and largest printed result, in decimal
 #: digits; documented inputs stay near 15,000 digits.
 MAX_OUTPUT_DIGITS = 10 ** 5
-#: Largest factor sieve; `growth rank1` holds about 170 bytes per row.
+#: Largest factor sieve; `growth rank1 --n 10**7` peaks at 190 MB RSS,
+#: about 16 bytes a row over 36 MB.
 MAX_SIEVE_LIMIT = 10 ** 7
 
 # increments of the 2/3/5 trial-division wheel, starting from 7
@@ -30,6 +31,9 @@ _WHEEL = (4, 2, 4, 2, 4, 6, 2, 6)
 # factorize divides by the wheel up to here, then splits a cofactor below
 # _PSI13 by Miller-Rabin and Brent's rho
 _WHEEL_LIMIT = 1000
+# trial divisors, from 2 on, past which a cofactor at or above _PSI13 is
+# refused (the last is 3749989, so about 0.2 s of wheel)
+_WHEEL_BUDGET = 10 ** 6
 
 # Miller-Rabin bases 2..41 and psi_13, the least odd composite that passes
 # all thirteen (Sorenson and Webster 2015): below it they decide primality
@@ -94,7 +98,8 @@ def _trial_divide(m: int, divisors, factors: list, floor: int) -> int:
 def factorize(n: int) -> Factorization:
     """Factor n >= 1 by the 2/3/5 wheel up to _WHEEL_LIMIT, then a cofactor
     below _PSI13 by Miller-Rabin and Brent's rho; a larger cofactor stays
-    on the wheel until it falls below _PSI13 or is found prime.
+    on the wheel until it falls below _PSI13, and is refused with
+    ResourceLimitError if it is still there after _WHEEL_BUDGET divisors.
 
     n = 1 yields the empty factor sequence.
     """
@@ -103,8 +108,12 @@ def factorize(n: int) -> Factorization:
     factors = []
     m = _trial_divide(n, _SMALL_DIVISORS, factors, 0)
     if m >= _PSI13:
-        m = _trial_divide(m, islice(_trial_divisors(), len(_SMALL_DIVISORS), None),
+        m = _trial_divide(m, islice(_trial_divisors(), len(_SMALL_DIVISORS), _WHEEL_BUDGET),
                           factors, _PSI13)
+        # the budget's divisors stop far below isqrt(_PSI13), so such an m is unresolved
+        if m >= _PSI13:
+            raise ResourceLimitError(f"factoring {_shown(n)} leaves a cofactor of at least "
+                                     f"{_PSI13} after {_WHEEL_BUDGET} trial divisors")
     # m has no prime factor up to _WHEEL_LIMIT, so below its square it is 1 or prime
     if _WHEEL_LIMIT ** 2 <= m < _PSI13:
         large = _rho_primes(m)
@@ -271,13 +280,18 @@ def divisor_count_sieve(limit: int) -> np.ndarray:
     return _factor_sieve(limit)[1]
 
 
-def growth_series_rank1(n: int) -> GrowthSeries:
-    """Exact series c_k = 2**omega(k) and prefix sums C_k for k = 1..n."""
+def _rank1_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """int64 arrays of c_k = 2**omega(k) and of C_k for k = 1..n."""
     if n < 1:
         raise DomainError("series length must be >= 1")
-    w = omega_sieve(n)[1:].astype(np.int64)
-    c = np.left_shift(np.int64(1), w)
-    return GrowthSeries(n, tuple(c.tolist()), tuple(np.cumsum(c).tolist()))
+    c = np.left_shift(np.int64(1), omega_sieve(n)[1:])
+    return c, np.cumsum(c)
+
+
+def growth_series_rank1(n: int) -> GrowthSeries:
+    """Exact series c_k = 2**omega(k) and prefix sums C_k for k = 1..n."""
+    c, C = _rank1_arrays(n)
+    return GrowthSeries(n, tuple(c.tolist()), tuple(C.tolist()))
 
 
 def sum_omega(n: int) -> int:

@@ -9,12 +9,15 @@ are serialized as decimal strings in JSON.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
 
+import numpy as np
+
 from . import __version__
-from .arith import MAX_OUTPUT_DIGITS, growth_series_rank1
+from .arith import MAX_OUTPUT_DIGITS, _rank1_arrays
 from .chevalley import ORACLE_FAMILIES, brute_force_order, order_zpk
 from .commgraph import (RationalCyclic, RationalLattice, _check_ball, enumerate_ball,
                         run_metric_checks)
@@ -27,6 +30,9 @@ EXIT_OK = 0
 EXIT_FAILED_CHECK = 1
 EXIT_DOMAIN = 2
 EXIT_RESOURCE = 3
+
+# rows per block of `growth rank1` output
+_ROW_BLOCK = 1 << 16
 
 
 def _emit(text: str):
@@ -59,24 +65,72 @@ def _decimal(value: int) -> str:
     return _decimal_text(value)
 
 
+@functools.cache
+def _digit_groups() -> np.ndarray:
+    """The four ASCII digits of each r < 10000 as a uint32 word, built on
+    first use: zero-padded at index 10000 + r, and with the leading zeros
+    NUL at index r, for the leading group of a value (all NUL for r = 0)."""
+    r = np.arange(10000)[:, None]
+    place = 10 ** np.arange(3, -1, -1)
+    digits = r // place % 10 + ord("0")
+    lead = np.where(r >= place, digits, 0)
+    groups = np.concatenate([lead, digits]).astype(np.uint8).view(np.uint32)[:, 0]
+    groups.flags.writeable = False  # one table is shared by every call
+    return groups
+
+
+def _ascii_rows(columns, widths, seps) -> str:
+    """The rows of equal-length positive int64 columns, each value as
+    `%{width}d` followed by its separator.
+
+    Digits go four at a time through _digit_groups into uint32 words; a
+    blank inside the width becomes a space, and one outside it (where a
+    shorter value shares a field with a longer one) a NUL, removed at the end.
+    """
+    groups = _digit_groups()
+    sizes = [max(width, len(str(int(col.max())))) for col, width in zip(columns, widths)]
+    rows = np.empty((len(columns[0]), sum(sizes) + sum(map(len, seps))), np.uint8)
+    start = 0
+    for col, width, size, sep in zip(columns, widths, sizes, seps):
+        words = np.empty((len(col), -(-size // 4)), np.uint32)
+        q = col
+        for j in range(words.shape[1]):  # lowest group first
+            r, q = q, q // 10000
+            # digits have the space bit set, so OR turns only NUL into space
+            spaces = bytes(32 * (4 * j + 3 - i < width) for i in range(4))
+            words[:, -1 - j] = groups[r - q * 10000 + (q > 0) * 10000] \
+                | np.frombuffer(spaces, np.uint32)
+        rows[:, start:start + size] = words.view(np.uint8)[:, -size:]
+        rows[:, start + size:start + size + len(sep)] = np.frombuffer(sep.encode(), np.uint8)
+        start += size + len(sep)
+    return rows.tobytes().replace(b"\0", b"").decode()
+
+
 def _run_rank1(args: argparse.Namespace) -> int:
     n = args.n
-    series = growth_series_rank1(n)
+    c, C = _rank1_arrays(n)
+    blocks = range(0, n, _ROW_BLOCK)
     if args.json:
-        # json.dumps(..., indent=2) layout, built in bulk
-        _emit('{\n  "n": %d,\n  "c": [\n    %s\n  ],\n  "C": [\n    %s\n  ]\n}'
-              % (n, ",\n    ".join(map(str, series.c)),
-                 ",\n    ".join(map(str, series.C))))
+        # json.dumps(..., indent=2) layout: all of c, then all of C
+        sep = ",\n    "
+        for head, values in (('{\n  "n": %d,\n  "c": [\n    ' % n, c),
+                             ('\n  ],\n  "C": [\n    ', C)):
+            sys.stdout.write(head)
+            for lo in blocks:
+                text = _ascii_rows([values[lo:lo + _ROW_BLOCK]], [0], [sep])
+                sys.stdout.write(text if lo + _ROW_BLOCK < n else text[:-len(sep)])
+        sys.stdout.write("\n  ]\n}\n")
         return EXIT_OK
-    flat = [0] * (3 * n)
-    flat[0::3] = range(1, n + 1)
-    flat[1::3] = series.c
-    flat[2::3] = series.C
     if args.csv:
-        _emit("k,c_k,C_k\n" + "%d,%d,%d\n" * n % tuple(flat))
+        sys.stdout.write("k,c_k,C_k\n")
+        widths, seps = [0, 0, 0], [",", ",", "\n"]
     else:
-        width = len(str(series.C[-1]))
-        _emit(f"%6d %{width}d %{width}d\n" * n % tuple(flat))
+        width = len(str(int(C[-1])))
+        widths, seps = [6, width, width], [" ", " ", "\n"]
+    for lo in blocks:
+        hi = min(lo + _ROW_BLOCK, n)
+        sys.stdout.write(_ascii_rows([np.arange(lo + 1, hi + 1), c[lo:hi], C[lo:hi]],
+                                     widths, seps))
     return EXIT_OK
 
 
@@ -230,6 +284,10 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except BrokenPipeError:
+        # the reader closed stdout (`growth rank1 ... | head`) between two
+        # blocks: stop quietly, as a single whole-output write does
+        return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -75,6 +75,28 @@ class TestFactorize:
         assert n >= 3317044064679887385961981
         assert arith.factorize(n).factors == factors
 
+    @pytest.mark.parametrize("n", [2 * (2 ** 89 - 1), 3 * (2 ** 89 - 1)])
+    def test_cofactor_past_psi13_without_small_factor_refused(self, n):
+        # 2**89 - 1 is a prime past psi_13, so no wheel divisor splits it
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError) as caught:
+            arith.factorize(n)
+        assert time.perf_counter() - start < 1
+        assert str(caught.value) == ("factoring about 10^27 leaves a cofactor of at least "
+                                     "3317044064679887385961981 after 1000000 trial divisors")
+
+    def test_wheel_budget_boundary(self):
+        # 3749971 is the last prime among the first 10**6 wheel divisors
+        # (2, 3, 5, 7, 11, ..., 3749989) and 3750001 the first past them; q is
+        # the least prime with 3749971 * q >= psi_13
+        low, high, q = 3749971, 3750001, 884551924449519113
+        assert arith._WHEEL_BUDGET == 10 ** 6
+        assert all(map(is_prime_oracle, (low, high))) and arith.is_prime(q)
+        assert low * q >= 3317044064679887385961981
+        assert arith.factorize(low * q).factors == ((low, 1), (q, 1))
+        with pytest.raises(ResourceLimitError):
+            arith.factorize(high * q)
+
 
 class TestIsPrime:
     def test_against_sieve(self):
@@ -167,6 +189,14 @@ class TestRank1Series:
         assert arith.growth_series_rank1(1).C == (1,)
         assert arith.growth_series_rank1(6).c == (1, 2, 2, 2, 2, 4)
         assert arith.growth_series_rank1(10).C[-1] == 23
+
+    @pytest.mark.parametrize("n", [1, 6, 10 ** 4])
+    def test_series_holds_python_ints(self, n):
+        series = arith.growth_series_rank1(n)
+        c = [2 ** int(w) for w in omega_sieve_oracle(n)[1:]]
+        assert type(series.c) is tuple and type(series.C) is tuple
+        assert {type(v) for v in series.c + series.C} == {int}
+        assert series.c == tuple(c) and series.C == tuple(itertools.accumulate(c))
 
     def test_series_prefix_sums_exact(self):
         series = arith.growth_series_rank1(500)

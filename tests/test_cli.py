@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from commgrowth import parahoric
+from commgrowth import cli, parahoric
 from commgrowth.arith import MAX_OUTPUT_DIGITS, growth_series_rank1
 from commgrowth.chevalley import order_zpk
 from commgrowth.cli import EXIT_DOMAIN, EXIT_FAILED_CHECK, EXIT_OK, EXIT_RESOURCE, main
@@ -93,9 +93,13 @@ class TestRank1:
         result = run_cli("rank1", "--n", "5", "--csv", "--json")
         assert result.returncode == 2
 
-    # 10**6 is the first k whose row overflows the six-wide k column
-    @pytest.mark.parametrize("n", [1, 2, 9, 10, 99, 12345, 10 ** 6])
-    @pytest.mark.parametrize("fmt", ["--csv", "--json", None])
+    # 10**6 is the first k whose row overflows the six-wide k column, and
+    # 10**6 + 1 the first n with rows of both widths; the output is written
+    # in blocks of cli._ROW_BLOCK rows, so one more row crosses a block
+    @pytest.mark.parametrize("fmt, n", [
+        (fmt, n) for fmt in ["--csv", "--json", None]
+        for n in [1, 2, 9, 10, 99, 12345, 10 ** 6, cli._ROW_BLOCK + 1]
+    ] + [(None, 10 ** 6 + 1)])
     def test_output_bytes(self, n, fmt, capsys):
         assert main(["rank1", "--n", str(n)] + ([fmt] if fmt else [])) == EXIT_OK
         assert capsys.readouterr().out == reference_rank1(n, fmt)
@@ -414,6 +418,20 @@ class TestHarness:
         result = run_cli("rank1", "--n", "3", env_extra={"GROWTH_THREADS": "zero"})
         assert result.returncode == plain.returncode == EXIT_OK
         assert result.stdout == plain.stdout
+
+    @pytest.mark.parametrize("fmt", ["--csv", "--json", None])
+    def test_reader_closing_early_is_quiet(self, fmt):
+        # `growth rank1 ... | head`: the output outgrows the pipe, so the
+        # writer meets the closed end, and exits 0 with nothing on stderr
+        import os
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        argv = [sys.executable, "-m", "commgrowth", "rank1", "--n", "200000"]
+        with subprocess.Popen(argv + ([fmt] if fmt else []), stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, env=env) as child:
+            assert len(child.stdout.read(100)) == 100
+            child.stdout.close()
+            assert child.wait(timeout=60) == EXIT_OK
+            assert child.stderr.read() == b""
 
     def test_repeat_runs_byte_identical(self):
         a = run_cli("ball", "--family", "lattice", "--dim", "2", "--n", "4", "--json")
