@@ -221,12 +221,18 @@ def _box_blocks(side: int, width: int):
         yield digits.T
 
 
-def prime_sieve(limit: int) -> np.ndarray:
-    """Boolean mask of length limit+1 with mask[p] == True iff p is prime."""
-    if limit < 0:
-        raise DomainError("limit must be nonnegative")
+def _check_sieve_limit(limit: int, least: int) -> None:
+    """Refuse a sieve limit below least or past MAX_SIEVE_LIMIT, before any
+    array is allocated."""
+    if limit < least:
+        raise DomainError(f"limit must be >= {least}")
     if limit > MAX_SIEVE_LIMIT:
         raise ResourceLimitError(f"sieve limit {_shown(limit)} exceeds guard {MAX_SIEVE_LIMIT}")
+
+
+def prime_sieve(limit: int) -> np.ndarray:
+    """Boolean mask of length limit+1 with mask[p] == True iff p is prime."""
+    _check_sieve_limit(limit, 0)
     mask = np.ones(limit + 1, dtype=bool)
     mask[: min(2, limit + 1)] = False
     for p in range(2, math.isqrt(limit) + 1):
@@ -235,49 +241,38 @@ def prime_sieve(limit: int) -> np.ndarray:
     return mask
 
 
-def _factor_sieve(limit: int) -> tuple[np.ndarray, np.ndarray]:
-    """Arrays (w, t) with w[k] = omega(k) and t[k] = divisor_count(k) for
-    0 <= k <= limit, from one pass over the primes up to isqrt(limit).
+def omega_sieve(limit: int) -> np.ndarray:
+    """Array w with w[k] = omega(k) for 0 <= k <= limit (w[0] = w[1] = 0),
+    from one pass over the primes p <= isqrt(limit).
 
-    On the multiples of each prime power p**j <= limit, the factor that p
-    contributes to t goes from j to j+1 and one p is divided out of a
-    cofactor array.  A cofactor left above 1 is the single prime factor
-    above isqrt(limit), which adds one to omega and doubles t.
+    Each p adds one to w on its multiples and is divided out of a cofactor
+    array on the multiples of each power p**j <= limit.  A cofactor left
+    above 1 is the one prime factor above isqrt(limit).
     """
-    if limit < 1:
-        raise DomainError("limit must be >= 1")
-    if limit > MAX_SIEVE_LIMIT:
-        raise ResourceLimitError(f"sieve limit {_shown(limit)} exceeds guard {MAX_SIEVE_LIMIT}")
+    _check_sieve_limit(limit, 1)
     w = np.zeros(limit + 1, dtype=np.uint8)
-    t = np.ones(limit + 1, dtype=np.int32)
-    t[0] = 0
     cofactor = np.arange(limit + 1, dtype=np.int32)
     for p in np.flatnonzero(prime_sieve(math.isqrt(limit))).tolist():
         w[p::p] += 1
-        t[p::p] *= 2
-        cofactor[p::p] //= p
-        q, j = p * p, 2
+        q = p
         while q <= limit:
-            multiples = t[q::q]
-            multiples //= j
-            multiples *= j + 1
             cofactor[q::q] //= p
-            q, j = q * p, j + 1
-    # whole-array updates: masked indexing would cost more than the sieve
-    large = cofactor > 1
-    w += large
-    t <<= large
-    return w, t
-
-
-def omega_sieve(limit: int) -> np.ndarray:
-    """Array w with w[k] = omega(k) for 0 <= k <= limit (w[0] = w[1] = 0)."""
-    return _factor_sieve(limit)[0]
+            q *= p
+    # a whole-array update: masked indexing would cost more than the sieve
+    w += cofactor > 1
+    return w
 
 
 def divisor_count_sieve(limit: int) -> np.ndarray:
-    """Array t with t[k] = divisor_count(k) for 0 <= k <= limit (t[0] = 0)."""
-    return _factor_sieve(limit)[1]
+    """Array t with t[k] = divisor_count(k) for 0 <= k <= limit (t[0] = 0),
+    by the hyperbola rule and no primes: each m <= isqrt(k) that divides k
+    pairs with k/m and counts 2, or 1 when k = m*m."""
+    _check_sieve_limit(limit, 1)
+    t = np.zeros(limit + 1, dtype=np.int32)
+    for m in range(1, math.isqrt(limit) + 1):
+        t[m * m::m] += 2
+        t[m * m] -= 1
+    return t
 
 
 def _rank1_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -303,10 +298,14 @@ def sum_omega(n: int) -> int:
 
 def sum_divisor_count(n: int) -> int:
     """Exact value of sum_{k<=n} divisor_count(k) by Dirichlet's hyperbola
-    method: 2*sum_{m<=r} floor(n/m) - r**2 with r = isqrt(n)."""
+    method: 2*sum_{m<=r} floor(n/m) - r**2 with r = isqrt(n), refused
+    before the loop when r passes MAX_SIEVE_LIMIT terms."""
     if n < 1:
         raise DomainError("n must be >= 1")
     r = math.isqrt(n)
+    if r > MAX_SIEVE_LIMIT:
+        raise ResourceLimitError(f"divisor sum to {_shown(n)} exceeds guard "
+                                 f"{MAX_SIEVE_LIMIT} hyperbola terms")
     return 2 * sum(n // m for m in range(1, r + 1)) - r * r
 
 
@@ -325,10 +324,8 @@ def omega_sum_ratio(n: int) -> float:
 def dirichlet_residual(n: int) -> float:
     """Error term of the divisor summatory function against its
     n*log(n) + (2*gamma - 1)*n main term."""
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    main = n * math.log(n) + (2 * EULER_MASCHERONI - 1) * n
-    return sum_divisor_count(n) - main
+    total = sum_divisor_count(n)  # refuses a huge n before any float overflows
+    return total - (n * math.log(n) + (2 * EULER_MASCHERONI - 1) * n)
 
 
 def check_sandwich_bounds(series: GrowthSeries, n_min: int) -> BoundReport:
@@ -343,6 +340,8 @@ def check_sandwich_bounds(series: GrowthSeries, n_min: int) -> BoundReport:
         raise DomainError("n_min must be >= 3 (log log undefined below)")
     if series.upto < n_min:
         raise DomainError("series too short for requested n_min")
+    if len(series.C) != series.upto:
+        raise DomainError("series must hold upto prefix sums")
     upto = series.upto
     C = np.asarray(series.C, dtype=np.int64)
     k = np.arange(1, upto + 1, dtype=np.int64)

@@ -237,6 +237,8 @@ class TestRank1Series:
         for sieve in (arith.omega_sieve, arith.divisor_count_sieve):
             with pytest.raises(DomainError):
                 sieve(0)
+        with pytest.raises(DomainError):
+            arith.prime_sieve(-1)
 
     def test_sieve_guard_boundary(self, monkeypatch):
         monkeypatch.setattr(arith, "MAX_SIEVE_LIMIT", 30)
@@ -252,7 +254,7 @@ class TestRank1Series:
     @pytest.mark.parametrize("limit, shown", [(10 ** 7 + 1, "10000001"),
                                               (10 ** 400, "about 10^400")])
     def test_sieve_refuses_before_any_work(self, limit, shown):
-        # 10**7 itself is never run here: it takes about 1.7 GB in the CLI
+        # 10**7 itself is never run here: it takes about 190 MB in the CLI
         assert arith.MAX_SIEVE_LIMIT == 10 ** 7
         tracemalloc.start()
         try:
@@ -304,6 +306,23 @@ class TestSummatory:
         for n in [*range(1, 5001), *squares, *range(DESK_LIMIT - 49, DESK_LIMIT + 1)]:
             assert arith.sum_divisor_count(n) == divisor_prefix_upto_million[n - 1], n
 
+    def test_hyperbola_term_guard_boundary(self, monkeypatch):
+        # isqrt(960) = 30 terms are admitted, isqrt(961) = 31 are not
+        monkeypatch.setattr(arith, "MAX_SIEVE_LIMIT", 30)
+        assert arith.sum_divisor_count(960) == \
+            sum(arith.divisor_count(k) for k in range(1, 961))
+        for call in (arith.sum_divisor_count, arith.dirichlet_residual):
+            with pytest.raises(ResourceLimitError) as caught:
+                call(961)
+            assert str(caught.value) == "divisor sum to 961 exceeds guard 30 hyperbola terms"
+
+    def test_dirichlet_residual_refuses_huge_n_at_once(self):
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError) as caught:
+            arith.dirichlet_residual(10 ** 400)
+        assert time.perf_counter() - start < 1.0
+        assert "about 10^400" in str(caught.value)
+
     def test_dirichlet_residual_is_small(self):
         # the test reports the constant K it observed; the acceptance suite
         # pins the hard window
@@ -342,6 +361,10 @@ class TestSandwich:
     def test_rejects_short_series(self):
         with pytest.raises(DomainError):
             arith.check_sandwich_bounds(arith.growth_series_rank1(5), 8)
+
+    def test_rejects_series_shorter_than_upto(self):
+        with pytest.raises(DomainError):
+            arith.check_sandwich_bounds(arith.GrowthSeries(5, (1, 2), (1, 3)), 3)
 
     def test_detects_violated_chain(self):
         # doctored series breaking C_k >= k must fail

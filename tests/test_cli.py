@@ -389,7 +389,7 @@ class TestMalformedInput:
         (["order", "--type", "A1", "--p", "2", "--k", str(-10 ** 399)], EXIT_DOMAIN),
         (["parahoric", "--type", "A1", "--k", "1", "--m", str(-10 ** 399)], EXIT_DOMAIN),
         # the sieve guard refuses before any array is allocated; 10**7 itself,
-        # about 1.7 GB, is never run here
+        # about 190 MB, is never run here
         (["rank1", "--n", str(10 ** 7 + 1)], EXIT_RESOURCE),
         (["rank1", "--n", str(10 ** 20)], EXIT_RESOURCE),
         (["rank1", "--n", str(10 ** 400)], EXIT_RESOURCE),
