@@ -22,8 +22,8 @@ EULER_MASCHERONI = 0.57721566490153286061
 #: Largest power of a caller's base, and largest printed result, in decimal
 #: digits; documented inputs stay near 15,000 digits.
 MAX_OUTPUT_DIGITS = 10 ** 5
-#: Largest factor sieve; `growth rank1 --n 10**7` peaks at 190 MB RSS,
-#: about 16 bytes a row over 36 MB.
+#: Largest sieve, and most hyperbola terms (about 1 s); `growth rank1 --n
+#: 10**7` peaks at 190 MB RSS, about 16 bytes a row over 36 MB.
 MAX_SIEVE_LIMIT = 10 ** 7
 
 # increments of the 2/3/5 trial-division wheel, starting from 7
