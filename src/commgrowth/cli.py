@@ -19,8 +19,7 @@ import numpy as np
 from . import __version__
 from .arith import MAX_OUTPUT_DIGITS, _rank1_arrays
 from .chevalley import ORACLE_FAMILIES, brute_force_order, order_zpk
-from .commgraph import (RationalCyclic, RationalLattice, _check_ball, enumerate_ball,
-                        run_metric_checks)
+from .commgraph import _ball_keys, _check_ball, run_metric_checks
 from .errors import DomainError, ResourceLimitError
 from .parahoric import _level_count, _per_prime_lhs, maximal_lattice_bound
 from .reporting import _decimal_text
@@ -135,19 +134,20 @@ def _run_rank1(args: argparse.Namespace) -> int:
 
 
 def _run_ball(args: argparse.Namespace) -> int:
-    cyclic = args.family == "cyclic"
-    if cyclic and args.dim != 1:
+    if args.family == "cyclic" and args.dim != 1:
         raise DomainError("cyclic subgroups live in dimension 1")
-    if args.dim > 1:
-        _check_ball(args.n, args.dim)  # before Z^dim is built
-    ball = enumerate_ball(RationalCyclic(1, 1) if cyclic
-                          else RationalLattice.standard(args.dim), args.n)
-    if not args.json:
-        _emit("\n".join(f"{s.a}/{s.b}" if cyclic else str(s) for s in ball))
-    elif cyclic:
-        _emit_json([{"a": s.a, "b": s.b} for s in ball])
+    dim = None if args.family == "cyclic" else args.dim
+    _check_ball(args.n, dim)
+    keys = _ball_keys(args.n, dim)[:, ::1 if dim else -1]  # cyclic rows (b, a) to (a, b)
+    # one `%d` template over a key row: the member as str() or json.dumps(indent=2) lays it out
+    if args.json:
+        member = {"a": 0, "b": 0} if dim is None else {"denom": 0, "hnf": [[0] * dim] * dim}
+        template, sep = json.dumps([member], indent=2)[2:-2].replace("0", "%d"), ",\n"
     else:
-        _emit_json([{"denom": s.denom, "hnf": [list(r) for r in s.basis]} for s in ball])
+        row = "[" + ",".join(["%d"] * (dim or 1)) + "]"
+        template, sep = "%d/%d" if dim is None else f"(1/%d)<{','.join([row] * dim)}>", "\n"
+    rows = sep.join([template] * len(keys)) % tuple(keys.ravel().tolist())
+    _emit(f"[\n{rows}\n]" if args.json else rows)
     return EXIT_OK
 
 

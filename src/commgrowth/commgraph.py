@@ -15,14 +15,17 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
+import numpy as np
+
 from .arith import divisors
 from .errors import DomainError, ResourceLimitError, _shown
 from .reporting import BoundReport, compare
 
-#: Largest ball radius and lattice dimension enumerate_ball admits (a ball
-#: is finite, not small), and largest run_metric_checks sample count.
+#: Largest ball radius, lattice dimension and candidate count enumerate_ball
+#: admits (a ball is finite, not small), and largest run_metric_checks samples.
 MAX_BALL_RADIUS = 1000
 MAX_BALL_DIM = 3
+MAX_BALL_CANDIDATES = 3 * 10 ** 5
 MAX_SAMPLES = 10 ** 5
 
 
@@ -173,6 +176,13 @@ class RationalLattice(_Subgroup):
             denom //= content
         object.__setattr__(self, "denom", denom)
         object.__setattr__(self, "basis", tuple(tuple(row) for row in hnf))
+
+    @classmethod
+    def _canonical(cls, dim: int, denom: int, flat) -> "RationalLattice":
+        """The lattice of canonical fields, the basis read row by row off flat, unchecked."""
+        self = object.__new__(cls)
+        self.__dict__.update(dim=dim, denom=denom, basis=tuple(zip(*[iter(flat)] * dim)))
+        return self
 
     @classmethod
     def from_rows(cls, rows, denom: int = 1) -> "RationalLattice":
@@ -338,32 +348,53 @@ def _overlattice_frames(dim, j):
                  for H in _hnf_matrices_with_det(dim, j))
 
 
-def _cyclic_ball(gamma: RationalCyclic, n: int):
-    # as in _lattice_ball with S = (a*i/b)Z: every candidate lies in the
-    # ball, each member arises with S = its intersection with gamma, and
-    # the set drops the repeats
-    return {RationalCyclic(gamma.a * i, gamma.b * j)
-            for i in range(1, n + 1) for j in range(1, n // i + 1)}
+def _triangular_canonical(q, P):
+    """Key rows (q, P row by row) of (1/q)*rowspan(P), P a stack of upper
+    triangular matrices with positive diagonals, reduced in place as by _row_hnf."""
+    dim = P.shape[1]
+    for c in range(1, dim):
+        for r in range(c):
+            P[:, r] -= (P[:, r, c] // P[:, c, c])[:, None] * P[:, c]
+    flat = P.reshape(len(P), -1)
+    g = np.gcd(np.gcd.reduce(flat, axis=1), q)
+    return np.column_stack([q // g, flat // g[:, None]])
 
 
-def _lattice_ball(gamma: RationalLattice, n: int):
-    # S = rel*gamma has index i in gamma, L = (1/j)*frame*S index j over S;
-    # S <= L & gamma, so c(gamma, L) <= i*j <= n, and each member arises
-    # with S = L & gamma.  The set drops candidates found more than once.
-    out = set()
-    dim = gamma.dim
-    for i in range(1, n + 1):
-        for rel in _hnf_matrices_with_det(dim, i):
-            sub = _matmul(rel, gamma.basis)
-            for j in range(1, n // i + 1):
-                for frame in _overlattice_frames(dim, j):
-                    out.add(RationalLattice(dim, gamma.denom * j, _matmul(frame, sub)))
-    return out
+def _ball_keys(n: int, dim: int | None):
+    """Sorted, distinct int64 key rows (q, P) of the ball of radius n around Z^dim, or Z
+    for dim None (rows (b, a), sorted as (a, b)).  S = rel*Z^dim of index i lies in L & Z^dim
+    for L = (1/j)*frame*rel, so c(Z^dim, L) <= i*j <= n; each L arises with S = L & Z^dim."""
+    d = dim or 1
+    rel_det, R = map(np.array, zip(*((i, rel) for i in range(1, n + 1)
+                                       for rel in _hnf_matrices_with_det(d, i))))
+    frame_det, F = map(np.array, zip(*((j, frame) for j in range(1, n + 1)
+                                         for frame in _overlattice_frames(d, j))))
+    # the frames of index j <= n // i are a prefix of the frame stack
+    counts = np.searchsorted(frame_det, n // rel_det, side="right")
+    rel_of = np.repeat(np.arange(len(R)), counts)
+    frame_of = np.arange(len(rel_of)) - np.repeat(np.cumsum(counts) - counts, counts)
+    # frame*rel is upper triangular with entries <= dim*n: int64 is exact
+    keys = _triangular_canonical(frame_det[frame_of], F[frame_of] @ R[rel_of])
+    keys = keys[np.lexsort(keys.T[::-1] if dim else keys.T)]  # np.unique is slower
+    return keys[np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)]]
+
+
+def _ball_candidates(n: int, dim: int) -> int:
+    """How many candidates _ball_keys builds: the sum of a(i)*A(n // i) over
+    i <= n, for the counts a of sublattices of Z^dim by index and their prefix sums A."""
+    a = [0] + [1] * n
+    for e in range(1, dim):
+        a = [0] + [sum(q ** e * a[m // q] for q in divisors(m)) for m in range(1, n + 1)]
+    return sum(a[i] * sum(a[:n // i + 1]) for i in range(1, n + 1))
 
 
 def _check_ball(n: int, dim: int | None):
-    """Refuse a ball radius, or a lattice dimension (None for the cyclic
-    family), past its guard, before anything of the ball's size is built."""
+    """Refuse a lattice dimension (None for the cyclic family), ball radius
+    or candidate count past its guard, before anything of the ball is built."""
+    if dim is not None and dim < 1:
+        raise DomainError(f"dim must be a positive integer, got {_shown(dim)}")
+    if not isinstance(n, int):
+        raise DomainError(f"ball radius must be an integer, got {_shown(n)}")
     if n < 1:
         raise DomainError(f"ball radius must be >= 1, got {_shown(n)}")
     if n > MAX_BALL_RADIUS:
@@ -371,20 +402,29 @@ def _check_ball(n: int, dim: int | None):
     if dim is not None and dim > MAX_BALL_DIM:
         raise ResourceLimitError(f"lattice dimension {_shown(dim)} "
                                  f"exceeds guard {MAX_BALL_DIM}")
+    if (count := _ball_candidates(n, dim or 1)) > MAX_BALL_CANDIDATES:
+        raise ResourceLimitError(f"{count} ball candidates exceed guard {MAX_BALL_CANDIDATES}")
 
 
 def enumerate_ball(gamma, n: int):
     """All subgroups in gamma's family at commensurability index <= n,
-    in canonical form, sorted, duplicate free, within MAX_BALL_RADIUS and
-    (lattices only) MAX_BALL_DIM."""
-    _check_ball(n, gamma.dim if isinstance(gamma, RationalLattice) else None)
+    in canonical form, sorted, duplicate free, within MAX_BALL_RADIUS,
+    MAX_BALL_CANDIDATES and (lattices only) MAX_BALL_DIM."""
     if isinstance(gamma, RationalCyclic):
-        found = _cyclic_ball(gamma, n)
+        dim, denom, basis = None, gamma.b, ((gamma.a,),)
     elif isinstance(gamma, RationalLattice):
-        found = _lattice_ball(gamma, n)
+        dim, denom, basis = gamma.dim, gamma.denom, gamma.basis
     else:
         raise DomainError(f"unsupported family {type(gamma).__name__}")
-    return sorted(found, key=lambda s: s.sort_key())
+    _check_ball(n, dim)
+    d, keys = len(basis), _ball_keys(n, dim)
+    if (denom, basis) != (1, RationalLattice.standard(d).basis):
+        # x -> x*gamma maps ball(Z^d) onto ball(gamma) injectively; in Python ints
+        P = keys[:, 1:].reshape(-1, d, d).astype(object) @ np.array(basis, dtype=object)
+        keys = _triangular_canonical(keys[:, 0].astype(object) * denom, P)
+    if dim is None:
+        return [RationalCyclic(a, b) for a, b in sorted((a, b) for b, a in keys.tolist())]
+    return [RationalLattice._canonical(d, q, flat) for q, *flat in sorted(keys.tolist())]
 
 
 def check_transfer_inequality(A, B, n: int) -> BoundReport:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import pytest
 from commgrowth import cli, parahoric
 from commgrowth.arith import MAX_OUTPUT_DIGITS, growth_series_rank1
 from commgrowth.chevalley import order_zpk
+from commgrowth.commgraph import RationalCyclic, RationalLattice, enumerate_ball
 from commgrowth.cli import EXIT_DOMAIN, EXIT_FAILED_CHECK, EXIT_OK, EXIT_RESOURCE, main
 from commgrowth.errors import DomainError, ResourceLimitError
 from commgrowth.parahoric import CocharacterCount, check_cocharacter_bound, per_prime_bound
@@ -129,6 +131,33 @@ class TestBall:
         result = run_cli("ball", "--family", "lattice", "--dim", "5", "--n", "2")
         assert result.returncode == EXIT_RESOURCE
         assert "resource guard" in result.stderr
+
+    # stdout against the per-member rendering of enumerate_ball, and its
+    # size and sha256 prefix as first written that way
+    @pytest.mark.parametrize("argv, gamma, n, digests", [
+        (["--family", "cyclic"], RationalCyclic(1, 1), 1000,
+         ((28766, "b817bbe559a094b0"), (168405, "b5996c0163d541e5"))),
+        (["--family", "lattice", "--dim", "1"], RationalLattice.standard(1), 40,
+         ((1431, "86a1cc1c78e98b25"), (8691, "814f91518ccdff47"))),
+        (["--family", "lattice", "--dim", "2"], RationalLattice.standard(2), 31,
+         ((71907, "bb0628c7b32f00bd"), (426010, "669c34fd887b6cd7"))),
+        (["--family", "lattice", "--dim", "3"], RationalLattice.standard(3), 8,
+         ((43245, "61fdd3fb413a614e"), (265053, "e6d26f808eccdffa"))),
+    ], ids=["cyclic-1000", "dim1-40", "dim2-31", "dim3-8"])
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    def test_output_bytes(self, argv, gamma, n, digests, as_json, capsys):
+        assert main(["ball", *argv, "--n", str(n)] + ["--json"] * as_json) == EXIT_OK
+        out = capsys.readouterr().out
+        ball = enumerate_ball(gamma, n)
+        cyclic = isinstance(gamma, RationalCyclic)
+        if as_json:
+            items = [{"a": s.a, "b": s.b} if cyclic else
+                     {"denom": s.denom, "hnf": [list(r) for r in s.basis]} for s in ball]
+            assert out == json.dumps(items, indent=2) + "\n"
+        else:
+            assert out == "\n".join(f"{s.a}/{s.b}" if cyclic else str(s) for s in ball) + "\n"
+        size, prefix = digests[as_json]
+        assert (len(out), hashlib.sha256(out.encode()).hexdigest()[:16]) == (size, prefix)
 
 
 class TestRootsys:
@@ -380,6 +409,9 @@ class TestMalformedInput:
         (["ball", "--family", "cyclic", "--n", str(-10 ** 399)], EXIT_DOMAIN),
         (["ball", "--family", "lattice", "--dim", "2", "--n", str(10 ** 399)], EXIT_RESOURCE),
         (["ball", "--family", "lattice", "--dim", "2", "--n", str(-10 ** 399)], EXIT_DOMAIN),
+        # the candidate guard refuses before any candidate is built
+        (["ball", "--family", "lattice", "--dim", "2", "--n", "1000"], EXIT_RESOURCE),
+        (["ball", "--family", "lattice", "--dim", "3", "--n", "60"], EXIT_RESOURCE),
         (["parahoric", "--type", "A1", "--k", str(10 ** 399)], EXIT_RESOURCE),
         (["parahoric", "--type", "A1", "--k", str(-10 ** 399)], EXIT_DOMAIN),
         (["order", "--type", "A1", "--p", str(10 ** 399)], EXIT_DOMAIN),

@@ -15,6 +15,10 @@ from commgrowth.errors import DomainError, ResourceLimitError
 
 Z = RationalCyclic(1, 1)
 Z2 = RationalLattice.standard(2)
+# entries and denominator past 2^63, so the ball around it is exact only
+# in Python ints
+BIG2 = RationalLattice.from_rows([[10 ** 30 + 7, 3 * 10 ** 29], [0, 10 ** 31 + 9]],
+                                 denom=10 ** 20 + 1)
 
 
 def cyclic(a, b=1):
@@ -350,7 +354,8 @@ class TestBallEnumeration:
         (RationalLattice.standard(3), 8, 1395),
         (RationalLattice.from_rows([[2, 2], [0, 4]], denom=5), 31, 3541),
         (RationalLattice.from_rows([[2, 0, 3], [0, 2, 10], [0, 0, 17]], denom=3), 5, 215),
-    ], ids=["Z-1000", "Z2-31", "Z3-8", "gamma2-31", "gamma3-5"])
+        (BIG2, 31, 3541),
+    ], ids=["Z-1000", "Z2-31", "Z3-8", "gamma2-31", "gamma3-5", "big2-31"])
     def test_ball_size_pinned(self, gamma, n, size):
         assert len(enumerate_ball(gamma, n)) == size
 
@@ -367,7 +372,7 @@ class TestBallEnumeration:
         # most n, and deduplicate as a set
         gamma2, gamma3 = (cg._random_lattice(random.Random(0), dim) for dim in (2, 3))
         assert all(g.denom > 1 and g.basis[0][-1] != 0 for g in (gamma2, gamma3))
-        for gamma, n in ((Z2, 6), (gamma2, 6), (gamma3, 4)):
+        for gamma, n in ((Z2, 6), (gamma2, 6), (gamma3, 4), (BIG2, 4)):
             dim = gamma.dim
             seen = set()
             for i in range(1, 2 * n + 1):
@@ -422,6 +427,36 @@ class TestBallEnumeration:
         assert str(caught.value) == "ball bound 4 exceeds guard 3"
         with pytest.raises(TypeError):
             enumerate_ball(Z, 3, max_bound=3)
+
+    @pytest.mark.parametrize("n", [2.5, "3"])
+    def test_radius_must_be_an_int(self, n):
+        with pytest.raises(DomainError) as caught:
+            enumerate_ball(Z, n)
+        assert str(caught.value) == f"ball radius must be an integer, got {n}"
+
+    def test_candidate_guard(self, monkeypatch):
+        # the estimate is the number of candidates (frame, relation) the
+        # kernel builds
+        for dim, n in ((1, 40), (2, 12), (3, 6)):
+            built = sum(len(cg._overlattice_frames(dim, j)) for i in range(1, n + 1)
+                        for _ in cg._hnf_matrices_with_det(dim, i)
+                        for j in range(1, n // i + 1))
+            assert cg._ball_candidates(n, dim) == built
+        # the largest admitted and the smallest refused radius, checked
+        # without building either ball
+        for dim, n, refused in ((2, 213, 301163), (3, 41, 327610)):
+            cg._check_ball(n, dim)
+            with pytest.raises(ResourceLimitError) as caught:
+                cg._check_ball(n + 1, dim)
+            assert str(caught.value) == f"{refused} ball candidates exceed guard 300000"
+        # the whole cyclic family stays admitted
+        assert cg._ball_candidates(1000, 1) == 7069
+        # the guard is a module constant read when the ball is asked for
+        monkeypatch.setattr(cg, "MAX_BALL_CANDIDATES", 3947)
+        assert len(enumerate_ball(Z2, 31)) == 3541
+        with pytest.raises(ResourceLimitError) as caught:
+            enumerate_ball(BIG2, 32)
+        assert str(caught.value) == "4469 ball candidates exceed guard 3947"
 
     def test_radius_guard_boundary(self):
         assert len(enumerate_ball(Z, 1000)) == growth_series_rank1(1000).C[-1]
