@@ -11,8 +11,8 @@ import pytest
 from commgrowth import cli, parahoric
 from commgrowth.arith import MAX_OUTPUT_DIGITS, growth_series_rank1
 from commgrowth.chevalley import order_zpk
-from commgrowth.commgraph import RationalCyclic, RationalLattice, enumerate_ball
 from commgrowth.cli import EXIT_DOMAIN, EXIT_FAILED_CHECK, EXIT_OK, EXIT_RESOURCE, main
+from commgrowth.commgraph import RationalCyclic, RationalLattice, enumerate_ball
 from commgrowth.errors import DomainError, ResourceLimitError
 from commgrowth.parahoric import CocharacterCount, check_cocharacter_bound, per_prime_bound
 from commgrowth.root_systems import root_system, supported_labels
@@ -133,7 +133,7 @@ class TestBall:
         assert "resource guard" in result.stderr
 
     # stdout against the per-member rendering of enumerate_ball, and its
-    # size and sha256 prefix as first written that way
+    # size and sha256 prefix as that rendering first printed it
     @pytest.mark.parametrize("argv, gamma, n, digests", [
         (["--family", "cyclic"], RationalCyclic(1, 1), 1000,
          ((28766, "b817bbe559a094b0"), (168405, "b5996c0163d541e5"))),
