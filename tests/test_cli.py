@@ -409,9 +409,6 @@ class TestMalformedInput:
         (["ball", "--family", "cyclic", "--n", str(-10 ** 399)], EXIT_DOMAIN),
         (["ball", "--family", "lattice", "--dim", "2", "--n", str(10 ** 399)], EXIT_RESOURCE),
         (["ball", "--family", "lattice", "--dim", "2", "--n", str(-10 ** 399)], EXIT_DOMAIN),
-        # the candidate guard refuses before any candidate is built
-        (["ball", "--family", "lattice", "--dim", "2", "--n", "1000"], EXIT_RESOURCE),
-        (["ball", "--family", "lattice", "--dim", "3", "--n", "60"], EXIT_RESOURCE),
         (["parahoric", "--type", "A1", "--k", str(10 ** 399)], EXIT_RESOURCE),
         (["parahoric", "--type", "A1", "--k", str(-10 ** 399)], EXIT_DOMAIN),
         (["order", "--type", "A1", "--p", str(10 ** 399)], EXIT_DOMAIN),
@@ -425,6 +422,9 @@ class TestMalformedInput:
         (["rank1", "--n", str(10 ** 7 + 1)], EXIT_RESOURCE),
         (["rank1", "--n", str(10 ** 20)], EXIT_RESOURCE),
         (["rank1", "--n", str(10 ** 400)], EXIT_RESOURCE),
+        # the candidate guard refuses before any candidate is built
+        (["ball", "--family", "lattice", "--dim", "2", "--n", "1000"], EXIT_RESOURCE),
+        (["ball", "--family", "lattice", "--dim", "3", "--n", "60"], EXIT_RESOURCE),
     ])
     def test_one_line_diagnostic(self, argv, status, capsys):
         start = time.perf_counter()
