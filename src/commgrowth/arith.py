@@ -25,6 +25,8 @@ MAX_OUTPUT_DIGITS = 10 ** 5
 #: Largest sieve, and most hyperbola terms (about 1 s); `growth rank1 --n
 #: 10**7` peaks at 190 MB RSS, about 16 bytes a row over 36 MB.
 MAX_SIEVE_LIMIT = 10 ** 7
+#: Most divisors `divisors` lists: 2**20 of them take about 1 s and 90 MB.
+MAX_DIVISORS = 10 ** 6
 
 # increments of the 2/3/5 trial-division wheel, starting from 7
 _WHEEL = (4, 2, 4, 2, 4, 6, 2, 6)
@@ -174,9 +176,13 @@ def is_prime(n: int) -> bool:
 
 
 def divisors(n: int) -> list[int]:
-    """All positive divisors of n, sorted increasingly."""
+    """All positive divisors of n, sorted increasingly; refused past
+    MAX_DIVISORS of them, counted from the factorization before any list."""
+    factors = factorize(n).factors
+    if (count := math.prod(e + 1 for _, e in factors)) > MAX_DIVISORS:
+        raise ResourceLimitError(f"{count} divisors of {_shown(n)} exceed guard {MAX_DIVISORS}")
     out = [1]
-    for p, e in factorize(n).factors:
+    for p, e in factors:
         out = [d * p ** j for d in out for j in range(e + 1)]
     return sorted(out)
 

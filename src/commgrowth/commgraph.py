@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import product
 
 import numpy as np
 
@@ -31,11 +29,6 @@ MAX_SAMPLES = 10 ** 5
 
 # ---------------------------------------------------------------------------
 # exact integer linear algebra on small row matrices
-
-
-def _matmul(A, B):
-    k, m = len(B), len(B[0])
-    return [[sum(row[t] * B[t][j] for t in range(k)) for j in range(m)] for row in A]
 
 
 def _row_hnf(rows, cols):
@@ -63,22 +56,15 @@ def _row_hnf(rows, cols):
     return m[:pivot_row]
 
 
-def _stacked_kernel(top, bottom):
-    """HNF basis of {y : (0, y) in S}, where S of rank 2d is spanned by the
-    rows (x, y) for the pairs in top and (x, 0) for the x in bottom.  When
-    the first halves have full rank d, the echelon HNF of S puts its first
-    d pivots there, so its last d rows have a zero first half and span every
-    vector of S that has one: their second halves are the answer."""
-    d = len(top[0][0])
-    stacked = [list(x) + list(y) for x, y in top] + [list(x) + [0] * d for x in bottom]
-    return [row[d:] for row in _row_hnf(stacked, 2 * d)[d:]]
-
-
 def _intersect_integer(A, B):
     """HNF basis of A & B for full-rank integer d x d row bases A and B:
-    the rows (a, a) and (b, 0) span {(x + y, x) : x in A, y in B}, whose
-    first halves span A + B, and (0, x) lies in it exactly when x is in A & B."""
-    return _stacked_kernel([(a, a) for a in A], B)
+    the rows (a, a) and (b, 0) span S = {(x + y, x) : x in A, y in B}, and
+    (0, x) lies in S exactly when x is in A & B.  The first halves span the
+    full-rank A + B, so the echelon HNF of S puts its first d pivots there,
+    and its last d rows, with a zero first half, span those (0, x)."""
+    d = len(A)
+    stacked = [list(a) + list(a) for a in A] + [list(b) + [0] * d for b in B]
+    return [row[d:] for row in _row_hnf(stacked, 2 * d)[d:]]
 
 
 def _hnf_det(hnf):
@@ -309,53 +295,55 @@ def chain_length(chain) -> int:
 # ball enumeration
 
 
-def _hnf_matrices_with_det(dim, det):
-    """All upper-triangular HNF matrices of the given determinant; these
-    index the sublattices of that index in any fixed ambient lattice."""
+def _hnf_stack(dim: int, n: int):
+    """Every dim x dim HNF matrix of determinant <= n, as one int64 stack, and
+    the determinants: by determinant, then diagonal, then the entries above the
+    pivots column by column.  These index the sublattices of index <= n of Z^dim."""
+    H, det = np.arange(1, n + 1).reshape(-1, 1, 1), np.arange(1, n + 1)
+    for s in range(2, dim + 1):
+        # a first row (a, v) on top of H' of size s - 1, with a*det(H') <= n and
+        # 0 <= v_c < H'_cc: det(H') choices of v, the mixed-radix digits of one code
+        count = n // det * det
+        of = np.repeat(np.arange(len(H)), count)
+        code = np.arange(len(of)) - np.repeat(np.cumsum(count) - count, count)
+        new = np.zeros((len(of), s, s), np.int64)
+        new[:, 1:, 1:] = H[of]
+        new[:, 0, 0], code = code // det[of] + 1, code % det[of]
+        for c in range(1, s):
+            code, new[:, 0, c] = np.divmod(code, H[of, c - 1, c - 1])
+        H, det = new, new[:, 0, 0] * det[of]
+    order = np.lexsort([H[:, r, c] for c in range(dim - 1, 0, -1) for r in range(c - 1, -1, -1)]
+                       + [H[:, t, t] for t in range(dim - 1, -1, -1)] + [det])
+    return H[order], det[order]
 
-    def diag_splits(d, target):
-        if d == 1:
-            yield (target,)
-            return
-        for q in divisors(target):
-            for rest in diag_splits(d - 1, target // q):
-                yield (q,) + rest
 
-    for diag in diag_splits(dim, det):
-        positions = [(r, c) for c in range(dim) for r in range(c)]
-        for combo in product(*(range(diag[c]) for (_, c) in positions)):
-            mat = [[0] * dim for _ in range(dim)]
-            for i in range(dim):
-                mat[i][i] = diag[i]
-            for (r, c), v in zip(positions, combo):
-                mat[r][c] = v
-            yield mat
+def _frames(H, det):
+    """The frame of each HNF matrix H of determinant j: K = j * rowspan(H)^*, so
+    (1/j)*K*L runs over the overlattices of index j of any lattice L in its basis.
+    K is spanned by the rows of adj(H)^T; reversing the coordinates, an
+    automorphism of Z^dim, makes them the upper triangular anti-transpose of adj(H)."""
+    dim, adj = H.shape[1], np.zeros_like(H)
+    for r in range(dim - 1, -1, -1):
+        # row r of H*adj(H) = det*I by back-substitution: |adj| <= 2n^2 and every
+        # partial sum is at most 4n^3 < 2^63 for n <= MAX_BALL_RADIUS, so int64 is exact
+        rest = np.einsum("kc,kcx->kx", H[:, r, r + 1:], adj[:, r + 1:])
+        adj[:, r] = (det[:, None] * (np.arange(dim) == r) - rest) // H[:, r, r, None]
+    return _reduced(adj[:, ::-1, ::-1].transpose(0, 2, 1).copy())
 
 
-@lru_cache(maxsize=None)
-def _overlattice_frames(dim, j):
-    """Frames K with j*Z^dim <= K <= Z^dim and [Z^dim : K] = j**(dim-1).
-
-    Scaling such a frame by 1/j gives exactly the overlattices of index j
-    of any lattice written in its own basis coordinates.  They are the
-    annihilators K = {x : x.h = 0 mod j for each row h of H} of the index-j
-    sublattices H: the rows (column r of H, e_r) and (j*e_r, 0) span
-    {(Hx + jy, x)}, whose first half contains j*Z^dim.
-    """
-    eye = [[int(r == t) for t in range(dim)] for r in range(dim)]
-    jeye = [[j * v for v in row] for row in eye]
-    return tuple(tuple(map(tuple, _stacked_kernel(list(zip(zip(*H), eye)), jeye)))
-                 for H in _hnf_matrices_with_det(dim, j))
+def _reduced(P):
+    """P, a stack of upper triangular matrices with positive diagonals, brought
+    in place to HNF as by _row_hnf: each entry above a pivot into [0, pivot)."""
+    for c in range(1, P.shape[1]):
+        for r in range(c):
+            P[:, r] -= (P[:, r, c] // P[:, c, c])[:, None] * P[:, c]
+    return P
 
 
 def _triangular_canonical(q, P):
     """Key rows (q, P row by row) of (1/q)*rowspan(P), P a stack of upper
-    triangular matrices with positive diagonals, reduced in place as by _row_hnf."""
-    dim = P.shape[1]
-    for c in range(1, dim):
-        for r in range(c):
-            P[:, r] -= (P[:, r, c] // P[:, c, c])[:, None] * P[:, c]
-    flat = P.reshape(len(P), -1)
+    triangular matrices with positive diagonals, reduced in place."""
+    flat = _reduced(P).reshape(len(P), -1)
     g = np.gcd(np.gcd.reduce(flat, axis=1), q)
     return np.column_stack([q // g, flat // g[:, None]])
 
@@ -364,17 +352,14 @@ def _ball_keys(n: int, dim: int | None):
     """Sorted, distinct int64 key rows (q, P) of the ball of radius n around Z^dim, or Z
     for dim None (rows (b, a), sorted as (a, b)).  S = rel*Z^dim of index i lies in L & Z^dim
     for L = (1/j)*frame*rel, so c(Z^dim, L) <= i*j <= n; each L arises with S = L & Z^dim."""
-    d = dim or 1
-    rel_det, R = map(np.array, zip(*((i, rel) for i in range(1, n + 1)
-                                       for rel in _hnf_matrices_with_det(d, i))))
-    frame_det, F = map(np.array, zip(*((j, frame) for j in range(1, n + 1)
-                                         for frame in _overlattice_frames(d, j))))
-    # the frames of index j <= n // i are a prefix of the frame stack
-    counts = np.searchsorted(frame_det, n // rel_det, side="right")
+    R, det = _hnf_stack(dim or 1, n)
+    F = _frames(R, det)
+    # the frames of index j <= n // i are a prefix of the stack
+    counts = np.searchsorted(det, n // det, side="right")
     rel_of = np.repeat(np.arange(len(R)), counts)
     frame_of = np.arange(len(rel_of)) - np.repeat(np.cumsum(counts) - counts, counts)
     # frame*rel is upper triangular with entries <= dim*n: int64 is exact
-    keys = _triangular_canonical(frame_det[frame_of], F[frame_of] @ R[rel_of])
+    keys = _triangular_canonical(det[frame_of], F[frame_of] @ R[rel_of])
     keys = keys[np.lexsort(keys.T[::-1] if dim else keys.T)]  # np.unique is slower
     return keys[np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)]]
 
@@ -453,17 +438,19 @@ def _random_lattice(rng: random.Random, dim: int = 2) -> RationalLattice:
             return RationalLattice(dim, rng.randint(1, 6), hnf)
 
 
-def _random_chain(rng: random.Random, sample):
+def _random_chain(rng: random.Random, sample, relations):
+    """A nested chain down from sample(rng); relations is _hnf_stack(dim, 4)."""
     top = sample(rng)
     desc = [top]
+    H, det = relations
     for _ in range(rng.randint(1, 4)):
         last = desc[-1]
         if isinstance(last, RationalCyclic):
             desc.append(RationalCyclic(last.a * rng.randint(1, 4), last.b))
         else:
-            det = rng.randint(1, 4)
-            rel = rng.choice(list(_hnf_matrices_with_det(last.dim, det)))
-            desc.append(RationalLattice(last.dim, last.denom, _matmul(rel, last.basis)))
+            rel = rng.choice(H[det == rng.randint(1, 4)])
+            desc.append(RationalLattice(last.dim, last.denom,
+                                        (rel.astype(object) @ last.basis).tolist()))
     return list(reversed(desc))
 
 
@@ -479,7 +466,7 @@ def run_metric_checks(samples: int = 1000, seed: int = 0) -> list[BoundReport]:
         raise DomainError("samples must be >= 1")
     if samples > MAX_SAMPLES:
         raise ResourceLimitError(f"sample count {_shown(samples)} exceeds guard {MAX_SAMPLES}")
-    rng = random.Random(seed)
+    rng, relations = random.Random(seed), _hnf_stack(2, 4)
     reports = []
     for family, sample in (("cyclic", _random_cyclic), ("lattice2", _random_lattice)):
         sym = ident = tri = 0
@@ -501,7 +488,7 @@ def run_metric_checks(samples: int = 1000, seed: int = 0) -> list[BoundReport]:
                 geo += 1
         chains = 0
         for _ in range(samples):
-            chain = _random_chain(rng, sample)
+            chain = _random_chain(rng, sample, relations)
             if chain_length(chain) != comm_index(chain[0], chain[-1]).value:
                 chains += 1
         ctx = {"family": family, "samples": samples, "seed": seed}

@@ -18,14 +18,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import _box_blocks, _power, is_prime
+from .arith import MAX_OUTPUT_DIGITS, _box_blocks, _power, is_prime
 from .errors import DomainError, ResourceLimitError, _shown
 from .reporting import BoundReport, compare
 from .root_systems import RootSystem
 
-#: Largest cutoff, and most root pairings an exhaustive box scan may compute.
+#: Largest cutoff, most root pairings an exhaustive box scan may compute, and
+#: most powers upper_bound_profile adds (10**6 of A1 take about 0.4 s).
 MAX_CUTOFF = 100
 MAX_SCAN_PAIRINGS = 10 ** 9
+MAX_PROFILE_TERMS = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -154,4 +156,10 @@ def upper_bound_profile(rs: RootSystem, n: int, s, c_const=1, D_const=1) -> int:
         raise DomainError(
             f"growth data too short: need index {_shown(s_index)}, got {len(s)} values")
     m0 = 3 + 2 * rs.dimension
+    # the sum is below top**(m0+1), refused as _power refuses a power
+    if top > 1 and m0 + 1 > MAX_OUTPUT_DIGITS / math.log10(top):
+        raise ResourceLimitError(f"sum of {_shown(top)} powers j**{m0} is above "
+                                 f"the output guard of {MAX_OUTPUT_DIGITS} decimal digits")
+    if top > MAX_PROFILE_TERMS:
+        raise ResourceLimitError(f"{_shown(top)} power-sum terms exceed guard {MAX_PROFILE_TERMS}")
     return sum(j ** m0 for j in range(1, top + 1)) * s[s_index - 1]

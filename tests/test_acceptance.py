@@ -87,6 +87,7 @@ def test_metric_geodesic_chain_suite():
 
 def test_transfer_inequality_seeded_cases():
     rng = random.Random(0)
+    H, det = cg._hnf_stack(2, 4)
     cases = 0
     all_hold = True
     while cases < 50:
@@ -101,9 +102,8 @@ def test_transfer_inequality_seeded_cases():
             B = RationalCyclic(A.a * step, A.b) if rng.random() < 0.5 \
                 else RationalCyclic(A.a, A.b * step)
         else:
-            rel = rng.choice(list(cg._hnf_matrices_with_det(A.dim, step)))
-            B = RationalLattice(A.dim, A.denom,
-                                tuple(tuple(r) for r in cg._matmul(rel, A.basis)))
+            rel = rng.choice(H[det == step])
+            B = RationalLattice(A.dim, A.denom, (rel.astype(object) @ A.basis).tolist())
         c_ab = comm_index(A, B).value
         if c_ab > 32:
             continue

@@ -170,6 +170,22 @@ class TestArithmeticFunctions:
         assert arith.divisors(12) == [1, 2, 3, 4, 6, 12]
         assert arith.divisors(1) == [1]
 
+    def test_divisor_guard_boundary(self, monkeypatch):
+        # the product of the first 22 primes has 2**22 divisors, counted from
+        # its factorization and refused before any list is built
+        primorial = math.prod(p for p in range(80) if arith.is_prime(p))
+        started = time.monotonic()
+        with pytest.raises(ResourceLimitError) as caught:
+            arith.divisors(primorial)
+        assert time.monotonic() - started < 1
+        assert str(caught.value) == "4194304 divisors of about 10^31 exceed guard 1000000"
+        # the guard is a module constant read when the divisors are asked for
+        monkeypatch.setattr(arith, "MAX_DIVISORS", 12)
+        assert len(arith.divisors(60)) == 12
+        with pytest.raises(ResourceLimitError) as caught:
+            arith.divisors(2 ** 12)
+        assert str(caught.value) == "13 divisors of 4096 exceed guard 12"
+
     def test_is_prime_against_sieve(self):
         mask = arith.prime_sieve(2000)
         for n in range(2000):

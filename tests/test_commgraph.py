@@ -297,7 +297,7 @@ class TestChains:
     def test_random_chains_hit_endpoint_index(self):
         rng = random.Random(4)
         for _ in range(200):
-            chain = cg._random_chain(rng, cg._random_lattice)
+            chain = cg._random_chain(rng, cg._random_lattice, cg._hnf_stack(2, 4))
             assert chain_length(chain) == comm_index(chain[0], chain[-1]).value
 
 
@@ -341,9 +341,34 @@ class TestBallEnumeration:
 
     def test_sublattice_count_oracle(self):
         # index-k sublattices of Z^2 are counted by sigma(k)
+        _, det = cg._hnf_stack(2, 30)
         for k in range(1, 31):
-            count = sum(1 for _ in cg._hnf_matrices_with_det(2, k))
+            count = np.count_nonzero(det == k)
             assert count == sigma(k)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_hnf_stack_oracle(self, dim):
+        # each row is HNF, no row repeats and det is the sorted pivot product,
+        # so the stack is a set of HNF matrices; the count a(m) of each
+        # determinant m then pins it to all of them: the candidate totals
+        # sum a(i)*A(m // i) over i <= m determine a(m) one m at a time, and
+        # must equal the independent recurrence in _ball_candidates
+        n = 40
+        H, det = cg._hnf_stack(dim, n)
+        assert H.dtype == det.dtype == np.int64 and H.shape == (len(det), dim, dim)
+        diag = H[:, range(dim), range(dim)]
+        assert (diag > 0).all() and not np.tril(H, -1).any()
+        assert all((0 <= H[:, r, c]).all() and (H[:, r, c] < H[:, c, c]).all()
+                   for c in range(dim) for r in range(c))
+        assert len(np.unique(H.reshape(len(H), -1), axis=0)) == len(H)
+        assert (det == diag.prod(axis=1)).all() and (np.diff(det) >= 0).all()
+        a = np.bincount(det, minlength=n + 1)
+        A = np.cumsum(a)
+        assert a[0] == 0 and det[-1] <= n
+        for m in range(1, n + 1):
+            assert cg._ball_candidates(m, dim) == sum(a[i] * A[m // i] for i in range(1, m + 1))
+        if dim == 2:
+            assert a[1:].tolist() == [sigma(m) for m in range(1, n + 1)]
 
     # Macdonald counts of the ball around Z^d, the same around every
     # basepoint by transport; the two non-standard lattices are
@@ -374,30 +399,31 @@ class TestBallEnumeration:
         assert all(g.denom > 1 and g.basis[0][-1] != 0 for g in (gamma2, gamma3))
         for gamma, n in ((Z2, 6), (gamma2, 6), (gamma3, 4), (BIG2, 4)):
             dim = gamma.dim
+            H, det = cg._hnf_stack(dim, 2 * n)
+            F = cg._frames(H, det)
             seen = set()
-            for i in range(1, 2 * n + 1):
-                for rel in cg._hnf_matrices_with_det(dim, i):
-                    M = RationalLattice(dim, gamma.denom, tuple(tuple(r) for r in
-                                                                cg._matmul(rel, gamma.basis)))
-                    for j in range(1, 2 * n // i + 1):
-                        for frame in cg._overlattice_frames(dim, j):
-                            L = RationalLattice(dim, M.denom * j,
-                                                tuple(tuple(r) for r in
-                                                      cg._matmul(frame, M.basis)))
-                            if comm_index(gamma, L).value <= n:
-                                seen.add(L)
+            for rel, i in zip(H.astype(object), det.tolist()):
+                M = RationalLattice(dim, gamma.denom, (rel @ gamma.basis).tolist())
+                for frame, j in zip(F.astype(object), det.tolist()):
+                    if i * j > 2 * n:
+                        break
+                    L = RationalLattice(dim, M.denom * j, (frame @ M.basis).tolist())
+                    if comm_index(gamma, L).value <= n:
+                        seen.add(L)
             assert seen == set(enumerate_ball(gamma, n)), gamma
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_overlattice_frames_against_brute_filter(self, dim):
         # the frames are the HNF matrices of determinant j**(dim-1) whose
         # row span holds each j*e_t, tested by back-substitution
+        H, det = cg._hnf_stack(dim, 8 ** (dim - 1))
+        rels, index = cg._hnf_stack(dim, 8)
+        F = cg._frames(rels, index)
         for j in range(1, 9):
             units = j * np.eye(dim, dtype=np.int64)
-            want = {tuple(map(tuple, mat))
-                    for mat in cg._hnf_matrices_with_det(dim, j ** (dim - 1))
+            want = {tuple(map(tuple, mat)) for mat in H[det == j ** (dim - 1)].tolist()
                     if upper_row_span_mask(np.array(mat, dtype=np.int64), units).all()}
-            frames = cg._overlattice_frames(dim, j)
+            frames = [tuple(map(tuple, mat)) for mat in F[index == j].tolist()]
             assert len(frames) == len(want) and set(frames) == want, (dim, j)
 
     def test_ball_sorted_deterministic(self):
@@ -438,9 +464,8 @@ class TestBallEnumeration:
         # the estimate is the number of candidates (frame, relation) the
         # kernel builds
         for dim, n in ((1, 40), (2, 12), (3, 6)):
-            built = sum(len(cg._overlattice_frames(dim, j)) for i in range(1, n + 1)
-                        for _ in cg._hnf_matrices_with_det(dim, i)
-                        for j in range(1, n // i + 1))
+            _, det = cg._hnf_stack(dim, n)
+            built = sum(np.count_nonzero(det <= n // i) for i in det.tolist())
             assert cg._ball_candidates(n, dim) == built
         # the largest admitted and the smallest refused radius, checked
         # without building either ball

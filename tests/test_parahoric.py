@@ -269,3 +269,28 @@ class TestProfile:
     def test_nonpositive_constants_rejected(self):
         with pytest.raises(DomainError):
             upper_bound_profile(A1, 1, [1], c_const=0)
+
+    def test_term_guard_boundary(self, monkeypatch):
+        # 10**12 terms are refused before the loop, not summed
+        started = time.monotonic()
+        with pytest.raises(ResourceLimitError) as caught:
+            upper_bound_profile(A1, 1, [1], c_const=10 ** 12)
+        assert time.monotonic() - started < 1
+        assert str(caught.value) == "1000000000000 power-sum terms exceed guard 1000000"
+        monkeypatch.setattr(parahoric, "MAX_PROFILE_TERMS", 5)
+        assert upper_bound_profile(A1, 5, [1] * 5) == sum(j ** 9 for j in range(1, 6))
+        with pytest.raises(ResourceLimitError) as caught:
+            upper_bound_profile(A1, 6, [1] * 6)
+        assert str(caught.value) == "6 power-sum terms exceed guard 5"
+
+    def test_digit_guard_boundary(self, monkeypatch):
+        # the sum of top powers j**9 is below top**10: about 10*log10(top)
+        # digits, refused as _power refuses a power, before the term count
+        with pytest.raises(ResourceLimitError) as caught:
+            upper_bound_profile(A1, 1, [1], c_const=10 ** 20000)
+        assert str(caught.value) == ("sum of about 10^20000 powers j**9 is above "
+                                     "the output guard of 100000 decimal digits")
+        monkeypatch.setattr(parahoric, "MAX_OUTPUT_DIGITS", 20)
+        assert len(str(upper_bound_profile(A1, 100, [1] * 100))) == 20
+        with pytest.raises(ResourceLimitError):
+            upper_bound_profile(A1, 101, [1] * 101)
