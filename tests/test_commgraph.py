@@ -295,9 +295,9 @@ class TestChains:
             chain_length([])
 
     def test_random_chains_hit_endpoint_index(self):
-        rng = random.Random(4)
+        rng, relations = random.Random(4), cg._hnf_stack(2, 4)
         for _ in range(200):
-            chain = cg._random_chain(rng, cg._random_lattice, cg._hnf_stack(2, 4))
+            chain = cg._random_chain(rng, cg._random_lattice, relations)
             assert chain_length(chain) == comm_index(chain[0], chain[-1]).value
 
 
