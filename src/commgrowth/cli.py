@@ -272,10 +272,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built on the first main call and kept: argparse carries no state from one
+# parse_args call to the next, and the handlers read their collaborators at call time
+_shared_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
     """Parse and dispatch one invocation; see the module docstring for the
     exit-status contract."""
-    args = build_parser().parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         return args.run(args)
     except DomainError as exc:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 
@@ -24,10 +25,11 @@ from .reporting import BoundReport, compare
 from .root_systems import RootSystem
 
 #: Largest cutoff, most root pairings an exhaustive box scan may compute, and
-#: most powers upper_bound_profile adds (10**6 of A1 take about 0.4 s).
+#: most work upper_bound_profile may do: its terms times M0+1, or the growth
+#: values it reads if more (0.2-0.8 s at the budget, from A1 to A48).
 MAX_CUTOFF = 100
 MAX_SCAN_PAIRINGS = 10 ** 9
-MAX_PROFILE_TERMS = 10 ** 6
+MAX_PROFILE_WORK = 10 ** 7
 
 
 @dataclass(frozen=True)
@@ -140,9 +142,10 @@ def upper_bound_profile(rs: RootSystem, n: int, s, c_const=1, D_const=1) -> int:
 
     Under the counting hypotheses this dominates the full commensurability
     growth C_n for lattices in the group; s is caller-supplied
-    subgroup-growth data s_1, s_2, ... (computing it is out of scope here).
-    The constants c and D exist but are not pinned by the theory, so they
-    are parameters, defaulting to 1.
+    subgroup-growth data s_1, s_2, ... (computing it is out of scope here),
+    any iterable, read only up to s_{ceil(D*n)} and only once the guards
+    pass.  The constants c and D exist but are not pinned by the theory, so
+    they are parameters, defaulting to 1.
     """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {_shown(n)}")
@@ -151,15 +154,21 @@ def upper_bound_profile(rs: RootSystem, n: int, s, c_const=1, D_const=1) -> int:
         raise DomainError("profile constants must be positive")
     top = math.ceil(c_frac * n)
     s_index = math.ceil(d_frac * n)
-    s = list(s)
-    if len(s) < s_index:
-        raise DomainError(
-            f"growth data too short: need index {_shown(s_index)}, got {len(s)} values")
     m0 = 3 + 2 * rs.dimension
     # the sum is below top**(m0+1), refused as _power refuses a power
     if top > 1 and m0 + 1 > MAX_OUTPUT_DIGITS / math.log10(top):
         raise ResourceLimitError(f"sum of {_shown(top)} powers j**{m0} is above "
                                  f"the output guard of {MAX_OUTPUT_DIGITS} decimal digits")
-    if top > MAX_PROFILE_TERMS:
-        raise ResourceLimitError(f"{_shown(top)} power-sum terms exceed guard {MAX_PROFILE_TERMS}")
-    return sum(j ** m0 for j in range(1, top + 1)) * s[s_index - 1]
+    # top powers j**m0, each about m0+1 times a small one, or the values read
+    work = max(top * (m0 + 1), s_index)
+    if work > MAX_PROFILE_WORK:
+        raise ResourceLimitError(
+            f"profile work {_shown(work)} exceeds guard {MAX_PROFILE_WORK}: "
+            f"j**{m0} summed to {_shown(top)}, growth index {_shown(s_index)}")
+    read = 0
+    for read, last in enumerate(islice(s, s_index), 1):
+        pass  # only the last value is kept, so memory stays flat
+    if read < s_index:
+        raise DomainError(
+            f"growth data too short: need index {_shown(s_index)}, got {read} values")
+    return sum(j ** m0 for j in range(1, top + 1)) * last

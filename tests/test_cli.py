@@ -491,3 +491,37 @@ class TestHarness:
         assert main(["rank1", "--n", "3", "--csv"]) == EXIT_OK
         out = capsys.readouterr().out
         assert out == "k,c_k,C_k\n1,1,1\n2,2,3\n3,2,5\n"
+
+    def test_repeated_calls_share_no_state(self, monkeypatch, capsys):
+        # main reuses one parser per process, so in one sequence of calls
+        # each answers as a fresh `python -m commgrowth` with the same argv:
+        # a default comes back after a call that set it, and an argparse
+        # error in the middle leaves nothing behind
+        monkeypatch.setenv("COLUMNS", "80")  # usage lines wrap alike on both sides
+        sequence = [
+            ["ball", "--family", "lattice", "--dim", "3", "--n", "2"],
+            ["ball", "--family", "cyclic", "--n", "5"],
+            ["order", "--type", "A1", "--p", "3", "--k", "4"],
+            ["order", "--type", "A1", "--p", "3"],
+            ["check", "metric"],
+            ["rank1", "--n", "3", "--csv", "--json"],
+            ["rank1", "--n", "3", "--csv"],
+            ["rank1", "--n", "3"],
+            ["check", "metric", "--samples", "5", "--seed", "7"],
+            ["check", "metric"],
+        ]
+        statuses = []
+        for argv in sequence:
+            try:
+                status = main(argv)
+            except SystemExit as exc:
+                status = exc.code
+            out, err = capsys.readouterr()
+            fresh = run_cli(*argv)
+            assert (status, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+            statuses.append(status)
+        assert statuses == [EXIT_OK] * 5 + [2] + [EXIT_OK] * 4
+        with pytest.raises(SystemExit) as caught:
+            main(["--help"])
+        assert caught.value.code == EXIT_OK
+        assert capsys.readouterr().out == cli.build_parser().format_help()

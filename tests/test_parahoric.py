@@ -1,6 +1,6 @@
 import time
 from fractions import Fraction
-from itertools import product
+from itertools import count, product
 
 import pytest
 
@@ -14,6 +14,7 @@ from commgrowth.root_systems import root_system, supported_labels
 
 A1 = root_system("A1")
 A2 = root_system("A2")
+A48 = root_system("A48")
 
 RANK_LE_4 = [lab for lab in supported_labels() if root_system(lab).rank <= 4]
 
@@ -265,23 +266,52 @@ class TestProfile:
     def test_short_data_rejected(self):
         with pytest.raises(DomainError):
             upper_bound_profile(A1, 3, [1, 2])
+        with pytest.raises(DomainError, match="need index 3, got 2 values"):
+            upper_bound_profile(A1, 3, iter([1, 2]))
 
     def test_nonpositive_constants_rejected(self):
         with pytest.raises(DomainError):
             upper_bound_profile(A1, 1, [1], c_const=0)
 
     def test_term_guard_boundary(self, monkeypatch):
-        # 10**12 terms are refused before the loop, not summed
+        # the work, terms times M0+1, is refused before the loop and before
+        # any growth value is read: 10**12 terms, and one term past the
+        # budget at A1 (M0 = 9, 10**6 terms) and at A48 (M0 = 4803, 2081)
         started = time.monotonic()
         with pytest.raises(ResourceLimitError) as caught:
             upper_bound_profile(A1, 1, [1], c_const=10 ** 12)
+        assert str(caught.value) == ("profile work 10000000000000 exceeds guard 10000000: "
+                                     "j**9 summed to 1000000000000, growth index 1")
+        for rs, top in [(A1, 10 ** 6), (A48, 2081)]:
+            assert top * (3 + 2 * rs.dimension + 1) <= parahoric.MAX_PROFILE_WORK
+            with pytest.raises(ResourceLimitError):
+                upper_bound_profile(rs, top + 1, [])
         assert time.monotonic() - started < 1
-        assert str(caught.value) == "1000000000000 power-sum terms exceed guard 1000000"
-        monkeypatch.setattr(parahoric, "MAX_PROFILE_TERMS", 5)
+        monkeypatch.setattr(parahoric, "MAX_PROFILE_WORK", 50)
         assert upper_bound_profile(A1, 5, [1] * 5) == sum(j ** 9 for j in range(1, 6))
         with pytest.raises(ResourceLimitError) as caught:
             upper_bound_profile(A1, 6, [1] * 6)
-        assert str(caught.value) == "6 power-sum terms exceed guard 5"
+        assert str(caught.value) == ("profile work 60 exceeds guard 50: "
+                                     "j**9 summed to 6, growth index 6")
+        monkeypatch.setattr(parahoric, "MAX_PROFILE_WORK", 2 * 4804)
+        assert upper_bound_profile(A48, 2, [1, 1]) == 1 + 2 ** 4803
+        with pytest.raises(ResourceLimitError):
+            upper_bound_profile(A48, 3, [1] * 3)
+
+    def test_endless_growth_data(self):
+        # only s_1 .. s_ceil(D*n) are read, once the guards pass, so an
+        # endless iterable is answered or refused at once; the values read
+        # count toward the work
+        started = time.monotonic()
+        assert upper_bound_profile(A1, 3, count(1)) == (1 + 2 ** 9 + 3 ** 9) * 3
+        assert upper_bound_profile(A1, 2, count(1), D_const=50) == (1 + 2 ** 9) * 100
+        with pytest.raises(ResourceLimitError):
+            upper_bound_profile(A1, 10 ** 6 + 1, count(1))
+        with pytest.raises(ResourceLimitError) as caught:
+            upper_bound_profile(A1, 1, count(1), D_const=10 ** 12)
+        assert time.monotonic() - started < 1
+        assert str(caught.value) == ("profile work 1000000000000 exceeds guard 10000000: "
+                                     "j**9 summed to 1, growth index 1000000000000")
 
     def test_digit_guard_boundary(self, monkeypatch):
         # the sum of top powers j**9 is below top**10: about 10*log10(top)
