@@ -3,8 +3,8 @@
 A cocharacter written on the fundamental coweights is admissible at cutoff
 c when its pairing against every root (positive and negative) stays within
 c; the coefficient box |a| <= c is implied, since the simple roots are
-among the positive roots.  The exact count (a box scan of at most
-MAX_SCAN_PAIRINGS root pairings), the (2c+1)-power box bounds, and the
+among the positive roots.  The exact count (the last coefficient peeled
+off as an interval per prefix), the (2c+1)-power box bounds, and the
 per-prime and global maximal-lattice estimates built from them are all
 exposed as checkable inequalities.  Level k means cutoff k+1 and the
 bound (2k+3)**dim: one rule, in _level_count, for the library and the CLI.
@@ -24,9 +24,10 @@ from .errors import DomainError, ResourceLimitError, _shown
 from .reporting import BoundReport, compare
 from .root_systems import RootSystem
 
-#: Largest cutoff, most root pairings an exhaustive box scan may compute, and
-#: most work upper_bound_profile may do: its terms times M0+1, or the growth
-#: values it reads if more (0.2-0.8 s at the budget, from A1 to A48).
+#: Largest cutoff, most root pairings a box scan would compute (2c+1 times
+#: what peeling does), and most work upper_bound_profile may do: its terms
+#: times M0+1, or the growth values it reads if more (0.2-0.8 s at the
+#: budget, from A1 to A48).
 MAX_CUTOFF = 100
 MAX_SCAN_PAIRINGS = 10 ** 9
 MAX_PROFILE_WORK = 10 ** 7
@@ -48,39 +49,56 @@ class CocharacterCount:
             raise ValueError("exact count cannot exceed the box bound")
 
 
-def _exhaustive_count(rs: RootSystem, c: int) -> int:
-    # blockwise scan over the coefficient box, so memory stays bounded
-    # regardless of rank and cutoff
-    roots_t = np.asarray(rs.positive_roots, dtype=np.int64).T
+def _at_least(name: str, value: int, least: int) -> None:
+    """Refuse a value that is not an int, or is below least."""
+    if not isinstance(value, int):
+        raise DomainError(f"{name} must be an integer, got {_shown(value)}")
+    if value < least:
+        raise DomainError(f"{name} must be >= {least}, got {_shown(value)}")
+
+
+def _peeled_count(rs: RootSystem, c: int) -> int:
+    # the box walked blockwise without its last coordinate x: roots of last
+    # coefficient n whose prefix pairings span [lo, hi] admit ceil((-c-lo)/n)
+    # <= x <= floor((c-hi)/n) if n > 0, and keep or drop the prefix if n == 0
+    roots = np.asarray(rs.positive_roots, dtype=np.int64)
+    groups = [(n, roots[roots[:, -1] == n, :-1].T) for n in np.unique(roots[:, -1])]
     count = 0
-    for digits in _box_blocks(2 * c + 1, rs.rank):
-        pairings = (digits - c) @ roots_t
-        count += int(np.count_nonzero((np.abs(pairings) <= c).all(axis=1)))
+    for digits in _box_blocks(2 * c + 1, rs.rank - 1):
+        kept, least, most = True, -c, c
+        for n, head in groups:
+            pairings = (digits - c) @ head
+            lo, hi = pairings.min(axis=1), pairings.max(axis=1)
+            if n:
+                least = np.maximum(least, -((c + lo) // n))
+                most = np.minimum(most, (c - hi) // n)
+            else:
+                kept = (lo >= -c) & (hi <= c)
+        count += int((np.maximum(most - least + 1, 0) * kept).sum())
     return count
 
 
 def count_admissible_cocharacters(rs: RootSystem, c: int) -> CocharacterCount:
     """Count coweight coefficient vectors whose pairing with every root
-    lies in [-c, c], by exhaustive scan of the coefficient box.
+    lies in [-c, c], peeling the last coefficient off the coefficient box.
 
-    A scan of more than MAX_SCAN_PAIRINGS root pairings, (2c+1)**rank box
-    points times the positive roots, is skipped and only the box bound is
-    reported (exact=None); past MAX_CUTOFF the request is refused.
+    The guard prices a box scan, (2c+1)**rank points times the positive
+    roots: an upper bound, 2c+1 times the pairings peeling does.  Past
+    MAX_SCAN_PAIRINGS only the box bound is reported (exact=None); past
+    MAX_CUTOFF the request is refused.
     """
-    if c < 0:
-        raise DomainError(f"cutoff must be >= 0, got {_shown(c)}")
+    _at_least("cutoff", c, 0)
     if c > MAX_CUTOFF:
         raise ResourceLimitError(f"cutoff {_shown(c)} exceeds guard {MAX_CUTOFF}")
     box = (2 * c + 1) ** rs.rank
     if box * rs.num_positive_roots > MAX_SCAN_PAIRINGS:
         return CocharacterCount(rs.label, c, None, box)
-    return CocharacterCount(rs.label, c, _exhaustive_count(rs, c), box)
+    return CocharacterCount(rs.label, c, _peeled_count(rs, c), box)
 
 
 def _level_count(rs: RootSystem, k: int) -> tuple[CocharacterCount, int]:
     """The count at level k, which is cutoff k+1, and its bound (2k+3)**dim."""
-    if k < 0:
-        raise DomainError(f"k must be >= 0, got {_shown(k)}")
+    _at_least("k", k, 0)
     return count_admissible_cocharacters(rs, k + 1), (2 * k + 3) ** rs.dimension
 
 
@@ -102,8 +120,7 @@ def check_two_k_plus_three(p: int, k: int) -> BoundReport:
     cruder p**(3k) for every prime; only the sharpest that applies is built."""
     if not is_prime(p):
         raise DomainError(f"p must be prime, got {_shown(p)}")
-    if k < 1:
-        raise DomainError(f"k must be >= 1, got {_shown(k)}")
+    _at_least("k", k, 1)
     return compare("2k+3_absorbed_by_prime_power", 2 * k + 3,
                    _power(p, k if p >= 5 else 3 * k), p=p, k=k, sharp_applies=p >= 5)
 
@@ -112,8 +129,7 @@ def _per_prime_lhs(rs: RootSystem, p: int, k: int) -> int:
     """(d+1)*p**((3+d)k) for a prime p and level k >= 1, and 1 at level 0."""
     if not is_prime(p):
         raise DomainError(f"p must be prime, got {_shown(p)}")
-    if k < 0:
-        raise DomainError(f"k must be >= 0, got {_shown(k)}")
+    _at_least("k", k, 0)
     return (rs.dimension + 1) * _power(p, (3 + rs.dimension) * k) if k else 1
 
 
@@ -131,8 +147,7 @@ def maximal_lattice_bound(rs: RootSystem, m: int) -> int:
     """Global bound m**(3+2d) on the number of maximal lattices containing
     the level-m principal congruence subgroup; completely multiplicative,
     and equal to the product of the per-prime crude bounds."""
-    if m < 1:
-        raise DomainError(f"m must be >= 1, got {_shown(m)}")
+    _at_least("m", m, 1)
     return _power(m, 3 + 2 * rs.dimension)
 
 

@@ -15,6 +15,7 @@ from commgrowth.root_systems import root_system, supported_labels
 A1 = root_system("A1")
 A2 = root_system("A2")
 A48 = root_system("A48")
+F4 = root_system("F4")
 
 RANK_LE_4 = [lab for lab in supported_labels() if root_system(lab).rank <= 4]
 
@@ -46,14 +47,16 @@ class TestCount:
     @pytest.mark.parametrize("label", supported_labels())
     def test_matches_independent_scan(self, label):
         rs = root_system(label)
-        top = 3 if rs.rank <= 3 else 2 if rs.rank == 4 else 1
+        top = 4 if rs.rank <= 3 else 3 if rs.rank == 4 else 1
         for c in range(0, top + 1):
             assert count_admissible_cocharacters(rs, c).exact == scan_oracle(rs, c)
 
     @pytest.mark.parametrize("label, c, exact", [("E6", 3, 6085), ("E7", 2, 1571),
-                                                 ("E8", 2, 2401)])
+                                                 ("E7", 3, 14731), ("E8", 2, 2401),
+                                                 ("E8", 3, 26401)])
     def test_exceptional_pins(self, label, c, exact):
-        # E6 and E8 agree with the benchmark's independent peeling count
+        # E6 and E8 agree with the benchmark's independent peeling count, and
+        # E7 and E8 at cutoff 3 with a full scan of the coefficient box
         assert count_admissible_cocharacters(root_system(label), c).exact == exact
 
     @pytest.mark.parametrize("label, c", [("F4", 40), ("F4", 100), ("E8", 4)])
@@ -120,6 +123,28 @@ class TestCount:
         with pytest.raises(DomainError) as caught:
             count_admissible_cocharacters(A1, -10 ** 5000)
         assert str(caught.value) == "cutoff must be >= 0, got about -10^5000"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: count_admissible_cocharacters(F4, 2.5), "cutoff must be an integer, got 2.5"),
+    (lambda: check_cocharacter_bound(F4, 1.5), "k must be an integer, got 1.5"),
+    (lambda: per_prime_bound(F4, 5, 1.5), "k must be an integer, got 1.5"),
+    (lambda: check_two_k_plus_three(5, 1.5), "k must be an integer, got 1.5"),
+    (lambda: maximal_lattice_bound(F4, 2.0), "m must be an integer, got 2.0"),
+    (lambda: count_admissible_cocharacters(F4, -1), "cutoff must be >= 0, got -1"),
+    (lambda: check_cocharacter_bound(F4, -1), "k must be >= 0, got -1"),
+    (lambda: per_prime_bound(F4, 5, -1), "k must be >= 0, got -1"),
+    (lambda: check_two_k_plus_three(5, 0), "k must be >= 1, got 0"),
+    (lambda: maximal_lattice_bound(F4, 0), "m must be >= 1, got 0"),
+], ids=["cutoff", "level", "per_prime_level", "two_k_plus_three", "modulus",
+        "negative_cutoff", "negative_level", "negative_per_prime_level",
+        "two_k_plus_three_at_zero", "modulus_at_zero"])
+def test_arguments_must_be_ints(call, message):
+    # a float is refused like a negative int, never run into a traceback or
+    # a float report
+    with pytest.raises(DomainError) as caught:
+        call()
+    assert str(caught.value) == message
 
 
 class TestCocharacterBound:
