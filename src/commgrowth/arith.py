@@ -11,8 +11,6 @@ import math
 from dataclasses import dataclass
 from itertools import accumulate, chain, count, cycle, islice, takewhile
 
-import numpy as np
-
 from .errors import DomainError, ResourceLimitError, _shown
 from .reporting import BoundReport, compare
 
@@ -218,6 +216,7 @@ def _power(base: int, exponent: int) -> int:
 def _box_blocks(side: int, width: int):
     """The points of [0, side)**width in lexicographic order, as int64
     digit arrays of shape (rows, width), at most _BOX_BLOCK rows each."""
+    import numpy as np
     total = side ** width
     for start in range(0, total, _BOX_BLOCK):
         rem = np.arange(start, min(start + _BOX_BLOCK, total), dtype=np.int64)
@@ -239,6 +238,7 @@ def _check_sieve_limit(limit: int, least: int) -> None:
 def prime_sieve(limit: int) -> np.ndarray:
     """Boolean mask of length limit+1 with mask[p] == True iff p is prime."""
     _check_sieve_limit(limit, 0)
+    import numpy as np
     mask = np.ones(limit + 1, dtype=bool)
     mask[: min(2, limit + 1)] = False
     for p in range(2, math.isqrt(limit) + 1):
@@ -256,6 +256,7 @@ def omega_sieve(limit: int) -> np.ndarray:
     above 1 is the one prime factor above isqrt(limit).
     """
     _check_sieve_limit(limit, 1)
+    import numpy as np
     w = np.zeros(limit + 1, dtype=np.uint8)
     cofactor = np.arange(limit + 1, dtype=np.int32)
     for p in np.flatnonzero(prime_sieve(math.isqrt(limit))).tolist():
@@ -274,6 +275,7 @@ def divisor_count_sieve(limit: int) -> np.ndarray:
     by the hyperbola rule and no primes: each m <= isqrt(k) that divides k
     pairs with k/m and counts 2, or 1 when k = m*m."""
     _check_sieve_limit(limit, 1)
+    import numpy as np
     t = np.zeros(limit + 1, dtype=np.int32)
     for m in range(1, math.isqrt(limit) + 1):
         t[m * m::m] += 2
@@ -285,7 +287,9 @@ def _rank1_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
     """int64 arrays of c_k = 2**omega(k) and of C_k for k = 1..n."""
     if n < 1:
         raise DomainError("series length must be >= 1")
-    c = np.left_shift(np.int64(1), omega_sieve(n)[1:])
+    w = omega_sieve(n)[1:]  # refuses n past the sieve guard before numpy is imported
+    import numpy as np
+    c = np.left_shift(np.int64(1), w)
     return c, np.cumsum(c)
 
 
@@ -299,7 +303,7 @@ def sum_omega(n: int) -> int:
     """Exact value of sum_{k<=n} omega(k)."""
     if n < 1:
         raise DomainError("n must be >= 1")
-    return int(omega_sieve(n).sum(dtype=np.int64))
+    return int(omega_sieve(n).sum(dtype="int64"))
 
 
 def sum_divisor_count(n: int) -> int:
@@ -348,6 +352,7 @@ def check_sandwich_bounds(series: GrowthSeries, n_min: int) -> BoundReport:
         raise DomainError("series too short for requested n_min")
     if len(series.C) != series.upto:
         raise DomainError("series must hold upto prefix sums")
+    import numpy as np
     upto = series.upto
     C = np.asarray(series.C, dtype=np.int64)
     k = np.arange(1, upto + 1, dtype=np.int64)

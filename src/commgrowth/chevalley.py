@@ -9,8 +9,6 @@ cases, which ``brute_force_order`` provides by scanning in numpy blocks.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .arith import _box_blocks, _power, factorize, is_prime
 from .errors import DomainError, ResourceLimitError, _shown
 from .reporting import BoundReport, compare
@@ -92,6 +90,7 @@ def brute_force_order(family: str, m: int) -> int:
     if candidates > MAX_CANDIDATES:
         raise ResourceLimitError(f"{family} mod {_shown(m)} needs {_shown(candidates)} "
                                  f"candidates, guard is {_shown(MAX_CANDIDATES)}")
+    import numpy as np
     one = 1 % m
     count = 0
     for digits in _box_blocks(m, n * n):

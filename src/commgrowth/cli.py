@@ -14,8 +14,6 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from . import __version__
 from .arith import MAX_OUTPUT_DIGITS, _rank1_arrays
 from .chevalley import ORACLE_FAMILIES, brute_force_order, order_zpk
@@ -69,6 +67,7 @@ def _digit_groups() -> np.ndarray:
     """The four ASCII digits of each r < 10000 as a uint32 word, built on
     first use: zero-padded at index 10000 + r, and with the leading zeros
     NUL at index r, for the leading group of a value (all NUL for r = 0)."""
+    import numpy as np
     r = np.arange(10000)[:, None]
     place = 10 ** np.arange(3, -1, -1)
     digits = r // place % 10 + ord("0")
@@ -86,6 +85,7 @@ def _ascii_rows(columns, widths, seps) -> str:
     blank inside the width becomes a space, and one outside it (where a
     shorter value shares a field with a longer one) a NUL, removed at the end.
     """
+    import numpy as np
     groups = _digit_groups()
     sizes = [max(width, len(str(int(col.max())))) for col, width in zip(columns, widths)]
     rows = np.empty((len(columns[0]), sum(sizes) + sum(map(len, seps))), np.uint8)
@@ -108,6 +108,7 @@ def _ascii_rows(columns, widths, seps) -> str:
 def _run_rank1(args: argparse.Namespace) -> int:
     n = args.n
     c, C = _rank1_arrays(n)
+    import numpy as np
     blocks = range(0, n, _ROW_BLOCK)
     if args.json:
         # json.dumps(..., indent=2) layout: all of c, then all of C

@@ -10,10 +10,9 @@ that matter are done on the exact integer indices, never on logs.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
-
-import numpy as np
 
 from .arith import divisors
 from .errors import DomainError, ResourceLimitError, _shown
@@ -299,6 +298,7 @@ def _hnf_stack(dim: int, n: int):
     """Every dim x dim HNF matrix of determinant <= n, as one int64 stack, and
     the determinants: by determinant, then diagonal, then the entries above the
     pivots column by column.  These index the sublattices of index <= n of Z^dim."""
+    import numpy as np
     H, det = np.arange(1, n + 1).reshape(-1, 1, 1), np.arange(1, n + 1)
     for s in range(2, dim + 1):
         # a first row (a, v) on top of H' of size s - 1, with a*det(H') <= n and
@@ -322,6 +322,7 @@ def _frames(H, det):
     (1/j)*K*L runs over the overlattices of index j of any lattice L in its basis.
     K is spanned by the rows of adj(H)^T; reversing the coordinates, an
     automorphism of Z^dim, makes them the upper triangular anti-transpose of adj(H)."""
+    import numpy as np
     dim, adj = H.shape[1], np.zeros_like(H)
     for r in range(dim - 1, -1, -1):
         # row r of H*adj(H) = det*I by back-substitution: |adj| <= 2n^2 and every
@@ -343,6 +344,7 @@ def _reduced(P):
 def _triangular_canonical(q, P):
     """Key rows (q, P row by row) of (1/q)*rowspan(P), P a stack of upper
     triangular matrices with positive diagonals, reduced in place."""
+    import numpy as np
     flat = _reduced(P).reshape(len(P), -1)
     g = np.gcd(np.gcd.reduce(flat, axis=1), q)
     return np.column_stack([q // g, flat // g[:, None]])
@@ -352,6 +354,7 @@ def _ball_keys(n: int, dim: int | None):
     """Sorted, distinct int64 key rows (q, P) of the ball of radius n around Z^dim, or Z
     for dim None (rows (b, a), sorted as (a, b)).  S = rel*Z^dim of index i lies in L & Z^dim
     for L = (1/j)*frame*rel, so c(Z^dim, L) <= i*j <= n; each L arises with S = L & Z^dim."""
+    import numpy as np
     R, det = _hnf_stack(dim or 1, n)
     F = _frames(R, det)
     # the frames of index j <= n // i are a prefix of the stack
@@ -374,12 +377,14 @@ def _ball_candidates(n: int, dim: int) -> int:
 
 
 def _check_ball(n: int, dim: int | None):
-    """Refuse a lattice dimension (None for the cyclic family), ball radius
-    or candidate count past its guard, before anything of the ball is built."""
+    """Refuse a lattice dimension (None for the cyclic family), ball radius or
+    candidate count past its guard, before any of the ball is built; return n as an int."""
     if dim is not None and dim < 1:
         raise DomainError(f"dim must be a positive integer, got {_shown(dim)}")
-    if not isinstance(n, int):
-        raise DomainError(f"ball radius must be an integer, got {_shown(n)}")
+    try:
+        n = operator.index(n)  # a numpy integer counts, as an int
+    except TypeError:
+        raise DomainError(f"ball radius must be an integer, got {_shown(n)}") from None
     if n < 1:
         raise DomainError(f"ball radius must be >= 1, got {_shown(n)}")
     if n > MAX_BALL_RADIUS:
@@ -389,6 +394,7 @@ def _check_ball(n: int, dim: int | None):
                                  f"exceeds guard {MAX_BALL_DIM}")
     if (count := _ball_candidates(n, dim or 1)) > MAX_BALL_CANDIDATES:
         raise ResourceLimitError(f"{count} ball candidates exceed guard {MAX_BALL_CANDIDATES}")
+    return n
 
 
 def enumerate_ball(gamma, n: int):
@@ -401,7 +407,8 @@ def enumerate_ball(gamma, n: int):
         dim, denom, basis = gamma.dim, gamma.denom, gamma.basis
     else:
         raise DomainError(f"unsupported family {type(gamma).__name__}")
-    _check_ball(n, dim)
+    n = _check_ball(n, dim)
+    import numpy as np
     d, keys = len(basis), _ball_keys(n, dim)
     if (denom, basis) != (1, RationalLattice.standard(d).basis):
         # x -> x*gamma maps ball(Z^d) onto ball(gamma) injectively; in Python ints

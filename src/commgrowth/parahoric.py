@@ -13,11 +13,10 @@ bound (2k+3)**dim: one rule, in _level_count, for the library and the CLI.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-
-import numpy as np
 
 from .arith import MAX_OUTPUT_DIGITS, _box_blocks, _power, is_prime
 from .errors import DomainError, ResourceLimitError, _shown
@@ -49,15 +48,20 @@ class CocharacterCount:
             raise ValueError("exact count cannot exceed the box bound")
 
 
-def _at_least(name: str, value: int, least: int) -> None:
-    """Refuse a value that is not an int, or is below least."""
-    if not isinstance(value, int):
-        raise DomainError(f"{name} must be an integer, got {_shown(value)}")
+def _at_least(name: str, value: int, least: int) -> int:
+    """value as an int, refused when it is below least or no integer: any
+    operator.index value counts, a numpy integer too, and is converted."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {_shown(value)}") from None
     if value < least:
         raise DomainError(f"{name} must be >= {least}, got {_shown(value)}")
+    return value
 
 
 def _peeled_count(rs: RootSystem, c: int) -> int:
+    import numpy as np
     # the box walked blockwise without its last coordinate x: roots of last
     # coefficient n whose prefix pairings span [lo, hi] admit ceil((-c-lo)/n)
     # <= x <= floor((c-hi)/n) if n > 0, and keep or drop the prefix if n == 0
@@ -87,7 +91,7 @@ def count_admissible_cocharacters(rs: RootSystem, c: int) -> CocharacterCount:
     MAX_SCAN_PAIRINGS only the box bound is reported (exact=None); past
     MAX_CUTOFF the request is refused.
     """
-    _at_least("cutoff", c, 0)
+    c = _at_least("cutoff", c, 0)
     if c > MAX_CUTOFF:
         raise ResourceLimitError(f"cutoff {_shown(c)} exceeds guard {MAX_CUTOFF}")
     box = (2 * c + 1) ** rs.rank
@@ -98,7 +102,7 @@ def count_admissible_cocharacters(rs: RootSystem, c: int) -> CocharacterCount:
 
 def _level_count(rs: RootSystem, k: int) -> tuple[CocharacterCount, int]:
     """The count at level k, which is cutoff k+1, and its bound (2k+3)**dim."""
-    _at_least("k", k, 0)
+    k = _at_least("k", k, 0)
     return count_admissible_cocharacters(rs, k + 1), (2 * k + 3) ** rs.dimension
 
 
@@ -120,7 +124,7 @@ def check_two_k_plus_three(p: int, k: int) -> BoundReport:
     cruder p**(3k) for every prime; only the sharpest that applies is built."""
     if not is_prime(p):
         raise DomainError(f"p must be prime, got {_shown(p)}")
-    _at_least("k", k, 1)
+    k = _at_least("k", k, 1)
     return compare("2k+3_absorbed_by_prime_power", 2 * k + 3,
                    _power(p, k if p >= 5 else 3 * k), p=p, k=k, sharp_applies=p >= 5)
 
@@ -129,7 +133,7 @@ def _per_prime_lhs(rs: RootSystem, p: int, k: int) -> int:
     """(d+1)*p**((3+d)k) for a prime p and level k >= 1, and 1 at level 0."""
     if not is_prime(p):
         raise DomainError(f"p must be prime, got {_shown(p)}")
-    _at_least("k", k, 0)
+    k = _at_least("k", k, 0)
     return (rs.dimension + 1) * _power(p, (3 + rs.dimension) * k) if k else 1
 
 
@@ -139,6 +143,7 @@ def per_prime_bound(rs: RootSystem, p: int, k: int) -> BoundReport:
     the cruder p**((3+2d)k) for k >= 1.  At level 0 there is exactly one
     such subgroup, so the report carries 1 on both sides."""
     lhs = _per_prime_lhs(rs, p, k)
+    k = operator.index(k)  # an int: _per_prime_lhs accepted it
     return compare("per_prime_maximal_count", lhs, _power(p, (3 + 2 * rs.dimension) * k),
                    label=rs.label, p=p, k=k)
 
@@ -147,7 +152,7 @@ def maximal_lattice_bound(rs: RootSystem, m: int) -> int:
     """Global bound m**(3+2d) on the number of maximal lattices containing
     the level-m principal congruence subgroup; completely multiplicative,
     and equal to the product of the per-prime crude bounds."""
-    _at_least("m", m, 1)
+    m = _at_least("m", m, 1)
     return _power(m, 3 + 2 * rs.dimension)
 
 
@@ -170,7 +175,8 @@ def upper_bound_profile(rs: RootSystem, n: int, s, c_const=1, D_const=1) -> int:
     top = math.ceil(c_frac * n)
     s_index = math.ceil(d_frac * n)
     m0 = 3 + 2 * rs.dimension
-    # the sum is below top**(m0+1), refused as _power refuses a power
+    # the sum is below top**(m0+1), refused as _power refuses a power; kept in
+    # case MAX_PROFILE_WORK is raised, as today it caps the sum near 28,000 digits
     if top > 1 and m0 + 1 > MAX_OUTPUT_DIGITS / math.log10(top):
         raise ResourceLimitError(f"sum of {_shown(top)} powers j**{m0} is above "
                                  f"the output guard of {MAX_OUTPUT_DIGITS} decimal digits")

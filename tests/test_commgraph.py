@@ -7,6 +7,7 @@ from conftest import lattice_contains_oracle, upper_row_span_mask
 
 from commgrowth import commgraph as cg
 from commgrowth.arith import divisors, growth_series_rank1
+from commgrowth.cli import main
 from commgrowth.commgraph import (RationalCyclic, RationalLattice, chain_length,
                                   check_transfer_inequality, comm_index, distance,
                                   enumerate_ball, geodesic, index_in, intersect,
@@ -460,6 +461,23 @@ class TestBallEnumeration:
             enumerate_ball(Z, n)
         assert str(caught.value) == f"ball radius must be an integer, got {n}"
 
+    def test_numpy_integer_radius_is_an_int(self):
+        # any operator.index value is a radius, converted to int before the
+        # guards do arithmetic on it; a float is refused, also by the CLI
+        assert enumerate_ball(BIG2, np.int64(5)) == enumerate_ball(BIG2, 5)
+        assert enumerate_ball(Z, np.uint8(200)) == enumerate_ball(Z, 200)
+        checked = cg._check_ball(np.int64(41), 3)
+        assert checked == 41 and type(checked) is int
+        with pytest.raises(ResourceLimitError) as caught:
+            enumerate_ball(Z2, np.int64(214))
+        assert str(caught.value) == "301163 ball candidates exceed guard 300000"
+        with pytest.raises(DomainError) as caught:
+            enumerate_ball(Z2, np.float64(2.5))
+        assert str(caught.value) == "ball radius must be an integer, got 2.5"
+        with pytest.raises(SystemExit) as caught:
+            main(["ball", "--family", "lattice", "--dim", "2", "--n", "2.5"])
+        assert caught.value.code == 2
+
     def test_candidate_guard(self, monkeypatch):
         # the estimate is the number of candidates (frame, relation) the
         # kernel builds
@@ -522,3 +540,29 @@ class TestTransfer:
         assert report.context["left_card"] == report.lhs
         assert report.context["right_card"] == report.rhs
         assert report.context["c_ab"] == 2
+
+    @pytest.mark.parametrize("dim, budget", [(None, 64), (1, 64), (2, 23), (3, 4)])
+    def test_ball_injects_into_the_transferred_ball(self, dim, budget):
+        # ball(A, n) lies inside ball(B, c(A,B)*n) member by member; the
+        # cardinalities that check_transfer_inequality compares cannot fail
+        # while C_n is monotone, but this fails when transport or comm_index
+        # goes wrong.  B is (1/q)*rel*A with det(rel), q <= 4, in either order
+        rng = random.Random(21 + (dim or 0))
+        H, det = cg._hnf_stack(dim or 1, 4)
+        pairs = 0
+        while pairs < 16:
+            if dim is None:
+                A = cyclic(rng.randint(1, 12), rng.randint(1, 12))
+                B = cyclic(A.a * rng.randint(1, 4), A.b * rng.randint(1, 4))
+            else:
+                A = cg._random_lattice(rng, dim)
+                rel = H[rng.randrange(len(H))].astype(object)
+                B = RationalLattice(dim, A.denom * rng.randint(1, 4), (rel @ A.basis).tolist())
+            c_ab = comm_index(A, B).value
+            if c_ab > budget:
+                continue
+            if rng.random() < 0.5:
+                A, B = B, A
+            n = rng.randint(1, budget // c_ab)
+            assert set(enumerate_ball(A, n)) <= set(enumerate_ball(B, c_ab * n))
+            pairs += 1

@@ -2,9 +2,11 @@ import time
 from fractions import Fraction
 from itertools import count, product
 
+import numpy as np
 import pytest
 
 from commgrowth import parahoric
+from commgrowth.cli import main
 from commgrowth.errors import DomainError, ResourceLimitError
 from commgrowth.parahoric import (check_cocharacter_bound, check_two_k_plus_three,
                                   count_admissible_cocharacters,
@@ -145,6 +147,31 @@ def test_arguments_must_be_ints(call, message):
     with pytest.raises(DomainError) as caught:
         call()
     assert str(caught.value) == message
+
+
+def test_numpy_integers_are_ints():
+    # any operator.index value is an integer argument, converted to int
+    # before the guards do arithmetic on it: numpy's F4 p**107 would wrap
+    count = count_admissible_cocharacters(A2, np.int64(3))
+    assert count == count_admissible_cocharacters(A2, 3) and type(count.cutoff) is int
+    assert check_cocharacter_bound(F4, np.int64(1)).lhs == check_cocharacter_bound(F4, 1).lhs
+    assert per_prime_bound(F4, 5, np.int64(1)).rhs == 5 ** 107
+    assert check_two_k_plus_three(5, np.uint8(2)).rhs == 25
+    assert maximal_lattice_bound(F4, np.int64(6)) == 6 ** 107
+    with pytest.raises(DomainError) as caught:
+        count_admissible_cocharacters(F4, np.int64(-1))
+    assert str(caught.value) == "cutoff must be >= 0, got -1"
+    with pytest.raises(ResourceLimitError) as caught:
+        count_admissible_cocharacters(A1, np.int64(101))
+    assert str(caught.value) == "cutoff 101 exceeds guard 100"
+    with pytest.raises(DomainError) as caught:
+        maximal_lattice_bound(F4, np.float64(2.5))
+    assert str(caught.value) == "m must be an integer, got 2.5"
+    for flag in ("--k", "--m"):
+        argv = ["parahoric", "--type", "F4", "--k", "1", flag, "2.5"]
+        with pytest.raises(SystemExit) as caught:
+            main(argv)
+        assert caught.value.code == 2
 
 
 class TestCocharacterBound:

@@ -1,6 +1,9 @@
 """Rules on the library source that the test suite enforces."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import commgrowth
@@ -109,3 +112,28 @@ def test_powers_of_p_and_m_go_through_the_guard():
              and isinstance(node.op, ast.Pow) and isinstance(node.left, ast.Name)
              and node.left.id in ("p", "m")]
     assert found == []
+
+
+POINT_QUERIES = """
+import contextlib, io, sys
+from commgrowth.cli import main
+statuses = []
+for argv in (["--version"], ["order", "--type", "E8", "--p", "7", "--k", "2"],
+             ["rootsys", "--type", "E8", "--json"], ["rootsys", "--type", "Q2"]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            statuses.append(main(argv))
+        except SystemExit as exc:
+            statuses.append(exc.code)
+print(statuses, "numpy" in sys.modules)
+"""
+
+
+def test_point_queries_do_not_import_numpy():
+    # numpy is imported inside the functions that build arrays, so a
+    # process that prints the version, an order or a root system, or
+    # refuses a label, never pays for the import; one process runs all four
+    env = dict(os.environ, PYTHONPATH=str(Path(commgrowth.__file__).parents[1]))
+    result = subprocess.run([sys.executable, "-c", POINT_QUERIES], capture_output=True,
+                            text=True, env=env, timeout=60)
+    assert (result.stdout, result.stderr) == ("[0, 0, 0, 2] False\n", "")
