@@ -424,7 +424,7 @@ def check_transfer_inequality(A, B, n: int) -> BoundReport:
     radius n around A injects into the ball of radius c(A,B)*n around B."""
     c_ab = comm_index(A, B).value
     ball_a = enumerate_ball(A, n)
-    ball_b = enumerate_ball(B, c_ab * n)
+    ball_b = enumerate_ball(B, c_ab * operator.index(n))  # an int product: ball_a took n
     return compare("ball_transfer", len(ball_a), len(ball_b),
                    n=n, c_ab=c_ab, left_card=len(ball_a), right_card=len(ball_b))
 

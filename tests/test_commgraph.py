@@ -535,6 +535,14 @@ class TestTransfer:
         report = check_transfer_inequality(cyclic(3), cyclic(3), 5)
         assert report.holds and report.lhs == report.rhs
 
+    def test_numpy_integer_radius_is_multiplied_as_an_int(self):
+        # c(A,B)*n is guard arithmetic done before the second ball sees n:
+        # in int64 it would wrap 4*(2**62 + 1) to 4 and pass
+        with pytest.raises(ResourceLimitError) as caught:
+            check_transfer_inequality(Z, cyclic(2 ** 62 + 1), np.int64(4))
+        assert str(caught.value) == "ball bound about 10^19 exceeds guard 1000"
+        assert check_transfer_inequality(Z, cyclic(2), np.int64(3)).rhs == 13
+
     def test_report_carries_cardinalities(self):
         report = check_transfer_inequality(Z, cyclic(2), 3)
         assert report.context["left_card"] == report.lhs
