@@ -466,8 +466,6 @@ class TestBallEnumeration:
         # guards do arithmetic on it; a float is refused, also by the CLI
         assert enumerate_ball(BIG2, np.int64(5)) == enumerate_ball(BIG2, 5)
         assert enumerate_ball(Z, np.uint8(200)) == enumerate_ball(Z, 200)
-        checked = cg._check_ball(np.int64(41), 3)
-        assert checked == 41 and type(checked) is int
         with pytest.raises(ResourceLimitError) as caught:
             enumerate_ball(Z2, np.int64(214))
         assert str(caught.value) == "301163 ball candidates exceed guard 300000"
