@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from itertools import accumulate, chain, count, cycle, islice, takewhile
 
-from .errors import DomainError, ResourceLimitError, _shown
+from .errors import DomainError, ResourceLimitError, _at_least, _integer, _shown
 from .reporting import BoundReport, compare
 
 #: Euler-Mascheroni constant, 20 significant digits.
@@ -103,8 +103,7 @@ def factorize(n: int) -> Factorization:
 
     n = 1 yields the empty factor sequence.
     """
-    if n < 1:
-        raise DomainError(f"factorize requires n >= 1, got {_shown(n)}")
+    n = _at_least("n", n, 1)
     factors = []
     m = _trial_divide(n, _SMALL_DIVISORS, factors, 0)
     if m >= _PSI13:
@@ -156,6 +155,7 @@ def is_prime(n: int) -> bool:
     At or above _PSI13 an n with a base prime as factor is composite; any
     other n raises ResourceLimitError, since no base set is proven there.
     """
+    n = _integer("n", n)
     if n < 2:
         return False
     for a in _MR_BASES:
@@ -171,6 +171,14 @@ def is_prime(n: int) -> bool:
         if x != 1 and n - 1 not in accumulate(range(s - 1), lambda y, _: y * y % n, initial=x):
             return False
     return True
+
+
+def _prime(p) -> int:
+    """p as an int, refused with DomainError unless it is a prime."""
+    p = _integer("p", p)
+    if not is_prime(p):
+        raise DomainError(f"p must be prime, got {_shown(p)}")
+    return p
 
 
 def divisors(n: int) -> list[int]:
@@ -226,18 +234,18 @@ def _box_blocks(side: int, width: int):
         yield digits.T
 
 
-def _check_sieve_limit(limit: int, least: int) -> None:
-    """Refuse a sieve limit below least or past MAX_SIEVE_LIMIT, before any
-    array is allocated."""
-    if limit < least:
-        raise DomainError(f"limit must be >= {least}")
+def _check_sieve_limit(limit: int, least: int) -> int:
+    """The sieve limit as an int, refused below least or past MAX_SIEVE_LIMIT,
+    before any array is allocated."""
+    limit = _at_least("limit", limit, least)
     if limit > MAX_SIEVE_LIMIT:
         raise ResourceLimitError(f"sieve limit {_shown(limit)} exceeds guard {MAX_SIEVE_LIMIT}")
+    return limit
 
 
 def prime_sieve(limit: int) -> np.ndarray:
     """Boolean mask of length limit+1 with mask[p] == True iff p is prime."""
-    _check_sieve_limit(limit, 0)
+    limit = _check_sieve_limit(limit, 0)
     import numpy as np
     mask = np.ones(limit + 1, dtype=bool)
     mask[: min(2, limit + 1)] = False
@@ -255,7 +263,7 @@ def omega_sieve(limit: int) -> np.ndarray:
     array on the multiples of each power p**j <= limit.  A cofactor left
     above 1 is the one prime factor above isqrt(limit).
     """
-    _check_sieve_limit(limit, 1)
+    limit = _check_sieve_limit(limit, 1)
     import numpy as np
     w = np.zeros(limit + 1, dtype=np.uint8)
     cofactor = np.arange(limit + 1, dtype=np.int32)
@@ -274,7 +282,7 @@ def divisor_count_sieve(limit: int) -> np.ndarray:
     """Array t with t[k] = divisor_count(k) for 0 <= k <= limit (t[0] = 0),
     by the hyperbola rule and no primes: each m <= isqrt(k) that divides k
     pairs with k/m and counts 2, or 1 when k = m*m."""
-    _check_sieve_limit(limit, 1)
+    limit = _check_sieve_limit(limit, 1)
     import numpy as np
     t = np.zeros(limit + 1, dtype=np.int32)
     for m in range(1, math.isqrt(limit) + 1):
@@ -285,8 +293,7 @@ def divisor_count_sieve(limit: int) -> np.ndarray:
 
 def _rank1_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
     """int64 arrays of c_k = 2**omega(k) and of C_k for k = 1..n."""
-    if n < 1:
-        raise DomainError("series length must be >= 1")
+    n = _at_least("series length", n, 1)
     w = omega_sieve(n)[1:]  # refuses n past the sieve guard before numpy is imported
     import numpy as np
     c = np.left_shift(np.int64(1), w)
@@ -296,13 +303,12 @@ def _rank1_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
 def growth_series_rank1(n: int) -> GrowthSeries:
     """Exact series c_k = 2**omega(k) and prefix sums C_k for k = 1..n."""
     c, C = _rank1_arrays(n)
-    return GrowthSeries(n, tuple(c.tolist()), tuple(C.tolist()))
+    return GrowthSeries(len(c), tuple(c.tolist()), tuple(C.tolist()))
 
 
 def sum_omega(n: int) -> int:
     """Exact value of sum_{k<=n} omega(k)."""
-    if n < 1:
-        raise DomainError("n must be >= 1")
+    n = _at_least("n", n, 1)
     return int(omega_sieve(n).sum(dtype="int64"))
 
 
@@ -310,8 +316,7 @@ def sum_divisor_count(n: int) -> int:
     """Exact value of sum_{k<=n} divisor_count(k) by Dirichlet's hyperbola
     method: 2*sum_{m<=r} floor(n/m) - r**2 with r = isqrt(n), refused
     before the loop when r passes MAX_SIEVE_LIMIT terms."""
-    if n < 1:
-        raise DomainError("n must be >= 1")
+    n = _at_least("n", n, 1)
     r = math.isqrt(n)
     if r > MAX_SIEVE_LIMIT:
         raise ResourceLimitError(f"divisor sum to {_shown(n)} exceeds guard "
@@ -326,14 +331,14 @@ def omega_sum_ratio(n: int) -> float:
     convenient here, so this comparator only reports the ratio; nothing in
     the package asserts a specific value for it.
     """
-    if n < 3:
-        raise DomainError("need n >= 3 for log(log(n))")
+    n = _at_least("n", n, 3)  # log(log(n)) is undefined below 3
     return (sum_omega(n) - n * math.log(math.log(n))) / n
 
 
 def dirichlet_residual(n: int) -> float:
     """Error term of the divisor summatory function against its
     n*log(n) + (2*gamma - 1)*n main term."""
+    n = _at_least("n", n, 1)
     total = sum_divisor_count(n)  # refuses a huge n before any float overflows
     return total - (n * math.log(n) + (2 * EULER_MASCHERONI - 1) * n)
 
@@ -346,8 +351,7 @@ def check_sandwich_bounds(series: GrowthSeries, n_min: int) -> BoundReport:
     ratios (max of C_k/(k log k), min of C_k/(k (log k)**log 2)) are
     reported in the context for window assertions made by callers.
     """
-    if n_min < 3:
-        raise DomainError("n_min must be >= 3 (log log undefined below)")
+    n_min = _at_least("n_min", n_min, 3)  # log(log(k)) is undefined below 3
     if series.upto < n_min:
         raise DomainError("series too short for requested n_min")
     if len(series.C) != series.upto:

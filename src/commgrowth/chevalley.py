@@ -9,8 +9,8 @@ cases, which ``brute_force_order`` provides by scanning in numpy blocks.
 
 from __future__ import annotations
 
-from .arith import _box_blocks, _power, factorize, is_prime
-from .errors import DomainError, ResourceLimitError, _shown
+from .arith import _box_blocks, _power, _prime, factorize
+from .errors import DomainError, ResourceLimitError, _at_least, _integer, _shown
 from .reporting import BoundReport, compare
 from .root_systems import RootSystem
 
@@ -31,26 +31,22 @@ MAX_CANDIDATES = 10 ** 8
 
 def order_fp(rs: RootSystem, p: int) -> int:
     """Order of the group of F_p-points: p**N * prod_i (p**d_i - 1)."""
-    if not is_prime(p):
-        raise DomainError(f"p must be prime, got {_shown(p)}")
-    value = _power(p, rs.num_positive_roots)
-    for d in rs.degrees:
-        value *= _power(p, d) - 1
-    return value
+    return order_zpk(rs, p, 1)
 
 
 def order_zpk(rs: RootSystem, p: int, k: int) -> int:
-    """Order over Z/p**k: each of the k-1 congruence layers contributes
-    a full p**d factor on top of the prime-field order."""
-    if k < 1:
-        raise DomainError(f"k must be >= 1, got {_shown(k)}")
-    return order_fp(rs, p) * _power(p, (k - 1) * rs.dimension)
+    """Order over Z/p**k: the prime-field order p**N * prod_i (p**d_i - 1),
+    and a full p**d factor from each of the k-1 congruence layers."""
+    k, p = _at_least("k", k, 1), _prime(p)
+    value = _power(p, rs.num_positive_roots)
+    for d in rs.degrees:
+        value *= _power(p, d) - 1
+    return value * _power(p, (k - 1) * rs.dimension)
 
 
 def order_zm(rs: RootSystem, m: int) -> int:
     """Order over Z/m, multiplicative over the prime powers of m."""
-    if m < 1:
-        raise DomainError(f"m must be >= 1, got {_shown(m)}")
+    m = _at_least("m", m, 1)
     value = 1
     for p, k in factorize(m).factors:
         value *= order_zpk(rs, p, k)
@@ -80,8 +76,7 @@ def brute_force_order(family: str, m: int) -> int:
     every candidate matrix in numpy blocks and must stay well inside desk
     scale, hence MAX_CANDIDATES on m**(n*n).
     """
-    if m < 1:
-        raise DomainError(f"modulus must be >= 1, got {_shown(m)}")
+    m = _at_least("modulus", m, 1)
     sizes = {"SL2": 2, "SL3": 3, "Sp4": 4}
     if family not in sizes:
         raise DomainError(f"unsupported family {family!r}; choose from {sorted(sizes)}")
@@ -111,6 +106,7 @@ def brute_force_order(family: str, m: int) -> int:
 
 def check_order_bound(rs: RootSystem, p: int) -> BoundReport:
     """Check the crude estimate: the F_p-point count is at most p**dim."""
+    p = _integer("p", p)  # order_fp refuses it unless it is prime
     lhs = order_fp(rs, p)
     return compare("order_fp_le_p_pow_dim", lhs, _power(p, rs.dimension),
                    label=rs.label, p=p)

@@ -15,7 +15,7 @@ import math
 import sys
 
 from . import __version__
-from .arith import MAX_OUTPUT_DIGITS, _rank1_arrays
+from .arith import MAX_OUTPUT_DIGITS, _prime, _rank1_arrays
 from .chevalley import ORACLE_FAMILIES, brute_force_order, order_zpk
 from .commgraph import _ball_keys, _check_ball, run_metric_checks
 from .errors import DomainError, ResourceLimitError
@@ -194,8 +194,7 @@ def _run_order(args: argparse.Namespace) -> int:
 
 def _run_parahoric(args: argparse.Namespace) -> int:
     rs = root_system(args.type)
-    k = args.k
-    count, paper_bound = _level_count(rs, k)
+    k, count, paper_bound = _level_count(rs, args.k)
     payload = {
         "exact": None if count.exact is None else _decimal(count.exact),
         "box_bound": _decimal(count.box_bound),
@@ -207,7 +206,7 @@ def _run_parahoric(args: argparse.Namespace) -> int:
     if count.exact is not None and count.exact > paper_bound:
         status = EXIT_FAILED_CHECK
     if args.p is not None:
-        payload["per_prime"] = _decimal(_per_prime_lhs(rs, args.p, k))
+        payload["per_prime"] = _decimal(_per_prime_lhs(rs, _prime(args.p), k))
     if args.m is not None:
         payload["m_bound"] = _decimal(maximal_lattice_bound(rs, args.m))
     _emit_fields(payload, args.json)

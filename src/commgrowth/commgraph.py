@@ -10,12 +10,11 @@ that matter are done on the exact integer indices, never on logs.
 from __future__ import annotations
 
 import math
-import operator
 import random
 from dataclasses import dataclass
 
 from .arith import divisors
-from .errors import DomainError, ResourceLimitError, _shown
+from .errors import DomainError, ResourceLimitError, _at_least, _integer, _shown
 from .reporting import BoundReport, compare
 
 #: Largest ball radius, lattice dimension and candidate count enumerate_ball
@@ -79,6 +78,13 @@ def _hnf_det(hnf):
 class _Subgroup:
     """contains and index_of, read off [self : self&other], [other : self&other]."""
 
+    @classmethod
+    def _canonical(cls, fields: dict):
+        """The value of fields, by name, already in canonical form: unchecked."""
+        self = object.__new__(cls)
+        self.__dict__.update(fields)
+        return self
+
     def contains(self, other) -> bool:
         return self._indices(other)[1] == 1
 
@@ -100,14 +106,10 @@ class RationalCyclic(_Subgroup):
     b: int
 
     def __post_init__(self):
-        if not isinstance(self.a, int) or not isinstance(self.b, int) \
-                or self.a < 1 or self.b < 1:
-            raise DomainError("generator must be a positive rational, "
-                              f"got {_shown(self.a)}/{_shown(self.b)}")
-        g = math.gcd(self.a, self.b)
-        if g > 1:
-            object.__setattr__(self, "a", self.a // g)
-            object.__setattr__(self, "b", self.b // g)
+        a, b = _at_least("a", self.a, 1), _at_least("b", self.b, 1)
+        g = math.gcd(a, b)
+        object.__setattr__(self, "a", a // g)
+        object.__setattr__(self, "b", b // g)
 
     def intersection(self, other: "RationalCyclic") -> "RationalCyclic":
         _require_same_family(self, other)
@@ -141,33 +143,20 @@ class RationalLattice(_Subgroup):
     basis: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if not isinstance(self.dim, int) or self.dim < 1:
-            raise DomainError(f"dim must be a positive integer, got {_shown(self.dim)}")
-        if not isinstance(self.denom, int) or self.denom < 1:
-            raise DomainError("denominator must be a positive integer, "
-                              f"got {_shown(self.denom)}")
+        dim, denom = _at_least("dim", self.dim, 1), _at_least("denom", self.denom, 1)
         rows = [list(r) for r in self.basis]
-        if any(len(r) != self.dim for r in rows):
+        if any(len(r) != dim for r in rows):
             raise DomainError("basis rows must have length dim")
-        if any(not isinstance(v, int) for r in rows for v in r):
-            raise DomainError("basis entries must be integers")
-        hnf = _row_hnf(rows, self.dim)
-        if len(hnf) != self.dim:
+        hnf = _row_hnf([[_integer("basis entry", v) for v in r] for r in rows], dim)
+        if len(hnf) != dim:
             raise DomainError("basis does not span a full-rank lattice")
-        denom = self.denom
         content = math.gcd(denom, math.gcd(*(abs(v) for row in hnf for v in row)))
         if content > 1:
             hnf = [[v // content for v in row] for row in hnf]
             denom //= content
+        object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "denom", denom)
         object.__setattr__(self, "basis", tuple(tuple(row) for row in hnf))
-
-    @classmethod
-    def _canonical(cls, dim: int, denom: int, flat) -> "RationalLattice":
-        """The lattice of canonical fields, the basis read row by row off flat, unchecked."""
-        self = object.__new__(cls)
-        self.__dict__.update(dim=dim, denom=denom, basis=tuple(zip(*[iter(flat)] * dim)))
-        return self
 
     @classmethod
     def from_rows(cls, rows, denom: int = 1) -> "RationalLattice":
@@ -179,11 +168,12 @@ class RationalLattice(_Subgroup):
     @classmethod
     def standard(cls, dim: int) -> "RationalLattice":
         """The integer lattice Z^dim."""
-        return cls(dim, 1, tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim)))
+        return cls.scaled(dim, 1)
 
     @classmethod
     def scaled(cls, dim: int, num: int, den: int = 1) -> "RationalLattice":
         """(num/den) * Z^dim."""
+        dim = _at_least("dim", dim, 1)
         return cls(dim, den, tuple(tuple(num * int(i == j) for j in range(dim))
                                    for i in range(dim)))
 
@@ -379,14 +369,8 @@ def _ball_candidates(n: int, dim: int) -> int:
 def _check_ball(n: int, dim: int | None):
     """Refuse a lattice dimension (None for the cyclic family), ball radius or
     candidate count past its guard, before any of the ball is built; return n as an int."""
-    if dim is not None and dim < 1:
-        raise DomainError(f"dim must be a positive integer, got {_shown(dim)}")
-    try:
-        n = operator.index(n)  # a numpy integer counts, as an int
-    except TypeError:
-        raise DomainError(f"ball radius must be an integer, got {_shown(n)}") from None
-    if n < 1:
-        raise DomainError(f"ball radius must be >= 1, got {_shown(n)}")
+    dim = None if dim is None else _at_least("dim", dim, 1)
+    n = _at_least("ball radius", n, 1)
     if n > MAX_BALL_RADIUS:
         raise ResourceLimitError(f"ball bound {_shown(n)} exceeds guard {MAX_BALL_RADIUS}")
     if dim is not None and dim > MAX_BALL_DIM:
@@ -415,16 +399,20 @@ def enumerate_ball(gamma, n: int):
         P = keys[:, 1:].reshape(-1, d, d).astype(object) @ np.array(basis, dtype=object)
         keys = _triangular_canonical(keys[:, 0].astype(object) * denom, P)
     if dim is None:
-        return [RationalCyclic(a, b) for a, b in sorted((a, b) for b, a in keys.tolist())]
-    return [RationalLattice._canonical(d, q, flat) for q, *flat in sorted(keys.tolist())]
+        return [RationalCyclic._canonical({"a": a, "b": b})
+                for a, b in sorted((a, b) for b, a in keys.tolist())]
+    return [RationalLattice._canonical({"dim": d, "denom": q,
+                                        "basis": tuple(zip(*[iter(flat)] * d))})
+            for q, *flat in sorted(keys.tolist())]
 
 
 def check_transfer_inequality(A, B, n: int) -> BoundReport:
     """Ball-size transfer between commensurable basepoints: the ball of
     radius n around A injects into the ball of radius c(A,B)*n around B."""
     c_ab = comm_index(A, B).value
+    n = _at_least("ball radius", n, 1)
     ball_a = enumerate_ball(A, n)
-    ball_b = enumerate_ball(B, c_ab * operator.index(n))  # an int product: ball_a took n
+    ball_b = enumerate_ball(B, c_ab * n)
     return compare("ball_transfer", len(ball_a), len(ball_b),
                    n=n, c_ab=c_ab, left_card=len(ball_a), right_card=len(ball_b))
 
@@ -469,10 +457,10 @@ def run_metric_checks(samples: int = 1000, seed: int = 0) -> list[BoundReport]:
     Each report counts violations (lhs) against zero (rhs), so the suite
     passes exactly when every counter stays at zero.
     """
-    if samples < 1:
-        raise DomainError("samples must be >= 1")
+    samples = _at_least("samples", samples, 1)
     if samples > MAX_SAMPLES:
         raise ResourceLimitError(f"sample count {_shown(samples)} exceeds guard {MAX_SAMPLES}")
+    seed = _integer("seed", seed)
     rng, relations = random.Random(seed), _hnf_stack(2, 4)
     reports = []
     for family, sample in (("cyclic", _random_cyclic), ("lattice2", _random_lattice)):

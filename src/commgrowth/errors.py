@@ -1,6 +1,8 @@
-"""Exception types shared by every module, and how a message shows an int."""
+"""Exception types shared by every module, how a message shows an int, and
+the one integer check: _at_least, and _integer where no bound applies."""
 
 import math
+import operator
 
 
 class DomainError(ValueError):
@@ -24,3 +26,20 @@ def _shown(value) -> str:
     shift = abs(value).bit_length() - 53
     sign = "-" if value < 0 else ""
     return f"about {sign}10^{round(math.log10(abs(value) >> shift) + shift * math.log10(2))}"
+
+
+def _integer(name: str, value) -> int:
+    """value as an int, refused when it is no integer: any operator.index
+    value counts, a numpy integer too, and is converted."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {_shown(value)}") from None
+
+
+def _at_least(name: str, value, least: int) -> int:
+    """value as an int, as _integer converts it, refused below least."""
+    value = _integer(name, value)
+    if value < least:
+        raise DomainError(f"{name} must be >= {least}, got {_shown(value)}")
+    return value

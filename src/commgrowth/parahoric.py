@@ -13,13 +13,12 @@ bound (2k+3)**dim: one rule, in _level_count, for the library and the CLI.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 
-from .arith import MAX_OUTPUT_DIGITS, _box_blocks, _power, is_prime
-from .errors import DomainError, ResourceLimitError, _shown
+from .arith import MAX_OUTPUT_DIGITS, _box_blocks, _power, _prime
+from .errors import DomainError, ResourceLimitError, _at_least, _shown
 from .reporting import BoundReport, compare
 from .root_systems import RootSystem
 
@@ -46,18 +45,6 @@ class CocharacterCount:
     def __post_init__(self):
         if self.exact is not None and self.exact > self.box_bound:
             raise ValueError("exact count cannot exceed the box bound")
-
-
-def _at_least(name: str, value: int, least: int) -> int:
-    """value as an int, refused when it is below least or no integer: any
-    operator.index value counts, a numpy integer too, and is converted."""
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise DomainError(f"{name} must be an integer, got {_shown(value)}") from None
-    if value < least:
-        raise DomainError(f"{name} must be >= {least}, got {_shown(value)}")
-    return value
 
 
 def _peeled_count(rs: RootSystem, c: int) -> int:
@@ -100,17 +87,18 @@ def count_admissible_cocharacters(rs: RootSystem, c: int) -> CocharacterCount:
     return CocharacterCount(rs.label, c, _peeled_count(rs, c), box)
 
 
-def _level_count(rs: RootSystem, k: int) -> tuple[CocharacterCount, int]:
-    """The count at level k, which is cutoff k+1, and its bound (2k+3)**dim."""
+def _level_count(rs: RootSystem, k: int) -> tuple[int, CocharacterCount, int]:
+    """Level k as an int, the count at level k, which is cutoff k+1, and its
+    bound (2k+3)**dim."""
     k = _at_least("k", k, 0)
-    return count_admissible_cocharacters(rs, k + 1), (2 * k + 3) ** rs.dimension
+    return k, count_admissible_cocharacters(rs, k + 1), (2 * k + 3) ** rs.dimension
 
 
 def check_cocharacter_bound(rs: RootSystem, k: int) -> BoundReport:
     """At level k the admissible count (cutoff k+1) is at most (2k+3)**dim.
     Where the count's scan is past MAX_SCAN_PAIRINGS the check is refused;
     the sharper box (2k+3)**rank is carried along in the context."""
-    cc, paper_bound = _level_count(rs, k)
+    k, cc, paper_bound = _level_count(rs, k)
     if cc.exact is None:
         raise ResourceLimitError(
             f"cocharacter scan of {_shown(cc.box_bound * rs.num_positive_roots)} "
@@ -122,18 +110,13 @@ def check_cocharacter_bound(rs: RootSystem, k: int) -> BoundReport:
 def check_two_k_plus_three(p: int, k: int) -> BoundReport:
     """The linear factor 2k+3 is absorbed by p**k once p >= 5, and by the
     cruder p**(3k) for every prime; only the sharpest that applies is built."""
-    if not is_prime(p):
-        raise DomainError(f"p must be prime, got {_shown(p)}")
-    k = _at_least("k", k, 1)
+    p, k = _prime(p), _at_least("k", k, 1)
     return compare("2k+3_absorbed_by_prime_power", 2 * k + 3,
                    _power(p, k if p >= 5 else 3 * k), p=p, k=k, sharp_applies=p >= 5)
 
 
 def _per_prime_lhs(rs: RootSystem, p: int, k: int) -> int:
-    """(d+1)*p**((3+d)k) for a prime p and level k >= 1, and 1 at level 0."""
-    if not is_prime(p):
-        raise DomainError(f"p must be prime, got {_shown(p)}")
-    k = _at_least("k", k, 0)
+    """(d+1)*p**((3+d)k) for a prime p and level k >= 1, and 1 at level 0; unchecked."""
     return (rs.dimension + 1) * _power(p, (3 + rs.dimension) * k) if k else 1
 
 
@@ -142,10 +125,9 @@ def per_prime_bound(rs: RootSystem, p: int, k: int) -> BoundReport:
     level-k principal congruence subgroup: (d+1)*p**((3+d)k), dominated by
     the cruder p**((3+2d)k) for k >= 1.  At level 0 there is exactly one
     such subgroup, so the report carries 1 on both sides."""
-    lhs = _per_prime_lhs(rs, p, k)
-    k = operator.index(k)  # an int: _per_prime_lhs accepted it
-    return compare("per_prime_maximal_count", lhs, _power(p, (3 + 2 * rs.dimension) * k),
-                   label=rs.label, p=p, k=k)
+    p, k = _prime(p), _at_least("k", k, 0)
+    return compare("per_prime_maximal_count", _per_prime_lhs(rs, p, k),
+                   _power(p, (3 + 2 * rs.dimension) * k), label=rs.label, p=p, k=k)
 
 
 def maximal_lattice_bound(rs: RootSystem, m: int) -> int:
@@ -167,8 +149,7 @@ def upper_bound_profile(rs: RootSystem, n: int, s, c_const=1, D_const=1) -> int:
     pass.  The constants c and D exist but are not pinned by the theory, so
     they are parameters, defaulting to 1.
     """
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {_shown(n)}")
+    n = _at_least("n", n, 1)
     c_frac, d_frac = Fraction(c_const), Fraction(D_const)
     if c_frac <= 0 or d_frac <= 0:
         raise DomainError("profile constants must be positive")

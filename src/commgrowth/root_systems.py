@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, ResourceLimitError, _integer
 
 _LABEL_RE = re.compile(r"^([A-Ga-g])(\d+)$")
 
@@ -181,5 +181,6 @@ def root_system(label: str) -> RootSystem:
 
 def supported_labels(max_rank: int = 8) -> list[str]:
     """Every well-formed label with rank up to max_rank."""
+    max_rank = _integer("max_rank", max_rank)
     return [f"{family}{l}" for family, (least, greatest) in _RANKS.items()
             for l in range(least, min(max_rank, greatest or max_rank) + 1)]

@@ -114,6 +114,28 @@ def test_powers_of_p_and_m_go_through_the_guard():
     assert found == []
 
 
+def converts_or_bounds_an_integer(node):
+    """True for an import of operator, a use of operator.index, or a string
+    that says an argument "must be >=" a bound or "must be an integer"."""
+    if isinstance(node, ast.Import):
+        return any(alias.name == "operator" for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "operator"
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+        return (node.value.id, node.attr) == ("operator", "index")
+    return isinstance(node, ast.Constant) and isinstance(node.value, str) \
+        and ("must be >=" in node.value or "must be an integer" in node.value)
+
+
+def test_one_integer_check():
+    # every integer argument is converted and bounded by errors._at_least
+    # (or only converted, by errors._integer), so a numpy integer or a float
+    # is treated alike everywhere and every refusal reads alike
+    found = [f"{name}:{node.lineno}" for name, node in library_nodes()
+             if name != "errors.py" and converts_or_bounds_an_integer(node)]
+    assert found == []
+
+
 POINT_QUERIES = """
 import contextlib, io, sys
 from commgrowth.cli import main
