@@ -352,12 +352,12 @@ def check_sandwich_bounds(series: GrowthSeries, n_min: int) -> BoundReport:
     reported in the context for window assertions made by callers.
     """
     n_min = _at_least("n_min", n_min, 3)  # log(log(k)) is undefined below 3
-    if series.upto < n_min:
+    upto = _integer("upto", series.upto)
+    if upto < n_min:
         raise DomainError("series too short for requested n_min")
-    if len(series.C) != series.upto:
+    if len(series.C) != upto:
         raise DomainError("series must hold upto prefix sums")
     import numpy as np
-    upto = series.upto
     C = np.asarray(series.C, dtype=np.int64)
     k = np.arange(1, upto + 1, dtype=np.int64)
     dsum = np.cumsum(divisor_count_sieve(upto)[1:], dtype=np.int64)

@@ -13,7 +13,6 @@ import math
 import random
 from dataclasses import dataclass
 
-from .arith import divisors
 from .errors import DomainError, ResourceLimitError, _at_least, _integer, _shown
 from .reporting import BoundReport, compare
 
@@ -358,11 +357,12 @@ def _ball_keys(n: int, dim: int | None):
 
 
 def _ball_candidates(n: int, dim: int) -> int:
-    """How many candidates _ball_keys builds: the sum of a(i)*A(n // i) over
-    i <= n, for the counts a of sublattices of Z^dim by index and their prefix sums A."""
+    """How many candidates _ball_keys builds: the sum of a(i)*A(n // i) over i <= n, where a
+    counts the sublattices of Z^dim by index (convolved with q**e for 0 < e < dim), A sums a."""
     a = [0] + [1] * n
     for e in range(1, dim):
-        a = [0] + [sum(q ** e * a[m // q] for q in divisors(m)) for m in range(1, n + 1)]
+        for k in range(n // 2, 0, -1):  # downward: a(k) is spread before its divisors add to it
+            a[2 * k::k] = [x + q ** e * a[k] for q, x in enumerate(a[2 * k::k], 2)]
     return sum(a[i] * sum(a[:n // i + 1]) for i in range(1, n + 1))
 
 
@@ -407,14 +407,14 @@ def enumerate_ball(gamma, n: int):
 
 
 def check_transfer_inequality(A, B, n: int) -> BoundReport:
-    """Ball-size transfer between commensurable basepoints: the ball of
-    radius n around A injects into the ball of radius c(A,B)*n around B."""
+    """Ball-size transfer: |ball(A, n)| <= |ball(B, c(A,B)*n)|.  x -> x*gamma carries
+    ball(Z^d, n) onto ball(gamma, n), so both sizes are counted on the keys around Z^d
+    of A's family, and no member is built."""
     c_ab = comm_index(A, B).value
-    n = _at_least("ball radius", n, 1)
-    ball_a = enumerate_ball(A, n)
-    ball_b = enumerate_ball(B, c_ab * n)
-    return compare("ball_transfer", len(ball_a), len(ball_b),
-                   n=n, c_ab=c_ab, left_card=len(ball_a), right_card=len(ball_b))
+    dim = A.dim if isinstance(A, RationalLattice) else None
+    n = _check_ball(n, dim)
+    left, right = (len(_ball_keys(m, dim)) for m in (n, _check_ball(c_ab * n, dim)))
+    return compare("ball_transfer", left, right, n=n, c_ab=c_ab, left_card=left, right_card=right)
 
 
 # ---------------------------------------------------------------------------

@@ -150,7 +150,10 @@ def upper_bound_profile(rs: RootSystem, n: int, s, c_const=1, D_const=1) -> int:
     they are parameters, defaulting to 1.
     """
     n = _at_least("n", n, 1)
-    c_frac, d_frac = Fraction(c_const), Fraction(D_const)
+    try:
+        c_frac, d_frac = Fraction(c_const), Fraction(D_const)
+    except (ArithmeticError, TypeError, ValueError):  # inf, nan, 1/0, no number
+        raise DomainError("profile constants must be finite rational numbers") from None
     if c_frac <= 0 or d_frac <= 0:
         raise DomainError("profile constants must be positive")
     top = math.ceil(c_frac * n)

@@ -382,6 +382,17 @@ class TestSandwich:
         with pytest.raises(DomainError):
             arith.check_sandwich_bounds(arith.GrowthSeries(5, (1, 2), (1, 3)), 3)
 
+    def test_upto_is_checked_as_an_int(self):
+        # the series' own upto is named when refused, and reported as an int
+        series = arith.growth_series_rank1(10)
+        with pytest.raises(DomainError) as caught:
+            arith.check_sandwich_bounds(arith.GrowthSeries(10.0, series.c, series.C), 3)
+        assert str(caught.value) == "upto must be an integer, got 10.0"
+        report = arith.check_sandwich_bounds(
+            arith.GrowthSeries(np.int64(10), series.c, series.C), 3)
+        assert type(report.context["upto"]) is int
+        assert report == arith.check_sandwich_bounds(series, 3)
+
     def test_detects_violated_chain(self):
         # doctored series breaking C_k >= k must fail
         fake = arith.GrowthSeries(4, (1, 0, 0, 0), (1, 1, 1, 1))

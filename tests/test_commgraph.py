@@ -490,8 +490,10 @@ class TestBallEnumeration:
             with pytest.raises(ResourceLimitError) as caught:
                 cg._check_ball(n + 1, dim)
             assert str(caught.value) == f"{refused} ball candidates exceed guard 300000"
-        # the whole cyclic family stays admitted
+        # the whole cyclic family stays admitted; the counts at the top radius
         assert cg._ball_candidates(1000, 1) == 7069
+        assert cg._ball_candidates(1000, 2) == 8704350
+        assert cg._ball_candidates(1000, 3) == 8172554483
         # the guard is a module constant read when the ball is asked for
         monkeypatch.setattr(cg, "MAX_BALL_CANDIDATES", 3947)
         assert len(enumerate_ball(Z2, 31)) == 3541
@@ -572,3 +574,37 @@ class TestTransfer:
             n = rng.randint(1, budget // c_ab)
             assert set(enumerate_ball(A, n)) <= set(enumerate_ball(B, c_ab * n))
             pairs += 1
+
+    def test_transfer_builds_no_member(self, monkeypatch):
+        # both sizes are counted by transport from Z^d: with every member
+        # construction made to raise, the report still carries the lengths of
+        # both balls, on seeded pairs whose denominators are both > 1
+        rng, cases = random.Random(23), []
+        for dim, budget in ((None, 60), (1, 60), (2, 20), (3, 4)):
+            H, _ = cg._hnf_stack(dim or 1, 3)
+            for _ in range(4):
+                while True:
+                    if dim is None:
+                        A = cyclic(rng.randint(1, 12), rng.randint(1, 12))
+                        B = cyclic(A.a * rng.randint(1, 3), A.b * rng.randint(1, 3))
+                    else:
+                        A = cg._random_lattice(rng, dim)
+                        rel = H[rng.randrange(len(H))].astype(object)
+                        B = RationalLattice(dim, A.denom * rng.randint(1, 3),
+                                            (rel @ A.basis).tolist())
+                    c_ab = comm_index(A, B).value
+                    denoms = (A.b, B.b) if dim is None else (A.denom, B.denom)
+                    if min(denoms) > 1 and c_ab <= budget:
+                        break
+                n = rng.randint(1, budget // c_ab)
+                cases.append((A, B, n, len(enumerate_ball(A, n)),
+                              len(enumerate_ball(B, c_ab * n))))
+
+        def built(*args, **kwargs):
+            raise AssertionError("a ball member was built")
+        monkeypatch.setattr(cg, "enumerate_ball", built)
+        monkeypatch.setattr(cg._Subgroup, "_canonical", classmethod(built))
+        for A, B, n, left, right in cases:
+            report = check_transfer_inequality(A, B, n)
+            assert (report.lhs, report.rhs) == (left, right)
+            assert (report.context["left_card"], report.context["right_card"]) == (left, right)

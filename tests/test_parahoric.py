@@ -325,6 +325,14 @@ class TestProfile:
         with pytest.raises(DomainError):
             upper_bound_profile(A1, 1, [1], c_const=0)
 
+    @pytest.mark.parametrize("value", [float("inf"), float("nan"), "x", None])
+    def test_constants_fraction_refuses_are_domain_errors(self, value):
+        # every value that Fraction refuses is one refusal, for either constant
+        for constants in ({"c_const": value}, {"D_const": value}):
+            with pytest.raises(DomainError) as caught:
+                upper_bound_profile(A1, 1, [1], **constants)
+            assert str(caught.value) == "profile constants must be finite rational numbers"
+
     def test_term_guard_boundary(self, monkeypatch):
         # the work, terms times M0+1, is refused before the loop and before
         # any growth value is read: 10**12 terms, and one term past the
