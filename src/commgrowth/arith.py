@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate, chain, count, cycle, islice, takewhile
+from itertools import accumulate, chain, count, cycle, islice
 
 from .errors import DomainError, ResourceLimitError, _at_least, _integer, _shown
 from .reporting import BoundReport, compare
@@ -72,29 +72,6 @@ def _trial_divisors():
     return chain((2, 3, 5), accumulate(cycle(_WHEEL), initial=7))
 
 
-# the trial divisors up to _WHEEL_LIMIT, built once: a small n is factored
-# without building the wheel
-_SMALL_DIVISORS = tuple(takewhile(lambda p: p <= _WHEEL_LIMIT, _trial_divisors()))
-
-
-def _trial_divide(m: int, divisors, factors: list, floor: int) -> int:
-    """Divide m by each of divisors while its square is at most what is left,
-    appending (p, e) to factors for each p that divides, until what is left
-    falls below floor; return what is left."""
-    for p in divisors:
-        if p * p > m:
-            break
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            factors.append((p, e))
-            if m < floor:
-                break
-    return m
-
-
 def factorize(n: int) -> Factorization:
     """Factor n >= 1 by the 2/3/5 wheel up to _WHEEL_LIMIT, then a cofactor
     below _PSI13 by Miller-Rabin and Brent's rho; a larger cofactor stays
@@ -104,15 +81,20 @@ def factorize(n: int) -> Factorization:
     n = 1 yields the empty factor sequence.
     """
     n = _at_least("n", n, 1)
-    factors = []
-    m = _trial_divide(n, _SMALL_DIVISORS, factors, 0)
-    if m >= _PSI13:
-        m = _trial_divide(m, islice(_trial_divisors(), len(_SMALL_DIVISORS), _WHEEL_BUDGET),
-                          factors, _PSI13)
-        # the budget's divisors stop far below isqrt(_PSI13), so such an m is unresolved
-        if m >= _PSI13:
-            raise ResourceLimitError(f"factoring {_shown(n)} leaves a cofactor of at least "
-                                     f"{_PSI13} after {_WHEEL_BUDGET} trial divisors")
+    factors, m = [], n
+    for p in islice(_trial_divisors(), _WHEEL_BUDGET):
+        if p * p > m or p > _WHEEL_LIMIT and m < _PSI13:
+            break
+        if m % p == 0:
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            factors.append((p, e))
+    else:
+        # m >= _PSI13 still: the last divisor, 3749989 = 23*47*3469, divides no m
+        raise ResourceLimitError(f"factoring {_shown(n)} leaves a cofactor of at least "
+                                 f"{_PSI13} after {_WHEEL_BUDGET} trial divisors")
     # m has no prime factor up to _WHEEL_LIMIT, so below its square it is 1 or prime
     if _WHEEL_LIMIT ** 2 <= m < _PSI13:
         large = _rho_primes(m)

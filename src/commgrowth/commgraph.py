@@ -173,7 +173,7 @@ class RationalLattice(_Subgroup):
     def scaled(cls, dim: int, num: int, den: int = 1) -> "RationalLattice":
         """(num/den) * Z^dim."""
         dim = _at_least("dim", dim, 1)
-        return cls(dim, den, tuple(tuple(num * int(i == j) for j in range(dim))
+        return cls(dim, den, tuple(tuple(num if i == j else 0 for j in range(dim))
                                    for i in range(dim)))
 
     def _numerators(self, q: int):

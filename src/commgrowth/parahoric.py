@@ -13,6 +13,7 @@ bound (2k+3)**dim: one rule, in _level_count, for the library and the CLI.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -151,8 +152,11 @@ def upper_bound_profile(rs: RootSystem, n: int, s, c_const=1, D_const=1) -> int:
     """
     n = _at_least("n", n, 1)
     try:
+        # Fraction parses a string or Decimal in time that grows with its exponent
+        if not all(isinstance(v, (numbers.Rational, float)) for v in (c_const, D_const)):
+            raise TypeError
         c_frac, d_frac = Fraction(c_const), Fraction(D_const)
-    except (ArithmeticError, TypeError, ValueError):  # inf, nan, 1/0, no number
+    except (ArithmeticError, TypeError, ValueError):  # inf, nan, no number
         raise DomainError("profile constants must be finite rational numbers") from None
     if c_frac <= 0 or d_frac <= 0:
         raise DomainError("profile constants must be positive")

@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import DomainError, ResourceLimitError, _integer
+from .errors import DomainError, ResourceLimitError, _integer, _shown
 
 _LABEL_RE = re.compile(r"^([A-Ga-g])(\d+)$")
 
@@ -80,6 +80,8 @@ def _shorten(text: str, unit: str, show=str) -> str:
 
 
 def _parse_label(label: str) -> tuple[str, int]:
+    if not isinstance(label, str):
+        raise DomainError(f"type label must be a string, got {_shown(label)}")
     m = _LABEL_RE.match(label.strip())
     if not m:
         raise DomainError(f"malformed type label {_shorten(label, 'characters', repr)}")
@@ -126,33 +128,25 @@ def _closure(cartan) -> list[tuple[int, ...]]:
 
     A candidate alpha + alpha_i is a root iff q >= 1 in the alpha_i-string
     alpha - p*alpha_i ... alpha + q*alpha_i, where p - q equals the pairing
-    of alpha against the coroot of alpha_i.
+    of alpha against the coroot of alpha_i.  Each root keeps p for every i:
+    one more than at root - alpha_i, set as that root is processed, else 0.
     """
     l = len(cartan)
-    simple = [tuple(int(i == j) for j in range(l)) for i in range(l)]
-    found = set(simple)
-    frontier = list(simple)
+    p = {tuple(int(i == j) for j in range(l)): [0] * l for i in range(l)}
+    frontier = list(p)
     while frontier:
         fresh = []
         for alpha in frontier:
             for i in range(l):
                 pair = sum(a * cartan[j][i] for j, a in enumerate(alpha))
-                p = 0
-                down = list(alpha)
-                while True:
-                    down[i] -= 1
-                    if tuple(down) not in found:
-                        break
-                    p += 1
-                if p - pair >= 1:
-                    up = list(alpha)
-                    up[i] += 1
-                    t = tuple(up)
-                    if t not in found:
-                        found.add(t)
+                if p[alpha][i] - pair >= 1:
+                    t = alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:]
+                    if t not in p:
+                        p[t] = [0] * l
                         fresh.append(t)
+                    p[t][i] = p[alpha][i] + 1
         frontier = fresh
-    return sorted(found, key=lambda r: (sum(r), r))
+    return sorted(p, key=lambda r: (sum(r), r))
 
 
 @lru_cache(maxsize=None)
@@ -180,7 +174,7 @@ def root_system(label: str) -> RootSystem:
 
 
 def supported_labels(max_rank: int = 8) -> list[str]:
-    """Every well-formed label with rank up to max_rank."""
+    """Every label that root_system builds, with rank up to max_rank."""
     max_rank = _integer("max_rank", max_rank)
     return [f"{family}{l}" for family, (least, greatest) in _RANKS.items()
-            for l in range(least, min(max_rank, greatest or max_rank) + 1)]
+            for l in range(least, min(max_rank, greatest or MAX_RANK) + 1)]

@@ -108,9 +108,10 @@ def test_integer_arguments_go_through_one_check(call, value, name):
     # a numpy integer is the same argument as the int, converted before any
     # arithmetic (an int64 p**k would wrap); anything else is refused
     assert typed(call(np.int64(value))) == typed(call(value))
-    with pytest.raises(DomainError) as caught:
-        call(2.5)
-    assert str(caught.value) == f"{name} must be an integer, got 2.5"
+    for hostile in (2.5, None):
+        with pytest.raises(DomainError) as caught:
+            call(hostile)
+        assert str(caught.value) == f"{name} must be an integer, got {hostile}"
 
 
 def test_integral_floats_are_refused():

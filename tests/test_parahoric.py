@@ -1,4 +1,5 @@
 import time
+from decimal import Decimal
 from fractions import Fraction
 from itertools import count, product
 
@@ -325,12 +326,16 @@ class TestProfile:
         with pytest.raises(DomainError):
             upper_bound_profile(A1, 1, [1], c_const=0)
 
-    @pytest.mark.parametrize("value", [float("inf"), float("nan"), "x", None])
+    @pytest.mark.parametrize("value", [float("inf"), float("nan"), "x", None, "1e3000000",
+                                       Decimal("1e3000000")])
     def test_constants_fraction_refuses_are_domain_errors(self, value):
-        # every value that Fraction refuses is one refusal, for either constant
+        # every value that Fraction refuses is one refusal, for either constant;
+        # a string or Decimal is refused before Fraction would parse it
         for constants in ({"c_const": value}, {"D_const": value}):
+            started = time.monotonic()
             with pytest.raises(DomainError) as caught:
                 upper_bound_profile(A1, 1, [1], **constants)
+            assert time.monotonic() - started < 0.1
             assert str(caught.value) == "profile constants must be finite rational numbers"
 
     def test_term_guard_boundary(self, monkeypatch):

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 
@@ -75,7 +76,7 @@ class TestBuild:
         assert root_system("f4") == root_system("F4")
 
     @pytest.mark.parametrize("bad", ["A0", "B1", "C1", "D3", "E5", "E9",
-                                     "F3", "G3", "H4", "A", "7", "", "AA2"])
+                                     "F3", "G3", "H4", "A", "7", "", "AA2", 3, None])
     def test_malformed_labels(self, bad):
         with pytest.raises(DomainError):
             root_system(bad)
@@ -118,6 +119,10 @@ class TestBuild:
         assert len(supported_labels()) == 32
         assert len(supported_labels(16)) == 64
         assert supported_labels(16)[-5:] == ["E6", "E7", "E8", "F4", "G2"]
+        # past MAX_RANK root_system refuses every label, so none is listed
+        started = time.monotonic()
+        assert supported_labels(49) == supported_labels(10 ** 18) == supported_labels(48)
+        assert time.monotonic() - started < 0.1
 
 
 class TestStructuralInvariants:
@@ -175,9 +180,10 @@ class TestStructuralInvariants:
         want = tuple(tuple(2 * dot(a, b) // dot(b, b) for b in roots) for a in roots)
         assert root_system(label).cartan == want
 
-    @pytest.mark.parametrize("label", ["A3", "B3", "C3", "D4", "F4", "G2", "E6"])
+    @pytest.mark.parametrize("label", supported_labels())
     def test_root_string_closure_property(self, label):
-        # alpha + alpha_i is listed exactly when the string count admits it
+        # alpha + alpha_i is listed exactly when the string count admits it;
+        # p is found by walking down, apart from the closure's recurrence
         rs = root_system(label)
         roots = set(rs.positive_roots)
         for alpha in roots:
