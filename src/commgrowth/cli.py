@@ -84,24 +84,41 @@ def _ascii_rows(columns, widths, seps) -> str:
     Digits go four at a time through _digit_groups into uint32 words; a
     blank inside the width becomes a space, and one outside it (where a
     shorter value shares a field with a longer one) a NUL, removed at the end.
+    The top group is below 10^4 for every value, so it is read from the
+    lead half undivided, and a lower group from the zero-padded half when
+    the least value has a digit past it.  Each word is stored in place
+    through a strided uint32 view of the row bytes; the bytes of a partial
+    top group and of a separator are stored one strided column at a time.
     """
     import numpy as np
     groups = _digit_groups()
     sizes = [max(width, len(str(int(col.max())))) for col, width in zip(columns, widths)]
     rows = np.empty((len(columns[0]), sum(sizes) + sum(map(len, seps))), np.uint8)
-    start = 0
+    end = 0
     for col, width, size, sep in zip(columns, widths, sizes, seps):
-        words = np.empty((len(col), -(-size // 4)), np.uint32)
-        q = col
-        for j in range(words.shape[1]):  # lowest group first
-            r, q = q, q // 10000
+        span, low, q = -(-size // 4), int(col.min()), col
+        words = np.empty((span, len(col)), np.uint32)
+        for j in range(span):  # lowest group first
+            if j < span - 1:
+                r, q = q, q // 10000
+                padded = low >= 10 ** (4 * j + 4)
+                index = r - q * 10000 + (10000 if padded else (q > 0) * 10000)
+            else:
+                padded, index = False, q
+            np.take(groups, index, out=words[j])
             # digits have the space bit set, so OR turns only NUL into space
             spaces = bytes(32 * (4 * j + 3 - i < width) for i in range(4))
-            words[:, -1 - j] = groups[r - q * 10000 + (q > 0) * 10000] \
-                | np.frombuffer(spaces, np.uint32)
-        rows[:, start:start + size] = words.view(np.uint8)[:, -size:]
-        rows[:, start + size:start + size + len(sep)] = np.frombuffer(sep.encode(), np.uint8)
-        start += size + len(sep)
+            if any(spaces) and not padded:
+                words[j] |= np.frombuffer(spaces, np.uint32)
+        end += size
+        for j in range(span - 1):
+            rows[:, end - 4 * j - 4:end - 4 * j].view(np.uint32)[:, 0] = words[j]
+        top = words[-1].view(np.uint8).reshape(-1, 4)
+        for i in range(size - 4 * span + 4):
+            rows[:, end - size + i] = top[:, 4 * span - size + i]
+        for i, byte in enumerate(sep.encode()):
+            rows[:, end + i] = byte
+        end += len(sep)
     return rows.tobytes().replace(b"\0", b"").decode()
 
 

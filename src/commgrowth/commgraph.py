@@ -17,11 +17,13 @@ from .errors import DomainError, ResourceLimitError, _at_least, _integer, _shown
 from .reporting import BoundReport, compare
 
 #: Largest ball radius, lattice dimension and candidate count enumerate_ball
-#: admits (a ball is finite, not small), and largest run_metric_checks samples.
+#: admits (a ball is finite, not small), largest run_metric_checks samples,
+#: and most basis entries (dim**2) RationalLattice.scaled builds.
 MAX_BALL_RADIUS = 1000
 MAX_BALL_DIM = 3
 MAX_BALL_CANDIDATES = 3 * 10 ** 5
 MAX_SAMPLES = 10 ** 5
+MAX_LATTICE_ENTRIES = 10 ** 6
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +175,9 @@ class RationalLattice(_Subgroup):
     def scaled(cls, dim: int, num: int, den: int = 1) -> "RationalLattice":
         """(num/den) * Z^dim."""
         dim = _at_least("dim", dim, 1)
+        if dim * dim > MAX_LATTICE_ENTRIES:
+            raise ResourceLimitError(f"dimension {_shown(dim)} needs {_shown(dim * dim)} basis "
+                                     f"entries, guard is {MAX_LATTICE_ENTRIES}")
         return cls(dim, den, tuple(tuple(num if i == j else 0 for j in range(dim))
                                    for i in range(dim)))
 

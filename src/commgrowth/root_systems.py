@@ -149,15 +149,19 @@ def _closure(cartan) -> list[tuple[int, ...]]:
     return sorted(p, key=lambda r: (sum(r), r))
 
 
-@lru_cache(maxsize=None)
 def root_system(label: str) -> RootSystem:
     """Build the root system for a type label such as "A3", "C2", "E8".
 
     Well-formed labels: A_l (l >= 1), B_l (l >= 2), C_l (l >= 2),
     D_l (l >= 4), E6, E7, E8, F4, G2.  A rank above MAX_RANK raises
-    ResourceLimitError before any root is built.
+    ResourceLimitError before any root is built.  Every spelling of one
+    type ("a3", "A03") gives the same object.
     """
-    family, rank = _parse_label(label)
+    return _root_system(*_parse_label(label))
+
+
+@lru_cache(maxsize=None)
+def _root_system(family: str, rank: int) -> RootSystem:
     cartan = _cartan_matrix(family, rank)
     positive = _closure(cartan)
     # Kostant: as many degrees equal k + 1 as there are roots of height k

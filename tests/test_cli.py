@@ -1,11 +1,13 @@
 import hashlib
 import json
+import random
 import subprocess
 import sys
 import time
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from commgrowth import cli, parahoric
@@ -106,7 +108,29 @@ class TestRank1:
         assert main(["rank1", "--n", str(n)] + ([fmt] if fmt else [])) == EXIT_OK
         assert capsys.readouterr().out == reference_rank1(n, fmt)
 
-
+    # rank 1 never reaches a third digit group (C_{10^7} < 10^8), so the row
+    # kernel is checked on its own: one column for each top digit count up
+    # to 19, every column with its least value at `low`, on either side of
+    # the powers 10^(4j+4) at which a lower group is read zero-padded
+    @pytest.mark.parametrize("low", [1, 9, 10 ** 4 - 1, 10 ** 4, 10 ** 8 - 1, 10 ** 8,
+                                     10 ** 12 - 1, 10 ** 12, 10 ** 16 - 1, 10 ** 16])
+    def test_ascii_rows_against_printf(self, low):
+        rng = random.Random(f"ascii_rows/{low}")
+        columns = []
+        for digits in range(len(str(low)), 20):
+            top = min(10 ** digits - 1, 2 ** 63 - 1)
+            values = [low, top] + [min(top, rng.randint(low, 10 ** rng.randint(
+                len(str(low)), digits) - 1)) for _ in range(98)]
+            rng.shuffle(values)
+            columns.append(np.array(values, dtype=np.int64))
+        for first in (0, 1):
+            widths = [0 if (i + first) % 2 else len(str(int(col.max()))) + rng.randint(1, 3)
+                      for i, col in enumerate(columns)]
+            seps = [",\n    " if (i + first) % 2 else "," for i in range(len(columns) - 1)] + ["\n"]
+            expected = "".join("".join("%*d%s" % (width, value, sep)
+                                       for value, width, sep in zip(row, widths, seps))
+                               for row in zip(*(col.tolist() for col in columns)))
+            assert cli._ascii_rows(columns, widths, seps) == expected
 
 
 class TestBall:

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -431,6 +432,16 @@ class TestBallEnumeration:
         ball = enumerate_ball(Z2, 4)
         assert ball == sorted(ball, key=lambda s: s.sort_key())
         assert ball == enumerate_ball(Z2, 4)
+
+    def test_lattice_entry_guard(self):
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match="guard is 1000000"):
+            RationalLattice.standard(10 ** 18)
+        assert time.perf_counter() - start < 0.1
+        side = math.isqrt(cg.MAX_LATTICE_ENTRIES)
+        assert RationalLattice.standard(side).basis[-1] == (0,) * (side - 1) + (1,)
+        with pytest.raises(ResourceLimitError):
+            RationalLattice.scaled(side + 1, 2)
 
     def test_resource_guards(self, monkeypatch):
         with pytest.raises(ResourceLimitError):

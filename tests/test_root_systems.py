@@ -81,6 +81,14 @@ class TestBuild:
         with pytest.raises(DomainError):
             root_system(bad)
 
+    @pytest.mark.parametrize("bad", [["A3"], {}])
+    def test_unhashable_labels(self, bad):
+        with pytest.raises(DomainError, match="type label must be a string"):
+            root_system(bad)
+
+    def test_one_object_per_type(self):
+        assert root_system("a3") is root_system("A03") is root_system("A3")
+
     def test_rank_guard_boundary(self):
         assert MAX_RANK == 48
         assert root_system("A48").num_positive_roots == CLASSICAL_N["A"](48)
