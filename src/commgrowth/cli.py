@@ -111,11 +111,11 @@ def _ascii_rows(columns, widths, seps) -> str:
             if any(spaces) and not padded:
                 words[j] |= np.frombuffer(spaces, np.uint32)
         end += size
-        for j in range(span - 1):
+        for j in range(size // 4):
             rows[:, end - 4 * j - 4:end - 4 * j].view(np.uint32)[:, 0] = words[j]
         top = words[-1].view(np.uint8).reshape(-1, 4)
-        for i in range(size - 4 * span + 4):
-            rows[:, end - size + i] = top[:, 4 * span - size + i]
+        for i in range(size % 4):
+            rows[:, end - size + i] = top[:, 4 - size % 4 + i]
         for i, byte in enumerate(sep.encode()):
             rows[:, end + i] = byte
         end += len(sep)
