@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from itertools import accumulate, chain, count, cycle, islice
 
-from .errors import DomainError, ResourceLimitError, _at_least, _integer, _shown
+from .errors import DomainError, _at_least, _guard, _integer, _shown
 from .reporting import BoundReport, compare
 
 #: Euler-Mascheroni constant, 20 significant digits.
@@ -93,8 +93,8 @@ def factorize(n: int) -> Factorization:
             factors.append((p, e))
     else:
         # m >= _PSI13 still: the last divisor, 3749989 = 23*47*3469, divides no m
-        raise ResourceLimitError(f"factoring {_shown(n)} leaves a cofactor of at least "
-                                 f"{_PSI13} after {_WHEEL_BUDGET} trial divisors")
+        _guard(m, _PSI13 - 1, lambda: f"factoring {_shown(n)} leaves a cofactor of at least "
+                                      f"{_PSI13} after {_WHEEL_BUDGET} trial divisors")
     # m has no prime factor up to _WHEEL_LIMIT, so below its square it is 1 or prime
     if _WHEEL_LIMIT ** 2 <= m < _PSI13:
         large = _rho_primes(m)
@@ -143,9 +143,8 @@ def is_prime(n: int) -> bool:
     for a in _MR_BASES:
         if n % a == 0:
             return n == a
-    if n >= _PSI13:
-        raise ResourceLimitError(f"primality of {_shown(n)} is not decided at or above "
-                                 f"{_PSI13}, the least strong pseudoprime to bases 2..41")
+    _guard(n, _PSI13 - 1, lambda: f"primality of {_shown(n)} is not decided at or above "
+                                  f"{_PSI13}, the least strong pseudoprime to bases 2..41")
     s = ((n - 1) & -(n - 1)).bit_length() - 1  # 2**s exactly divides n - 1
     for a in _MR_BASES:
         # a passes when x = a**((n-1) >> s) is 1, or -1 after j < s squarings
@@ -167,8 +166,8 @@ def divisors(n: int) -> list[int]:
     """All positive divisors of n, sorted increasingly; refused past
     MAX_DIVISORS of them, counted from the factorization before any list."""
     factors = factorize(n).factors
-    if (count := math.prod(e + 1 for _, e in factors)) > MAX_DIVISORS:
-        raise ResourceLimitError(f"{count} divisors of {_shown(n)} exceed guard {MAX_DIVISORS}")
+    _guard(count := math.prod(e + 1 for _, e in factors), MAX_DIVISORS,
+           lambda: f"{count} divisors of {_shown(n)} exceed guard {MAX_DIVISORS}")
     out = [1]
     for p, e in factors:
         out = [d * p ** j for d in out for j in range(e + 1)]
@@ -197,10 +196,10 @@ def cn_rank1(n: int) -> int:
 def _power(base: int, exponent: int) -> int:
     """base**exponent, refused before any work past MAX_OUTPUT_DIGITS digits;
     an int compares with a float exactly, so no float product can overflow."""
-    if base > 1 and exponent > MAX_OUTPUT_DIGITS / math.log10(base):
-        raise ResourceLimitError(f"{_shown(base)} to the power {_shown(exponent)} is above "
-                                 f"the output guard of {MAX_OUTPUT_DIGITS} decimal digits")
-    return base ** exponent
+    budget = MAX_OUTPUT_DIGITS / math.log10(base) if base > 1 else math.inf
+    return base ** _guard(exponent, budget,
+                          lambda: f"{_shown(base)} to the power {_shown(exponent)} is above "
+                                  f"the output guard of {MAX_OUTPUT_DIGITS} decimal digits")
 
 
 def _box_blocks(side: int, width: int):
@@ -220,9 +219,8 @@ def _check_sieve_limit(limit: int, least: int) -> int:
     """The sieve limit as an int, refused below least or past MAX_SIEVE_LIMIT,
     before any array is allocated."""
     limit = _at_least("limit", limit, least)
-    if limit > MAX_SIEVE_LIMIT:
-        raise ResourceLimitError(f"sieve limit {_shown(limit)} exceeds guard {MAX_SIEVE_LIMIT}")
-    return limit
+    return _guard(limit, MAX_SIEVE_LIMIT,
+                  lambda: f"sieve limit {_shown(limit)} exceeds guard {MAX_SIEVE_LIMIT}")
 
 
 def prime_sieve(limit: int) -> np.ndarray:
@@ -299,10 +297,9 @@ def sum_divisor_count(n: int) -> int:
     method: 2*sum_{m<=r} floor(n/m) - r**2 with r = isqrt(n), refused
     before the loop when r passes MAX_SIEVE_LIMIT terms."""
     n = _at_least("n", n, 1)
-    r = math.isqrt(n)
-    if r > MAX_SIEVE_LIMIT:
-        raise ResourceLimitError(f"divisor sum to {_shown(n)} exceeds guard "
-                                 f"{MAX_SIEVE_LIMIT} hyperbola terms")
+    r = _guard(math.isqrt(n), MAX_SIEVE_LIMIT,
+               lambda: f"divisor sum to {_shown(n)} exceeds guard "
+                       f"{MAX_SIEVE_LIMIT} hyperbola terms")
     return 2 * sum(n // m for m in range(1, r + 1)) - r * r
 
 

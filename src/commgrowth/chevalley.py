@@ -10,7 +10,7 @@ cases, which ``brute_force_order`` provides by scanning in numpy blocks.
 from __future__ import annotations
 
 from .arith import _box_blocks, _power, _prime, factorize
-from .errors import DomainError, ResourceLimitError, _at_least, _integer, _shown
+from .errors import DomainError, _at_least, _guard, _integer, _shown
 from .reporting import BoundReport, compare
 from .root_systems import RootSystem
 
@@ -81,10 +81,9 @@ def brute_force_order(family: str, m: int) -> int:
     if family not in sizes:
         raise DomainError(f"unsupported family {family!r}; choose from {sorted(sizes)}")
     n = sizes[family]
-    candidates = _power(m, n * n)
-    if candidates > MAX_CANDIDATES:
-        raise ResourceLimitError(f"{family} mod {_shown(m)} needs {_shown(candidates)} "
-                                 f"candidates, guard is {_shown(MAX_CANDIDATES)}")
+    _guard(candidates := _power(m, n * n), MAX_CANDIDATES,
+           lambda: f"{family} mod {_shown(m)} needs {_shown(candidates)} "
+                   f"candidates, guard is {_shown(MAX_CANDIDATES)}")
     import numpy as np
     one = 1 % m
     count = 0

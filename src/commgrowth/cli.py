@@ -18,7 +18,7 @@ from . import __version__
 from .arith import MAX_OUTPUT_DIGITS, _prime, _rank1_arrays
 from .chevalley import ORACLE_FAMILIES, brute_force_order, order_zpk
 from .commgraph import _ball_keys, _check_ball, run_metric_checks
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, ResourceLimitError, _guard
 from .parahoric import _level_count, _per_prime_lhs, maximal_lattice_bound
 from .reporting import _decimal_text
 from .root_systems import root_system
@@ -56,9 +56,8 @@ def _decimal(value: int) -> str:
     digit limit but refused above MAX_OUTPUT_DIGITS, estimated from the
     bit length before any conversion work is done."""
     digits = int(value.bit_length() * math.log10(2)) + 1
-    if digits > MAX_OUTPUT_DIGITS:
-        raise ResourceLimitError(f"result has about {digits} decimal digits, "
-                                 f"above the output guard {MAX_OUTPUT_DIGITS}")
+    _guard(digits, MAX_OUTPUT_DIGITS, lambda: f"result has about {digits} decimal digits, "
+                                              f"above the output guard {MAX_OUTPUT_DIGITS}")
     return _decimal_text(value)
 
 

@@ -13,7 +13,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .errors import DomainError, ResourceLimitError, _at_least, _integer, _shown
+from .errors import DomainError, _at_least, _guard, _integer, _shown
 from .reporting import BoundReport, compare
 
 #: Largest ball radius, lattice dimension and candidate count enumerate_ball
@@ -175,9 +175,9 @@ class RationalLattice(_Subgroup):
     def scaled(cls, dim: int, num: int, den: int = 1) -> "RationalLattice":
         """(num/den) * Z^dim."""
         dim = _at_least("dim", dim, 1)
-        if dim * dim > MAX_LATTICE_ENTRIES:
-            raise ResourceLimitError(f"dimension {_shown(dim)} needs {_shown(dim * dim)} basis "
-                                     f"entries, guard is {MAX_LATTICE_ENTRIES}")
+        _guard(dim * dim, MAX_LATTICE_ENTRIES,
+               lambda: f"dimension {_shown(dim)} needs {_shown(dim * dim)} basis "
+                       f"entries, guard is {MAX_LATTICE_ENTRIES}")
         return cls(dim, den, tuple(tuple(num if i == j else 0 for j in range(dim))
                                    for i in range(dim)))
 
@@ -376,13 +376,11 @@ def _check_ball(n: int, dim: int | None):
     candidate count past its guard, before any of the ball is built; return n as an int."""
     dim = None if dim is None else _at_least("dim", dim, 1)
     n = _at_least("ball radius", n, 1)
-    if n > MAX_BALL_RADIUS:
-        raise ResourceLimitError(f"ball bound {_shown(n)} exceeds guard {MAX_BALL_RADIUS}")
-    if dim is not None and dim > MAX_BALL_DIM:
-        raise ResourceLimitError(f"lattice dimension {_shown(dim)} "
-                                 f"exceeds guard {MAX_BALL_DIM}")
-    if (count := _ball_candidates(n, dim or 1)) > MAX_BALL_CANDIDATES:
-        raise ResourceLimitError(f"{count} ball candidates exceed guard {MAX_BALL_CANDIDATES}")
+    _guard(n, MAX_BALL_RADIUS, lambda: f"ball bound {_shown(n)} exceeds guard {MAX_BALL_RADIUS}")
+    _guard(dim or 1, MAX_BALL_DIM,
+           lambda: f"lattice dimension {_shown(dim)} exceeds guard {MAX_BALL_DIM}")
+    _guard(count := _ball_candidates(n, dim or 1), MAX_BALL_CANDIDATES,
+           lambda: f"{count} ball candidates exceed guard {MAX_BALL_CANDIDATES}")
     return n
 
 
@@ -463,8 +461,8 @@ def run_metric_checks(samples: int = 1000, seed: int = 0) -> list[BoundReport]:
     passes exactly when every counter stays at zero.
     """
     samples = _at_least("samples", samples, 1)
-    if samples > MAX_SAMPLES:
-        raise ResourceLimitError(f"sample count {_shown(samples)} exceeds guard {MAX_SAMPLES}")
+    _guard(samples, MAX_SAMPLES,
+           lambda: f"sample count {_shown(samples)} exceeds guard {MAX_SAMPLES}")
     seed = _integer("seed", seed)
     rng, relations = random.Random(seed), _hnf_stack(2, 4)
     reports = []

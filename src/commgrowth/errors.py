@@ -1,5 +1,6 @@
-"""Exception types shared by every module, how a message shows an int, and
-the one integer check: _at_least, and _integer where no bound applies."""
+"""Exception types shared by every module, how a message shows an int, the
+one integer check (_at_least, and _integer where no bound applies) and the
+one resource guard, _guard, the only raiser of ResourceLimitError."""
 
 import math
 import operator
@@ -42,4 +43,12 @@ def _at_least(name: str, value, least: int) -> int:
     value = _integer(name, value)
     if value < least:
         raise DomainError(f"{name} must be >= {least}, got {_shown(value)}")
+    return value
+
+
+def _guard(value, budget, message):
+    """value, refused with ResourceLimitError(message()) when it is above
+    budget (an int, or a float bound); message is called only then."""
+    if value > budget:
+        raise ResourceLimitError(message())
     return value

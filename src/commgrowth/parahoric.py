@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import islice
 
 from .arith import MAX_OUTPUT_DIGITS, _box_blocks, _power, _prime
-from .errors import DomainError, ResourceLimitError, _at_least, _shown
+from .errors import DomainError, _at_least, _guard, _shown
 from .reporting import BoundReport, compare
 from .root_systems import RootSystem
 
@@ -45,7 +45,7 @@ class CocharacterCount:
 
     def __post_init__(self):
         if self.exact is not None and self.exact > self.box_bound:
-            raise ValueError("exact count cannot exceed the box bound")
+            raise DomainError("exact count cannot exceed the box bound")
 
 
 def _peeled_count(rs: RootSystem, c: int) -> int:
@@ -80,8 +80,7 @@ def count_admissible_cocharacters(rs: RootSystem, c: int) -> CocharacterCount:
     MAX_CUTOFF the request is refused.
     """
     c = _at_least("cutoff", c, 0)
-    if c > MAX_CUTOFF:
-        raise ResourceLimitError(f"cutoff {_shown(c)} exceeds guard {MAX_CUTOFF}")
+    _guard(c, MAX_CUTOFF, lambda: f"cutoff {_shown(c)} exceeds guard {MAX_CUTOFF}")
     box = (2 * c + 1) ** rs.rank
     if box * rs.num_positive_roots > MAX_SCAN_PAIRINGS:
         return CocharacterCount(rs.label, c, None, box)
@@ -100,10 +99,9 @@ def check_cocharacter_bound(rs: RootSystem, k: int) -> BoundReport:
     Where the count's scan is past MAX_SCAN_PAIRINGS the check is refused;
     the sharper box (2k+3)**rank is carried along in the context."""
     k, cc, paper_bound = _level_count(rs, k)
-    if cc.exact is None:
-        raise ResourceLimitError(
-            f"cocharacter scan of {_shown(cc.box_bound * rs.num_positive_roots)} "
-            f"root pairings exceeds guard {MAX_SCAN_PAIRINGS}")
+    _guard(pairings := cc.box_bound * rs.num_positive_roots, MAX_SCAN_PAIRINGS,
+           lambda: f"cocharacter scan of {_shown(pairings)} "
+                   f"root pairings exceeds guard {MAX_SCAN_PAIRINGS}")
     return compare("cocharacter_count_le_(2k+3)^d", cc.exact, paper_bound,
                    label=rs.label, k=k, rank_box_bound=cc.box_bound)
 
@@ -165,19 +163,17 @@ def upper_bound_profile(rs: RootSystem, n: int, s, c_const=1, D_const=1) -> int:
     m0 = 3 + 2 * rs.dimension
     # the sum is below top**(m0+1), refused as _power refuses a power; kept in
     # case MAX_PROFILE_WORK is raised, as today it caps the sum near 28,000 digits
-    if top > 1 and m0 + 1 > MAX_OUTPUT_DIGITS / math.log10(top):
-        raise ResourceLimitError(f"sum of {_shown(top)} powers j**{m0} is above "
-                                 f"the output guard of {MAX_OUTPUT_DIGITS} decimal digits")
+    _guard(m0 + 1, MAX_OUTPUT_DIGITS / math.log10(top) if top > 1 else math.inf,
+           lambda: f"sum of {_shown(top)} powers j**{m0} is above "
+                   f"the output guard of {MAX_OUTPUT_DIGITS} decimal digits")
     # top powers j**m0, each about m0+1 times a small one, or the values read
-    work = max(top * (m0 + 1), s_index)
-    if work > MAX_PROFILE_WORK:
-        raise ResourceLimitError(
-            f"profile work {_shown(work)} exceeds guard {MAX_PROFILE_WORK}: "
-            f"j**{m0} summed to {_shown(top)}, growth index {_shown(s_index)}")
+    _guard(work := max(top * (m0 + 1), s_index), MAX_PROFILE_WORK,
+           lambda: f"profile work {_shown(work)} exceeds guard {MAX_PROFILE_WORK}: "
+                   f"j**{m0} summed to {_shown(top)}, growth index {_shown(s_index)}")
     read = 0
     for read, last in enumerate(islice(s, s_index), 1):
         pass  # only the last value is kept, so memory stays flat
     if read < s_index:
         raise DomainError(
             f"growth data too short: need index {_shown(s_index)}, got {read} values")
-    return sum(j ** m0 for j in range(1, top + 1)) * last
+    return _at_least("growth value", last, 0) * sum(j ** m0 for j in range(1, top + 1))

@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import DomainError, ResourceLimitError, _integer, _shown
+from .errors import DomainError, _guard, _integer, _shown
 
 _LABEL_RE = re.compile(r"^([A-Ga-g])(\d+)$")
 
@@ -95,9 +95,7 @@ def _parse_label(label: str) -> tuple[str, int]:
         raise DomainError(f"type {family} requires rank >= {least}, got {shown}")
     if greatest is not None and rank > greatest:
         raise DomainError(f"type {family} requires rank <= {greatest}, got {shown}")
-    if rank > MAX_RANK:
-        raise ResourceLimitError(f"rank {shown} exceeds guard {MAX_RANK}")
-    return family, rank
+    return family, _guard(rank, MAX_RANK, lambda: f"rank {shown} exceeds guard {MAX_RANK}")
 
 
 def _cartan_matrix(family: str, l: int) -> list[list[int]]:

@@ -257,6 +257,14 @@ class TestOrder:
                          *([fmt] if fmt else []))
         assert_output_guard(result)
 
+    def test_printed_digit_guard(self, capsys):
+        # the order itself, about 10^101185, passes every power guard, and is
+        # refused only when printed
+        argv = ["order", "--type", "E8", "--p", "1000000000000000000000007", "--k", "17"]
+        assert main(argv) == EXIT_RESOURCE
+        assert capsys.readouterr() == ("", "resource guard: result has about 101185 decimal "
+                                           "digits, above the output guard 100000\n")
+
     def test_digit_guard_refuses_before_computing(self, capsys):
         # the result is a multiple of 2**2479999752, a 310 MB integer
         assert_refused_in_little_memory(["order", "--type", "E8", "--p", "2", "--k", "10000000"],

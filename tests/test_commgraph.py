@@ -438,6 +438,9 @@ class TestBallEnumeration:
         with pytest.raises(ResourceLimitError, match="guard is 1000000"):
             RationalLattice.standard(10 ** 18)
         assert time.perf_counter() - start < 0.1
+        with pytest.raises(ResourceLimitError) as caught:
+            RationalLattice.standard(1001)
+        assert str(caught.value) == "dimension 1001 needs 1002001 basis entries, guard is 1000000"
         side = math.isqrt(cg.MAX_LATTICE_ENTRIES)
         assert RationalLattice.standard(side).basis[-1] == (0,) * (side - 1) + (1,)
         with pytest.raises(ResourceLimitError):

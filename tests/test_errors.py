@@ -6,7 +6,7 @@ import pytest
 from commgrowth import arith, chevalley, parahoric
 from commgrowth.commgraph import (RationalCyclic, RationalLattice, check_transfer_inequality,
                                   enumerate_ball, run_metric_checks)
-from commgrowth.errors import DomainError, _shown
+from commgrowth.errors import DomainError, ResourceLimitError, _guard, _shown
 from commgrowth.root_systems import root_system, supported_labels
 
 A1, A2, F4 = root_system("A1"), root_system("A2"), root_system("F4")
@@ -31,6 +31,27 @@ def test_other_values_in_full():
     assert _shown(2.5) == "2.5"
     assert _shown("x") == "x"
     assert _shown(None) == "None"
+
+
+def refused():
+    raise AssertionError("message built within the budget")
+
+
+def test_guard_returns_the_value_up_to_the_budget():
+    assert _guard(7, 7, refused) == 7
+    assert _guard(-7, 7, refused) == -7
+    assert _guard(10 ** 400, float("inf"), refused) == 10 ** 400
+
+
+def test_guard_refuses_past_the_budget():
+    with pytest.raises(ResourceLimitError, match="^8 is past 7$"):
+        _guard(8, 7, lambda: "8 is past 7")
+    # a float budget, as a digit guard's MAX_OUTPUT_DIGITS / log10(base)
+    # is, compares exactly with an int past the float range
+    assert _guard(5, 5.5, refused) == 5
+    for value in (6, 10 ** 400):
+        with pytest.raises(ResourceLimitError, match="^past 5.5$"):
+            _guard(value, 5.5, lambda: "past 5.5")
 
 
 # one row per integer argument of a public function: the call with the

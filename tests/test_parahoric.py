@@ -9,8 +9,8 @@ import pytest
 from commgrowth import parahoric
 from commgrowth.cli import main
 from commgrowth.errors import DomainError, ResourceLimitError
-from commgrowth.parahoric import (check_cocharacter_bound, check_two_k_plus_three,
-                                  count_admissible_cocharacters,
+from commgrowth.parahoric import (CocharacterCount, check_cocharacter_bound,
+                                  check_two_k_plus_three, count_admissible_cocharacters,
                                   maximal_lattice_bound, per_prime_bound,
                                   upper_bound_profile)
 from commgrowth.root_systems import root_system, supported_labels
@@ -40,6 +40,10 @@ class TestCount:
 
     def test_a2_at_zero(self):
         assert count_admissible_cocharacters(A2, 0).exact == 1
+
+    def test_exact_above_box_bound_refused(self):
+        with pytest.raises(DomainError, match="^exact count cannot exceed the box bound$"):
+            CocharacterCount("A1", 1, 10, 9)
 
     def test_a2_at_two(self):
         # frozen from the scan oracle
@@ -315,6 +319,21 @@ class TestProfile:
         # ceil(3/2 * 3) = 5 on both the sum cutoff and the index
         expected = sum(j ** 9 for j in range(1, 6)) * s[4]
         assert upper_bound_profile(A1, 3, s, Fraction(3, 2), Fraction(3, 2)) == expected
+
+    @pytest.mark.parametrize("s, shown", [(["1", "2"], "2"), ([[0]], "[0]"), ([2.5], "2.5")],
+                             ids=["str", "list", "float"])
+    def test_growth_value_must_be_an_integer(self, s, shown):
+        # a str value would be repeated 513 times here, and about 1.6*10^9
+        # times at n = 10, so no value but an integer is multiplied
+        with pytest.raises(DomainError) as caught:
+            upper_bound_profile(A1, len(s), s)
+        assert str(caught.value) == f"growth value must be an integer, got {shown}"
+
+    def test_growth_value_is_an_int(self):
+        value = upper_bound_profile(A1, 1, [np.int64(3)])
+        assert value == 3 and type(value) is int
+        with pytest.raises(DomainError, match="^growth value must be >= 0, got -1$"):
+            upper_bound_profile(A1, 1, [-1])
 
     def test_short_data_rejected(self):
         with pytest.raises(DomainError):

@@ -114,6 +114,16 @@ def test_powers_of_p_and_m_go_through_the_guard():
     assert found == []
 
 
+def test_one_guard_routine():
+    # every resource guard refuses through errors._guard, so only errors.py
+    # constructs a ResourceLimitError; the CLI may still catch one
+    found = [f"{name}:{node.lineno}" for name, node in library_nodes()
+             if name != "errors.py" and isinstance(node, ast.Call)
+             and "ResourceLimitError" in (getattr(node.func, "id", None),
+                                          getattr(node.func, "attr", None))]
+    assert found == []
+
+
 def converts_or_bounds_an_integer(node):
     """True for an import of operator, a use of operator.index, or a string
     that says an argument "must be >=" a bound or "must be an integer"."""
