@@ -144,8 +144,8 @@ def upper_bound_profile(rs: RootSystem, n: int, s, c_const=1, D_const=1) -> int:
     Under the counting hypotheses this dominates the full commensurability
     growth C_n for lattices in the group; s is caller-supplied
     subgroup-growth data s_1, s_2, ... (computing it is out of scope here),
-    any iterable, read only up to s_{ceil(D*n)} and only once the guards
-    pass.  The constants c and D exist but are not pinned by the theory, so
+    any iterable of counts, read only up to s_{ceil(D*n)} and only once the
+    guards pass.  The constants c and D exist but are not pinned by the theory, so
     they are parameters, defaulting to 1.
     """
     n = _at_least("n", n, 1)
