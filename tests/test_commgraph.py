@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import time
@@ -301,6 +302,24 @@ class TestChains:
         for _ in range(200):
             chain = cg._random_chain(rng, cg._random_lattice, relations)
             assert chain_length(chain) == comm_index(chain[0], chain[-1]).value
+
+
+class TestSamplers:
+    # sha256 of the first 50 cyclic, lattice and chain samples, one line
+    # each, then the next rng.random(): what run_metric_checks draws
+    @pytest.mark.parametrize("seed, digests, after", [
+        (0, ("ddd65055fbeb9ace", "d5feda1d1e214260", "a8bb30b0582bf448"), 0.09873043616313526),
+        (1, ("71f59fd567f26772", "e175e81787c64e28", "95d4f3eee1fe6bca"), 0.3171107762636095),
+        (2, ("7e9130ac1c0a291b", "6bd747dab44dc17c", "dc6d4169cf7eba3d"), 0.8377837511392343),
+    ])
+    def test_draws_pinned(self, seed, digests, after):
+        rng, relations = random.Random(seed), cg._hnf_stack(2, 4)
+        got = []
+        for draw in (cg._random_cyclic, cg._random_lattice,
+                     lambda r: cg._random_chain(r, cg._random_lattice, relations)):
+            text = "\n".join(str(draw(rng)) for _ in range(50))
+            got.append(hashlib.sha256(text.encode()).hexdigest()[:16])
+        assert (tuple(got), rng.random()) == (digests, after)
 
 
 class TestBallEnumeration:
