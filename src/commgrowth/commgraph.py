@@ -151,13 +151,15 @@ class RationalLattice(_Subgroup):
         hnf = _row_hnf([[_integer("basis entry", v) for v in r] for r in rows], dim)
         if len(hnf) != dim:
             raise DomainError("basis does not span a full-rank lattice")
-        content = math.gcd(denom, math.gcd(*(abs(v) for row in hnf for v in row)))
-        if content > 1:
-            hnf = [[v // content for v in row] for row in hnf]
-            denom //= content
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "denom", denom)
-        object.__setattr__(self, "basis", tuple(tuple(row) for row in hnf))
+        self.__dict__.update(vars(self._from_hnf(dim, denom, hnf)))
+
+    @classmethod
+    def _from_hnf(cls, dim: int, denom: int, hnf) -> "RationalLattice":
+        """(1/denom)*rowspan(hnf), for a full-rank HNF of ints: the common content
+        of denom and the entries is stripped, and nothing else is checked."""
+        content = math.gcd(denom, *(v for row in hnf for v in row))
+        return cls._canonical({"dim": dim, "denom": denom // content,
+                               "basis": tuple(tuple(v // content for v in row) for row in hnf)})
 
     @classmethod
     def from_rows(cls, rows, denom: int = 1) -> "RationalLattice":
@@ -183,13 +185,15 @@ class RationalLattice(_Subgroup):
 
     def _numerators(self, q: int):
         """Basis rows written over the denominator q, a multiple of denom."""
+        if q == self.denom:
+            return self.basis
         return [[v * (q // self.denom) for v in row] for row in self.basis]
 
     def intersection(self, other: "RationalLattice") -> "RationalLattice":
         _require_same_family(self, other)
         q = math.lcm(self.denom, other.denom)
-        return RationalLattice(self.dim, q,
-                               _intersect_integer(self._numerators(q), other._numerators(q)))
+        A, B = self._numerators(q), other._numerators(q)
+        return RationalLattice._from_hnf(self.dim, q, _intersect_integer(A, B))
 
     def _indices(self, other: "RationalLattice") -> tuple[int, int]:
         # [A : A & B] = [A + B : B]; over a common denominator each
@@ -197,7 +201,7 @@ class RationalLattice(_Subgroup):
         _require_same_family(self, other)
         q = math.lcm(self.denom, other.denom)
         A, B = self._numerators(q), other._numerators(q)
-        total = _hnf_det(_row_hnf(A + B, self.dim))
+        total = _hnf_det(_row_hnf([*A, *B], self.dim))
         return _hnf_det(B) // total, _hnf_det(A) // total
 
     def sort_key(self):
@@ -206,6 +210,14 @@ class RationalLattice(_Subgroup):
     def __str__(self):
         rows = ",".join("[" + ",".join(map(str, r)) + "]" for r in self.basis)
         return f"(1/{self.denom})<{rows}>"
+
+
+def _subgroups(*groups) -> tuple:
+    """groups, refused with DomainError unless each is a RationalCyclic or a RationalLattice."""
+    for g in groups:
+        if not isinstance(g, _Subgroup):
+            raise DomainError(f"unsupported family {type(g).__name__}")
+    return groups
 
 
 def _require_same_family(A, B):
@@ -240,16 +252,19 @@ class GeodesicPath:
 
 def intersect(L1, L2):
     """Intersection inside either family (canonical form)."""
+    _subgroups(L1, L2)
     return L1.intersection(L2)
 
 
 def index_in(sub, sup) -> int:
     """[sup : sub] for nested subgroups of one family."""
+    _subgroups(sub, sup)
     return sup.index_of(sub)
 
 
 def comm_index(A, B) -> CommIndex:
     """Exact commensurability index data of two commensurable subgroups."""
+    _subgroups(A, B)
     return CommIndex(*A._indices(B))
 
 
@@ -275,7 +290,7 @@ def geodesic(A, B) -> GeodesicPath:
 def chain_length(chain) -> int:
     """Product of the successive indices along a nested chain
     H_1 <= H_2 <= ... <= H_n; equals the endpoint commensurability index."""
-    groups = list(chain)
+    groups = _subgroups(*chain)
     if not groups:
         raise DomainError("chain must contain at least one subgroup")
     total = 1
@@ -388,12 +403,11 @@ def enumerate_ball(gamma, n: int):
     """All subgroups in gamma's family at commensurability index <= n,
     in canonical form, sorted, duplicate free, within MAX_BALL_RADIUS,
     MAX_BALL_CANDIDATES and (lattices only) MAX_BALL_DIM."""
+    _subgroups(gamma)
     if isinstance(gamma, RationalCyclic):
         dim, denom, basis = None, gamma.b, ((gamma.a,),)
-    elif isinstance(gamma, RationalLattice):
-        dim, denom, basis = gamma.dim, gamma.denom, gamma.basis
     else:
-        raise DomainError(f"unsupported family {type(gamma).__name__}")
+        dim, denom, basis = gamma.dim, gamma.denom, gamma.basis
     n = _check_ball(n, dim)
     import numpy as np
     d, keys = len(basis), _ball_keys(n, dim)
@@ -433,7 +447,7 @@ def _random_lattice(rng: random.Random, dim: int = 2) -> RationalLattice:
         rows = [[rng.randint(-4, 4) for _ in range(dim)] for _ in range(dim)]
         hnf = _row_hnf(rows, dim)
         if len(hnf) == dim:
-            return RationalLattice(dim, rng.randint(1, 6), hnf)
+            return RationalLattice._from_hnf(dim, rng.randint(1, 6), hnf)
 
 
 def _random_chain(rng: random.Random, sample, relations):
@@ -446,9 +460,9 @@ def _random_chain(rng: random.Random, sample, relations):
         if isinstance(last, RationalCyclic):
             desc.append(RationalCyclic(last.a * rng.randint(1, 4), last.b))
         else:
-            rel = rng.choice(H[det == rng.randint(1, 4)])
-            desc.append(RationalLattice(last.dim, last.denom,
-                                        (rel.astype(object) @ last.basis).tolist()))
+            rel = rng.choice(H[det == rng.randint(1, 4)]).tolist()
+            rows = [[sum(a * b for a, b in zip(r, c)) for c in zip(*last.basis)] for r in rel]
+            desc.append(RationalLattice._from_hnf(last.dim, last.denom, _row_hnf(rows, last.dim)))
     return list(reversed(desc))
 
 

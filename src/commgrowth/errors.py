@@ -31,11 +31,13 @@ def _shown(value) -> str:
 
 def _integer(name: str, value) -> int:
     """value as an int, refused when it is no integer: any operator.index
-    value counts, a numpy integer too, and is converted."""
+    value counts, a numpy integer too, and is converted.  A refused str is
+    shown by its repr, so that "12" reads apart from 12."""
     try:
         return operator.index(value)
     except TypeError:
-        raise DomainError(f"{name} must be an integer, got {_shown(value)}") from None
+        shown = repr(value) if isinstance(value, str) else _shown(value)
+        raise DomainError(f"{name} must be an integer, got {shown}") from None
 
 
 def _at_least(name: str, value, least: int) -> int:

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import math
 import random
@@ -108,6 +109,23 @@ class TestIntersectIndex:
     def test_mixed_families_rejected(self):
         with pytest.raises(DomainError):
             comm_index(Z, Z2)
+
+    @pytest.mark.parametrize("call, shown", [
+        (lambda: comm_index(3, Z), "int"),
+        (lambda: intersect(3, Z), "int"),
+        (lambda: index_in(Z, 3), "int"),
+        (lambda: distance(None, Z), "NoneType"),
+        (lambda: chain_length([Z, 3]), "int"),
+        (lambda: check_transfer_inequality(3, Z, 2), "int"),
+        (lambda: enumerate_ball(3, 2), "int"),
+    ], ids=["comm_index", "intersect", "index_in", "distance", "chain_length", "transfer",
+            "enumerate_ball"])
+    def test_unsupported_family_refused(self, call, shown):
+        # a value of neither family is refused by one check, not left to
+        # fail as an AttributeError on the method it lacks
+        with pytest.raises(DomainError) as caught:
+            call()
+        assert str(caught.value) == f"unsupported family {shown}"
 
 
 def random_lattice_pair(rng, dim, entry=6, denom=8):
@@ -321,6 +339,25 @@ class TestSamplers:
             got.append(hashlib.sha256(text.encode()).hexdigest()[:16])
         assert (tuple(got), rng.random()) == (digests, after)
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_unchecked_lattices_are_canonical(self, dim):
+        # the samplers and intersection hand a known HNF to _from_hnf, which
+        # skips the constructor's checks: each value must be the one the
+        # public constructor builds from the same fields, and, since both
+        # share the content strip, have no common content left
+        rng, relations = random.Random(40 + dim), cg._hnf_stack(dim, 4)
+        sample = functools.partial(cg._random_lattice, dim=dim)
+        built = []
+        for _ in range(150):
+            A, B = sample(rng), sample(rng)
+            built += [A, B, A.intersection(B), *cg._random_chain(rng, sample, relations)]
+        for L in built:
+            again = RationalLattice(L.dim, L.denom, L.basis)
+            assert (L.dim, L.denom, L.basis) == (again.dim, again.denom, again.basis)
+            assert L == again and hash(L) == hash(again)
+            flat = [v for row in L.basis for v in row]
+            assert all(type(v) is int for v in flat) and math.gcd(L.denom, *flat) == 1
+
 
 class TestBallEnumeration:
     def test_cyclic_ball_examples(self):
@@ -492,7 +529,7 @@ class TestBallEnumeration:
     def test_radius_must_be_an_int(self, n):
         with pytest.raises(DomainError) as caught:
             enumerate_ball(Z, n)
-        assert str(caught.value) == f"ball radius must be an integer, got {n}"
+        assert str(caught.value) == f"ball radius must be an integer, got {n!r}"
 
     def test_numpy_integer_radius_is_an_int(self):
         # any operator.index value is a radius, converted to int before the

@@ -320,7 +320,7 @@ class TestProfile:
         expected = sum(j ** 9 for j in range(1, 6)) * s[4]
         assert upper_bound_profile(A1, 3, s, Fraction(3, 2), Fraction(3, 2)) == expected
 
-    @pytest.mark.parametrize("s, shown", [(["1", "2"], "2"), ([[0]], "[0]"), ([2.5], "2.5")],
+    @pytest.mark.parametrize("s, shown", [(["1", "2"], "'2'"), ([[0]], "[0]"), ([2.5], "2.5")],
                              ids=["str", "list", "float"])
     def test_growth_value_must_be_an_integer(self, s, shown):
         # a str value would be repeated 513 times here, and about 1.6*10^9
