@@ -158,8 +158,9 @@ class RationalLattice(_Subgroup):
         """(1/denom)*rowspan(hnf), for a full-rank HNF of ints: the common content
         of denom and the entries is stripped, and nothing else is checked."""
         content = math.gcd(denom, *(v for row in hnf for v in row))
-        return cls._canonical({"dim": dim, "denom": denom // content,
-                               "basis": tuple(tuple(v // content for v in row) for row in hnf)})
+        if content > 1:
+            denom, hnf = denom // content, [[v // content for v in row] for row in hnf]
+        return cls._canonical({"dim": dim, "denom": denom, "basis": tuple(map(tuple, hnf))})
 
     @classmethod
     def from_rows(cls, rows, denom: int = 1) -> "RationalLattice":
