@@ -78,7 +78,7 @@ def brute_force_order(family: str, m: int) -> int:
     """
     m = _at_least("modulus", m, 1)
     sizes = {"SL2": 2, "SL3": 3, "Sp4": 4}
-    if family not in sizes:
+    if not isinstance(family, str) or family not in sizes:
         raise DomainError(f"unsupported family {family!r}; choose from {sorted(sizes)}")
     n = sizes[family]
     _guard(candidates := _power(m, n * n), MAX_CANDIDATES,

@@ -13,7 +13,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .errors import DomainError, _at_least, _guard, _integer, _shown
+from .errors import DomainError, _at_least, _guard, _integer, _items, _shown
 from .reporting import BoundReport, compare
 
 #: Largest ball radius, lattice dimension and candidate count enumerate_ball
@@ -145,7 +145,7 @@ class RationalLattice(_Subgroup):
 
     def __post_init__(self):
         dim, denom = _at_least("dim", self.dim, 1), _at_least("denom", self.denom, 1)
-        rows = [list(r) for r in self.basis]
+        rows = [_items("basis row", r) for r in _items("basis", self.basis)]
         if any(len(r) != dim for r in rows):
             raise DomainError("basis rows must have length dim")
         hnf = _row_hnf([[_integer("basis entry", v) for v in r] for r in rows], dim)
@@ -164,7 +164,7 @@ class RationalLattice(_Subgroup):
 
     @classmethod
     def from_rows(cls, rows, denom: int = 1) -> "RationalLattice":
-        rows = [list(r) for r in rows]
+        rows = [_items("basis row", r) for r in _items("basis", rows)]
         if not rows:
             raise DomainError("need at least one generating row")
         return cls(len(rows[0]), denom, tuple(tuple(r) for r in rows))
@@ -291,7 +291,7 @@ def geodesic(A, B) -> GeodesicPath:
 def chain_length(chain) -> int:
     """Product of the successive indices along a nested chain
     H_1 <= H_2 <= ... <= H_n; equals the endpoint commensurability index."""
-    groups = _subgroups(*chain)
+    groups = _subgroups(*_items("chain", chain))
     if not groups:
         raise DomainError("chain must contain at least one subgroup")
     total = 1
@@ -451,17 +451,20 @@ def _random_lattice(rng: random.Random, dim: int = 2) -> RationalLattice:
             return RationalLattice._from_hnf(dim, rng.randint(1, 6), hnf)
 
 
-def _random_chain(rng: random.Random, sample, relations):
-    """A nested chain down from sample(rng); relations is _hnf_stack(dim, 4)."""
-    top = sample(rng)
-    desc = [top]
-    H, det = relations
+# the 2x2 HNFs of determinant k <= 4, in _hnf_stack(2, 4)'s order
+_CHAIN_STEPS = {k: [((a, v), (0, k // a)) for a in range(1, k + 1) if k % a == 0
+                    for v in range(k // a)] for k in range(1, 5)}
+
+
+def _random_chain(rng: random.Random, sample):
+    """A nested chain down from sample(rng), a cyclic or a dim-2 lattice sampler."""
+    desc = [sample(rng)]
     for _ in range(rng.randint(1, 4)):
         last = desc[-1]
         if isinstance(last, RationalCyclic):
             desc.append(RationalCyclic(last.a * rng.randint(1, 4), last.b))
         else:
-            rel = rng.choice(H[det == rng.randint(1, 4)]).tolist()
+            rel = rng.choice(_CHAIN_STEPS[rng.randint(1, 4)])
             rows = [[sum(a * b for a, b in zip(r, c)) for c in zip(*last.basis)] for r in rel]
             desc.append(RationalLattice._from_hnf(last.dim, last.denom, _row_hnf(rows, last.dim)))
     return list(reversed(desc))
@@ -479,7 +482,7 @@ def run_metric_checks(samples: int = 1000, seed: int = 0) -> list[BoundReport]:
     _guard(samples, MAX_SAMPLES,
            lambda: f"sample count {_shown(samples)} exceeds guard {MAX_SAMPLES}")
     seed = _integer("seed", seed)
-    rng, relations = random.Random(seed), _hnf_stack(2, 4)
+    rng = random.Random(seed)
     reports = []
     for family, sample in (("cyclic", _random_cyclic), ("lattice2", _random_lattice)):
         sym = ident = tri = 0
@@ -501,7 +504,7 @@ def run_metric_checks(samples: int = 1000, seed: int = 0) -> list[BoundReport]:
                 geo += 1
         chains = 0
         for _ in range(samples):
-            chain = _random_chain(rng, sample, relations)
+            chain = _random_chain(rng, sample)
             if chain_length(chain) != comm_index(chain[0], chain[-1]).value:
                 chains += 1
         ctx = {"family": family, "samples": samples, "seed": seed}

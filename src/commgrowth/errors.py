@@ -1,6 +1,6 @@
 """Exception types shared by every module, how a message shows an int, the
-one integer check (_at_least, and _integer where no bound applies) and the
-one resource guard, _guard, the only raiser of ResourceLimitError."""
+one integer check (_at_least, and _integer where no bound applies), the one
+iterable check, _items, and the one guard, _guard, the only raiser of ResourceLimitError."""
 
 import math
 import operator
@@ -38,6 +38,14 @@ def _integer(name: str, value) -> int:
     except TypeError:
         shown = repr(value) if isinstance(value, str) else _shown(value)
         raise DomainError(f"{name} must be an integer, got {shown}") from None
+
+
+def _items(name: str, value) -> list:
+    """list(value), refused with DomainError when value is not iterable."""
+    try:
+        return list(value)
+    except TypeError:
+        raise DomainError(f"{name} must be iterable, got {_shown(value)}") from None
 
 
 def _at_least(name: str, value, least: int) -> int:

@@ -149,6 +149,14 @@ class TestBruteForce:
         with pytest.raises(DomainError):
             brute_force_order("SO5", 2)
 
+    @pytest.mark.parametrize("family", [["SL2"], {}])
+    def test_unhashable_family(self, family):
+        # refused by the family check, not by the dict lookup it guards
+        with pytest.raises(DomainError) as caught:
+            brute_force_order(family, 2)
+        assert str(caught.value) == (f"unsupported family {family!r}; "
+                                     "choose from ['SL2', 'SL3', 'Sp4']")
+
     def test_oracle_families_map_to_supported_types(self):
         assert ORACLE_FAMILIES == {"A1": "SL2", "A2": "SL3", "B2": "Sp4", "C2": "Sp4"}
 

@@ -60,6 +60,19 @@ class TestCanonicalForms:
         with pytest.raises(DomainError):
             RationalLattice.from_rows([[1, 2], [2, 4]])
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: RationalLattice(2, 1, 5), "basis must be iterable, got 5"),
+        (lambda: RationalLattice(2, 1, [[1, 0], 5]), "basis row must be iterable, got 5"),
+        (lambda: RationalLattice.from_rows(5), "basis must be iterable, got 5"),
+        (lambda: RationalLattice.from_rows([5]), "basis row must be iterable, got 5"),
+    ], ids=["basis", "row", "from_rows-basis", "from_rows-row"])
+    def test_lattice_rejects_malformed_rows(self, call, message):
+        # the constructor and from_rows share one check on the rows, so a
+        # non-iterable basis or row is refused, not left to a bare TypeError
+        with pytest.raises(DomainError) as caught:
+            call()
+        assert str(caught.value) == message
+
     def test_lattice_hashable_for_dedup(self):
         assert len({Z2, RationalLattice.standard(2)}) == 1
 
@@ -315,10 +328,16 @@ class TestChains:
         with pytest.raises(DomainError):
             chain_length([])
 
+    @pytest.mark.parametrize("chain", [5, None])
+    def test_rejects_non_iterable(self, chain):
+        with pytest.raises(DomainError) as caught:
+            chain_length(chain)
+        assert str(caught.value) == f"chain must be iterable, got {chain}"
+
     def test_random_chains_hit_endpoint_index(self):
-        rng, relations = random.Random(4), cg._hnf_stack(2, 4)
+        rng = random.Random(4)
         for _ in range(200):
-            chain = cg._random_chain(rng, cg._random_lattice, relations)
+            chain = cg._random_chain(rng, cg._random_lattice)
             assert chain_length(chain) == comm_index(chain[0], chain[-1]).value
 
 
@@ -331,10 +350,10 @@ class TestSamplers:
         (2, ("7e9130ac1c0a291b", "6bd747dab44dc17c", "dc6d4169cf7eba3d"), 0.8377837511392343),
     ])
     def test_draws_pinned(self, seed, digests, after):
-        rng, relations = random.Random(seed), cg._hnf_stack(2, 4)
+        rng = random.Random(seed)
         got = []
         for draw in (cg._random_cyclic, cg._random_lattice,
-                     lambda r: cg._random_chain(r, cg._random_lattice, relations)):
+                     lambda r: cg._random_chain(r, cg._random_lattice)):
             text = "\n".join(str(draw(rng)) for _ in range(50))
             got.append(hashlib.sha256(text.encode()).hexdigest()[:16])
         assert (tuple(got), rng.random()) == (digests, after)
@@ -344,13 +363,16 @@ class TestSamplers:
         # the samplers and intersection hand a known HNF to _from_hnf, which
         # skips the constructor's checks: each value must be the one the
         # public constructor builds from the same fields, and, since both
-        # share the content strip, have no common content left
-        rng, relations = random.Random(40 + dim), cg._hnf_stack(dim, 4)
+        # share the content strip, have no common content left; chains are
+        # drawn at dim 2 only, the one lattice dimension the suite chains
+        rng = random.Random(40 + dim)
         sample = functools.partial(cg._random_lattice, dim=dim)
         built = []
         for _ in range(150):
             A, B = sample(rng), sample(rng)
-            built += [A, B, A.intersection(B), *cg._random_chain(rng, sample, relations)]
+            built += [A, B, A.intersection(B)]
+            if dim == 2:
+                built += cg._random_chain(rng, sample)
         for L in built:
             again = RationalLattice(L.dim, L.denom, L.basis)
             assert (L.dim, L.denom, L.basis) == (again.dim, again.denom, again.basis)

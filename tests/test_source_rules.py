@@ -151,7 +151,8 @@ import contextlib, io, sys
 from commgrowth.cli import main
 statuses = []
 for argv in (["--version"], ["order", "--type", "E8", "--p", "7", "--k", "2"],
-             ["rootsys", "--type", "E8", "--json"], ["rootsys", "--type", "Q2"]):
+             ["rootsys", "--type", "E8", "--json"], ["rootsys", "--type", "Q2"],
+             ["check", "metric", "--samples", "5"]):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
             statuses.append(main(argv))
@@ -163,9 +164,10 @@ print(statuses, "numpy" in sys.modules)
 
 def test_point_queries_do_not_import_numpy():
     # numpy is imported inside the functions that build arrays, so a
-    # process that prints the version, an order or a root system, or
-    # refuses a label, never pays for the import; one process runs all four
+    # process that prints the version, an order or a root system, refuses
+    # a label or runs the metric suite never pays for the import; one
+    # process runs all five
     env = dict(os.environ, PYTHONPATH=str(Path(commgrowth.__file__).parents[1]))
     result = subprocess.run([sys.executable, "-c", POINT_QUERIES], capture_output=True,
                             text=True, env=env, timeout=60)
-    assert (result.stdout, result.stderr) == ("[0, 0, 0, 2] False\n", "")
+    assert (result.stdout, result.stderr) == ("[0, 0, 0, 2, 0] False\n", "")
