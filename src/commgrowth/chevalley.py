@@ -12,7 +12,7 @@ from __future__ import annotations
 from .arith import _box_blocks, _power, _prime, factorize
 from .errors import DomainError, _at_least, _guard, _integer, _shown
 from .reporting import BoundReport, compare
-from .root_systems import RootSystem
+from .root_systems import RootSystem, _checked
 
 # antidiagonal alternating form fixed for the 4x4 symplectic oracle
 _SP4_FORM = (
@@ -37,7 +37,7 @@ def order_fp(rs: RootSystem, p: int) -> int:
 def order_zpk(rs: RootSystem, p: int, k: int) -> int:
     """Order over Z/p**k: the prime-field order p**N * prod_i (p**d_i - 1),
     and a full p**d factor from each of the k-1 congruence layers."""
-    k, p = _at_least("k", k, 1), _prime(p)
+    rs, k, p = _checked(rs), _at_least("k", k, 1), _prime(p)
     value = _power(p, rs.num_positive_roots)
     for d in rs.degrees:
         value *= _power(p, d) - 1
@@ -46,7 +46,7 @@ def order_zpk(rs: RootSystem, p: int, k: int) -> int:
 
 def order_zm(rs: RootSystem, m: int) -> int:
     """Order over Z/m, multiplicative over the prime powers of m."""
-    m = _at_least("m", m, 1)
+    rs, m = _checked(rs), _at_least("m", m, 1)
     value = 1
     for p, k in factorize(m).factors:
         value *= order_zpk(rs, p, k)

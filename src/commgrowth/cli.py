@@ -15,13 +15,7 @@ import math
 import sys
 
 from . import __version__
-from .arith import MAX_OUTPUT_DIGITS, _prime, _rank1_arrays
-from .chevalley import ORACLE_FAMILIES, brute_force_order, order_zpk
-from .commgraph import _ball_keys, _check_ball, run_metric_checks
 from .errors import DomainError, ResourceLimitError, _guard
-from .parahoric import _level_count, _per_prime_lhs, maximal_lattice_bound
-from .reporting import _decimal_text
-from .root_systems import root_system
 
 EXIT_OK = 0
 EXIT_FAILED_CHECK = 1
@@ -55,6 +49,8 @@ def _decimal(value: int) -> str:
     """Decimal text of a result integer, past CPython's default int->str
     digit limit but refused above MAX_OUTPUT_DIGITS, estimated from the
     bit length before any conversion work is done."""
+    from .arith import MAX_OUTPUT_DIGITS
+    from .reporting import _decimal_text
     digits = int(value.bit_length() * math.log10(2)) + 1
     _guard(digits, MAX_OUTPUT_DIGITS, lambda: f"result has about {digits} decimal digits, "
                                               f"above the output guard {MAX_OUTPUT_DIGITS}")
@@ -122,6 +118,7 @@ def _ascii_rows(columns, widths, seps) -> str:
 
 
 def _run_rank1(args: argparse.Namespace) -> int:
+    from .arith import _rank1_arrays
     n = args.n
     c, C = _rank1_arrays(n)
     import numpy as np
@@ -151,6 +148,7 @@ def _run_rank1(args: argparse.Namespace) -> int:
 
 
 def _run_ball(args: argparse.Namespace) -> int:
+    from .commgraph import _ball_keys, _check_ball
     if args.family == "cyclic" and args.dim != 1:
         raise DomainError("cyclic subgroups live in dimension 1")
     dim = None if args.family == "cyclic" else args.dim
@@ -169,6 +167,7 @@ def _run_ball(args: argparse.Namespace) -> int:
 
 
 def _run_rootsys(args: argparse.Namespace) -> int:
+    from .root_systems import root_system
     rs = root_system(args.type)
     payload = {
         "label": rs.label,
@@ -183,6 +182,8 @@ def _run_rootsys(args: argparse.Namespace) -> int:
 
 
 def _run_order(args: argparse.Namespace) -> int:
+    from .chevalley import ORACLE_FAMILIES, brute_force_order, order_zpk
+    from .root_systems import root_system
     rs = root_system(args.type)
     p, k = args.p, args.k
     value = order_zpk(rs, p, k)
@@ -209,6 +210,9 @@ def _run_order(args: argparse.Namespace) -> int:
 
 
 def _run_parahoric(args: argparse.Namespace) -> int:
+    from .arith import _prime
+    from .parahoric import _level_count, _per_prime_lhs, maximal_lattice_bound
+    from .root_systems import root_system
     rs = root_system(args.type)
     k, count, paper_bound = _level_count(rs, args.k)
     payload = {
@@ -230,6 +234,7 @@ def _run_parahoric(args: argparse.Namespace) -> int:
 
 
 def _run_check(args: argparse.Namespace) -> int:
+    from .commgraph import run_metric_checks
     reports = run_metric_checks(samples=args.samples, seed=args.seed)
     _emit("\n".join(str(r) for r in reports))
     return EXIT_OK if all(r.holds for r in reports) else EXIT_FAILED_CHECK

@@ -18,7 +18,8 @@ from .reporting import BoundReport, compare
 
 #: Largest ball radius, lattice dimension and candidate count enumerate_ball
 #: admits (a ball is finite, not small), largest run_metric_checks samples,
-#: and most basis entries (dim**2) RationalLattice.scaled builds.
+#: most basis entries (dim**2) RationalLattice.scaled builds, and most items
+#: read from a basis, a basis row or a chain.
 MAX_BALL_RADIUS = 1000
 MAX_BALL_DIM = 3
 MAX_BALL_CANDIDATES = 3 * 10 ** 5
@@ -145,7 +146,8 @@ class RationalLattice(_Subgroup):
 
     def __post_init__(self):
         dim, denom = _at_least("dim", self.dim, 1), _at_least("denom", self.denom, 1)
-        rows = [_items("basis row", r) for r in _items("basis", self.basis)]
+        rows = [_items("basis row", r, MAX_LATTICE_ENTRIES)
+                for r in _items("basis", self.basis, MAX_LATTICE_ENTRIES)]
         if any(len(r) != dim for r in rows):
             raise DomainError("basis rows must have length dim")
         hnf = _row_hnf([[_integer("basis entry", v) for v in r] for r in rows], dim)
@@ -164,7 +166,8 @@ class RationalLattice(_Subgroup):
 
     @classmethod
     def from_rows(cls, rows, denom: int = 1) -> "RationalLattice":
-        rows = [_items("basis row", r) for r in _items("basis", rows)]
+        rows = [_items("basis row", r, MAX_LATTICE_ENTRIES)
+                for r in _items("basis", rows, MAX_LATTICE_ENTRIES)]
         if not rows:
             raise DomainError("need at least one generating row")
         return cls(len(rows[0]), denom, tuple(tuple(r) for r in rows))
@@ -291,7 +294,7 @@ def geodesic(A, B) -> GeodesicPath:
 def chain_length(chain) -> int:
     """Product of the successive indices along a nested chain
     H_1 <= H_2 <= ... <= H_n; equals the endpoint commensurability index."""
-    groups = _subgroups(*_items("chain", chain))
+    groups = _subgroups(*_items("chain", chain, MAX_LATTICE_ENTRIES))
     if not groups:
         raise DomainError("chain must contain at least one subgroup")
     total = 1

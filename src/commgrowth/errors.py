@@ -4,6 +4,7 @@ iterable check, _items, and the one guard, _guard, the only raiser of ResourceLi
 
 import math
 import operator
+from itertools import islice
 
 
 class DomainError(ValueError):
@@ -40,12 +41,16 @@ def _integer(name: str, value) -> int:
         raise DomainError(f"{name} must be an integer, got {shown}") from None
 
 
-def _items(name: str, value) -> list:
-    """list(value), refused with DomainError when value is not iterable."""
+def _items(name: str, value, budget: int) -> list:
+    """The items of value as a list, refused with DomainError when value is
+    not iterable and by _guard past budget items; at most budget + 1 are read."""
     try:
-        return list(value)
+        items = list(islice(value, budget + 1))
     except TypeError:
         raise DomainError(f"{name} must be iterable, got {_shown(value)}") from None
+    _guard(len(items), budget,
+           lambda: f"{name} of more than {budget} items exceeds guard {budget}")
+    return items
 
 
 def _at_least(name: str, value, least: int) -> int:

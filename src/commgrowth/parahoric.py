@@ -21,7 +21,7 @@ from itertools import islice
 from .arith import MAX_OUTPUT_DIGITS, _box_blocks, _power, _prime
 from .errors import DomainError, _at_least, _guard, _shown
 from .reporting import BoundReport, compare
-from .root_systems import RootSystem
+from .root_systems import RootSystem, _checked
 
 #: Largest cutoff, most root pairings a box scan would compute (2c+1 times
 #: what peeling does), and most work upper_bound_profile may do: its terms
@@ -79,7 +79,7 @@ def count_admissible_cocharacters(rs: RootSystem, c: int) -> CocharacterCount:
     MAX_SCAN_PAIRINGS only the box bound is reported (exact=None); past
     MAX_CUTOFF the request is refused.
     """
-    c = _at_least("cutoff", c, 0)
+    rs, c = _checked(rs), _at_least("cutoff", c, 0)
     _guard(c, MAX_CUTOFF, lambda: f"cutoff {_shown(c)} exceeds guard {MAX_CUTOFF}")
     box = (2 * c + 1) ** rs.rank
     if box * rs.num_positive_roots > MAX_SCAN_PAIRINGS:
@@ -124,7 +124,7 @@ def per_prime_bound(rs: RootSystem, p: int, k: int) -> BoundReport:
     level-k principal congruence subgroup: (d+1)*p**((3+d)k), dominated by
     the cruder p**((3+2d)k) for k >= 1.  At level 0 there is exactly one
     such subgroup, so the report carries 1 on both sides."""
-    p, k = _prime(p), _at_least("k", k, 0)
+    rs, p, k = _checked(rs), _prime(p), _at_least("k", k, 0)
     return compare("per_prime_maximal_count", _per_prime_lhs(rs, p, k),
                    _power(p, (3 + 2 * rs.dimension) * k), label=rs.label, p=p, k=k)
 
@@ -133,7 +133,7 @@ def maximal_lattice_bound(rs: RootSystem, m: int) -> int:
     """Global bound m**(3+2d) on the number of maximal lattices containing
     the level-m principal congruence subgroup; completely multiplicative,
     and equal to the product of the per-prime crude bounds."""
-    m = _at_least("m", m, 1)
+    rs, m = _checked(rs), _at_least("m", m, 1)
     return _power(m, 3 + 2 * rs.dimension)
 
 
@@ -148,7 +148,7 @@ def upper_bound_profile(rs: RootSystem, n: int, s, c_const=1, D_const=1) -> int:
     guards pass.  The constants c and D exist but are not pinned by the theory, so
     they are parameters, defaulting to 1.
     """
-    n = _at_least("n", n, 1)
+    rs, n = _checked(rs), _at_least("n", n, 1)
     try:
         # Fraction parses a string or Decimal in time that grows with its exponent
         if not all(isinstance(v, (numbers.Rational, float)) for v in (c_const, D_const)):

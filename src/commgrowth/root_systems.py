@@ -71,6 +71,13 @@ class RootSystem:
         return sum(a * r for a, r in zip(coeffs, root))
 
 
+def _checked(rs) -> RootSystem:
+    """rs, refused with DomainError unless it is a RootSystem (a label is not)."""
+    if not isinstance(rs, RootSystem):
+        raise DomainError(f"rs must be a RootSystem, got {type(rs).__name__}")
+    return rs
+
+
 def _shorten(text: str, unit: str, show=str) -> str:
     """text as shown in a message: past 18 characters only its first 8
     and its length, so a diagnostic stays one short line."""

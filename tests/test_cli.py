@@ -279,7 +279,7 @@ class TestOrder:
     def test_digit_guard_leaves_composite_p_to_domain_error(self, monkeypatch):
         def order_zpk_rejecting(rs, p, k):
             raise DomainError(f"p must be prime, got {p}")
-        monkeypatch.setattr("commgrowth.cli.order_zpk", order_zpk_rejecting)
+        monkeypatch.setattr("commgrowth.chevalley.order_zpk", order_zpk_rejecting)
         assert main(["order", "--type", "E8", "--p", "1000000", "--k", "10000000"]) \
             == EXIT_DOMAIN
 

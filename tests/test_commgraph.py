@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import itertools
 import math
 import random
 import time
@@ -72,6 +73,23 @@ class TestCanonicalForms:
         with pytest.raises(DomainError) as caught:
             call()
         assert str(caught.value) == message
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: RationalLattice(2, 1, itertools.count()), "basis"),
+        (lambda: RationalLattice(2, 1, [itertools.count(), [0, 1]]), "basis row"),
+        (lambda: RationalLattice.from_rows(itertools.count()), "basis"),
+        (lambda: RationalLattice.from_rows([itertools.repeat(1)]), "basis row"),
+        (lambda: chain_length(itertools.count()), "chain"),
+        (lambda: chain_length(itertools.repeat(Z)), "chain"),
+    ], ids=["basis", "row", "from_rows-basis", "from_rows-row", "chain", "chain-of-Z"])
+    def test_endless_iterables_refused(self, call, message):
+        # a basis, a row or a chain is read to at most one item past
+        # MAX_LATTICE_ENTRIES, so an endless one is refused, not read forever
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError) as caught:
+            call()
+        assert time.perf_counter() - start < 1
+        assert str(caught.value) == f"{message} of more than 1000000 items exceeds guard 1000000"
 
     def test_lattice_hashable_for_dedup(self):
         assert len({Z2, RationalLattice.standard(2)}) == 1

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from commgrowth import arith, chevalley, parahoric
 from commgrowth.commgraph import (RationalCyclic, RationalLattice, check_transfer_inequality,
                                   enumerate_ball, run_metric_checks)
-from commgrowth.errors import DomainError, ResourceLimitError, _guard, _shown
+from commgrowth.errors import DomainError, ResourceLimitError, _guard, _items, _shown
 from commgrowth.root_systems import root_system, supported_labels
 
 A1, A2, F4 = root_system("A1"), root_system("A2"), root_system("F4")
@@ -35,6 +36,16 @@ def test_other_values_in_full():
 
 def refused():
     raise AssertionError("message built within the budget")
+
+
+def test_items_reads_one_past_the_budget():
+    read = []
+    endless = (read.append(i) or i for i in itertools.count())
+    with pytest.raises(ResourceLimitError) as caught:
+        _items("chain", endless, 3)
+    assert (read, str(caught.value)) == ([0, 1, 2, 3], "chain of more than 3 items exceeds guard 3")
+    assert _items("chain", iter(range(3)), 3) == [0, 1, 2]
+    assert _items("chain", (), 0) == []
 
 
 def test_guard_returns_the_value_up_to_the_budget():
@@ -152,3 +163,26 @@ def test_constructors_store_ints():
                           RationalLattice.scaled(2, 1, 2))):
         assert value == plain and hash(value) == hash(plain)
         assert typed(value) == typed(plain)
+
+
+@pytest.mark.parametrize("call", [
+    lambda rs: chevalley.order_fp(rs, 3),
+    lambda rs: chevalley.order_zpk(rs, 3, 1),
+    lambda rs: chevalley.order_zm(rs, 1),
+    lambda rs: chevalley.check_order_bound(rs, 3),
+    lambda rs: parahoric.count_admissible_cocharacters(rs, 3),
+    lambda rs: parahoric.check_cocharacter_bound(rs, 3),
+    lambda rs: parahoric.per_prime_bound(rs, 3, 1),
+    lambda rs: parahoric.maximal_lattice_bound(rs, 3),
+    lambda rs: parahoric.upper_bound_profile(rs, 1, [1]),
+], ids=["order_fp", "order_zpk", "order_zm", "check_order_bound",
+        "count_admissible_cocharacters", "check_cocharacter_bound", "per_prime_bound",
+        "maximal_lattice_bound", "upper_bound_profile"])
+@pytest.mark.parametrize("rs", ["A1", None], ids=["label", "None"])
+def test_root_system_arguments_are_checked(call, rs):
+    # a type label where a RootSystem belongs is refused by one check,
+    # root_systems._checked, not left to a bare AttributeError
+    with pytest.raises(DomainError) as caught:
+        call(rs)
+    assert str(caught.value) == f"rs must be a RootSystem, got {type(rs).__name__}"
+    call(A1)

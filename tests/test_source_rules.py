@@ -1,10 +1,14 @@
 """Rules on the library source that the test suite enforces."""
 
 import ast
+import importlib
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import commgrowth
 
@@ -171,3 +175,92 @@ def test_point_queries_do_not_import_numpy():
     result = subprocess.run([sys.executable, "-c", POINT_QUERIES], capture_output=True,
                             text=True, env=env, timeout=60)
     assert (result.stdout, result.stderr) == ("[0, 0, 0, 2, 0] False\n", "")
+
+
+def run_fresh(*args):
+    """A fresh python with this checkout's src first on its path."""
+    env = dict(os.environ, PYTHONPATH=str(Path(commgrowth.__file__).parents[1]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          timeout=60)
+
+
+@pytest.mark.parametrize("argv, modules", [
+    (["--version"], set()),
+    (["rootsys", "--type", "E8"], {"root_systems"}),
+    (["check", "metric", "--samples", "5"], {"commgraph", "reporting"}),
+    (["order", "--type", "E8", "--p", "7", "--k", "2"],
+     {"arith", "chevalley", "reporting", "root_systems"}),
+], ids=["version", "rootsys", "check-metric", "order"])
+def test_each_subcommand_loads_only_its_modules(argv, modules):
+    # the package namespace imports a module on first access to it, and each
+    # CLI handler imports what it uses when it runs, so a fresh `growth`
+    # process loads cli, errors and only the modules its subcommand needs
+    result = run_fresh("-X", "importtime", "-m", "commgrowth", *argv)
+    assert result.returncode == 0, result.stderr
+    imported = {line.rpartition("|")[2].strip() for line in result.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert {name for name in imported if name.startswith("commgrowth.")} == \
+        {f"commgrowth.{name}" for name in {"cli", "errors", *modules}}
+
+
+# commgrowth.__all__ by defining module, as it stood when the package
+# imported every module eagerly, then __version__
+PUBLIC_NAMES = {
+    "arith": ["EULER_MASCHERONI", "Factorization", "GrowthSeries", "check_sandwich_bounds",
+              "cn_rank1", "dirichlet_residual", "divisor_count", "divisor_count_sieve",
+              "divisors", "factorize", "growth_series_rank1", "is_prime", "omega",
+              "omega_sieve", "omega_sum_ratio", "prime_sieve", "sum_divisor_count",
+              "sum_omega"],
+    "chevalley": ["ORACLE_FAMILIES", "brute_force_order", "check_order_bound", "order_fp",
+                  "order_zm", "order_zpk"],
+    "commgraph": ["CommIndex", "GeodesicPath", "RationalCyclic", "RationalLattice",
+                  "chain_length", "check_transfer_inequality", "comm_index", "distance",
+                  "enumerate_ball", "geodesic", "index_in", "intersect", "run_metric_checks"],
+    "errors": ["DomainError", "ResourceLimitError"],
+    "parahoric": ["CocharacterCount", "check_cocharacter_bound", "check_two_k_plus_three",
+                  "count_admissible_cocharacters", "maximal_lattice_bound", "per_prime_bound",
+                  "upper_bound_profile"],
+    "reporting": ["BoundReport", "compare"],
+    "root_systems": ["RootSystem", "root_system", "supported_labels"],
+}
+ALL = [name for names in PUBLIC_NAMES.values() for name in names] + ["__version__"]
+
+LAZY_NAMESPACE = """
+import json, sys
+import commgrowth
+loaded = sorted(m for m in sys.modules if m.startswith("commgrowth"))
+limit = commgrowth.arith.MAX_SIEVE_LIMIT
+modules = [getattr(commgrowth, m).__name__ for m in %r]
+namespace = {}
+exec("from commgrowth import *", namespace)
+print(json.dumps([loaded, limit, modules, [k for k in namespace if k != "__builtins__"]]))
+"""
+
+
+def test_public_namespace_loads_on_first_access():
+    # a bare import loads no module of the package; each module resolves as
+    # an attribute, and `import *` binds the public names in their order
+    result = run_fresh("-c", LAZY_NAMESPACE % list(PUBLIC_NAMES))
+    assert result.stderr == ""
+    loaded, limit, modules, starred = json.loads(result.stdout)
+    assert loaded == ["commgrowth"]
+    assert limit == 10 ** 7
+    assert modules == [f"commgrowth.{m}" for m in PUBLIC_NAMES]
+    assert starred == ALL
+
+
+def test_public_names_are_their_modules_objects():
+    assert commgrowth.__all__ == ALL
+    for module, names in PUBLIC_NAMES.items():
+        home = importlib.import_module(f"commgrowth.{module}")
+        assert getattr(commgrowth, module) is home
+        for name in names:
+            assert getattr(commgrowth, name) is getattr(home, name), name
+    assert set(ALL) | set(PUBLIC_NAMES) <= set(dir(commgrowth))
+
+
+@pytest.mark.parametrize("name", ["nonexistent", "cli_main", "_EXPORT", "numpy"])
+def test_unknown_public_name_raises_attribute_error(name):
+    with pytest.raises(AttributeError, match=f"has no attribute '{name}'"):
+        getattr(commgrowth, name)
+    assert not hasattr(commgrowth, name)
