@@ -150,6 +150,13 @@ def test_one_integer_check():
     assert found == []
 
 
+def run_fresh(*args):
+    """A fresh python with this checkout's src first on its path."""
+    env = dict(os.environ, PYTHONPATH=str(Path(commgrowth.__file__).parents[1]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          timeout=60)
+
+
 POINT_QUERIES = """
 import contextlib, io, sys
 from commgrowth.cli import main
@@ -171,17 +178,8 @@ def test_point_queries_do_not_import_numpy():
     # process that prints the version, an order or a root system, refuses
     # a label or runs the metric suite never pays for the import; one
     # process runs all five
-    env = dict(os.environ, PYTHONPATH=str(Path(commgrowth.__file__).parents[1]))
-    result = subprocess.run([sys.executable, "-c", POINT_QUERIES], capture_output=True,
-                            text=True, env=env, timeout=60)
+    result = run_fresh("-c", POINT_QUERIES)
     assert (result.stdout, result.stderr) == ("[0, 0, 0, 2, 0] False\n", "")
-
-
-def run_fresh(*args):
-    """A fresh python with this checkout's src first on its path."""
-    env = dict(os.environ, PYTHONPATH=str(Path(commgrowth.__file__).parents[1]))
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
-                          timeout=60)
 
 
 @pytest.mark.parametrize("argv, modules", [
