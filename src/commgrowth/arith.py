@@ -330,6 +330,8 @@ def check_sandwich_bounds(series: GrowthSeries, n_min: int) -> BoundReport:
     ratios (max of C_k/(k log k), min of C_k/(k (log k)**log 2)) are
     reported in the context for window assertions made by callers.
     """
+    if not isinstance(series, GrowthSeries):
+        raise DomainError(f"series must be a GrowthSeries, got {type(series).__name__}")
     n_min = _at_least("n_min", n_min, 3)  # log(log(k)) is undefined below 3
     upto = _integer("upto", series.upto)
     if upto < n_min:

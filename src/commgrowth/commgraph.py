@@ -205,6 +205,12 @@ class RationalLattice(_Subgroup):
         _require_same_family(self, other)
         q = math.lcm(self.denom, other.denom)
         A, B = self._numerators(q), other._numerators(q)
+        if self.dim == 2:
+            # det(A + B) is the gcd of the 2x2 minors of the four stacked rows
+            (a1, b1), (_, c1) = A
+            (a2, b2), (_, c2) = B
+            total = math.gcd(math.gcd(a1, a2) * math.gcd(c1, c2), a1 * b2 - a2 * b1)
+            return a2 * c2 // total, a1 * c1 // total
         total = _hnf_det(_row_hnf([*A, *B], self.dim))
         return _hnf_det(B) // total, _hnf_det(A) // total
 

@@ -1,6 +1,7 @@
 """Exception types shared by every module, how a message shows an int, the
 one integer check (_at_least, and _integer where no bound applies), the one
-iterable check, _items, and the one guard, _guard, the only raiser of ResourceLimitError."""
+iterable check (_iterable, and _items where the items are kept), and the one
+guard, _guard, the only raiser of ResourceLimitError."""
 
 import math
 import operator
@@ -41,13 +42,18 @@ def _integer(name: str, value) -> int:
         raise DomainError(f"{name} must be an integer, got {shown}") from None
 
 
-def _items(name: str, value, budget: int) -> list:
-    """The items of value as a list, refused with DomainError when value is
-    not iterable and by _guard past budget items; at most budget + 1 are read."""
+def _iterable(name: str, value):
+    """iter(value), refused with DomainError when value is not iterable."""
     try:
-        items = list(islice(value, budget + 1))
+        return iter(value)
     except TypeError:
         raise DomainError(f"{name} must be iterable, got {_shown(value)}") from None
+
+
+def _items(name: str, value, budget: int) -> list:
+    """The items of value as a list, refused as by _iterable and by _guard
+    past budget items; at most budget + 1 are read."""
+    items = list(islice(_iterable(name, value), budget + 1))
     _guard(len(items), budget,
            lambda: f"{name} of more than {budget} items exceeds guard {budget}")
     return items

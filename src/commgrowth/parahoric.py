@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import islice
 
 from .arith import MAX_OUTPUT_DIGITS, _box_blocks, _power, _prime
-from .errors import DomainError, _at_least, _guard, _shown
+from .errors import DomainError, _at_least, _guard, _integer, _iterable, _shown
 from .reporting import BoundReport, compare
 from .root_systems import RootSystem, _checked
 
@@ -44,7 +44,8 @@ class CocharacterCount:
     box_bound: int
 
     def __post_init__(self):
-        if self.exact is not None and self.exact > self.box_bound:
+        _integer("cutoff", self.cutoff), _integer("box_bound", self.box_bound)
+        if self.exact is not None and _integer("exact", self.exact) > self.box_bound:
             raise DomainError("exact count cannot exceed the box bound")
 
 
@@ -171,7 +172,7 @@ def upper_bound_profile(rs: RootSystem, n: int, s, c_const=1, D_const=1) -> int:
            lambda: f"profile work {_shown(work)} exceeds guard {MAX_PROFILE_WORK}: "
                    f"j**{m0} summed to {_shown(top)}, growth index {_shown(s_index)}")
     read = 0
-    for read, last in enumerate(islice(s, s_index), 1):
+    for read, last in enumerate(islice(_iterable("s", s), s_index), 1):
         pass  # only the last value is kept, so memory stays flat
     if read < s_index:
         raise DomainError(

@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import DomainError, _guard, _integer, _shown
+from .errors import DomainError, _guard, _integer, _iterable, _shown
 
 _LABEL_RE = re.compile(r"^([A-Ga-g])(\d+)$")
 
@@ -63,8 +63,7 @@ class RootSystem:
         Fundamental coweights are dual to the simple roots, so the pairing
         is the plain dot product of the two coefficient vectors.
         """
-        coeffs = tuple(coeffs)
-        root = tuple(root)
+        coeffs, root = tuple(_iterable("coeffs", coeffs)), tuple(_iterable("root", root))
         if len(coeffs) != self.rank or len(root) != self.rank:
             raise DomainError(
                 f"expected length-{self.rank} vectors, got {len(coeffs)} and {len(root)}")

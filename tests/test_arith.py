@@ -399,6 +399,13 @@ class TestSandwich:
         assert type(report.context["upto"]) is int
         assert report == arith.check_sandwich_bounds(series, 3)
 
+    @pytest.mark.parametrize("series, shown", [(None, "NoneType"), ((5, (1,), (1,)), "tuple")],
+                             ids=["None", "tuple"])
+    def test_rejects_non_series(self, series, shown):
+        with pytest.raises(DomainError) as caught:
+            arith.check_sandwich_bounds(series, 3)
+        assert str(caught.value) == f"series must be a GrowthSeries, got {shown}"
+
     def test_detects_violated_chain(self):
         # doctored series breaking C_k >= k must fail
         fake = arith.GrowthSeries(4, (1, 0, 0, 0), (1, 1, 1, 1))

@@ -268,6 +268,34 @@ class TestCommIndex:
             ci = comm_index(A, B)
             assert ci.value == ci.left_index * ci.right_index
 
+    @staticmethod
+    def stacked_pivots(A, B):
+        # [A : A & B] = det B' / det(A' + B') over the common denominator, with
+        # det(A' + B') the product of the pivots of one row reduction of the stack
+        q = math.lcm(A.denom, B.denom)
+        Aq, Bq = integer_basis(A, q), integer_basis(B, q)
+        total = diagonal_product(cg._row_hnf([*Aq, *Bq], A.dim))
+        return diagonal_product(Bq) // total, diagonal_product(Aq) // total
+
+    @pytest.mark.parametrize("denoms", [(1, 1), (2, 3), (4, 6)], ids=["1-1", "2-3", "4-6"])
+    def test_plane_indices_match_stacked_pivots(self, denoms):
+        # every ordered pair of 2x2 HNFs of determinant <= 8
+        hnfs = [((a, v), (0, k // a)) for k in range(1, 9) for a in divisors(k)
+                for v in range(k // a)]
+        assert len(hnfs) == sum(sigma(k) for k in range(1, 9))
+        for H, K in itertools.product(hnfs, repeat=2):
+            A, B = RationalLattice(2, denoms[0], H), RationalLattice(2, denoms[1], K)
+            ci = comm_index(A, B)
+            assert (ci.left_index, ci.right_index) == self.stacked_pivots(A, B), (A, B)
+
+    def test_plane_indices_exact_past_int64(self):
+        rng = random.Random(30)
+        for _ in range(200):
+            A, B = random_lattice_pair(rng, 2, entry=2 ** 70, denom=12)
+            ci = comm_index(A, B)
+            assert (ci.left_index, ci.right_index) == self.stacked_pivots(A, B), (A, B)
+            assert max(abs(v) for row in A.basis + B.basis for v in row) > 2 ** 63
+
 
 class TestMetric:
     def test_distance_zero_iff_equal(self):

@@ -143,12 +143,17 @@ class TestCount:
     (lambda: per_prime_bound(F4, 5, -1), "k must be >= 0, got -1"),
     (lambda: check_two_k_plus_three(5, 0), "k must be >= 1, got 0"),
     (lambda: maximal_lattice_bound(F4, 0), "m must be >= 1, got 0"),
+    (lambda: CocharacterCount("A1", 1, "3", 3), "exact must be an integer, got '3'"),
+    (lambda: CocharacterCount("A1", "1", 3, 3), "cutoff must be an integer, got '1'"),
+    (lambda: CocharacterCount("A1", 1, None, 2.5), "box_bound must be an integer, got 2.5"),
+    (lambda: upper_bound_profile(A1, 1, 5), "s must be iterable, got 5"),
 ], ids=["cutoff", "level", "per_prime_level", "two_k_plus_three", "modulus",
         "negative_cutoff", "negative_level", "negative_per_prime_level",
-        "two_k_plus_three_at_zero", "modulus_at_zero"])
+        "two_k_plus_three_at_zero", "modulus_at_zero", "count_exact", "count_cutoff",
+        "count_box_bound", "growth_data"])
 def test_arguments_must_be_ints(call, message):
-    # a float is refused like a negative int, never run into a traceback or
-    # a float report
+    # a float or a str is refused like a negative int, and growth data that
+    # is no iterable likewise, never run into a traceback or a float report
     with pytest.raises(DomainError) as caught:
         call()
     assert str(caught.value) == message

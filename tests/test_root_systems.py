@@ -257,6 +257,19 @@ class TestPairing:
         with pytest.raises(DomainError):
             rs.pairing((1, 0), (1,))
 
+    @pytest.mark.parametrize("coeffs, root, message", [
+        (5, (1,), "coeffs must be iterable, got 5"),
+        ((1,), None, "root must be iterable, got None"),
+        (iter([1, 2]), (1,), "expected length-1 vectors, got 2 and 1"),
+        ((1,), iter([]), "expected length-1 vectors, got 1 and 0"),
+    ], ids=["coeffs", "root", "long-iterator", "empty-iterator"])
+    def test_malformed_vectors_refused(self, coeffs, root, message):
+        # a vector that is no iterable is refused as one of the wrong length
+        # is, and any iterable of the wrong length keeps the length message
+        with pytest.raises(DomainError) as caught:
+            root_system("A1").pairing(coeffs, root)
+        assert str(caught.value) == message
+
 
 def test_b2_c2_isomorphic_data():
     b2, c2 = root_system("B2"), root_system("C2")
