@@ -216,15 +216,13 @@ def _run_parahoric(args: argparse.Namespace) -> int:
     rs = root_system(args.type)
     k, count, paper_bound = _level_count(rs, args.k)
     payload = {
-        "exact": None if count.exact is None else _decimal(count.exact),
+        "exact": _decimal(count.exact),
         "box_bound": _decimal(count.box_bound),
         "paper_bound": _decimal(paper_bound),
         "per_prime": None,
         "m_bound": None,
     }
-    status = EXIT_OK
-    if count.exact is not None and count.exact > paper_bound:
-        status = EXIT_FAILED_CHECK
+    status = EXIT_FAILED_CHECK if count.exact > paper_bound else EXIT_OK
     if args.p is not None:
         payload["per_prime"] = _decimal(_per_prime_lhs(rs, _prime(args.p), k))
     if args.m is not None:

@@ -3,11 +3,12 @@
 A cocharacter written on the fundamental coweights is admissible at cutoff
 c when its pairing against every root (positive and negative) stays within
 c; the coefficient box |a| <= c is implied, since the simple roots are
-among the positive roots.  The exact count (the last coefficient peeled
-off as an interval per prefix), the (2c+1)-power box bounds, and the
-per-prime and global maximal-lattice estimates built from them are all
-exposed as checkable inequalities.  Level k means cutoff k+1 and the
-bound (2k+3)**dim: one rule, in _level_count, for the library and the CLI.
+among the positive roots.  The exact count is a sum over Weyl orbits for
+E, F and G, and a sum of powers in epsilon coordinates for A to D; next to
+it are the (2c+1)-power box bounds, and the per-prime and global
+maximal-lattice estimates built from them, all exposed as checkable
+inequalities.  Level k means cutoff k+1 and the bound (2k+3)**dim: one
+rule, in _level_count, for the library and the CLI.
 """
 
 from __future__ import annotations
@@ -18,74 +19,87 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 
-from .arith import MAX_OUTPUT_DIGITS, _box_blocks, _power, _prime
+from .arith import MAX_OUTPUT_DIGITS, _power, _prime
 from .errors import DomainError, _at_least, _guard, _integer, _iterable, _shown
 from .reporting import BoundReport, compare
-from .root_systems import RootSystem, _checked
+from .root_systems import RootSystem, _checked, _degrees
 
-#: Largest cutoff, most root pairings a box scan would compute (2c+1 times
-#: what peeling does), and most work upper_bound_profile may do: its terms
+#: Largest cutoff, and most work upper_bound_profile may do: its terms
 #: times M0+1, or the growth values it reads if more (0.2-0.8 s at the
 #: budget, from A1 to A48).
 MAX_CUTOFF = 100
-MAX_SCAN_PAIRINGS = 10 ** 9
 MAX_PROFILE_WORK = 10 ** 7
 
 
 @dataclass(frozen=True)
 class CocharacterCount:
     """Exact admissible count at a cutoff, next to its coefficient-box
-    bound (2c+1)**rank.  ``exact`` is None past MAX_SCAN_PAIRINGS root
-    pairings, where only the box bound is available."""
+    bound (2c+1)**rank; the three counts are stored as Python ints."""
 
     label: str
     cutoff: int
-    exact: int | None
+    exact: int
     box_bound: int
 
     def __post_init__(self):
-        _integer("cutoff", self.cutoff), _integer("box_bound", self.box_bound)
-        if self.exact is not None and _integer("exact", self.exact) > self.box_bound:
+        for name in ("cutoff", "box_bound", "exact"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        if self.exact > self.box_bound:
             raise DomainError("exact count cannot exceed the box bound")
 
 
-def _peeled_count(rs: RootSystem, c: int) -> int:
-    import numpy as np
-    # the box walked blockwise without its last coordinate x: roots of last
-    # coefficient n whose prefix pairings span [lo, hi] admit ceil((-c-lo)/n)
-    # <= x <= floor((c-hi)/n) if n > 0, and keep or drop the prefix if n == 0
-    roots = np.asarray(rs.positive_roots, dtype=np.int64)
-    groups = [(n, roots[roots[:, -1] == n, :-1].T) for n in np.unique(roots[:, -1])]
-    count = 0
-    for digits in _box_blocks(2 * c + 1, rs.rank - 1):
-        kept, least, most = True, -c, c
-        for n, head in groups:
-            pairings = (digits - c) @ head
-            lo, hi = pairings.min(axis=1), pairings.max(axis=1)
-            if n:
-                least = np.maximum(least, -((c + lo) // n))
-                most = np.minimum(most, (c - hi) // n)
-            else:
-                kept = (lo >= -c) & (hi <= c)
-        count += int((np.maximum(most - least + 1, 0) * kept).sum())
-    return count
+def _orbit_count(rs: RootSystem, c: int) -> int:
+    """Sum over the node sets J of |W|/|W_J| times the dominant coweights
+    whose zeros are J: x_i >= 1 off J with sum m_i x_i <= c.  Each W-orbit
+    meets the dominant chamber once, where the largest pairing is the one
+    with the highest root (marks m_i), and the stabilizer of x is the
+    parabolic W_J (Humphreys 1990, 1.12), the product of the degrees of
+    the roots supported on J."""
+    order, total = math.prod(rs.degrees), 0
+    for J in range(1 << rs.rank):
+        off = [m for i, m in enumerate(rs.highest_root) if not J >> i & 1]
+        room = c - sum(off)
+        if room < 0:
+            continue
+        ways = [1] + [0] * room  # z >= 0 off J with sum m_i z_i = t, for t <= room
+        for m in off:
+            for t in range(m, room + 1):
+                ways[t] += ways[t - m]
+        inside = [r for r in rs.positive_roots
+                  if all(J >> i & 1 for i, a in enumerate(r) if a)]
+        total += order // math.prod(_degrees(inside)) * sum(ways)
+    return total
+
+
+def _epsilon_count(family: str, l: int, c: int) -> int:
+    """The count in epsilon coordinates.  A_l: x in Z^(l+1) up to shifts
+    with max - min <= c.  B_l, C_l, D_l: x in Z^l (B), or Z^l and
+    Z^l + (1/2, ..., 1/2) (C, D), with |x_i| + |x_j| <= c for i != j, and
+    2|x_i| <= c for C.  At most one coordinate is above c/2, so in doubled
+    units d = 2|x_i| a coset counts its points with every d <= c, and those
+    with one d in (c, top] and the others at most 2c - d."""
+    if family == "A":
+        return (c + 1) ** (l + 1) - c ** (l + 1)
+    top = c if family == "C" else 2 * c
+    total = 0
+    for parity in (0,) if family == "B" else (0, 1):
+        def upto(n):  # points x of the coset with 2|x| <= n
+            return 2 * ((n + parity) // 2) + 1 - parity
+        total += upto(c) ** l + l * sum(2 * upto(2 * c - d) ** (l - 1)
+                                        for d in range(c + 1, top + 1) if d % 2 == parity)
+    return total
 
 
 def count_admissible_cocharacters(rs: RootSystem, c: int) -> CocharacterCount:
     """Count coweight coefficient vectors whose pairing with every root
-    lies in [-c, c], peeling the last coefficient off the coefficient box.
-
-    The guard prices a box scan, (2c+1)**rank points times the positive
-    roots: an upper bound, 2c+1 times the pairings peeling does.  Past
-    MAX_SCAN_PAIRINGS only the box bound is reported (exact=None); past
-    MAX_CUTOFF the request is refused.
-    """
+    lies in [-c, c]: by epsilon coordinates for A to D, by Weyl orbits for
+    E, F and G, exactly and with no scan.  Past MAX_CUTOFF the request is
+    refused."""
     rs, c = _checked(rs), _at_least("cutoff", c, 0)
     _guard(c, MAX_CUTOFF, lambda: f"cutoff {_shown(c)} exceeds guard {MAX_CUTOFF}")
-    box = (2 * c + 1) ** rs.rank
-    if box * rs.num_positive_roots > MAX_SCAN_PAIRINGS:
-        return CocharacterCount(rs.label, c, None, box)
-    return CocharacterCount(rs.label, c, _peeled_count(rs, c), box)
+    family = rs.label[0]
+    exact = _epsilon_count(family, rs.rank, c) if family in "ABCD" else _orbit_count(rs, c)
+    return CocharacterCount(rs.label, c, exact, (2 * c + 1) ** rs.rank)
 
 
 def _level_count(rs: RootSystem, k: int) -> tuple[int, CocharacterCount, int]:
@@ -96,13 +110,9 @@ def _level_count(rs: RootSystem, k: int) -> tuple[int, CocharacterCount, int]:
 
 
 def check_cocharacter_bound(rs: RootSystem, k: int) -> BoundReport:
-    """At level k the admissible count (cutoff k+1) is at most (2k+3)**dim.
-    Where the count's scan is past MAX_SCAN_PAIRINGS the check is refused;
+    """At level k the admissible count (cutoff k+1) is at most (2k+3)**dim;
     the sharper box (2k+3)**rank is carried along in the context."""
     k, cc, paper_bound = _level_count(rs, k)
-    _guard(pairings := cc.box_bound * rs.num_positive_roots, MAX_SCAN_PAIRINGS,
-           lambda: f"cocharacter scan of {_shown(pairings)} "
-                   f"root pairings exceeds guard {MAX_SCAN_PAIRINGS}")
     return compare("cocharacter_count_le_(2k+3)^d", cc.exact, paper_bound,
                    label=rs.label, k=k, rank_box_bound=cc.box_bound)
 

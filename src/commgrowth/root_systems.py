@@ -13,6 +13,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 
 from .errors import DomainError, _guard, _integer, _iterable, _shown
 
@@ -63,7 +64,9 @@ class RootSystem:
         Fundamental coweights are dual to the simple roots, so the pairing
         is the plain dot product of the two coefficient vectors.
         """
-        coeffs, root = tuple(_iterable("coeffs", coeffs)), tuple(_iterable("root", root))
+        # rank + 1 items at most are read, enough to refuse a longer vector
+        coeffs, root = (tuple(islice(_iterable(name, v), self.rank + 1))
+                        for name, v in (("coeffs", coeffs), ("root", root)))
         if len(coeffs) != self.rank or len(root) != self.rank:
             raise DomainError(
                 f"expected length-{self.rank} vectors, got {len(coeffs)} and {len(root)}")
@@ -133,22 +136,23 @@ def _closure(cartan) -> list[tuple[int, ...]]:
     A candidate alpha + alpha_i is a root iff q >= 1 in the alpha_i-string
     alpha - p*alpha_i ... alpha + q*alpha_i, where p - q equals the pairing
     of alpha against the coroot of alpha_i.  Each root keeps p for every i:
-    one more than at root - alpha_i, set as that root is processed, else 0.
+    one more than at root - alpha_i, set as that root is processed, else 0;
+    and its pairings, row i of the Cartan matrix added for each step by i.
     """
     l = len(cartan)
-    p = {tuple(int(i == j) for j in range(l)): [0] * l for i in range(l)}
+    p = {tuple(int(i == j) for j in range(l)): ([0] * l, cartan[i]) for i in range(l)}
     frontier = list(p)
     while frontier:
         fresh = []
         for alpha in frontier:
+            below, pairs = p[alpha]
             for i in range(l):
-                pair = sum(a * cartan[j][i] for j, a in enumerate(alpha))
-                if p[alpha][i] - pair >= 1:
+                if below[i] - pairs[i] >= 1:
                     t = alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:]
                     if t not in p:
-                        p[t] = [0] * l
+                        p[t] = ([0] * l, [a + b for a, b in zip(pairs, cartan[i])])
                         fresh.append(t)
-                    p[t][i] = p[alpha][i] + 1
+                    p[t][0][i] = below[i] + 1
         frontier = fresh
     return sorted(p, key=lambda r: (sum(r), r))
 
@@ -168,17 +172,21 @@ def root_system(label: str) -> RootSystem:
 def _root_system(family: str, rank: int) -> RootSystem:
     cartan = _cartan_matrix(family, rank)
     positive = _closure(cartan)
-    # Kostant: as many degrees equal k + 1 as there are roots of height k
-    # less roots of height k + 1
-    heights = Counter(sum(r) for r in positive)
-    degrees = [k + 1 for k in sorted(heights) for _ in range(heights[k] - heights[k + 1])]
     return RootSystem(
         label=f"{family}{rank}",
         rank=rank,
         cartan=tuple(tuple(row) for row in cartan),
         positive_roots=tuple(positive),
-        degrees=tuple(degrees),
+        degrees=_degrees(positive),
     )
+
+
+def _degrees(positive) -> tuple[int, ...]:
+    """The Weyl degrees of the positive roots given, of an irreducible or a
+    reducible system (Kostant): as many degrees equal k + 1 as there are
+    roots of height k less roots of height k + 1."""
+    heights = Counter(sum(r) for r in positive)
+    return tuple(k + 1 for k in sorted(heights) for _ in range(heights[k] - heights[k + 1]))
 
 
 def supported_labels(max_rank: int = 8) -> list[str]:

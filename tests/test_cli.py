@@ -354,8 +354,9 @@ class TestParahoric:
                                         capsys)
 
     @pytest.mark.parametrize("fmt", [None, "--json"])
-    def test_past_the_scan_budget_prints_no_count(self, fmt, capsys):
-        # F4 at level 99 would scan 201**4 box points against 24 roots
+    def test_past_a_box_scan_prints_its_count(self, fmt, capsys):
+        # F4 at level 99 is cutoff 100, where a box scan would pair 201**4
+        # points against 24 roots; the count reads no box
         start = time.perf_counter()
         status = main(["parahoric", "--type", "F4", "--k", "99", *([fmt] if fmt else [])])
         assert time.perf_counter() - start < 1.0
@@ -363,9 +364,9 @@ class TestParahoric:
         assert status == EXIT_OK and err == ""
         if fmt:
             payload = json.loads(out)
-            assert payload["exact"] is None and payload["box_bound"] == str(201 ** 4)
+            assert payload["exact"] == "102020401" and payload["box_bound"] == str(201 ** 4)
         else:
-            assert out == f"box_bound: {201 ** 4}\npaper_bound: {201 ** 52}\n"
+            assert out == f"exact: 102020401\nbox_bound: {201 ** 4}\npaper_bound: {201 ** 52}\n"
 
     def test_rank_above_four_prints_its_count(self, capsys):
         assert main(["parahoric", "--type", "E7", "--k", "1", "--json"]) == EXIT_OK

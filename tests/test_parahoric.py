@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 
 from commgrowth import parahoric
+from commgrowth.arith import _box_blocks
 from commgrowth.cli import main
 from commgrowth.errors import DomainError, ResourceLimitError
-from commgrowth.parahoric import (CocharacterCount, check_cocharacter_bound,
-                                  check_two_k_plus_three, count_admissible_cocharacters,
-                                  maximal_lattice_bound, per_prime_bound,
-                                  upper_bound_profile)
-from commgrowth.root_systems import root_system, supported_labels
+from commgrowth.parahoric import (CocharacterCount, _epsilon_count, _orbit_count,
+                                  check_cocharacter_bound, check_two_k_plus_three,
+                                  count_admissible_cocharacters, maximal_lattice_bound,
+                                  per_prime_bound, upper_bound_profile)
+from commgrowth.root_systems import MAX_RANK, root_system, supported_labels
 
 A1 = root_system("A1")
 A2 = root_system("A2")
@@ -31,6 +32,34 @@ def scan_oracle(rs, c):
                for r in reversed(rs.positive_roots)):
             count += 1
     return count
+
+
+def peeled_count(rs, c):
+    """Numpy scan of the (2c+1)**(rank-1) coefficient prefixes: roots of last
+    coefficient n whose prefix pairings span [lo, hi] admit
+    ceil((-c-lo)/n) <= x <= floor((c-hi)/n) for the last coefficient x if
+    n > 0, and keep or drop the prefix if n == 0."""
+    roots = np.asarray(rs.positive_roots, dtype=np.int64)
+    groups = [(n, roots[roots[:, -1] == n, :-1].T) for n in np.unique(roots[:, -1])]
+    count = 0
+    for digits in _box_blocks(2 * c + 1, rs.rank - 1):
+        kept, least, most = True, -c, c
+        for n, head in groups:
+            pairings = (digits - c) @ head
+            lo, hi = pairings.min(axis=1), pairings.max(axis=1)
+            if n:
+                least = np.maximum(least, -((c + lo) // n))
+                most = np.minimum(most, (c - hi) // n)
+            else:
+                kept = (lo >= -c) & (hi <= c)
+        count += int((np.maximum(most - least + 1, 0) * kept).sum())
+    return count
+
+
+# the peeled oracle runs wherever a box scan, (2c+1)**rank points times the
+# positive roots, is at most this many pairings: 990 (label, c) points up
+# to rank 8, E8 to cutoff 2, in about 2.5 s
+ORACLE_PAIRINGS = 5 * 10 ** 7
 
 
 class TestCount:
@@ -66,15 +95,54 @@ class TestCount:
         # E7 and E8 at cutoff 3 with a full scan of the coefficient box
         assert count_admissible_cocharacters(root_system(label), c).exact == exact
 
-    @pytest.mark.parametrize("label, c", [("F4", 40), ("F4", 100), ("E8", 4)])
-    def test_past_the_scan_budget_returns_marker_at_once(self, label, c):
-        # F4 scans up to cutoff 39 (79**4 * 24 pairings), E8 up to cutoff 3
+    @pytest.mark.parametrize("label, c, exact", [("F4", 40, 2691361), ("F4", 100, 102020401),
+                                                 ("E8", 4, 188641)])
+    def test_past_a_box_scan_counts_at_once(self, label, c, exact):
+        # a box scan of F4 at cutoff 40 would pair 81**4 * 24 times, and of
+        # E8 at 4 9**8 * 120 times; the count reads no box.  The three values
+        # were read off the peeled oracle (0.3, 3.6 and 7.4 s on a 2-core host)
         rs = root_system(label)
         start = time.perf_counter()
         cc = count_admissible_cocharacters(rs, c)
         assert time.perf_counter() - start < 0.1
-        assert cc.exact is None and cc.box_bound == (2 * c + 1) ** rs.rank
-        assert cc.box_bound * rs.num_positive_roots > parahoric.MAX_SCAN_PAIRINGS
+        assert cc.exact == exact and cc.box_bound == (2 * c + 1) ** rs.rank
+
+    @pytest.mark.parametrize("label", supported_labels(8))
+    def test_equals_the_peeled_oracle(self, label):
+        rs = root_system(label)
+        c = 0
+        while c <= parahoric.MAX_CUTOFF and \
+                (2 * c + 1) ** rs.rank * rs.num_positive_roots <= ORACLE_PAIRINGS:
+            assert count_admissible_cocharacters(rs, c).exact == peeled_count(rs, c)
+            c += 1
+        assert c >= 3 if rs.rank < 8 else c == 3
+
+    @pytest.mark.parametrize("label", [lab for lab in supported_labels(8) if lab[0] in "ABCD"])
+    def test_orbit_sum_equals_epsilon_count(self, label):
+        # the Weyl-orbit sum serves E, F and G; it holds for every type
+        rs = root_system(label)
+        for c in range(12):
+            assert _orbit_count(rs, c) == _epsilon_count(label[0], rs.rank, c)
+
+    @pytest.mark.parametrize("c", [0, 1, 2, 99, 100])
+    def test_closed_forms_to_max_rank(self, c):
+        for l in range(1, MAX_RANK + 1):
+            count = count_admissible_cocharacters(root_system(f"A{l}"), c).exact
+            assert count == (c + 1) ** (l + 1) - c ** (l + 1)
+            if l >= 2:
+                count = count_admissible_cocharacters(root_system(f"C{l}"), c).exact
+                assert count == (c + 1) ** l + c ** l
+
+    def test_every_label_at_the_cutoff_guard(self):
+        # every label up to MAX_RANK answers c = 100, each in under 0.5 s
+        systems = [root_system(label) for label in supported_labels(MAX_RANK)]
+        started = time.perf_counter()
+        for rs in systems:
+            start = time.perf_counter()
+            cc = count_admissible_cocharacters(rs, parahoric.MAX_CUTOFF)
+            assert time.perf_counter() - start < 0.5
+            assert type(cc.exact) is int and 0 < cc.exact <= cc.box_bound
+        assert time.perf_counter() - started < 2
 
     @pytest.mark.parametrize("label", RANK_LE_4)
     def test_monotone_and_boxed(self, label):
@@ -98,21 +166,22 @@ class TestCount:
         for label in RANK_LE_4:
             assert count_admissible_cocharacters(root_system(label), 0).exact == 1
 
-    def test_high_rank_returns_marker(self, monkeypatch):
-        # E6 at cutoff 2 scans 5**6 box points against 36 positive roots: a
-        # scan of exactly MAX_SCAN_PAIRINGS is done, one pairing more is not
-        E6 = root_system("E6")
-        pairings = 5 ** 6 * 36
-        monkeypatch.setattr(parahoric, "MAX_SCAN_PAIRINGS", pairings)
-        assert count_admissible_cocharacters(E6, 2).exact == 883
-        monkeypatch.setattr(parahoric, "MAX_SCAN_PAIRINGS", pairings - 1)
-        cc = count_admissible_cocharacters(E6, 2)
-        assert cc.exact is None
-        assert cc.box_bound == 5 ** 6
-        # A5 and F4 at cutoff 1 fit the real budget, so both are scanned
+    def test_high_rank_counts(self):
+        # once past a box scan's reach, at today's cutoff guard: A8 and F4
+        # at level 3 and 99, as `growth parahoric` shows them
+        assert count_admissible_cocharacters(root_system("E6"), 2).exact == 883
+        assert count_admissible_cocharacters(root_system("A8"), 4).exact == 1690981
+        assert count_admissible_cocharacters(F4, 100).exact == 102020401
         for label in ("A5", "F4"):
             rs = root_system(label)
             assert count_admissible_cocharacters(rs, 1).exact == scan_oracle(rs, 1)
+
+    def test_fields_are_ints(self):
+        cc = CocharacterCount("A1", np.int64(1), np.int64(3), np.int64(3))
+        assert (cc.cutoff, cc.exact, cc.box_bound) == (1, 3, 3)
+        assert {type(cc.cutoff), type(cc.exact), type(cc.box_bound)} == {int}
+        with pytest.raises(DomainError, match="^exact must be an integer, got None$"):
+            CocharacterCount("A1", 1, None, 3)
 
     def test_guards(self):
         assert count_admissible_cocharacters(A1, 100).exact == 201
@@ -199,28 +268,21 @@ class TestCocharacterBound:
         report = check_cocharacter_bound(A2, 1)
         assert report.context["rank_box_bound"] == 5 ** 2
 
-    def test_high_rank_refused(self, monkeypatch):
-        # level 0 is cutoff 1: A5 scans 3**5 box points against 15 roots
+    def test_high_rank_reports(self):
+        # level 0 is cutoff 1
         A5 = root_system("A5")
-        monkeypatch.setattr(parahoric, "MAX_SCAN_PAIRINGS", 3 ** 5 * 15)
-        assert check_cocharacter_bound(A5, 0).lhs == scan_oracle(A5, 1)
-        monkeypatch.setattr(parahoric, "MAX_SCAN_PAIRINGS", 3 ** 5 * 15 - 1)
-        with pytest.raises(ResourceLimitError) as caught:
-            check_cocharacter_bound(A5, 0)
-        assert str(caught.value) == "cocharacter scan of 3645 root pairings exceeds guard 3644"
+        assert check_cocharacter_bound(A5, 0).lhs == scan_oracle(A5, 1) == 2 ** 6 - 1
 
     def test_reports_wherever_the_scan_fits(self):
         report = check_cocharacter_bound(root_system("E7"), 1)
         assert report.holds and report.lhs == 1571 and report.rhs == 5 ** 133
-        # level 3 is cutoff 4: 9**8 box points against 120 roots
-        with pytest.raises(ResourceLimitError) as caught:
-            check_cocharacter_bound(root_system("E8"), 3)
-        assert str(caught.value) == ("cocharacter scan of 5165606520 root pairings "
-                                     "exceeds guard 1000000000")
-        with pytest.raises(ResourceLimitError) as caught:
-            check_cocharacter_bound(root_system("A48"), 99)
-        assert str(caught.value) == ("cocharacter scan of about 10^114 root pairings "
-                                     "exceeds guard 1000000000")
+        # levels past a box scan's reach report too: level 3 is cutoff 4
+        report = check_cocharacter_bound(root_system("E8"), 3)
+        assert report.holds and report.lhs == 188641 and report.rhs == 9 ** 248
+        report = check_cocharacter_bound(A48, 99)
+        assert report.holds and report.lhs == 101 ** 49 - 100 ** 49
+        with pytest.raises(ResourceLimitError, match="^cutoff 101 exceeds guard 100$"):
+            check_cocharacter_bound(A48, 100)
 
 
 class TestTwoKPlusThree:

@@ -1,6 +1,7 @@
 import math
 import random
 import time
+from itertools import count
 
 import pytest
 
@@ -262,10 +263,15 @@ class TestPairing:
         ((1,), None, "root must be iterable, got None"),
         (iter([1, 2]), (1,), "expected length-1 vectors, got 2 and 1"),
         ((1,), iter([]), "expected length-1 vectors, got 1 and 0"),
-    ], ids=["coeffs", "root", "long-iterator", "empty-iterator"])
+        (count(), (1,), "expected length-1 vectors, got 2 and 1"),
+        ((1, 2, 3, 4), (1,), "expected length-1 vectors, got 2 and 1"),
+    ], ids=["coeffs", "root", "long-iterator", "empty-iterator", "endless-iterator",
+            "long-tuple"])
     def test_malformed_vectors_refused(self, coeffs, root, message):
         # a vector that is no iterable is refused as one of the wrong length
-        # is, and any iterable of the wrong length keeps the length message
+        # is, and any iterable of the wrong length keeps the length message;
+        # at most rank + 1 items are read, so a longer vector, an endless
+        # one too, shows as rank + 1 long
         with pytest.raises(DomainError) as caught:
             root_system("A1").pairing(coeffs, root)
         assert str(caught.value) == message

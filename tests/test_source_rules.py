@@ -163,7 +163,9 @@ from commgrowth.cli import main
 statuses = []
 for argv in (["--version"], ["order", "--type", "E8", "--p", "7", "--k", "2"],
              ["rootsys", "--type", "E8", "--json"], ["rootsys", "--type", "Q2"],
-             ["check", "metric", "--samples", "5"]):
+             ["check", "metric", "--samples", "5"], ["parahoric", "--type", "E8", "--k", "2"],
+             ["parahoric", "--type", "F4", "--k", "99", "--json"],
+             ["parahoric", "--type", "A8", "--k", "3"]):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
             statuses.append(main(argv))
@@ -175,11 +177,11 @@ print(statuses, "numpy" in sys.modules)
 
 def test_point_queries_do_not_import_numpy():
     # numpy is imported inside the functions that build arrays, so a
-    # process that prints the version, an order or a root system, refuses
-    # a label or runs the metric suite never pays for the import; one
-    # process runs all five
+    # process that prints the version, an order, a root system or a
+    # cocharacter count, refuses a label or runs the metric suite never
+    # pays for the import; one process runs all eight
     result = run_fresh("-c", POINT_QUERIES)
-    assert (result.stdout, result.stderr) == ("[0, 0, 0, 2, 0] False\n", "")
+    assert (result.stdout, result.stderr) == ("[0, 0, 0, 2, 0, 0, 0, 0] False\n", "")
 
 
 @pytest.mark.parametrize("argv, modules", [
