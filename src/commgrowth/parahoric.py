@@ -80,14 +80,14 @@ def _epsilon_count(family: str, l: int, c: int) -> int:
     with one d in (c, top] and the others at most 2c - d."""
     if family == "A":
         return (c + 1) ** (l + 1) - c ** (l + 1)
+
+    def upto(n, parity):  # points x of the coset with 2|x| <= n
+        return 2 * ((n + parity) // 2) + 1 - parity
+
     top = c if family == "C" else 2 * c
-    total = 0
-    for parity in (0,) if family == "B" else (0, 1):
-        def upto(n):  # points x of the coset with 2|x| <= n
-            return 2 * ((n + parity) // 2) + 1 - parity
-        total += upto(c) ** l + l * sum(2 * upto(2 * c - d) ** (l - 1)
-                                        for d in range(c + 1, top + 1) if d % 2 == parity)
-    return total
+    return sum(upto(c, parity) ** l + l * sum(2 * upto(2 * c - d, parity) ** (l - 1)
+                                              for d in range(c + 1, top + 1) if d % 2 == parity)
+               for parity in ((0,) if family == "B" else (0, 1)))
 
 
 def count_admissible_cocharacters(rs: RootSystem, c: int) -> CocharacterCount:

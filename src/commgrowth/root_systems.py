@@ -65,8 +65,8 @@ class RootSystem:
         is the plain dot product of the two coefficient vectors.
         """
         # rank + 1 items at most are read, enough to refuse a longer vector
-        coeffs, root = (tuple(islice(_iterable(name, v), self.rank + 1))
-                        for name, v in (("coeffs", coeffs), ("root", root)))
+        coeffs = tuple(islice(_iterable("coeffs", coeffs), self.rank + 1))
+        root = tuple(islice(_iterable("root", root), self.rank + 1))
         if len(coeffs) != self.rank or len(root) != self.rank:
             raise DomainError(
                 f"expected length-{self.rank} vectors, got {len(coeffs)} and {len(root)}")
