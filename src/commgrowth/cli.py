@@ -61,19 +61,20 @@ def _decimal(value: int) -> str:
 def _digit_groups() -> np.ndarray:
     """The four ASCII digits of each r < 10000 as a uint32 word, built on
     first use: zero-padded at index 10000 + r, and with the leading zeros
-    NUL at index r, for the leading group of a value (all NUL for r = 0)."""
+    NUL at index r, for the leading group of a value (all NUL for r = 0);
+    and at index 20000 the value 0 itself, a lone "0"."""
     import numpy as np
     r = np.arange(10000)[:, None]
     place = 10 ** np.arange(3, -1, -1)
     digits = r // place % 10 + ord("0")
     lead = np.where(r >= place, digits, 0)
-    groups = np.concatenate([lead, digits]).astype(np.uint8).view(np.uint32)[:, 0]
+    groups = np.concatenate([lead, digits, [[0, 0, 0, 48]]]).astype(np.uint8).view(np.uint32)[:, 0]
     groups.flags.writeable = False  # one table is shared by every call
     return groups
 
 
 def _ascii_rows(columns, widths, seps) -> str:
-    """The rows of equal-length positive int64 columns, each value as
+    """The rows of equal-length nonnegative int64 columns, each value as
     `%{width}d` followed by its separator.
 
     Digits go four at a time through _digit_groups into uint32 words; a
@@ -81,14 +82,17 @@ def _ascii_rows(columns, widths, seps) -> str:
     shorter value shares a field with a longer one) a NUL, removed at the end.
     The top group is below 10^4 for every value, so it is read from the
     lead half undivided, and a lower group from the zero-padded half when
-    the least value has a digit past it.  Each word is stored in place
-    through a strided uint32 view of the row bytes; the bytes of a partial
-    top group and of a separator are stored one strided column at a time.
+    the least value has a digit past it, and a 0 from its own entry.  The row
+    bytes start as one template row repeated: NUL fields and the separators.
+    Each word is stored in place through a strided uint32 view of them, and
+    the bytes of a partial top group one strided column at a time.
     """
     import numpy as np
     groups = _digit_groups()
     sizes = [max(width, len(str(int(col.max())))) for col, width in zip(columns, widths)]
-    rows = np.empty((len(columns[0]), sum(sizes) + sum(map(len, seps))), np.uint8)
+    template = b"".join(b"\0" * size + sep.encode() for size, sep in zip(sizes, seps))
+    text = bytearray(template) * len(columns[0])
+    rows = np.frombuffer(text, np.uint8).reshape(-1, len(template))
     end = 0
     for col, width, size, sep in zip(columns, widths, sizes, seps):
         span, low, q = -(-size // 4), int(col.min()), col
@@ -100,6 +104,8 @@ def _ascii_rows(columns, widths, seps) -> str:
                 index = r - q * 10000 + (10000 if padded else (q > 0) * 10000)
             else:
                 padded, index = False, q
+            if j == 0 and low == 0:
+                index = np.where(col == 0, 20000, index)
             np.take(groups, index, out=words[j])
             # digits have the space bit set, so OR turns only NUL into space
             spaces = bytes(32 * (4 * j + 3 - i < width) for i in range(4))
@@ -111,10 +117,8 @@ def _ascii_rows(columns, widths, seps) -> str:
         top = words[-1].view(np.uint8).reshape(-1, 4)
         for i in range(size % 4):
             rows[:, end - size + i] = top[:, 4 - size % 4 + i]
-        for i, byte in enumerate(sep.encode()):
-            rows[:, end + i] = byte
         end += len(sep)
-    return rows.tobytes().replace(b"\0", b"").decode()
+    return text.replace(b"\0", b"").decode()
 
 
 def _run_rank1(args: argparse.Namespace) -> int:
@@ -153,15 +157,21 @@ def _run_ball(args: argparse.Namespace) -> int:
         raise DomainError("cyclic subgroups live in dimension 1")
     dim = None if args.family == "cyclic" else args.dim
     _check_ball(args.n, dim)
-    keys = _ball_keys(args.n, dim)[:, ::1 if dim else -1]  # cyclic rows (b, a) to (a, b)
-    # one `%d` template over a key row: the member as str() or json.dumps(indent=2) lays it out
+    keys, d = _ball_keys(args.n, dim)[:, ::1 if dim else -1], dim or 1  # cyclic (b, a) to (a, b)
+    # a `%d` template over q and the upper triangle, as str() or json.dumps(indent=2) lays
+    # the member out: the entries below the diagonal are always 0
+    hnf = [["%d" if r <= c else 0 for c in range(d)] for r in range(d)]
     if args.json:
-        member = {"a": 0, "b": 0} if dim is None else {"denom": 0, "hnf": [[0] * dim] * dim}
-        template, sep = json.dumps([member], indent=2)[2:-2].replace("0", "%d"), ",\n"
+        member = {"a": "%d", "b": "%d"} if dim is None else {"denom": "%d", "hnf": hnf}
+        template, sep = json.dumps([member], indent=2)[2:-2].replace('"%d"', "%d"), ",\n"
     else:
-        row = "[" + ",".join(["%d"] * (dim or 1)) + "]"
-        template, sep = "%d/%d" if dim is None else f"(1/%d)<{','.join([row] * dim)}>", "\n"
-    rows = sep.join([template] * len(keys)) % tuple(keys.ravel().tolist())
+        rows = ",".join("[" + ",".join(map(str, row)) + "]" for row in hnf)
+        template, sep = "%d/%d" if dim is None else f"(1/%d)<{rows}>", "\n"
+    columns = [keys[:, 0]] + [keys[:, 1 + r * d + c] for r in range(d) for c in range(r, d)]
+    # split at each `%d`; the last separator runs on to the next head, trimmed after the last
+    head, *seps = template.split("%d")
+    seps[-1] += sep + head
+    rows = head + _ascii_rows(columns, [0] * len(seps), seps)[:-len(sep + head)]
     _emit(f"[\n{rows}\n]" if args.json else rows)
     return EXIT_OK
 

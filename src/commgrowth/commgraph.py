@@ -9,6 +9,7 @@ that matter are done on the exact integer indices, never on logs.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -361,12 +362,13 @@ def _reduced(P):
 
 
 def _triangular_canonical(q, P):
-    """Key rows (q, P row by row) of (1/q)*rowspan(P), P a stack of upper
-    triangular matrices with positive diagonals, reduced in place."""
+    """Key rows (q, P row by row) of (1/q)*rowspan(P), P a stack of upper triangular
+    matrices with positive diagonals (int64 or Python ints), reduced in place."""
     import numpy as np
-    flat = _reduced(P).reshape(len(P), -1)
-    g = np.gcd(np.gcd.reduce(flat, axis=1), q)
-    return np.column_stack([q // g, flat // g[:, None]])
+    P, g = _reduced(P), q
+    for r, c in itertools.combinations_with_replacement(range(P.shape[1]), 2):  # r <= c
+        g = np.gcd(g, P[:, r, c])
+    return np.column_stack([q // g, P.reshape(len(P), -1) // g[:, None]])
 
 
 def _ball_keys(n: int, dim: int | None):
@@ -382,18 +384,29 @@ def _ball_keys(n: int, dim: int | None):
     frame_of = np.arange(len(rel_of)) - np.repeat(np.cumsum(counts) - counts, counts)
     # frame*rel is upper triangular with entries <= dim*n: int64 is exact
     keys = _triangular_canonical(det[frame_of], F[frame_of] @ R[rel_of])
-    keys = keys[np.lexsort(keys.T[::-1] if dim else keys.T)]  # np.unique is slower
-    return keys[np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)]]
+    # one int64 per row: its mixed-radix digits, most significant first, of radix max + 1
+    cols = keys.T if dim else keys.T[::-1]
+    radices = [int(col.max()) + 1 for col in cols]
+    _guard(size := math.prod(radices), 2 ** 63,
+           lambda: f"ball sort code range {size} exceeds guard {2 ** 63}")
+    code = np.zeros(len(keys), np.int64)
+    for col, radix in zip(cols, radices):
+        if radix > 1:  # a column of zeros adds no digit
+            code = code * radix + col
+    order = code.argsort()
+    return keys[order[np.diff(code[order], prepend=-1) != 0]]
 
 
 def _ball_candidates(n: int, dim: int) -> int:
-    """How many candidates _ball_keys builds: the sum of a(i)*A(n // i) over i <= n, where a
-    counts the sublattices of Z^dim by index (convolved with q**e for 0 < e < dim), A sums a."""
+    """How many candidates _ball_keys builds: the sum of a(i)*a(j) over i*j <= n, where a counts
+    the sublattices of Z^dim by index (convolved with q**e for 0 < e < dim); taken by
+    Dirichlet's hyperbola method over the prefix sums A of a."""
     a = [0] + [1] * n
     for e in range(1, dim):
         for k in range(n // 2, 0, -1):  # downward: a(k) is spread before its divisors add to it
             a[2 * k::k] = [x + q ** e * a[k] for q, x in enumerate(a[2 * k::k], 2)]
-    return sum(a[i] * sum(a[:n // i + 1]) for i in range(1, n + 1))
+    A, s = list(itertools.accumulate(a)), math.isqrt(n)
+    return 2 * sum(a[i] * A[n // i] for i in range(1, s + 1)) - A[s] ** 2
 
 
 def _check_ball(n: int, dim: int | None):

@@ -74,9 +74,11 @@ class RootSystem:
 
 
 def _checked(rs) -> RootSystem:
-    """rs, refused with DomainError unless it is a RootSystem (a label is not)."""
+    """rs, refused with DomainError unless it is a RootSystem equal to root_system(rs.label)."""
     if not isinstance(rs, RootSystem):
         raise DomainError(f"rs must be a RootSystem, got {type(rs).__name__}")
+    if rs is not (built := root_system(rs.label)) and rs != built:
+        raise DomainError(f"rs is not root_system({built.label!r}), the system of its label")
     return rs
 
 

@@ -133,6 +133,24 @@ class TestRank1:
             assert cli._ascii_rows(columns, widths, seps) == expected
 
 
+    # a 0 takes its own table entry, in a column whose least value is 0: alone,
+    # beside values of one to three digit groups, at width 0 and past its size
+    @pytest.mark.parametrize("width", [0, 1, 3, 9])
+    def test_ascii_rows_prints_zero(self, width):
+        rng = random.Random(f"ascii_rows_zero/{width}")
+        columns = [np.zeros(50, np.int64)]
+        for top in (9, 9999, 10 ** 4, 10 ** 8 - 1, 10 ** 8, 10 ** 12):
+            values = [0, top] + [rng.choice([0, rng.randint(0, top)]) for _ in range(48)]
+            columns.append(np.array(values, dtype=np.int64))
+        columns.append(np.array([10 ** 9] * 50, dtype=np.int64))  # a column without 0
+        widths = [width if i % 2 else 0 for i in range(len(columns))]
+        seps = [",", " ", "|"] * 2 + ["/", "\n"]
+        expected = "".join("".join("%*d%s" % (w, value, sep)
+                                   for value, w, sep in zip(row, widths, seps))
+                           for row in zip(*(col.tolist() for col in columns)))
+        assert cli._ascii_rows(columns, widths, seps) == expected
+
+
 class TestBall:
     def test_cyclic_json(self):
         result = run_cli("ball", "--family", "cyclic", "--n", "6", "--json")
@@ -182,6 +200,22 @@ class TestBall:
             assert out == "\n".join(f"{s.a}/{s.b}" if cyclic else str(s) for s in ball) + "\n"
         size, prefix = digests[as_json]
         assert (len(out), hashlib.sha256(out.encode()).hexdigest()[:16]) == (size, prefix)
+
+
+    # the one-member balls: one key row, and the head and separators of its template
+    @pytest.mark.parametrize("argv, text, member", [
+        (["--family", "cyclic"], "1/1", {"a": 1, "b": 1}),
+        (["--family", "lattice"], "(1/1)<[1]>", {"denom": 1, "hnf": [[1]]}),
+        (["--family", "lattice", "--dim", "2"], "(1/1)<[1,0],[0,1]>",
+         {"denom": 1, "hnf": [[1, 0], [0, 1]]}),
+        (["--family", "lattice", "--dim", "3"], "(1/1)<[1,0,0],[0,1,0],[0,0,1]>",
+         {"denom": 1, "hnf": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}),
+    ], ids=["cyclic", "dim1", "dim2", "dim3"])
+    def test_radius_one(self, argv, text, member, capsys):
+        assert main(["ball", *argv, "--n", "1"]) == EXIT_OK
+        assert capsys.readouterr().out == text + "\n"
+        assert main(["ball", *argv, "--n", "1", "--json"]) == EXIT_OK
+        assert capsys.readouterr().out == json.dumps([member], indent=2) + "\n"
 
 
 class TestRootsys:

@@ -34,6 +34,45 @@ def sigma(k):
     return sum(divisors(k))
 
 
+def lexsort_ball_keys(dim, radii):
+    """The key rows of the ball of radius n around Z^dim, for each n in radii,
+    as _ball_keys first gave them.  The candidates of the largest radius are
+    made canonical by a gcd along each key row and sorted by np.lexsort over
+    every key column (the cyclic rows (b, a) as (a, b)); those of radius n
+    are the ones of index product i*j <= n, deduplicated row by row."""
+    top = max(radii)
+    R, det = cg._hnf_stack(dim or 1, top)
+    F = cg._frames(R, det)
+    counts = np.searchsorted(det, top // det, side="right")
+    rel_of = np.repeat(np.arange(len(R)), counts)
+    frame_of = np.arange(len(rel_of)) - np.repeat(np.cumsum(counts) - counts, counts)
+    q, flat = det[frame_of], cg._reduced(F[frame_of] @ R[rel_of]).reshape(len(rel_of), -1)
+    g = np.gcd(np.gcd.reduce(flat, axis=1), q)
+    keys = np.column_stack([q // g, flat // g[:, None]])
+    order = np.lexsort(keys.T[::-1] if dim else keys.T)
+    keys, product = keys[order], (det[rel_of] * q)[order]
+    for n in radii:
+        within = keys[product <= n]
+        yield n, within[np.r_[True, (within[1:] != within[:-1]).any(axis=1)]]
+
+
+@functools.cache
+def sublattice_counts(dim, n=1000):
+    """a(k), the number of sublattices of index k of Z^dim, for k <= n."""
+    a = [0] + [1] * n
+    for e in range(1, dim):
+        for k in range(n // 2, 0, -1):
+            a[2 * k::k] = [x + q ** e * a[k] for q, x in enumerate(a[2 * k::k], 2)]
+    return a
+
+
+def direct_candidates(n, dim):
+    """The candidate count as first written: a(i) * A(n // i) summed over
+    every i <= n, each prefix sum A taken afresh."""
+    a = sublattice_counts(dim)
+    return sum(a[i] * sum(a[:n // i + 1]) for i in range(1, n + 1))
+
+
 class TestCanonicalForms:
     def test_cyclic_reduces_generator(self):
         assert cyclic(6, 4) == cyclic(3, 2)
@@ -638,6 +677,40 @@ class TestBallEnumeration:
         with pytest.raises(ResourceLimitError) as caught:
             enumerate_ball(BIG2, 32)
         assert str(caught.value) == "4469 ball candidates exceed guard 3947"
+
+    # the largest admitted ball of each dimension, and every radius to 40
+    @pytest.mark.parametrize("dim, edge", [(None, 1000), (1, 1000), (2, 213), (3, 41)],
+                             ids=["cyclic", "dim1", "dim2", "dim3"])
+    def test_keys_against_lexsort(self, dim, edge):
+        for n, want in lexsort_ball_keys(dim, [*range(1, 41), edge]):
+            keys = cg._ball_keys(n, dim)
+            assert keys.dtype == np.int64 and np.array_equal(keys, want), n
+
+    @pytest.mark.parametrize("dim, edge", [(None, 1000), (1, 1000), (2, 213), (3, 41)],
+                             ids=["cyclic", "dim1", "dim2", "dim3"])
+    def test_sort_code_fits_int64(self, dim, edge):
+        # the mixed-radix code of the largest admitted ball stays below 2^63,
+        # and far below it: under the bound (n + 1) * (dim*n + 1)^(entries)
+        keys = cg._ball_keys(edge, dim)
+        size = math.prod(int(col.max()) + 1 for col in keys.T)
+        d = dim or 1
+        assert size <= (edge + 1) * (d * edge + 1) ** (d * (d + 1) // 2) < 2 ** 63
+
+    def test_sort_code_guard(self, monkeypatch):
+        # a key range that could reach 2^63 is refused, not wrapped
+        big = np.array([[2 ** 40, 2 ** 22, 0, 0, 1]] * 2, dtype=np.int64)
+        monkeypatch.setattr(cg, "_triangular_canonical", lambda q, P: big)
+        with pytest.raises(ResourceLimitError) as caught:
+            cg._ball_keys(2, 2)
+        size = (2 ** 40 + 1) * (2 ** 22 + 1) * 2
+        assert str(caught.value) == f"ball sort code range {size} exceeds guard {2 ** 63}"
+        big[:, 1] = 2 ** 21
+        assert np.array_equal(cg._ball_keys(2, 2), big[:1])
+
+    def test_candidates_against_direct_sum(self):
+        for dim in (1, 2, 3):
+            for n in [*range(1, 301), 213, 41, 1000]:
+                assert cg._ball_candidates(n, dim) == direct_candidates(n, dim), (dim, n)
 
     def test_radius_guard_boundary(self):
         assert len(enumerate_ball(Z, 1000)) == growth_series_rank1(1000).C[-1]

@@ -8,7 +8,7 @@ from commgrowth import arith, chevalley, parahoric
 from commgrowth.commgraph import (RationalCyclic, RationalLattice, check_transfer_inequality,
                                   enumerate_ball, run_metric_checks)
 from commgrowth.errors import DomainError, ResourceLimitError, _guard, _items, _shown
-from commgrowth.root_systems import root_system, supported_labels
+from commgrowth.root_systems import RootSystem, root_system, supported_labels
 
 A1, A2, F4 = root_system("A1"), root_system("A2"), root_system("F4")
 Z, Z2, UNIT = RationalCyclic(1, 1), RationalLattice.standard(2), ((1, 0), (0, 1))
@@ -165,7 +165,8 @@ def test_constructors_store_ints():
         assert typed(value) == typed(plain)
 
 
-@pytest.mark.parametrize("call", [
+# every public call that takes a RootSystem
+RS_CALLS = pytest.mark.parametrize("call", [
     lambda rs: chevalley.order_fp(rs, 3),
     lambda rs: chevalley.order_zpk(rs, 3, 1),
     lambda rs: chevalley.order_zm(rs, 1),
@@ -178,6 +179,9 @@ def test_constructors_store_ints():
 ], ids=["order_fp", "order_zpk", "order_zm", "check_order_bound",
         "count_admissible_cocharacters", "check_cocharacter_bound", "per_prime_bound",
         "maximal_lattice_bound", "upper_bound_profile"])
+
+
+@RS_CALLS
 @pytest.mark.parametrize("rs", ["A1", None], ids=["label", "None"])
 def test_root_system_arguments_are_checked(call, rs):
     # a type label where a RootSystem belongs is refused by one check,
@@ -186,3 +190,20 @@ def test_root_system_arguments_are_checked(call, rs):
         call(rs)
     assert str(caught.value) == f"rs must be a RootSystem, got {type(rs).__name__}"
     call(A1)
+
+
+@RS_CALLS
+def test_root_system_data_must_match_the_label(call):
+    # C2's roots under the label A2 count 19 admissible cocharacters at
+    # c = 2 (A2's count), where its own roots give 13: refused by the same
+    # check, while an equal copy of A2 built field by field is accepted
+    C2 = root_system("C2")
+    mislabelled = RootSystem("A2", 2, C2.cartan, C2.positive_roots, C2.degrees)
+    with pytest.raises(DomainError) as caught:
+        call(mislabelled)
+    assert str(caught.value) == "rs is not root_system('A2'), the system of its label"
+    copy = RootSystem(*(getattr(A2, f.name) for f in dataclasses.fields(A2)))
+    assert copy is not A2 and copy == A2
+    call(copy)
+    with pytest.raises(DomainError, match="^malformed type label 'X2'$"):
+        call(dataclasses.replace(A2, label="X2"))
