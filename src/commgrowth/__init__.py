@@ -2,11 +2,11 @@
 
 The package computes exact growth series for cyclic subgroups of the
 rationals, realizes the commensurability graph as a metric space over
-cyclic subgroups and Hermite-normal-form lattices, builds root systems
-for every simple type, evaluates Chevalley group orders over finite
-rings, and checks the admissible-cocharacter and maximal-lattice counting
-bounds -- each closed form paired with an independent brute-force oracle
-at desk scale.
+Hermite-normal-form lattices, the cyclic subgroups being those of rank 1,
+builds root systems for every simple type, evaluates Chevalley group
+orders over finite rings, and checks the admissible-cocharacter and
+maximal-lattice counting bounds -- each closed form paired with an
+independent brute-force oracle at desk scale.
 """
 
 import importlib

@@ -153,20 +153,20 @@ def _run_rank1(args: argparse.Namespace) -> int:
 
 def _run_ball(args: argparse.Namespace) -> int:
     from .commgraph import _ball_keys, _check_ball
-    if args.family == "cyclic" and args.dim != 1:
+    cyclic, d = args.family == "cyclic", args.dim
+    if cyclic and d != 1:
         raise DomainError("cyclic subgroups live in dimension 1")
-    dim = None if args.family == "cyclic" else args.dim
-    _check_ball(args.n, dim)
-    keys, d = _ball_keys(args.n, dim)[:, ::1 if dim else -1], dim or 1  # cyclic (b, a) to (a, b)
+    _check_ball(args.n, d)
+    keys = _ball_keys(args.n, None if cyclic else d)[:, ::-1 if cyclic else 1]  # (b, a) to (a, b)
     # a `%d` template over q and the upper triangle, as str() or json.dumps(indent=2) lays
     # the member out: the entries below the diagonal are always 0
     hnf = [["%d" if r <= c else 0 for c in range(d)] for r in range(d)]
     if args.json:
-        member = {"a": "%d", "b": "%d"} if dim is None else {"denom": "%d", "hnf": hnf}
+        member = {"a": "%d", "b": "%d"} if cyclic else {"denom": "%d", "hnf": hnf}
         template, sep = json.dumps([member], indent=2)[2:-2].replace('"%d"', "%d"), ",\n"
     else:
         rows = ",".join("[" + ",".join(map(str, row)) + "]" for row in hnf)
-        template, sep = "%d/%d" if dim is None else f"(1/%d)<{rows}>", "\n"
+        template, sep = "%d/%d" if cyclic else f"(1/%d)<{rows}>", "\n"
     columns = [keys[:, 0]] + [keys[:, 1 + r * d + c] for r in range(d) for c in range(r, d)]
     # split at each `%d`; the last separator runs on to the next head, trimmed after the last
     head, *seps = template.split("%d")

@@ -1,10 +1,10 @@
-"""The commensurability graph over two concrete subgroup families.
-
-Vertices are cyclic subgroups (a/b)Z of the rationals or finite-rank
-lattices (1/q)*rowspan(H) in Q^d with H in Hermite normal form.  Edges
-carry the commensurability index [A : A&B]*[B : A&B]; path length is the
-product of edge weights and the metric is its logarithm.  All comparisons
-that matter are done on the exact integer indices, never on logs.
+"""The commensurability graph over one concrete subgroup family: full-rank
+lattices (1/q)*rowspan(H) in Q^d, H in Hermite normal form.  RationalCyclic is
+the d = 1 case (a/b)Z = (1/b)*rowspan((a)), shown and ordered by (a, b) and kept
+apart from RationalLattice by type.  Edges carry the commensurability index
+[A : A&B]*[B : A&B]; path length is the product of edge weights and the metric
+is its logarithm.  All comparisons that matter are done on the exact integer
+indices, never on logs.
 """
 
 from __future__ import annotations
@@ -75,64 +75,11 @@ def _hnf_det(hnf):
 
 
 # ---------------------------------------------------------------------------
-# the two subgroup families
-
-
-class _Subgroup:
-    """contains and index_of, read off [self : self&other], [other : self&other]."""
-
-    @classmethod
-    def _canonical(cls, fields: dict):
-        """The value of fields, by name, already in canonical form: unchecked."""
-        self = object.__new__(cls)
-        self.__dict__.update(fields)
-        return self
-
-    def contains(self, other) -> bool:
-        return self._indices(other)[1] == 1
-
-    def index_of(self, sub) -> int:
-        index, outside = self._indices(sub)
-        if outside != 1:
-            raise DomainError(f"{sub} is not a subgroup of {self}")
-        return index
+# the subgroup family: lattices, with (a/b)Z as the dim-1 case
 
 
 @dataclass(frozen=True)
-class RationalCyclic(_Subgroup):
-    """The subgroup (a/b)Z of the additive rationals, kept with gcd(a,b)=1.
-
-    (1, 1) is the integers themselves.
-    """
-
-    a: int
-    b: int
-
-    def __post_init__(self):
-        a, b = _at_least("a", self.a, 1), _at_least("b", self.b, 1)
-        g = math.gcd(a, b)
-        object.__setattr__(self, "a", a // g)
-        object.__setattr__(self, "b", b // g)
-
-    def intersection(self, other: "RationalCyclic") -> "RationalCyclic":
-        _require_same_family(self, other)
-        return RationalCyclic(math.lcm(self.a, other.a), math.gcd(self.b, other.b))
-
-    def _indices(self, other: "RationalCyclic") -> tuple[int, int]:
-        # the intersection is (lcm(a, a')/gcd(b, b'))Z
-        _require_same_family(self, other)
-        a, b = math.lcm(self.a, other.a), math.gcd(self.b, other.b)
-        return a // self.a * (self.b // b), a // other.a * (other.b // b)
-
-    def sort_key(self):
-        return (self.a, self.b)
-
-    def __str__(self):
-        return f"({self.a}/{self.b})Z"
-
-
-@dataclass(frozen=True)
-class RationalLattice(_Subgroup):
+class RationalLattice:
     """A full-rank subgroup (1/denom)*rowspan(basis) of Q^dim.
 
     The constructor canonicalizes: it accepts any generating integer rows,
@@ -155,6 +102,13 @@ class RationalLattice(_Subgroup):
         if len(hnf) != dim:
             raise DomainError("basis does not span a full-rank lattice")
         self.__dict__.update(vars(self._from_hnf(dim, denom, hnf)))
+
+    @classmethod
+    def _canonical(cls, fields: dict):
+        """The value of fields, by name, already in canonical form: unchecked."""
+        self = object.__new__(cls)
+        self.__dict__.update(fields)
+        return self
 
     @classmethod
     def _from_hnf(cls, dim: int, denom: int, hnf) -> "RationalLattice":
@@ -196,14 +150,22 @@ class RationalLattice(_Subgroup):
 
     def intersection(self, other: "RationalLattice") -> "RationalLattice":
         _require_same_family(self, other)
+        if self.dim == 1:  # (a/b)Z & (a'/b')Z is (lcm(a, a')/gcd(b, b'))Z, already canonical
+            a = math.lcm(self.basis[0][0], other.basis[0][0])
+            return type(self)._canonical({"dim": 1, "denom": math.gcd(self.denom, other.denom),
+                                          "basis": ((a,),)})
         q = math.lcm(self.denom, other.denom)
         A, B = self._numerators(q), other._numerators(q)
-        return RationalLattice._from_hnf(self.dim, q, _intersect_integer(A, B))
+        return type(self)._from_hnf(self.dim, q, _intersect_integer(A, B))
 
     def _indices(self, other: "RationalLattice") -> tuple[int, int]:
+        _require_same_family(self, other)
+        if self.dim == 1:  # the intersection is (lcm(a, a')/gcd(b, b'))Z
+            (a1,), (a2,) = self.basis[0], other.basis[0]
+            a, b = math.lcm(a1, a2), math.gcd(self.denom, other.denom)
+            return a // a1 * (self.denom // b), a // a2 * (other.denom // b)
         # [A : A & B] = [A + B : B]; over a common denominator each
         # index is a ratio of determinants, and A and B are already HNF
-        _require_same_family(self, other)
         q = math.lcm(self.denom, other.denom)
         A, B = self._numerators(q), other._numerators(q)
         if self.dim == 2:
@@ -215,6 +177,15 @@ class RationalLattice(_Subgroup):
         total = _hnf_det(_row_hnf([*A, *B], self.dim))
         return _hnf_det(B) // total, _hnf_det(A) // total
 
+    def contains(self, other) -> bool:
+        return self._indices(other)[1] == 1
+
+    def index_of(self, sub) -> int:
+        index, outside = self._indices(sub)
+        if outside != 1:
+            raise DomainError(f"{sub} is not a subgroup of {self}")
+        return index
+
     def sort_key(self):
         return (self.denom,) + tuple(v for row in self.basis for v in row)
 
@@ -223,10 +194,31 @@ class RationalLattice(_Subgroup):
         return f"(1/{self.denom})<{rows}>"
 
 
+class RationalCyclic(RationalLattice):
+    """The subgroup (a/b)Z of the additive rationals, kept with gcd(a,b)=1, and (1, 1) is
+    Z itself: the dim-1 lattice (1/b)*rowspan((a)), shown and ordered by (a, b)."""
+
+    def __init__(self, a: int, b: int):
+        g = math.gcd(a := _at_least("a", a, 1), b := _at_least("b", b, 1))
+        self.__dict__.update(dim=1, denom=b // g, basis=((a // g,),))
+
+    a = property(lambda self: self.basis[0][0])
+    b = property(lambda self: self.denom)
+
+    def sort_key(self):
+        return (self.a, self.b)
+
+    def __str__(self):
+        return f"({self.a}/{self.b})Z"
+
+    def __repr__(self):
+        return f"RationalCyclic(a={self.a!r}, b={self.b!r})"
+
+
 def _subgroups(*groups) -> tuple:
-    """groups, refused with DomainError unless each is a RationalCyclic or a RationalLattice."""
+    """groups, refused with DomainError unless each is a RationalLattice (a RationalCyclic is one)."""
     for g in groups:
-        if not isinstance(g, _Subgroup):
+        if not isinstance(g, RationalLattice):
             raise DomainError(f"unsupported family {type(g).__name__}")
     return groups
 
@@ -234,7 +226,7 @@ def _subgroups(*groups) -> tuple:
 def _require_same_family(A, B):
     if type(A) is not type(B):
         raise DomainError(f"mixed families: {type(A).__name__} vs {type(B).__name__}")
-    if isinstance(A, RationalLattice) and A.dim != B.dim:
+    if A.dim != B.dim:
         raise DomainError(f"dimension mismatch: {A.dim} vs {B.dim}")
 
 
@@ -409,15 +401,15 @@ def _ball_candidates(n: int, dim: int) -> int:
     return 2 * sum(a[i] * A[n // i] for i in range(1, s + 1)) - A[s] ** 2
 
 
-def _check_ball(n: int, dim: int | None):
-    """Refuse a lattice dimension (None for the cyclic family), ball radius or
-    candidate count past its guard, before any of the ball is built; return n as an int."""
-    dim = None if dim is None else _at_least("dim", dim, 1)
+def _check_ball(n: int, dim: int):
+    """Refuse a lattice dimension, ball radius or candidate count past its guard,
+    before any of the ball is built; return n as an int."""
+    dim = _at_least("dim", dim, 1)
     n = _at_least("ball radius", n, 1)
     _guard(n, MAX_BALL_RADIUS, lambda: f"ball bound {_shown(n)} exceeds guard {MAX_BALL_RADIUS}")
-    _guard(dim or 1, MAX_BALL_DIM,
+    _guard(dim, MAX_BALL_DIM,
            lambda: f"lattice dimension {_shown(dim)} exceeds guard {MAX_BALL_DIM}")
-    _guard(count := _ball_candidates(n, dim or 1), MAX_BALL_CANDIDATES,
+    _guard(count := _ball_candidates(n, dim), MAX_BALL_CANDIDATES,
            lambda: f"{count} ball candidates exceed guard {MAX_BALL_CANDIDATES}")
     return n
 
@@ -425,21 +417,18 @@ def _check_ball(n: int, dim: int | None):
 def enumerate_ball(gamma, n: int):
     """All subgroups in gamma's family at commensurability index <= n,
     in canonical form, sorted, duplicate free, within MAX_BALL_RADIUS,
-    MAX_BALL_CANDIDATES and (lattices only) MAX_BALL_DIM."""
-    _subgroups(gamma)
-    if isinstance(gamma, RationalCyclic):
-        dim, denom, basis = None, gamma.b, ((gamma.a,),)
-    else:
-        dim, denom, basis = gamma.dim, gamma.denom, gamma.basis
-    n = _check_ball(n, dim)
+    MAX_BALL_DIM and MAX_BALL_CANDIDATES."""
+    d = _subgroups(gamma)[0].dim
+    n = _check_ball(n, d)
     import numpy as np
-    d, keys = len(basis), _ball_keys(n, dim)
-    if (denom, basis) != (1, RationalLattice.standard(d).basis):
+    cyclic = isinstance(gamma, RationalCyclic)  # its members are sorted by (a, b)
+    keys = _ball_keys(n, None if cyclic else d)
+    if (gamma.denom, gamma.basis) != (1, RationalLattice.standard(d).basis):
         # x -> x*gamma maps ball(Z^d) onto ball(gamma) injectively; in Python ints
-        P = keys[:, 1:].reshape(-1, d, d).astype(object) @ np.array(basis, dtype=object)
-        keys = _triangular_canonical(keys[:, 0].astype(object) * denom, P)
-    if dim is None:
-        return [RationalCyclic._canonical({"a": a, "b": b})
+        P = keys[:, 1:].reshape(-1, d, d).astype(object) @ np.array(gamma.basis, dtype=object)
+        keys = _triangular_canonical(keys[:, 0].astype(object) * gamma.denom, P)
+    if cyclic:
+        return [RationalCyclic._canonical({"dim": 1, "denom": b, "basis": ((a,),)})
                 for a, b in sorted((a, b) for b, a in keys.tolist())]
     return [RationalLattice._canonical({"dim": d, "denom": q,
                                         "basis": tuple(zip(*[iter(flat)] * d))})
@@ -448,12 +437,11 @@ def enumerate_ball(gamma, n: int):
 
 def check_transfer_inequality(A, B, n: int) -> BoundReport:
     """Ball-size transfer: |ball(A, n)| <= |ball(B, c(A,B)*n)|.  x -> x*gamma carries
-    ball(Z^d, n) onto ball(gamma, n), so both sizes are counted on the keys around Z^d
-    of A's family, and no member is built."""
+    ball(Z^d, n) onto ball(gamma, n), so both sizes are counted on the keys around Z^d,
+    and no member is built."""
     c_ab = comm_index(A, B).value
-    dim = A.dim if isinstance(A, RationalLattice) else None
-    n = _check_ball(n, dim)
-    left, right = (len(_ball_keys(m, dim)) for m in (n, _check_ball(c_ab * n, dim)))
+    n = _check_ball(n, A.dim)
+    left, right = (len(_ball_keys(m, A.dim)) for m in (n, _check_ball(c_ab * n, A.dim)))
     return compare("ball_transfer", left, right, n=n, c_ab=c_ab, left_card=left, right_card=right)
 
 

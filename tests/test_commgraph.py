@@ -143,15 +143,19 @@ class TestIntersectIndex:
         assert intersect(RationalCyclic(1, 2), cyclic(3)) == cyclic(3)
 
     def test_intersect_lattice_vs_cyclic_agree(self):
-        # dim-1 lattices must reproduce the cyclic arithmetic
+        # dim-1 lattices must reproduce the cyclic arithmetic, and each
+        # family's intersection stays in its family
         rng = random.Random(5)
         for _ in range(200):
             a, b = rng.randint(1, 30), rng.randint(1, 30)
             c, d = rng.randint(1, 30), rng.randint(1, 30)
-            got = RationalLattice.from_rows([[a]], denom=b).intersection(
-                RationalLattice.from_rows([[c]], denom=d))
+            A = RationalLattice.from_rows([[a]], denom=b)
+            B = RationalLattice.from_rows([[c]], denom=d)
+            got = A.intersection(B)
             want = RationalCyclic(a, b).intersection(RationalCyclic(c, d))
+            assert type(got) is RationalLattice and type(want) is RationalCyclic
             assert got == RationalLattice.from_rows([[want.a]], denom=want.b)
+            assert comm_index(A, B) == comm_index(RationalCyclic(a, b), RationalCyclic(c, d))
 
     def test_intersect_contains_common_elements(self):
         rng = random.Random(13)
@@ -176,9 +180,23 @@ class TestIntersectIndex:
         with pytest.raises(DomainError):
             intersect(Z2, RationalLattice.standard(3))
 
-    def test_mixed_families_rejected(self):
-        with pytest.raises(DomainError):
-            comm_index(Z, Z2)
+    @pytest.mark.parametrize("call", [
+        lambda A, B: comm_index(A, B),
+        lambda A, B: comm_index(A, Z2),
+        lambda A, B: intersect(A, B),
+        lambda A, B: index_in(B, A),
+        lambda A, B: geodesic(A, B),
+        lambda A, B: chain_length([B, A]),
+        lambda A, B: check_transfer_inequality(A, B, 2),
+    ], ids=["comm_index", "comm_index-dim2", "intersect", "index_in", "geodesic", "chain_length",
+            "transfer"])
+    def test_mixed_families_rejected(self, call):
+        # (a/b)Z is the dim-1 lattice (1/b)*rowspan((a)) but a family of its own:
+        # it is refused beside a lattice at equal dimension too, and never equal to one
+        with pytest.raises(DomainError) as caught:
+            call(RationalCyclic(1, 1), RationalLattice.standard(1))
+        assert str(caught.value) == "mixed families: RationalCyclic vs RationalLattice"
+        assert RationalCyclic(3, 2) != RationalLattice.from_rows([[3]], denom=2)
 
     @pytest.mark.parametrize("call, shown", [
         (lambda: comm_index(3, Z), "int"),
@@ -488,9 +506,16 @@ class TestBallEnumeration:
             assert len(enumerate_ball(Z, n)) == series.C[n - 1]
 
     def test_dim1_lattice_ball_matches_cyclic(self):
-        one = RationalLattice.standard(1)
-        for n in range(1, 40):
-            assert len(enumerate_ball(one, n)) == len(enumerate_ball(Z, n))
+        # the same members around Z and around (3/2)Z, in either family
+        for a, b in ((1, 1), (3, 2)):
+            one = RationalLattice.from_rows([[a]], denom=b)
+            for n in range(1, 40):
+                lattices, cyclics = enumerate_ball(one, n), enumerate_ball(RationalCyclic(a, b), n)
+                assert {type(s) for s in lattices} == {RationalLattice}
+                assert {type(s) for s in cyclics} == {RationalCyclic}
+                assert len(lattices) == len(cyclics)
+                assert {(s.denom, s.basis) for s in lattices} == \
+                    {(s.denom, s.basis) for s in cyclics}
 
     def test_ball_transport_to_other_basepoint(self):
         # scaling is an automorphism, so the index census around any
@@ -814,7 +839,7 @@ class TestTransfer:
         def built(*args, **kwargs):
             raise AssertionError("a ball member was built")
         monkeypatch.setattr(cg, "enumerate_ball", built)
-        monkeypatch.setattr(cg._Subgroup, "_canonical", classmethod(built))
+        monkeypatch.setattr(cg.RationalLattice, "_canonical", classmethod(built))
         for A, B, n, left, right in cases:
             report = check_transfer_inequality(A, B, n)
             assert (report.lhs, report.rhs) == (left, right)

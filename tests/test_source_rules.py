@@ -128,6 +128,44 @@ def test_one_guard_routine():
     assert found == []
 
 
+def owned_nodes(name):
+    """(outermost function around it or None, node) for every AST node of the
+    library module name."""
+    path = Path(commgrowth.__file__).parent / name
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            inner = owner or (child.name if is_def else None)
+            yield inner, child
+            yield from visit(child, inner)
+    return visit(ast.parse(path.read_text(), filename=str(path)), None)
+
+
+def branches_on_the_cyclic_family(node):
+    """True for isinstance(..., RationalCyclic), or a dim-None sentinel:
+    `dim is None`, `dim is not None` or `dim or ...` (dim a name or an attribute)."""
+    def is_dim(value):
+        return "dim" in (getattr(value, "id", None), getattr(value, "attr", None))
+    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+        return any(getattr(n, "id", None) == "RationalCyclic" for n in ast.walk(node))
+    if isinstance(node, ast.Compare):
+        return is_dim(node.left) and isinstance(node.ops[0], (ast.Is, ast.IsNot)) \
+            and isinstance(node.comparators[0], ast.Constant) and node.comparators[0].value is None
+    return isinstance(node, ast.BoolOp) and isinstance(node.op, ast.Or) and is_dim(node.values[0])
+
+
+def test_cyclic_branches_stay_in_their_functions():
+    # (a/b)Z is the dim-1 RationalLattice, so one code path serves both
+    # families; only the (a, b) key order of a ball and the pinned cyclic
+    # chain step may test for RationalCyclic or keep a dim-None sentinel
+    homes = {"_ball_keys", "enumerate_ball", "_random_chain"}
+    found = [f"{name}:{owner}:{node.lineno}" for name in ("commgraph.py", "cli.py")
+             for owner, node in owned_nodes(name)
+             if owner not in homes and branches_on_the_cyclic_family(node)]
+    assert found == []
+
+
 def converts_or_bounds_an_integer(node):
     """True for an import of operator, a use of operator.index, or a string
     that says an argument "must be >=" a bound or "must be an integer"."""
