@@ -210,8 +210,8 @@ def _box_blocks(side: int, width: int):
     for start in range(0, total, _BOX_BLOCK):
         rem = np.arange(start, min(start + _BOX_BLOCK, total), dtype=np.int64)
         digits = np.empty((width, len(rem)), dtype=np.int64)  # contiguous columns
-        for col in range(width - 1, -1, -1):
-            rem, digits[col] = np.divmod(rem, side)
+        for col in range(width - 1, -1, -1):  # np.divmod and % cost several times //
+            rem, digits[col] = (quot := rem // side), rem - quot * side
         yield digits.T
 
 

@@ -36,6 +36,11 @@ def _row_hnf(rows, cols):
     """Hermite normal form of the row span: upper triangular, positive
     pivots, entries above each pivot reduced into [0, pivot)."""
     m = [list(r) for r in rows]
+    if cols == len(m) == 2 and (det := abs(m[0][0] * m[1][1] - m[0][1] * m[1][0])):
+        (a, b), (c, d) = m  # full rank: one gcd step s*a + t*c = g, second pivot |det|/g
+        g = math.gcd(a, c)  # when c is 0, s = a // g is the sign of a, and t = 0
+        s = pow(a // g, -1, abs(c) // g) if c else a // g
+        return [[g, (s * b + (g - s * a) // (c or 1) * d) % (det // g)], [0, det // g]]
     pivot_row = 0
     for j in range(cols):
         pivot = next((i for i in range(pivot_row, len(m)) if m[i][j]), None)
@@ -156,6 +161,13 @@ class RationalLattice:
                                           "basis": ((a,),)})
         q = math.lcm(self.denom, other.denom)
         A, B = self._numerators(q), other._numerators(q)
+        if self.dim == 2:  # A & B has pivots a, c with a*c = det(A)*[A : A & B]
+            ((a1, b1), (_, c1)), ((a2, b2), (_, c2)) = A, B
+            c, g = math.lcm(c1, c2), math.gcd(c1, c2)  # (0, c) spans it on the second axis
+            a = a1 * c1 * self._indices(other)[0] // c
+            r1, r2 = b1 * (a // a1), b2 * (a // a2)  # its corner b = r1 mod c1, r2 mod c2
+            b = (r1 + c1 * ((r2 - r1) // g * pow(c1 // g, -1, c2 // g))) % c  # by the CRT
+            return type(self)._from_hnf(2, q, [[a, b], [0, c]])
         return type(self)._from_hnf(self.dim, q, _intersect_integer(A, B))
 
     def _indices(self, other: "RationalLattice") -> tuple[int, int]:
@@ -198,7 +210,9 @@ class RationalCyclic(RationalLattice):
     """The subgroup (a/b)Z of the additive rationals, kept with gcd(a,b)=1, and (1, 1) is
     Z itself: the dim-1 lattice (1/b)*rowspan((a)), shown and ordered by (a, b)."""
 
-    def __init__(self, a: int, b: int):
+    def __init__(self, a: int, b: int, *basis):
+        if basis:  # the inherited standard, scaled and from_rows pass (dim, denom, basis)
+            raise DomainError("build (a/b)Z as RationalCyclic(a, b)")
         g = math.gcd(a := _at_least("a", a, 1), b := _at_least("b", b, 1))
         self.__dict__.update(dim=1, denom=b // g, basis=((a // g,),))
 
@@ -322,7 +336,7 @@ def _hnf_stack(dim: int, n: int):
         new[:, 1:, 1:] = H[of]
         new[:, 0, 0], code = code // det[of] + 1, code % det[of]
         for c in range(1, s):
-            code, new[:, 0, c] = np.divmod(code, H[of, c - 1, c - 1])
+            code, new[:, 0, c] = code // new[:, c, c], code % new[:, c, c]
         H, det = new, new[:, 0, 0] * det[of]
     order = np.lexsort([H[:, r, c] for c in range(dim - 1, 0, -1) for r in range(c - 1, -1, -1)]
                        + [H[:, t, t] for t in range(dim - 1, -1, -1)] + [det])
@@ -423,7 +437,7 @@ def enumerate_ball(gamma, n: int):
     import numpy as np
     cyclic = isinstance(gamma, RationalCyclic)  # its members are sorted by (a, b)
     keys = _ball_keys(n, None if cyclic else d)
-    if (gamma.denom, gamma.basis) != (1, RationalLattice.standard(d).basis):
+    if (gamma.denom, _hnf_det(gamma.basis)) != (1, 1):  # not Z^d, whose HNF is the identity
         # x -> x*gamma maps ball(Z^d) onto ball(gamma) injectively; in Python ints
         P = keys[:, 1:].reshape(-1, d, d).astype(object) @ np.array(gamma.basis, dtype=object)
         keys = _triangular_canonical(keys[:, 0].astype(object) * gamma.denom, P)
@@ -474,9 +488,10 @@ def _random_chain(rng: random.Random, sample):
         if isinstance(last, RationalCyclic):
             desc.append(RationalCyclic(last.a * rng.randint(1, 4), last.b))
         else:
-            rel = rng.choice(_CHAIN_STEPS[rng.randint(1, 4)])
-            rows = [[sum(a * b for a, b in zip(r, c)) for c in zip(*last.basis)] for r in rel]
-            desc.append(RationalLattice._from_hnf(last.dim, last.denom, _row_hnf(rows, last.dim)))
+            (a, v), (_, d) = rng.choice(_CHAIN_STEPS[rng.randint(1, 4)])
+            (p, u), (_, r) = last.basis  # rel*basis is triangular: only its corner is reduced
+            step = [[a * p, (a * u + v * r) % (d * r)], [0, d * r]]
+            desc.append(RationalLattice._from_hnf(2, last.denom, step))
     return list(reversed(desc))
 
 

@@ -304,6 +304,17 @@ class TestSharedProtocol:
         assert seen == {True, False}
 
 
+def test_two_row_hnf_matches_the_generic_loop():
+    # the one-gcd-step branch for a 2x2 input against the row loop, which an
+    # appended zero row reaches; singular inputs fall through to the loop
+    full = 0
+    for a, b, c, d in itertools.product(range(-6, 7), repeat=4):
+        got = cg._row_hnf([[a, b], [c, d]], 2)
+        assert got == cg._row_hnf([[a, b], [c, d], [0, 0]], 2), (a, b, c, d)
+        full += len(got) == 2
+    assert full == 13 ** 4 - 1313  # the singular ones reduce to fewer rows
+
+
 class TestCommIndex:
     def test_examples(self):
         ci = comm_index(Z, RationalCyclic(3, 2))
@@ -336,7 +347,8 @@ class TestCommIndex:
 
     @pytest.mark.parametrize("denoms", [(1, 1), (2, 3), (4, 6)], ids=["1-1", "2-3", "4-6"])
     def test_plane_indices_match_stacked_pivots(self, denoms):
-        # every ordered pair of 2x2 HNFs of determinant <= 8
+        # every ordered pair of 2x2 HNFs of determinant <= 8; the closed-form
+        # plane intersection against the stacked 4x4 reduction too
         hnfs = [((a, v), (0, k // a)) for k in range(1, 9) for a in divisors(k)
                 for v in range(k // a)]
         assert len(hnfs) == sum(sigma(k) for k in range(1, 9))
@@ -344,6 +356,9 @@ class TestCommIndex:
             A, B = RationalLattice(2, denoms[0], H), RationalLattice(2, denoms[1], K)
             ci = comm_index(A, B)
             assert (ci.left_index, ci.right_index) == self.stacked_pivots(A, B), (A, B)
+            q = math.lcm(A.denom, B.denom)
+            stacked = cg._intersect_integer(integer_basis(A, q), integer_basis(B, q))
+            assert A.intersection(B) == RationalLattice._from_hnf(2, q, stacked), (A, B)
 
     def test_plane_indices_exact_past_int64(self):
         rng = random.Random(30)

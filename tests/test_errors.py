@@ -119,6 +119,22 @@ INTEGER_ARGUMENTS = [
 ]
 
 
+# RationalLattice's public constructors as inherited by RationalCyclic, which
+# builds (a/b)Z from (a, b) alone: each refused by RationalCyclic's one check
+INHERITED_CONSTRUCTORS = [
+    ("standard", lambda: RationalCyclic.standard(1)),
+    ("scaled", lambda: RationalCyclic.scaled(1, 3, 2)),
+    ("from_rows", lambda: RationalCyclic.from_rows([[3]], denom=2)),
+]
+
+
+@pytest.mark.parametrize("call", [pytest.param(row[1], id=row[0]) for row in INHERITED_CONSTRUCTORS])
+def test_cyclic_refuses_inherited_constructors(call):
+    with pytest.raises(DomainError) as caught:
+        call()
+    assert str(caught.value) == "build (a/b)Z as RationalCyclic(a, b)"
+
+
 def typed(value):
     """value with the type of each of its parts beside it, so that an equal
     value built from other types compares unequal."""
