@@ -128,7 +128,8 @@ INHERITED_CONSTRUCTORS = [
 ]
 
 
-@pytest.mark.parametrize("call", [pytest.param(row[1], id=row[0]) for row in INHERITED_CONSTRUCTORS])
+@pytest.mark.parametrize("call", [pytest.param(call, id=name)
+                                  for name, call in INHERITED_CONSTRUCTORS])
 def test_cyclic_refuses_inherited_constructors(call):
     with pytest.raises(DomainError) as caught:
         call()
