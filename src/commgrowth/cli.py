@@ -157,7 +157,8 @@ def _run_ball(args: argparse.Namespace) -> int:
     if cyclic and d != 1:
         raise DomainError("cyclic subgroups live in dimension 1")
     _check_ball(args.n, d)
-    keys = _ball_keys(args.n, None if cyclic else d)[:, ::-1 if cyclic else 1]  # (b, a) to (a, b)
+    # (a/b)Z and (b/a)Z lie at one index a*b from Z: the rows (b, a) read as (a, b) are the ball
+    keys = _ball_keys(args.n, d)
     # a `%d` template over q and the upper triangle, as str() or json.dumps(indent=2) lays
     # the member out: the entries below the diagonal are always 0
     hnf = [["%d" if r <= c else 0 for c in range(d)] for r in range(d)]
@@ -221,24 +222,23 @@ def _run_order(args: argparse.Namespace) -> int:
 
 def _run_parahoric(args: argparse.Namespace) -> int:
     from .arith import _prime
-    from .parahoric import _level_count, _per_prime_lhs, maximal_lattice_bound
+    from .parahoric import _per_prime_lhs, check_cocharacter_bound, maximal_lattice_bound
     from .root_systems import root_system
     rs = root_system(args.type)
-    k, count, paper_bound = _level_count(rs, args.k)
+    report = check_cocharacter_bound(rs, args.k)
     payload = {
-        "exact": _decimal(count.exact),
-        "box_bound": _decimal(count.box_bound),
-        "paper_bound": _decimal(paper_bound),
+        "exact": _decimal(report.lhs),
+        "box_bound": _decimal(report.context["rank_box_bound"]),
+        "paper_bound": _decimal(report.rhs),
         "per_prime": None,
         "m_bound": None,
     }
-    status = EXIT_FAILED_CHECK if count.exact > paper_bound else EXIT_OK
     if args.p is not None:
-        payload["per_prime"] = _decimal(_per_prime_lhs(rs, _prime(args.p), k))
+        payload["per_prime"] = _decimal(_per_prime_lhs(rs, _prime(args.p), report.context["k"]))
     if args.m is not None:
         payload["m_bound"] = _decimal(maximal_lattice_bound(rs, args.m))
     _emit_fields(payload, args.json)
-    return status
+    return EXIT_OK if report.holds else EXIT_FAILED_CHECK
 
 
 def _run_check(args: argparse.Namespace) -> int:

@@ -322,8 +322,8 @@ def chain_length(chain) -> int:
 
 def _hnf_stack(dim: int, n: int):
     """Every dim x dim HNF matrix of determinant <= n, as one int64 stack, and
-    the determinants: by determinant, then diagonal, then the entries above the
-    pivots column by column.  These index the sublattices of index <= n of Z^dim."""
+    the determinants, in increasing order.  These index the sublattices of
+    index <= n of Z^dim."""
     import numpy as np
     H, det = np.arange(1, n + 1).reshape(-1, 1, 1), np.arange(1, n + 1)
     for s in range(2, dim + 1):
@@ -338,8 +338,7 @@ def _hnf_stack(dim: int, n: int):
         for c in range(1, s):
             code, new[:, 0, c] = code // new[:, c, c], code % new[:, c, c]
         H, det = new, new[:, 0, 0] * det[of]
-    order = np.lexsort([H[:, r, c] for c in range(dim - 1, 0, -1) for r in range(c - 1, -1, -1)]
-                       + [H[:, t, t] for t in range(dim - 1, -1, -1)] + [det])
+    order = det.argsort(kind="stable")
     return H[order], det[order]
 
 
@@ -377,12 +376,12 @@ def _triangular_canonical(q, P):
     return np.column_stack([q // g, P.reshape(len(P), -1) // g[:, None]])
 
 
-def _ball_keys(n: int, dim: int | None):
-    """Sorted, distinct int64 key rows (q, P) of the ball of radius n around Z^dim, or Z
-    for dim None (rows (b, a), sorted as (a, b)).  S = rel*Z^dim of index i lies in L & Z^dim
-    for L = (1/j)*frame*rel, so c(Z^dim, L) <= i*j <= n; each L arises with S = L & Z^dim."""
+def _ball_keys(n: int, dim: int):
+    """Sorted, distinct int64 key rows (q, P) of the ball of radius n around Z^dim.
+    S = rel*Z^dim of index i lies in L & Z^dim for L = (1/j)*frame*rel, so
+    c(Z^dim, L) <= i*j <= n; each L arises with S = L & Z^dim."""
     import numpy as np
-    R, det = _hnf_stack(dim or 1, n)
+    R, det = _hnf_stack(dim, n)
     F = _frames(R, det)
     # the frames of index j <= n // i are a prefix of the stack
     counts = np.searchsorted(det, n // det, side="right")
@@ -391,12 +390,11 @@ def _ball_keys(n: int, dim: int | None):
     # frame*rel is upper triangular with entries <= dim*n: int64 is exact
     keys = _triangular_canonical(det[frame_of], F[frame_of] @ R[rel_of])
     # one int64 per row: its mixed-radix digits, most significant first, of radix max + 1
-    cols = keys.T if dim else keys.T[::-1]
-    radices = [int(col.max()) + 1 for col in cols]
+    radices = [int(col.max()) + 1 for col in keys.T]
     _guard(size := math.prod(radices), 2 ** 63,
            lambda: f"ball sort code range {size} exceeds guard {2 ** 63}")
     code = np.zeros(len(keys), np.int64)
-    for col, radix in zip(cols, radices):
+    for col, radix in zip(keys.T, radices):
         if radix > 1:  # a column of zeros adds no digit
             code = code * radix + col
     order = code.argsort()
@@ -436,17 +434,20 @@ def enumerate_ball(gamma, n: int):
     n = _check_ball(n, d)
     import numpy as np
     cyclic = isinstance(gamma, RationalCyclic)  # its members are sorted by (a, b)
-    keys = _ball_keys(n, None if cyclic else d)
+    keys = _ball_keys(n, d)
     if (gamma.denom, _hnf_det(gamma.basis)) != (1, 1):  # not Z^d, whose HNF is the identity
         # x -> x*gamma maps ball(Z^d) onto ball(gamma) injectively; in Python ints
         P = keys[:, 1:].reshape(-1, d, d).astype(object) @ np.array(gamma.basis, dtype=object)
         keys = _triangular_canonical(keys[:, 0].astype(object) * gamma.denom, P)
+        rows = sorted(keys[:, ::-1 if cyclic else 1].tolist())  # a cyclic row (b, a) as (a, b)
+    else:  # sorted, and a cyclic row (b, a) reads as (a, b): (b/a)Z lies at a*b from Z too
+        rows = keys.tolist()
     if cyclic:
         return [RationalCyclic._canonical({"dim": 1, "denom": b, "basis": ((a,),)})
-                for a, b in sorted((a, b) for b, a in keys.tolist())]
+                for a, b in rows]
     return [RationalLattice._canonical({"dim": d, "denom": q,
                                         "basis": tuple(zip(*[iter(flat)] * d))})
-            for q, *flat in sorted(keys.tolist())]
+            for q, *flat in rows]
 
 
 def check_transfer_inequality(A, B, n: int) -> BoundReport:
@@ -475,7 +476,7 @@ def _random_lattice(rng: random.Random, dim: int = 2) -> RationalLattice:
             return RationalLattice._from_hnf(dim, rng.randint(1, 6), hnf)
 
 
-# the 2x2 HNFs of determinant k <= 4, in _hnf_stack(2, 4)'s order
+# the 2x2 HNFs ((a, v), (0, k // a)) of determinant k <= 4, by a and then v
 _CHAIN_STEPS = {k: [((a, v), (0, k // a)) for a in range(1, k + 1) if k % a == 0
                     for v in range(k // a)] for k in range(1, 5)}
 

@@ -1,4 +1,4 @@
-"""Exception types shared by every module, how a message shows an int, the
+"""Exception types shared by every module, how a message shows a value, the
 one integer check (_at_least, and _integer where no bound applies), the one
 iterable check (_iterable, and _items where the items are kept), and the one
 guard, _guard, the only raiser of ResourceLimitError."""
@@ -21,10 +21,20 @@ class ResourceLimitError(RuntimeError):
     """
 
 
+def _shorten(text: str, unit: str, show=str) -> str:
+    """text as shown in a message: past 18 characters only its first 8
+    and its length, so a diagnostic stays one short line."""
+    if len(text) <= 18:
+        return show(text)
+    return f"{show(text[:8])}... ({len(text)} {unit})"
+
+
 def _shown(value) -> str:
-    """A value for a one-line message, in full unless it is an int of more
-    than 18 digits: that is its sign and a power of ten off its bit length."""
-    if not isinstance(value, int) or abs(value) < 10 ** 18:
+    """A value for a one-line message: an int past 18 digits as its sign and a
+    power of ten off its bit length, any other value by its str, as _shorten shows it."""
+    if not isinstance(value, int):
+        return _shorten(str(value), "characters")
+    if abs(value) < 10 ** 18:
         return str(value)
     shift = abs(value).bit_length() - 53
     sign = "-" if value < 0 else ""
@@ -38,7 +48,7 @@ def _integer(name: str, value) -> int:
     try:
         return operator.index(value)
     except TypeError:
-        shown = repr(value) if isinstance(value, str) else _shown(value)
+        shown = _shorten(value, "characters", repr) if isinstance(value, str) else _shown(value)
         raise DomainError(f"{name} must be an integer, got {shown}") from None
 
 

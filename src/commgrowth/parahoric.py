@@ -8,7 +8,7 @@ E, F and G, and a sum of powers in epsilon coordinates for A to D; next to
 it are the (2c+1)-power box bounds, and the per-prime and global
 maximal-lattice estimates built from them, all exposed as checkable
 inequalities.  Level k means cutoff k+1 and the bound (2k+3)**dim: one
-rule, in _level_count, for the library and the CLI.
+rule, in check_cocharacter_bound, for the library and the CLI.
 """
 
 from __future__ import annotations
@@ -102,18 +102,12 @@ def count_admissible_cocharacters(rs: RootSystem, c: int) -> CocharacterCount:
     return CocharacterCount(rs.label, c, exact, (2 * c + 1) ** rs.rank)
 
 
-def _level_count(rs: RootSystem, k: int) -> tuple[int, CocharacterCount, int]:
-    """Level k as an int, the count at level k, which is cutoff k+1, and its
-    bound (2k+3)**dim."""
-    k = _at_least("k", k, 0)
-    return k, count_admissible_cocharacters(rs, k + 1), (2 * k + 3) ** rs.dimension
-
-
 def check_cocharacter_bound(rs: RootSystem, k: int) -> BoundReport:
     """At level k the admissible count (cutoff k+1) is at most (2k+3)**dim;
     the sharper box (2k+3)**rank is carried along in the context."""
-    k, cc, paper_bound = _level_count(rs, k)
-    return compare("cocharacter_count_le_(2k+3)^d", cc.exact, paper_bound,
+    k = _at_least("k", k, 0)
+    cc = count_admissible_cocharacters(rs, k + 1)
+    return compare("cocharacter_count_le_(2k+3)^d", cc.exact, (2 * k + 3) ** rs.dimension,
                    label=rs.label, k=k, rank_box_bound=cc.box_bound)
 
 

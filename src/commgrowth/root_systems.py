@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
 
-from .errors import DomainError, _guard, _integer, _iterable, _shown
+from .errors import DomainError, _guard, _integer, _iterable, _shorten, _shown
 
 _LABEL_RE = re.compile(r"^([A-Ga-g])(\d+)$")
 
@@ -80,14 +80,6 @@ def _checked(rs) -> RootSystem:
     if rs is not (built := root_system(rs.label)) and rs != built:
         raise DomainError(f"rs is not root_system({built.label!r}), the system of its label")
     return rs
-
-
-def _shorten(text: str, unit: str, show=str) -> str:
-    """text as shown in a message: past 18 characters only its first 8
-    and its length, so a diagnostic stays one short line."""
-    if len(text) <= 18:
-        return show(text)
-    return f"{show(text[:8])}... ({len(text)} {unit})"
 
 
 def _parse_label(label: str) -> tuple[str, int]:

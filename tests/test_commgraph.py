@@ -636,6 +636,18 @@ class TestBallEnumeration:
         assert ball == sorted(ball, key=lambda s: s.sort_key())
         assert ball == enumerate_ball(Z2, 4)
 
+    # around Z^d the keys come sorted, and the image of the ball under x -> x*gamma is
+    # sorted afresh: a cyclic basepoint by (a, b), a lattice by (denom, basis)
+    @pytest.mark.parametrize("gamma, n", [
+        (Z, 1000), (cyclic(3, 2), 1000), (cyclic(1, 12), 300), (Z2, 31),
+        (RationalLattice.from_rows([[2, 2], [0, 4]], denom=5), 31), (BIG2, 12),
+        (RationalLattice.from_rows([[2, 0, 3], [0, 2, 10], [0, 0, 17]], denom=3), 5),
+    ], ids=["Z", "3/2", "1/12", "Z2", "gamma2", "big2", "gamma3"])
+    def test_ball_sorted_around_every_basepoint(self, gamma, n):
+        ball = enumerate_ball(gamma, n)
+        keys = [s.sort_key() for s in ball]
+        assert keys == sorted(set(keys))
+
     def test_lattice_entry_guard(self):
         start = time.perf_counter()
         with pytest.raises(ResourceLimitError, match="guard is 1000000"):
@@ -718,23 +730,25 @@ class TestBallEnumeration:
             enumerate_ball(BIG2, 32)
         assert str(caught.value) == "4469 ball candidates exceed guard 3947"
 
-    # the largest admitted ball of each dimension, and every radius to 40
+    # the largest admitted ball of each dimension, and every radius to 40; the
+    # cyclic oracle's rows (b, a) of the members (a/b)Z, sorted by (a, b), are
+    # the dim-1 keys reversed: (a/b)Z and (b/a)Z lie at one index a*b from Z
     @pytest.mark.parametrize("dim, edge", [(None, 1000), (1, 1000), (2, 213), (3, 41)],
                              ids=["cyclic", "dim1", "dim2", "dim3"])
     def test_keys_against_lexsort(self, dim, edge):
         for n, want in lexsort_ball_keys(dim, [*range(1, 41), edge]):
-            keys = cg._ball_keys(n, dim)
-            assert keys.dtype == np.int64 and np.array_equal(keys, want), n
+            keys = cg._ball_keys(n, dim or 1)
+            assert keys.dtype == np.int64, n
+            assert np.array_equal(keys, want if dim else want[:, ::-1]), n
 
-    @pytest.mark.parametrize("dim, edge", [(None, 1000), (1, 1000), (2, 213), (3, 41)],
-                             ids=["cyclic", "dim1", "dim2", "dim3"])
+    @pytest.mark.parametrize("dim, edge", [(1, 1000), (2, 213), (3, 41)],
+                             ids=["dim1", "dim2", "dim3"])
     def test_sort_code_fits_int64(self, dim, edge):
         # the mixed-radix code of the largest admitted ball stays below 2^63,
         # and far below it: under the bound (n + 1) * (dim*n + 1)^(entries)
         keys = cg._ball_keys(edge, dim)
         size = math.prod(int(col.max()) + 1 for col in keys.T)
-        d = dim or 1
-        assert size <= (edge + 1) * (d * edge + 1) ** (d * (d + 1) // 2) < 2 ** 63
+        assert size <= (edge + 1) * (dim * edge + 1) ** (dim * (dim + 1) // 2) < 2 ** 63
 
     def test_sort_code_guard(self, monkeypatch):
         # a key range that could reach 2^63 is refused, not wrapped

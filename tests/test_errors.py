@@ -32,6 +32,11 @@ def test_other_values_in_full():
     assert _shown(2.5) == "2.5"
     assert _shown("x") == "x"
     assert _shown(None) == "None"
+    assert _shown("x" * 18) == "x" * 18
+
+
+def test_other_values_past_18_characters_by_their_start_and_length():
+    assert _shown("x" * 19) == "xxxxxxxx... (19 characters)"
 
 
 def refused():
@@ -136,6 +141,17 @@ def test_cyclic_refuses_inherited_constructors(call):
     assert str(caught.value) == "build (a/b)Z as RationalCyclic(a, b)"
 
 
+# refused non-integers, and how a refusal shows them: in full up to 18
+# characters, past that by the first 8 and the length, a str by its repr
+HOSTILE = [
+    (2.5, "2.5"),
+    (None, "None"),
+    ("9" * 10 ** 5, "'99999999'... (100000 characters)"),
+    ([0] * 10 ** 5, "[0, 0, 0... (300000 characters)"),
+    (b"9" * 10 ** 5, "b'999999... (100003 characters)"),
+]
+
+
 def typed(value):
     """value with the type of each of its parts beside it, so that an equal
     value built from other types compares unequal."""
@@ -157,10 +173,10 @@ def test_integer_arguments_go_through_one_check(call, value, name):
     # a numpy integer is the same argument as the int, converted before any
     # arithmetic (an int64 p**k would wrap); anything else is refused
     assert typed(call(np.int64(value))) == typed(call(value))
-    for hostile in (2.5, None):
+    for hostile, shown in HOSTILE:
         with pytest.raises(DomainError) as caught:
             call(hostile)
-        assert str(caught.value) == f"{name} must be an integer, got {hostile}"
+        assert str(caught.value) == f"{name} must be an integer, got {shown}"
 
 
 def test_integral_floats_are_refused():

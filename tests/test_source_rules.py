@@ -157,9 +157,9 @@ def branches_on_the_cyclic_family(node):
 
 def test_cyclic_branches_stay_in_their_functions():
     # (a/b)Z is the dim-1 RationalLattice, so one code path serves both
-    # families; only the (a, b) key order of a ball and the pinned cyclic
+    # families; only the (a, b) member order of a ball and the pinned cyclic
     # chain step may test for RationalCyclic or keep a dim-None sentinel
-    homes = {"_ball_keys", "enumerate_ball", "_random_chain"}
+    homes = {"enumerate_ball", "_random_chain"}
     found = [f"{name}:{owner}:{node.lineno}" for name in ("commgraph.py", "cli.py")
              for owner, node in owned_nodes(name)
              if owner not in homes and branches_on_the_cyclic_family(node)]
