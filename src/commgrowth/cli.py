@@ -157,7 +157,7 @@ def _run_ball(args: argparse.Namespace) -> int:
     if cyclic and d != 1:
         raise DomainError("cyclic subgroups live in dimension 1")
     _check_ball(args.n, d)
-    # (a/b)Z and (b/a)Z lie at one index a*b from Z: the rows (b, a) read as (a, b) are the ball
+    # (a/b)Z and (b/a)Z lie at one index a*b from Z: cyclic rows (b, a) read as (a, b) are the ball
     keys = _ball_keys(args.n, d)
     # a `%d` template over q and the upper triangle, as str() or json.dumps(indent=2) lays
     # the member out: the entries below the diagonal are always 0

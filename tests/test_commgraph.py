@@ -738,7 +738,7 @@ class TestBallEnumeration:
     def test_keys_against_lexsort(self, dim, edge):
         for n, want in lexsort_ball_keys(dim, [*range(1, 41), edge]):
             keys = cg._ball_keys(n, dim or 1)
-            assert keys.dtype == np.int64, n
+            assert keys.dtype == np.int64
             assert np.array_equal(keys, want if dim else want[:, ::-1]), n
 
     @pytest.mark.parametrize("dim, edge", [(1, 1000), (2, 213), (3, 41)],
