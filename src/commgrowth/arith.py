@@ -21,7 +21,7 @@ EULER_MASCHERONI = 0.57721566490153286061
 #: digits; documented inputs stay near 15,000 digits.
 MAX_OUTPUT_DIGITS = 10 ** 5
 #: Largest sieve, and most hyperbola terms (about 1 s); `growth rank1 --n
-#: 10**7` peaks at 190 MB RSS, about 16 bytes a row over 36 MB.
+#: 10**7` peaks at 114 MB RSS, about 8 bytes a row over 36 MB.
 MAX_SIEVE_LIMIT = 10 ** 7
 #: Most divisors `divisors` lists: 2**20 of them take about 1 s and 90 MB.
 MAX_DIVISORS = 10 ** 6
@@ -40,7 +40,7 @@ _WHEEL_BUDGET = 10 ** 6
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _PSI13 = 3317044064679887385961981
 
-# rows per block of the exhaustive box walker
+# rows per block of the exhaustive box walker and of omega_sieve's last step
 _BOX_BLOCK = 1 << 16
 
 
@@ -239,22 +239,23 @@ def omega_sieve(limit: int) -> np.ndarray:
     """Array w with w[k] = omega(k) for 0 <= k <= limit (w[0] = w[1] = 0),
     from one pass over the primes p <= isqrt(limit).
 
-    Each p adds one to w on its multiples and is divided out of a cofactor
-    array on the multiples of each power p**j <= limit.  A cofactor left
-    above 1 is the one prime factor above isqrt(limit).
+    Each p adds one to w on its multiples and multiplies part by p on the
+    multiples of each power p**j <= limit, so part[k] is the part of k over the
+    primes up to isqrt(limit), and part[k] < k exactly when k has a larger one.
     """
     limit = _check_sieve_limit(limit, 1)
     import numpy as np
     w = np.zeros(limit + 1, dtype=np.uint8)
-    cofactor = np.arange(limit + 1, dtype=np.int32)
+    part = np.ones(limit + 1, dtype=np.int32)
     for p in np.flatnonzero(prime_sieve(math.isqrt(limit))).tolist():
         w[p::p] += 1
         q = p
         while q <= limit:
-            cofactor[q::q] //= p
+            part[q::q] *= p
             q *= p
-    # a whole-array update: masked indexing would cost more than the sieve
-    w += cofactor > 1
+    for lo in range(0, limit + 1, _BOX_BLOCK):  # in slices: no second array of limit ints
+        k = np.arange(lo, min(lo + _BOX_BLOCK, limit + 1), dtype=np.int32)
+        w[lo:lo + len(k)] += part[lo:lo + len(k)] < k
     return w
 
 
@@ -272,12 +273,13 @@ def divisor_count_sieve(limit: int) -> np.ndarray:
 
 
 def _rank1_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """int64 arrays of c_k = 2**omega(k) and of C_k for k = 1..n."""
+    """int32 arrays of c_k = 2**omega(k) and C_k for k = 1..n, exact as C_n <= sum_{k<=n} d(k)
+    (the chain check_sandwich_bounds checks) and sum_divisor_count(MAX_SIEVE_LIMIT) < 2**31."""
     n = _at_least("series length", n, 1)
     w = omega_sieve(n)[1:]  # refuses n past the sieve guard before numpy is imported
     import numpy as np
-    c = np.left_shift(np.int64(1), w)
-    return c, np.cumsum(c)
+    c = np.left_shift(np.int32(1), w)
+    return c, np.cumsum(c, dtype=np.int32)
 
 
 def growth_series_rank1(n: int) -> GrowthSeries:
@@ -339,7 +341,7 @@ def check_sandwich_bounds(series: GrowthSeries, n_min: int) -> BoundReport:
     if len(series.C) != upto:
         raise DomainError("series must hold upto prefix sums")
     import numpy as np
-    C = np.asarray(series.C, dtype=np.int64)
+    C = np.fromiter(series.C, np.int64, upto)
     k = np.arange(1, upto + 1, dtype=np.int64)
     dsum = np.cumsum(divisor_count_sieve(upto)[1:], dtype=np.int64)
 

@@ -5,6 +5,7 @@ guard, _guard, the only raiser of ResourceLimitError."""
 
 import math
 import operator
+import reprlib
 from itertools import islice
 
 
@@ -30,8 +31,11 @@ def _shorten(text: str, unit: str, show=str) -> str:
 
 
 def _shown(value) -> str:
-    """A value for a one-line message: an int past 18 digits as its sign and a
-    power of ten off its bit length, any other value by its str, as _shorten shows it."""
+    """A value for a one-line message: an int past 18 digits as its sign and a power of ten,
+    a container by a bounded repr and its item count, else its str, as _shorten shows it."""
+    if isinstance(value, (list, tuple, dict, set, frozenset, bytes, bytearray)):
+        text = reprlib.repr(value[:19] if isinstance(value, (bytes, bytearray)) else value)
+        return text if len(text) <= 18 else f"{text[:8]}... ({len(value)} items)"
     if not isinstance(value, int):
         return _shorten(str(value), "characters")
     if abs(value) < 10 ** 18:

@@ -220,6 +220,13 @@ class TestRank1Series:
         assert {type(v) for v in series.c + series.C} == {int}
         assert series.c == tuple(c) and series.C == tuple(itertools.accumulate(c))
 
+    def test_rank1_arrays_are_int32_up_to_the_sieve_guard(self):
+        # int32 is exact because C_n <= sum_{k<=n} d(k), the sandwich chain,
+        # and that sum is below 2**31 at the largest n the sieve admits
+        c, C = arith._rank1_arrays(1000)
+        assert c.dtype == C.dtype == np.int32
+        assert arith.sum_divisor_count(arith.MAX_SIEVE_LIMIT) < 2 ** 31
+
     def test_series_prefix_sums_exact(self):
         series = arith.growth_series_rank1(500)
         total = 0
@@ -276,7 +283,7 @@ class TestRank1Series:
     @pytest.mark.parametrize("limit, shown", [(10 ** 7 + 1, "10000001"),
                                               (10 ** 400, "about 10^400")])
     def test_sieve_refuses_before_any_work(self, limit, shown):
-        # 10**7 itself is never run here: it takes about 190 MB in the CLI
+        # 10**7 itself is never run here: it takes about 115 MB in the CLI
         assert arith.MAX_SIEVE_LIMIT == 10 ** 7
         tracemalloc.start()
         try:

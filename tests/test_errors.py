@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,6 +38,31 @@ def test_other_values_in_full():
 
 def test_other_values_past_18_characters_by_their_start_and_length():
     assert _shown("x" * 19) == "xxxxxxxx... (19 characters)"
+
+
+def test_containers_past_18_characters_by_their_start_and_item_count():
+    assert _shown([0] * 6) == "[0, 0, 0, 0, 0, 0]"
+    assert _shown(b"9" * 15) == "b'" + "9" * 15 + "'"
+    assert _shown((0,) * 7) == "(0, 0, 0... (7 items)"
+    assert _shown(b"9" * 16) == "b'999999... (16 items)"
+    assert _shown(bytearray(3)) == "bytearra... (3 items)"
+    assert _shown({k: k for k in range(10 ** 5)}) == "{0: 0, 1... (100000 items)"
+    assert _shown([[0] * 10 ** 6]) == "[[0, 0, ... (1 items)"
+    assert _shown(range(10 ** 20)) == "range(0,... (31 characters)"  # str, as before
+
+
+def test_refusing_a_long_list_takes_bounded_memory():
+    # the list is shown from a bounded repr, not from its 3 MB str
+    items = [0] * 10 ** 6
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError) as caught:
+            arith.factorize(items)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    assert str(caught.value) == "n must be an integer, got [0, 0, 0... (1000000 items)"
 
 
 def refused():
@@ -147,8 +173,8 @@ HOSTILE = [
     (2.5, "2.5"),
     (None, "None"),
     ("9" * 10 ** 5, "'99999999'... (100000 characters)"),
-    ([0] * 10 ** 5, "[0, 0, 0... (300000 characters)"),
-    (b"9" * 10 ** 5, "b'999999... (100003 characters)"),
+    ([0] * 10 ** 5, "[0, 0, 0... (100000 items)"),
+    (b"9" * 10 ** 5, "b'999999... (100000 items)"),
 ]
 
 
