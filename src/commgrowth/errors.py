@@ -22,12 +22,12 @@ class ResourceLimitError(RuntimeError):
     """
 
 
-def _shorten(text: str, unit: str, show=str) -> str:
+def _shorten(text: str, unit: str, show=str, count=None) -> str:
     """text as shown in a message: past 18 characters only its first 8
-    and its length, so a diagnostic stays one short line."""
+    and its length, or count, so a diagnostic stays one short line."""
     if len(text) <= 18:
         return show(text)
-    return f"{show(text[:8])}... ({len(text)} {unit})"
+    return f"{show(text[:8])}... ({len(text) if count is None else count} {unit})"
 
 
 def _shown(value) -> str:
@@ -35,7 +35,7 @@ def _shown(value) -> str:
     a container by a bounded repr and its item count, else its str, as _shorten shows it."""
     if isinstance(value, (list, tuple, dict, set, frozenset, bytes, bytearray)):
         text = reprlib.repr(value[:19] if isinstance(value, (bytes, bytearray)) else value)
-        return text if len(text) <= 18 else f"{text[:8]}... ({len(value)} items)"
+        return _shorten(text, "items", count=len(value))
     if not isinstance(value, int):
         return _shorten(str(value), "characters")
     if abs(value) < 10 ** 18:
