@@ -170,11 +170,10 @@ def _run_ball(args: argparse.Namespace) -> int:
     else:
         rows = ",".join("[" + ",".join(map(str, row)) + "]" for row in hnf)
         template, sep = "%d/%d" if cyclic else f"(1/%d)<{rows}>", "\n"
-    columns = [keys[:, 0]] + [keys[:, 1 + r * d + c] for r in range(d) for c in range(r, d)]
     # split at each `%d`; the last separator runs on to the next head, trimmed after the last
     head, *seps = template.split("%d")
     seps[-1] += sep + head
-    rows = head + _ascii_rows(columns, [0] * len(seps), seps)[:-len(sep + head)]
+    rows = head + _ascii_rows(keys.T, [0] * len(seps), seps)[:-len(sep + head)]
     _emit(f"[\n{rows}\n]" if args.json else rows)
     return EXIT_OK
 

@@ -321,84 +321,90 @@ def chain_length(chain) -> int:
 
 
 def _hnf_stack(dim: int, n: int):
-    """Every dim x dim HNF matrix of determinant <= n, as one int64 stack, and
-    the determinants, in increasing order.  These index the sublattices of
-    index <= n of Z^dim."""
+    """Every dim x dim HNF matrix of determinant <= n, as the int64 columns {(r, c): entries}
+    of its upper triangle, and the determinants, in increasing order.  These index the
+    sublattices of index <= n of Z^dim."""
     import numpy as np
-    H, det = np.arange(1, n + 1).reshape(-1, 1, 1), np.arange(1, n + 1)
+    H, det = {(0, 0): np.arange(1, n + 1)}, np.arange(1, n + 1)
     for s in range(2, dim + 1):
         # a first row (a, v) on top of H' of size s - 1, with a*det(H') <= n and
         # 0 <= v_c < H'_cc: det(H') choices of v, the mixed-radix digits of one code
         count = n // det * det
-        of = np.repeat(np.arange(len(H)), count)
-        code = np.arange(len(of)) - np.repeat(np.cumsum(count) - count, count)
-        new = np.zeros((len(of), s, s), np.int64)
-        new[:, 1:, 1:] = H[of]
-        new[:, 0, 0], code = code // det[of] + 1, code % det[of]
+        code = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+        H = {(r + 1, c + 1): np.repeat(col, count) for (r, c), col in H.items()}
         for c in range(1, s):
-            code, new[:, 0, c] = code // new[:, c, c], code % new[:, c, c]
-        H, det = new, new[:, 0, 0] * det[of]
+            code, H[0, c] = code // H[c, c], code % H[c, c]
+        H[0, 0] = code + 1
+        det = H[0, 0] * np.repeat(det, count)
     order = det.argsort(kind="stable")
-    return H[order], det[order]
+    return {rc: col[order] for rc, col in H.items()}, det[order]
 
 
 def _frames(H, det):
     """The frame of each HNF matrix H of determinant j: K = j * rowspan(H)^*, so
     (1/j)*K*L runs over the overlattices of index j of any lattice L in its basis.
-    K is spanned by the rows of adj(H)^T; reversing the coordinates, an
-    automorphism of Z^dim, makes them the upper triangular anti-transpose of adj(H)."""
-    import numpy as np
-    dim, adj = H.shape[1], np.zeros_like(H)
-    for r in range(dim - 1, -1, -1):
-        # row r of H*adj(H) = det*I by back-substitution: |adj| <= 2n^2 and every
-        # partial sum is at most 4n^3 < 2^63 for n <= MAX_BALL_RADIUS, so int64 is exact
-        rest = np.einsum("kc,kcx->kx", H[:, r, r + 1:], adj[:, r + 1:])
-        adj[:, r] = (det[:, None] * (np.arange(dim) == r) - rest) // H[:, r, r, None]
-    return _reduced(adj[:, ::-1, ::-1].transpose(0, 2, 1).copy())
+    K is spanned by the rows of adj(H)^T; reversing the coordinates, an automorphism
+    of Z^dim, makes them the upper triangular anti-transpose of adj(H)."""
+    dim, adj = max(H)[0] + 1, {}
+    for r in range(dim - 1, -1, -1):  # row r of H*adj(H) = j*I, by back-substitution
+        adj[r, r] = det // H[r, r]
+        for x in range(r + 1, dim):
+            adj[r, x] = -sum(H[r, c] * adj[c, x] for c in range(r + 1, x + 1)) // H[r, r]
+    return _reduced({(r, c): adj[dim - 1 - c, dim - 1 - r] for r, c in adj})
 
 
 def _reduced(P):
-    """P, a stack of upper triangular matrices with positive diagonals, brought
+    """P, upper triangle columns with positive diagonals (int64 or Python ints), brought
     in place to HNF as by _row_hnf: each entry above a pivot into [0, pivot)."""
-    for c in range(1, P.shape[1]):
-        for r in range(c):
-            P[:, r] -= (P[:, r, c] // P[:, c, c])[:, None] * P[:, c]
+    for r, c in itertools.combinations(range(dim := max(P)[0] + 1), 2):  # row c still as given
+        k = P[r, c] // P[c, c]
+        for t in range(c, dim):
+            P[r, t] = P[r, t] - k * P[c, t]
     return P
 
 
-def _triangular_canonical(q, P):
-    """Key rows (q, P row by row) of (1/q)*rowspan(P), P a stack of upper triangular
-    matrices with positive diagonals (int64 or Python ints), reduced in place."""
+def _triangular_canonical(q, a, b, dim: int):
+    """Key columns (q, P row by row) of (1/q)*rowspan(P) for P = A*B, upper triangles with
+    positive diagonals and entries a(r, t) and b(t, c) (int64 or Python ints).  P is the sum
+    over t of column t of A times row t of B, each entry fetched once and dropped after."""
     import numpy as np
+    P = {}
+    for t in range(dim):
+        col, row = [a(r, t) for r in range(t + 1)], [b(t, c) for c in range(t, dim)]
+        for (r, x), (c, y) in itertools.product(enumerate(col), enumerate(row, t)):
+            P[r, c] = P[r, c] + x * y if r < t else x * y
     P, g = _reduced(P), q
-    for r, c in itertools.combinations_with_replacement(range(P.shape[1]), 2):  # r <= c
-        g = np.gcd(g, P[:, r, c])
-    return np.column_stack([q // g, P.reshape(len(P), -1) // g[:, None]])
+    for col in P.values():
+        g = np.gcd(g, col)
+    return np.stack([q // g] + [P[rc] // g for rc in sorted(P)])
 
 
 def _ball_keys(n: int, dim: int):
-    """Sorted, distinct int64 key rows (q, P) of the ball of radius n around Z^dim.
-    S = rel*Z^dim of index i lies in L & Z^dim for L = (1/j)*frame*rel, so
-    c(Z^dim, L) <= i*j <= n; each L arises with S = L & Z^dim."""
+    """Sorted, distinct int64 key rows (q, upper triangle row by row) of the ball of radius n
+    around Z^dim.  S = rel*Z^dim of index i lies in L & Z^dim for L = (1/j)*frame*rel, so
+    c(Z^dim, L) <= i*j <= n; each L arises with S = L & Z^dim.  int64 is exact: as
+    0 <= H_rc < H_cc, induction up from adj_xx = j/H_xx bounds H_rr*adj_rx and each of its
+    terms and partial sums in _frames by 2^(x-r-1)*j <= 2^(dim-2)*n.  With 0 <= F_rt <= F_tt <= j
+    and 0 <= R_tc <= R_cc <= i, frame*rel has terms in [0, n] and entries in [0, dim*n].
+    From entries of size at most B, _reduced subtracts k*(row c) from row r with
+    |k| < (B + 1)^(c-r), by induction on c - r: all it forms is below (B + 1)^dim."""
     import numpy as np
     R, det = _hnf_stack(dim, n)
     F = _frames(R, det)
     # the frames of index j <= n // i are a prefix of the stack
     counts = np.searchsorted(det, n // det, side="right")
-    rel_of = np.repeat(np.arange(len(R)), counts)
-    frame_of = np.arange(len(rel_of)) - np.repeat(np.cumsum(counts) - counts, counts)
-    # frame*rel is upper triangular with entries <= dim*n: int64 is exact
-    keys = _triangular_canonical(det[frame_of], F[frame_of] @ R[rel_of])
+    frame_of = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    columns = _triangular_canonical(det[frame_of], lambda r, t: F[r, t][frame_of],
+                                    lambda t, c: np.repeat(R[t, c], counts), dim)
     # one int64 per row: its mixed-radix digits, most significant first, of radix max + 1
-    radices = [int(col.max()) + 1 for col in keys.T]
+    radices = [int(col.max()) + 1 for col in columns]
     _guard(size := math.prod(radices), 2 ** 63,
            lambda: f"ball sort code range {size} exceeds guard {2 ** 63}")
-    code = np.zeros(len(keys), np.int64)
-    for col, radix in zip(keys.T, radices):
-        if radix > 1:  # a column of zeros adds no digit
-            code = code * radix + col
+    code = 0
+    for col, radix in zip(columns, radices):  # a column of zeros, of radix 1, adds no digit
+        code = code * radix + col
     order = code.argsort()
-    return keys[order[np.diff(code[order], prepend=-1) != 0]]
+    return columns[:, order[np.diff(code[order], prepend=-1) != 0]].T
 
 
 def _ball_candidates(n: int, dim: int) -> int:
@@ -434,14 +440,16 @@ def enumerate_ball(gamma, n: int):
     n = _check_ball(n, d)
     import numpy as np
     cyclic = isinstance(gamma, RationalCyclic)  # its members are sorted by (a, b)
-    keys = _ball_keys(n, d)
-    if (gamma.denom, _hnf_det(gamma.basis)) != (1, 1):  # not Z^d, whose HNF is the identity
-        # x -> x*gamma maps ball(Z^d) onto ball(gamma) injectively; in Python ints
-        P = keys[:, 1:].reshape(-1, d, d).astype(object) @ np.array(gamma.basis, dtype=object)
-        keys = _triangular_canonical(keys[:, 0].astype(object) * gamma.denom, P)
-        rows = sorted(keys[:, ::-1 if cyclic else 1].tolist())  # a cyclic row (b, a) as (a, b)
-    else:  # sorted, and a cyclic row (b, a) reads as (a, b): (b/a)Z lies at a*b from Z too
-        rows = keys.tolist()
+    keys, upper = _ball_keys(n, d), list(itertools.combinations_with_replacement(range(d), 2))
+    moved = (gamma.denom, _hnf_det(gamma.basis)) != (1, 1)  # not Z^d, whose HNF is the identity
+    if moved:  # x -> x*gamma maps ball(Z^d) onto ball(gamma) injectively; in Python ints
+        K = dict(zip(upper, keys.T[1:].astype(object)))
+        keys = _triangular_canonical(keys[:, 0].astype(object) * gamma.denom, lambda r, t: K[r, t],
+                                     lambda t, c: gamma.basis[t][c], d).T
+    rows = np.zeros((len(keys), 1 + d * d), keys.dtype)  # (q, basis row by row)
+    rows[:, [0] + [1 + r * d + c for r, c in upper]] = keys
+    # sorted around Z^d; a cyclic row (b, a) reads as (a, b): (b/a)Z lies at a*b from Z too
+    rows = sorted(rows[:, ::-1 if cyclic else 1].tolist()) if moved else rows.tolist()
     if cyclic:
         return [RationalCyclic._canonical({"dim": 1, "denom": b, "basis": ((a,),)})
                 for a, b in rows]

@@ -6,6 +6,8 @@ guard, _guard, the only raiser of ResourceLimitError."""
 import math
 import operator
 import reprlib
+from array import array
+from collections import deque
 from itertools import islice
 
 
@@ -33,7 +35,7 @@ def _shorten(text: str, unit: str, show=str, count=None) -> str:
 def _shown(value) -> str:
     """A value for a one-line message: an int past 18 digits as its sign and a power of ten,
     a container by a bounded repr and its item count, else its str, as _shorten shows it."""
-    if isinstance(value, (list, tuple, dict, set, frozenset, bytes, bytearray)):
+    if isinstance(value, (list, tuple, dict, set, frozenset, deque, array, bytes, bytearray)):
         text = reprlib.repr(value[:19] if isinstance(value, (bytes, bytearray)) else value)
         return _shorten(text, "items", count=len(value))
     if not isinstance(value, int):

@@ -91,6 +91,15 @@ def upper_row_span_mask(H, points):
     return inside
 
 
+def square_stack(columns, dim):
+    """The (N, dim, dim) int64 stack of the upper triangles given as their
+    columns {(r, c): entries}, with zeros below the diagonal."""
+    stack = np.zeros((len(columns[0, 0]), dim, dim), dtype=np.int64)
+    for (r, c), column in columns.items():
+        stack[:, r, c] = column
+    return stack
+
+
 @pytest.fixture(scope="session")
 def omega_upto_million():
     return omega_sieve_oracle(DESK_LIMIT)

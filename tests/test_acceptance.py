@@ -10,6 +10,7 @@ import random
 import time
 
 import numpy as np
+from conftest import square_stack
 
 from commgrowth import commgraph as cg
 from commgrowth.arith import (EULER_MASCHERONI, check_sandwich_bounds, cn_rank1,
@@ -88,6 +89,7 @@ def test_metric_geodesic_chain_suite():
 def test_transfer_inequality_seeded_cases():
     rng = random.Random(0)
     H, det = cg._hnf_stack(2, 4)
+    H = square_stack(H, 2)
     cases = 0
     all_hold = True
     while cases < 50:

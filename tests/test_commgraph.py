@@ -7,7 +7,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import lattice_contains_oracle, upper_row_span_mask
+from conftest import lattice_contains_oracle, square_stack, upper_row_span_mask
 
 from commgrowth import commgraph as cg
 from commgrowth.arith import divisors, growth_series_rank1
@@ -34,19 +34,59 @@ def sigma(k):
     return sum(divisors(k))
 
 
+def hnf_stack_3d(dim, n):
+    """The HNF stack as _hnf_stack first built it: every dim x dim HNF matrix
+    of determinant <= n in one (N, dim, dim) int64 array, and the
+    determinants, in increasing order."""
+    H, det = np.arange(1, n + 1).reshape(-1, 1, 1), np.arange(1, n + 1)
+    for s in range(2, dim + 1):
+        count = n // det * det
+        of = np.repeat(np.arange(len(H)), count)
+        code = np.arange(len(of)) - np.repeat(np.cumsum(count) - count, count)
+        new = np.zeros((len(of), s, s), np.int64)
+        new[:, 1:, 1:] = H[of]
+        new[:, 0, 0], code = code // det[of] + 1, code % det[of]
+        for c in range(1, s):
+            code, new[:, 0, c] = code // new[:, c, c], code % new[:, c, c]
+        H, det = new, new[:, 0, 0] * det[of]
+    order = det.argsort(kind="stable")
+    return H[order], det[order]
+
+
+def reduced_3d(P):
+    """An (N, dim, dim) stack of upper triangular matrices with positive
+    diagonals, brought in place to HNF as _reduced first did."""
+    for c in range(1, P.shape[1]):
+        for r in range(c):
+            P[:, r] -= (P[:, r, c] // P[:, c, c])[:, None] * P[:, c]
+    return P
+
+
+def frames_3d(H, det):
+    """The frames as _frames first built them from an (N, dim, dim) stack:
+    adj(H) row by row from H*adj(H) = det*I, then anti-transposed and
+    reduced."""
+    dim, adj = H.shape[1], np.zeros_like(H)
+    for r in range(dim - 1, -1, -1):
+        rest = np.einsum("kc,kcx->kx", H[:, r, r + 1:], adj[:, r + 1:])
+        adj[:, r] = (det[:, None] * (np.arange(dim) == r) - rest) // H[:, r, r, None]
+    return reduced_3d(adj[:, ::-1, ::-1].transpose(0, 2, 1).copy())
+
+
 def lexsort_ball_keys(dim, radii):
     """The key rows of the ball of radius n around Z^dim, for each n in radii,
-    as _ball_keys first gave them.  The candidates of the largest radius are
+    as _ball_keys first gave them: (q, P row by row), from (N, dim, dim)
+    stacks multiplied by a batched @.  The candidates of the largest radius are
     made canonical by a gcd along each key row and sorted by np.lexsort over
     every key column (the cyclic rows (b, a) as (a, b)); those of radius n
     are the ones of index product i*j <= n, deduplicated row by row."""
     top = max(radii)
-    R, det = cg._hnf_stack(dim or 1, top)
-    F = cg._frames(R, det)
+    R, det = hnf_stack_3d(dim or 1, top)
+    F = frames_3d(R, det)
     counts = np.searchsorted(det, top // det, side="right")
     rel_of = np.repeat(np.arange(len(R)), counts)
     frame_of = np.arange(len(rel_of)) - np.repeat(np.cumsum(counts) - counts, counts)
-    q, flat = det[frame_of], cg._reduced(F[frame_of] @ R[rel_of]).reshape(len(rel_of), -1)
+    q, flat = det[frame_of], reduced_3d(F[frame_of] @ R[rel_of]).reshape(len(rel_of), -1)
     g = np.gcd(np.gcd.reduce(flat, axis=1), q)
     keys = np.column_stack([q // g, flat // g[:, None]])
     order = np.lexsort(keys.T[::-1] if dim else keys.T)
@@ -54,6 +94,19 @@ def lexsort_ball_keys(dim, radii):
     for n in radii:
         within = keys[product <= n]
         yield n, within[np.r_[True, (within[1:] != within[:-1]).any(axis=1)]]
+
+
+def reduced_in_ints(P, dim):
+    """P, upper triangle columns of Python ints, reduced in place as _reduced
+    does; returns the largest size of any product or entry formed on the way."""
+    top = 0
+    for r, c in itertools.combinations(range(dim), 2):
+        k = P[r, c] // P[c, c]
+        for t in range(c, dim):
+            step = k * P[c, t]
+            P[r, t] = P[r, t] - step
+            top = max(top, abs(step).max(), abs(P[r, t]).max())
+    return top
 
 
 @functools.cache
@@ -559,8 +612,11 @@ class TestBallEnumeration:
         # sum a(i)*A(m // i) over i <= m determine a(m) one m at a time, and
         # must equal the independent recurrence in _ball_candidates
         n = 40
-        H, det = cg._hnf_stack(dim, n)
-        assert H.dtype == det.dtype == np.int64 and H.shape == (len(det), dim, dim)
+        columns, det = cg._hnf_stack(dim, n)
+        assert set(columns) == set(itertools.combinations_with_replacement(range(dim), 2))
+        assert all(col.dtype == det.dtype == np.int64 and col.shape == det.shape
+                   for col in columns.values())
+        H = square_stack(columns, dim)
         diag = H[:, range(dim), range(dim)]
         assert (diag > 0).all() and not np.tril(H, -1).any()
         assert all((0 <= H[:, r, c]).all() and (H[:, r, c] < H[:, c, c]).all()
@@ -605,7 +661,7 @@ class TestBallEnumeration:
         for gamma, n in ((Z2, 6), (gamma2, 6), (gamma3, 4), (BIG2, 4)):
             dim = gamma.dim
             H, det = cg._hnf_stack(dim, 2 * n)
-            F = cg._frames(H, det)
+            H, F = square_stack(H, dim), square_stack(cg._frames(H, det), dim)
             seen = set()
             for rel, i in zip(H.astype(object), det.tolist()):
                 M = RationalLattice(dim, gamma.denom, (rel @ gamma.basis).tolist())
@@ -622,8 +678,9 @@ class TestBallEnumeration:
         # the frames are the HNF matrices of determinant j**(dim-1) whose
         # row span holds each j*e_t, tested by back-substitution
         H, det = cg._hnf_stack(dim, 8 ** (dim - 1))
+        H = square_stack(H, dim)
         rels, index = cg._hnf_stack(dim, 8)
-        F = cg._frames(rels, index)
+        F = square_stack(cg._frames(rels, index), dim)
         for j in range(1, 9):
             units = j * np.eye(dim, dtype=np.int64)
             want = {tuple(map(tuple, mat)) for mat in H[det == j ** (dim - 1)].tolist()
@@ -736,10 +793,12 @@ class TestBallEnumeration:
     @pytest.mark.parametrize("dim, edge", [(None, 1000), (1, 1000), (2, 213), (3, 41)],
                              ids=["cyclic", "dim1", "dim2", "dim3"])
     def test_keys_against_lexsort(self, dim, edge):
+        d = dim or 1  # the oracle's columns of q and of the upper triangle
+        upper = [0] + [1 + r * d + c for r in range(d) for c in range(r, d)]
         for n, want in lexsort_ball_keys(dim, [*range(1, 41), edge]):
-            keys = cg._ball_keys(n, dim or 1)
+            keys = cg._ball_keys(n, d)
             assert keys.dtype == np.int64
-            assert np.array_equal(keys, want if dim else want[:, ::-1]), n
+            assert np.array_equal(keys, (want if dim else want[:, ::-1])[:, upper]), n
 
     @pytest.mark.parametrize("dim, edge", [(1, 1000), (2, 213), (3, 41)],
                              ids=["dim1", "dim2", "dim3"])
@@ -750,10 +809,66 @@ class TestBallEnumeration:
         size = math.prod(int(col.max()) + 1 for col in keys.T)
         assert size <= (edge + 1) * (dim * edge + 1) ** (dim * (dim + 1) // 2) < 2 ** 63
 
+    @pytest.mark.parametrize("dim, n", [(1, 5), (2, 30), (3, 7)])
+    def test_columns_against_stacks(self, dim, n):
+        # the stack and the frames, kept as upper triangle columns, are the
+        # (N, dim, dim) stacks first built, entry by entry
+        columns, det = cg._hnf_stack(dim, n)
+        H, det3 = hnf_stack_3d(dim, n)
+        assert np.array_equal(square_stack(columns, dim), H) and np.array_equal(det, det3)
+        assert np.array_equal(square_stack(cg._frames(columns, det), dim), frames_3d(H, det3))
+
+    @pytest.mark.parametrize("dim, n", [(1, 1000), (2, 213), (3, 41)],
+                             ids=["dim1", "dim2", "dim3"])
+    def test_int64_exact_at_guard_edge(self, dim, n):
+        # the frames and products of the largest admitted ball, recomputed in
+        # Python ints, equal the int64 kernel's and stay within the bounds
+        # _frames, _reduced and _ball_keys prove: every adjugate term, partial
+        # sum and entry at most 2^(dim-2)*n, every product term in [0, n] and
+        # entry in [0, dim*n], and a reduction of entries of size at most B
+        # below (B + 1)^dim
+        R, det = cg._hnf_stack(dim, n)
+        H, j = {rc: col.astype(object) for rc, col in R.items()}, det.astype(object)
+        adj, sizes = {}, [0]
+        for r in range(dim - 1, -1, -1):
+            adj[r, r] = j // H[r, r]
+            for x in range(r + 1, dim):
+                total = 0
+                for c in range(r + 1, x + 1):
+                    term = H[r, c] * adj[c, x]
+                    total = total + term
+                    sizes += [abs(term).max(), abs(total).max()]
+                adj[r, x] = -total // H[r, r]
+        bound = 2 ** max(dim - 2, 0) * n
+        assert max(sizes + [abs(v).max() for v in adj.values()]) <= bound
+        frames = {(r, c): adj[dim - 1 - c, dim - 1 - r] for r, c in adj}
+        assert reduced_in_ints(frames, dim) < (bound + 1) ** dim
+        F = cg._frames(R, det)
+        assert all(np.array_equal(frames[rc], F[rc]) for rc in F)
+        counts = np.searchsorted(det, n // det, side="right")
+        rel_of = np.repeat(np.arange(len(det)), counts)
+        frame_of = np.arange(len(rel_of)) - np.repeat(np.cumsum(counts) - counts, counts)
+        # every factor is >= 0, so every term and partial sum lies in [0, its entry]
+        assert min(col.min() for col in [*F.values(), *R.values()]) >= 0
+        P = {}
+        for r, c in itertools.combinations_with_replacement(range(dim), 2):
+            terms = [F[r, t][frame_of].astype(object) * R[t, c][rel_of].astype(object)
+                     for t in range(r, c + 1)]
+            assert max(term.max() for term in terms) <= n
+            P[r, c] = sum(terms)
+            assert P[r, c].max() <= dim * n
+        assert reduced_in_ints(P, dim) < (dim * n + 1) ** dim < 2 ** 63
+        # over q = 1 no content is divided out: the key columns are the reduced products
+        keys = cg._triangular_canonical(np.ones(len(rel_of), np.int64),
+                                        lambda r, t: F[r, t][frame_of],
+                                        lambda t, c: R[t, c][rel_of], dim)
+        assert keys.dtype == np.int64 and np.array_equal(keys[1:], [P[rc] for rc in sorted(P)])
+
     def test_sort_code_guard(self, monkeypatch):
-        # a key range that could reach 2^63 is refused, not wrapped
-        big = np.array([[2 ** 40, 2 ** 22, 0, 0, 1]] * 2, dtype=np.int64)
-        monkeypatch.setattr(cg, "_triangular_canonical", lambda q, P: big)
+        # a key range that could reach 2^63 is refused, not wrapped; the
+        # canonical form hands the keys over as columns
+        big = np.array([[2 ** 40, 2 ** 22, 0, 1]] * 2, dtype=np.int64)
+        monkeypatch.setattr(cg, "_triangular_canonical", lambda *args: big.T)
         with pytest.raises(ResourceLimitError) as caught:
             cg._ball_keys(2, 2)
         size = (2 ** 40 + 1) * (2 ** 22 + 1) * 2
@@ -821,7 +936,7 @@ class TestTransfer:
         # while C_n is monotone, but this fails when transport or comm_index
         # goes wrong.  B is (1/q)*rel*A with det(rel), q <= 4, in either order
         rng = random.Random(21 + (dim or 0))
-        H, det = cg._hnf_stack(dim or 1, 4)
+        H = square_stack(cg._hnf_stack(dim or 1, 4)[0], dim or 1)
         pairs = 0
         while pairs < 16:
             if dim is None:
@@ -846,7 +961,7 @@ class TestTransfer:
         # both balls, on seeded pairs whose denominators are both > 1
         rng, cases = random.Random(23), []
         for dim, budget in ((None, 60), (1, 60), (2, 20), (3, 4)):
-            H, _ = cg._hnf_stack(dim or 1, 3)
+            H = square_stack(cg._hnf_stack(dim or 1, 3)[0], dim or 1)
             for _ in range(4):
                 while True:
                     if dim is None:

@@ -1,6 +1,8 @@
 import dataclasses
 import itertools
 import tracemalloc
+from array import array
+from collections import deque
 
 import numpy as np
 import pytest
@@ -48,6 +50,8 @@ def test_containers_past_18_characters_by_their_start_and_item_count():
     assert _shown(bytearray(3)) == "bytearra... (3 items)"
     assert _shown({k: k for k in range(10 ** 5)}) == "{0: 0, 1... (100000 items)"
     assert _shown([[0] * 10 ** 6]) == "[[0, 0, ... (1 items)"
+    assert _shown(deque([0] * 6)) == "deque([0... (6 items)"
+    assert _shown(array("i", [7] * 3)) == "array('i... (3 items)"
     assert _shown(range(10 ** 20)) == "range(0,... (31 characters)"  # str, as before
 
 
@@ -63,6 +67,23 @@ def test_refusing_a_long_list_takes_bounded_memory():
         tracemalloc.stop()
     assert peak < 64 * 1024
     assert str(caught.value) == "n must be an integer, got [0, 0, 0... (1000000 items)"
+
+
+@pytest.mark.parametrize("items, shown", [
+    (deque([0] * 10 ** 6), "deque([0... (1000000 items)"),
+    (array("q", [0] * 10 ** 6), "array('q... (1000000 items)"),
+], ids=["deque", "array"])
+def test_refusing_a_long_deque_or_array_takes_bounded_memory(items, shown):
+    # shown from a bounded repr and its item count, not from its whole str
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError) as caught:
+            arith.factorize(items)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    assert str(caught.value) == f"n must be an integer, got {shown}"
 
 
 def refused():
