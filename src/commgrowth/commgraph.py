@@ -323,14 +323,17 @@ def chain_length(chain) -> int:
 def _hnf_stack(dim: int, n: int):
     """Every dim x dim HNF matrix of determinant <= n, as the int64 columns {(r, c): entries}
     of its upper triangle, and the determinants, in increasing order.  These index the
-    sublattices of index <= n of Z^dim."""
+    sublattices of index <= n of Z^dim.  A level past MAX_BALL_CANDIDATES rows is refused
+    before it is built: in _ball_keys each row pairs with the frame of index 1 at least."""
     import numpy as np
-    H, det = {(0, 0): np.arange(1, n + 1)}, np.arange(1, n + 1)
-    for s in range(2, dim + 1):
+    H, det = {}, np.ones(1, np.int64)  # the 0 x 0 matrix, of determinant 1
+    for s in range(1, dim + 1):
         # a first row (a, v) on top of H' of size s - 1, with a*det(H') <= n and
         # 0 <= v_c < H'_cc: det(H') choices of v, the mixed-radix digits of one code
         count = n // det * det
-        code = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+        _guard(total := int(count.sum()), MAX_BALL_CANDIDATES,
+               lambda: f"at least {total} ball candidates exceed guard {MAX_BALL_CANDIDATES}")
+        code = np.arange(total) - np.repeat(np.cumsum(count) - count, count)
         H = {(r + 1, c + 1): np.repeat(col, count) for (r, c), col in H.items()}
         for c in range(1, s):
             code, H[0, c] = code // H[c, c], code % H[c, c]
@@ -390,10 +393,12 @@ def _ball_keys(n: int, dim: int):
     |k| < (B + 1)^(c-r), by induction on c - r: all it forms is below (B + 1)^dim."""
     import numpy as np
     R, det = _hnf_stack(dim, n)
-    F = _frames(R, det)
     # the frames of index j <= n // i are a prefix of the stack
     counts = np.searchsorted(det, n // det, side="right")
-    frame_of = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    _guard(total := int(counts.sum()), MAX_BALL_CANDIDATES,
+           lambda: f"{total} ball candidates exceed guard {MAX_BALL_CANDIDATES}")
+    F = _frames(R, det)
+    frame_of = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
     columns = _triangular_canonical(det[frame_of], lambda r, t: F[r, t][frame_of],
                                     lambda t, c: np.repeat(R[t, c], counts), dim)
     # one int64 per row: its mixed-radix digits, most significant first, of radix max + 1
@@ -407,35 +412,22 @@ def _ball_keys(n: int, dim: int):
     return columns[:, order[np.diff(code[order], prepend=-1) != 0]].T
 
 
-def _ball_candidates(n: int, dim: int) -> int:
-    """How many candidates _ball_keys builds: the sum of a(i)*a(j) over i*j <= n, where a counts
-    the sublattices of Z^dim by index (convolved with q**e for 0 < e < dim); taken by
-    Dirichlet's hyperbola method over the prefix sums A of a."""
-    a = [0] + [1] * n
-    for e in range(1, dim):
-        for k in range(n // 2, 0, -1):  # downward: a(k) is spread before its divisors add to it
-            a[2 * k::k] = [x + q ** e * a[k] for q, x in enumerate(a[2 * k::k], 2)]
-    A, s = list(itertools.accumulate(a)), math.isqrt(n)
-    return 2 * sum(a[i] * A[n // i] for i in range(1, s + 1)) - A[s] ** 2
-
-
 def _check_ball(n: int, dim: int):
-    """Refuse a lattice dimension, ball radius or candidate count past its guard,
-    before any of the ball is built; return n as an int."""
+    """Refuse a lattice dimension or ball radius that is no integer, below 1 or past
+    its guard, before the kernel runs; return n as an int.  The candidate count is
+    guarded by _hnf_stack and _ball_keys, on the arrays they are about to build."""
     dim = _at_least("dim", dim, 1)
     n = _at_least("ball radius", n, 1)
     _guard(n, MAX_BALL_RADIUS, lambda: f"ball bound {_shown(n)} exceeds guard {MAX_BALL_RADIUS}")
     _guard(dim, MAX_BALL_DIM,
            lambda: f"lattice dimension {_shown(dim)} exceeds guard {MAX_BALL_DIM}")
-    _guard(count := _ball_candidates(n, dim), MAX_BALL_CANDIDATES,
-           lambda: f"{count} ball candidates exceed guard {MAX_BALL_CANDIDATES}")
     return n
 
 
 def enumerate_ball(gamma, n: int):
     """All subgroups in gamma's family at commensurability index <= n,
-    in canonical form, sorted, duplicate free, within MAX_BALL_RADIUS,
-    MAX_BALL_DIM and MAX_BALL_CANDIDATES."""
+    in canonical form, sorted, duplicate free, within MAX_BALL_RADIUS, MAX_BALL_DIM
+    and MAX_BALL_CANDIDATES, the last read by the kernel before it builds a frame."""
     d = _subgroups(gamma)[0].dim
     n = _check_ball(n, d)
     import numpy as np
@@ -464,7 +456,8 @@ def check_transfer_inequality(A, B, n: int) -> BoundReport:
     and no member is built."""
     c_ab = comm_index(A, B).value
     n = _check_ball(n, A.dim)
-    left, right = (len(_ball_keys(m, A.dim)) for m in (n, _check_ball(c_ab * n, A.dim)))
+    # the larger ball first: a refused transfer builds no smaller ball
+    right, left = (len(_ball_keys(m, A.dim)) for m in (_check_ball(c_ab * n, A.dim), n))
     return compare("ball_transfer", left, right, n=n, c_ab=c_ab, left_card=left, right_card=right)
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 
-from .arith import MAX_OUTPUT_DIGITS, _power, _prime
+from .arith import _power, _prime
 from .errors import DomainError, _at_least, _guard, _integer, _iterable, _shown
 from .reporting import BoundReport, compare
 from .root_systems import RootSystem, _checked, _degrees
@@ -166,11 +166,6 @@ def upper_bound_profile(rs: RootSystem, n: int, s, c_const=1, D_const=1) -> int:
     top = math.ceil(c_frac * n)
     s_index = math.ceil(d_frac * n)
     m0 = 3 + 2 * rs.dimension
-    # the sum is below top**(m0+1), refused as _power refuses a power; kept in
-    # case MAX_PROFILE_WORK is raised, as today it caps the sum near 28,000 digits
-    _guard(m0 + 1, MAX_OUTPUT_DIGITS / math.log10(top) if top > 1 else math.inf,
-           lambda: f"sum of {_shown(top)} powers j**{m0} is above "
-                   f"the output guard of {MAX_OUTPUT_DIGITS} decimal digits")
     # top powers j**m0, each about m0+1 times a small one, or the values read
     _guard(work := max(top * (m0 + 1), s_index), MAX_PROFILE_WORK,
            lambda: f"profile work {_shown(work)} exceeds guard {MAX_PROFILE_WORK}: "

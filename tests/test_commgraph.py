@@ -126,6 +126,18 @@ def direct_candidates(n, dim):
     return sum(a[i] * sum(a[:n // i + 1]) for i in range(1, n + 1))
 
 
+class FramesReached(Exception):
+    """Raised by the _frames that reach_frames patches in."""
+
+
+def reach_frames(monkeypatch):
+    """Make _frames raise FramesReached: a ball past both candidate guards
+    reaches it, and a refused one must not."""
+    def frames(*args):
+        raise FramesReached
+    monkeypatch.setattr(cg, "_frames", frames)
+
+
 class TestCanonicalForms:
     def test_cyclic_reduces_generator(self):
         assert cyclic(6, 4) == cyclic(3, 2)
@@ -610,7 +622,7 @@ class TestBallEnumeration:
         # so the stack is a set of HNF matrices; the count a(m) of each
         # determinant m then pins it to all of them: the candidate totals
         # sum a(i)*A(m // i) over i <= m determine a(m) one m at a time, and
-        # must equal the independent recurrence in _ball_candidates
+        # must equal the independent recurrence in direct_candidates
         n = 40
         columns, det = cg._hnf_stack(dim, n)
         assert set(columns) == set(itertools.combinations_with_replacement(range(dim), 2))
@@ -627,7 +639,7 @@ class TestBallEnumeration:
         A = np.cumsum(a)
         assert a[0] == 0 and det[-1] <= n
         for m in range(1, n + 1):
-            assert cg._ball_candidates(m, dim) == sum(a[i] * A[m // i] for i in range(1, m + 1))
+            assert direct_candidates(m, dim) == sum(a[i] * A[m // i] for i in range(1, m + 1))
         if dim == 2:
             assert a[1:].tolist() == [sigma(m) for m in range(1, n + 1)]
 
@@ -763,29 +775,67 @@ class TestBallEnumeration:
         assert caught.value.code == 2
 
     def test_candidate_guard(self, monkeypatch):
-        # the estimate is the number of candidates (frame, relation) the
-        # kernel builds
-        for dim, n in ((1, 40), (2, 12), (3, 6)):
-            _, det = cg._hnf_stack(dim, n)
-            built = sum(np.count_nonzero(det <= n // i) for i in det.tolist())
-            assert cg._ball_candidates(n, dim) == built
-        # the largest admitted and the smallest refused radius, checked
-        # without building either ball
-        for dim, n, refused in ((2, 213, 301163), (3, 41, 327610)):
-            cg._check_ball(n, dim)
-            with pytest.raises(ResourceLimitError) as caught:
-                cg._check_ball(n + 1, dim)
-            assert str(caught.value) == f"{refused} ball candidates exceed guard 300000"
-        # the whole cyclic family stays admitted; the counts at the top radius
-        assert cg._ball_candidates(1000, 1) == 7069
-        assert cg._ball_candidates(1000, 2) == 8704350
-        assert cg._ball_candidates(1000, 3) == 8172554483
         # the guard is a module constant read when the ball is asked for
         monkeypatch.setattr(cg, "MAX_BALL_CANDIDATES", 3947)
         assert len(enumerate_ball(Z2, 31)) == 3541
         with pytest.raises(ResourceLimitError) as caught:
             enumerate_ball(BIG2, 32)
         assert str(caught.value) == "4469 ball candidates exceed guard 3947"
+        # the guarded value is the number of candidates (relation, frame) the
+        # kernel builds: admitted at that budget, up to _frames, refused below it
+        # (past n = 1 the stack's A(n) rows are fewer, so its guard passes)
+        reach_frames(monkeypatch)
+        for dim, ns in ((1, [*range(2, 41), 1000]), (2, [*range(2, 41), 213, 603]),
+                        (3, [*range(2, 13), 41, 76])):
+            for n in ns:
+                count = direct_candidates(n, dim)
+                monkeypatch.setattr(cg, "MAX_BALL_CANDIDATES", count)
+                with pytest.raises(FramesReached):
+                    cg._ball_keys(n, dim)
+                monkeypatch.setattr(cg, "MAX_BALL_CANDIDATES", count - 1)
+                with pytest.raises(ResourceLimitError) as caught:
+                    cg._ball_keys(n, dim)
+                assert str(caught.value) == f"{count} ball candidates exceed guard {count - 1}"
+
+    # the edges of both guards: the count guard admits 213 and 41 and refuses the
+    # next radius by the exact count; the stack guard admits 603 and 76 (refused
+    # by the count) and refuses the next radius by the rows of one stack level
+    @pytest.mark.parametrize("dim, n, message", [
+        (2, 213, None), (2, 214, "301163 ball candidates exceed guard 300000"),
+        (2, 603, "2926935 ball candidates exceed guard 300000"),
+        (2, 604, "at least 300335 ball candidates exceed guard 300000"),
+        (3, 41, None), (3, 42, "327610 ball candidates exceed guard 300000"),
+        (3, 76, "2177392 ball candidates exceed guard 300000"),
+        (3, 77, "at least 301419 ball candidates exceed guard 300000"),
+    ], ids=["2-213", "2-214", "2-603", "2-604", "3-41", "3-42", "3-76", "3-77"])
+    def test_candidate_guard_edges(self, monkeypatch, dim, n, message):
+        a = sublattice_counts(dim)
+        if message is None:  # admitted up to the frames, which are not built here
+            assert direct_candidates(n, dim) <= cg.MAX_BALL_CANDIDATES
+            reach_frames(monkeypatch)
+            with pytest.raises(FramesReached):
+                cg._ball_keys(n, dim)
+            return
+        # the stack guard's value is the row count A(n) of the last level
+        count = sum(a[:n + 1]) if message.startswith("at least") else direct_candidates(n, dim)
+        assert message.split(" ball")[0].split()[-1] == str(count)
+        seconds = []
+        for _ in range(3):
+            start = time.perf_counter()
+            with pytest.raises(ResourceLimitError) as caught:
+                cg._ball_keys(n, dim)
+            seconds.append(time.perf_counter() - start)
+            assert str(caught.value) == message
+        assert min(seconds) < 0.1
+
+    def test_refused_ball_builds_no_frame(self, monkeypatch):
+        # each candidate guard refuses before _frames runs
+        reach_frames(monkeypatch)
+        Z3 = RationalLattice.standard(3)
+        for gamma, n in ((Z2, 214), (BIG2, 603), (Z2, 1000), (Z3, 42), (Z3, 76), (Z3, 77)):
+            with pytest.raises(ResourceLimitError):
+                enumerate_ball(gamma, n)
+        assert main(["ball", "--family", "lattice", "--dim", "2", "--n", "1000"]) == 3
 
     # the largest admitted ball of each dimension, and every radius to 40; the
     # cyclic oracle's rows (b, a) of the members (a/b)Z, sorted by (a, b), are
@@ -876,11 +926,6 @@ class TestBallEnumeration:
         big[:, 1] = 2 ** 21
         assert np.array_equal(cg._ball_keys(2, 2), big[:1])
 
-    def test_candidates_against_direct_sum(self):
-        for dim in (1, 2, 3):
-            for n in [*range(1, 301), 213, 41, 1000]:
-                assert cg._ball_candidates(n, dim) == direct_candidates(n, dim), (dim, n)
-
     def test_radius_guard_boundary(self):
         assert len(enumerate_ball(Z, 1000)) == growth_series_rank1(1000).C[-1]
         with pytest.raises(ResourceLimitError) as caught:
@@ -910,6 +955,16 @@ class TestTransfer:
         Z4 = RationalLattice.standard(4)
         with pytest.raises(ResourceLimitError):
             check_transfer_inequality(Z4, Z4, 1)
+
+    def test_larger_ball_is_counted_first(self, monkeypatch):
+        # c(Z^2, 2Z + Z) = 2, so n = 150 admits the smaller ball and refuses
+        # the larger, of radius 300: it is counted first, and alone
+        calls, keys = [], cg._ball_keys
+        monkeypatch.setattr(cg, "_ball_keys", lambda n, dim: calls.append(n) or keys(n, dim))
+        with pytest.raises(ResourceLimitError) as caught:
+            check_transfer_inequality(Z2, RationalLattice.from_rows([[2, 0], [0, 1]]), 150)
+        assert str(caught.value) == "645434 ball candidates exceed guard 300000"
+        assert calls == [300]
 
     def test_equal_basepoints_give_equal_balls(self):
         report = check_transfer_inequality(cyclic(3), cyclic(3), 5)

@@ -1,3 +1,4 @@
+import math
 import time
 from decimal import Decimal
 from fractions import Fraction
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from commgrowth import parahoric
-from commgrowth.arith import _box_blocks
+from commgrowth.arith import MAX_OUTPUT_DIGITS, _box_blocks
 from commgrowth.cli import main
 from commgrowth.errors import DomainError, ResourceLimitError
 from commgrowth.parahoric import (CocharacterCount, _epsilon_count, _orbit_count,
@@ -464,14 +465,17 @@ class TestProfile:
         assert str(caught.value) == ("profile work 1000000000000 exceeds guard 10000000: "
                                      "j**9 summed to 1, growth index 1000000000000")
 
-    def test_digit_guard_boundary(self, monkeypatch):
-        # the sum of top powers j**9 is below top**10: about 10*log10(top)
-        # digits, refused as _power refuses a power, before the term count
+    def test_digit_guard_boundary(self):
+        # the sum of top powers j**M0 is below top**(M0+1); the work guard caps
+        # top*(M0+1), so no admitted sum reaches arith.MAX_OUTPUT_DIGITS, for
+        # any label, and a huge top is refused by the work it would take
+        start = time.perf_counter()
         with pytest.raises(ResourceLimitError) as caught:
             upper_bound_profile(A1, 1, [1], c_const=10 ** 20000)
-        assert str(caught.value) == ("sum of about 10^20000 powers j**9 is above "
-                                     "the output guard of 100000 decimal digits")
-        monkeypatch.setattr(parahoric, "MAX_OUTPUT_DIGITS", 20)
-        assert len(str(upper_bound_profile(A1, 100, [1] * 100))) == 20
-        with pytest.raises(ResourceLimitError):
-            upper_bound_profile(A1, 101, [1] * 101)
+        assert time.perf_counter() - start < 0.1
+        assert str(caught.value) == ("profile work about 10^20001 exceeds guard 10000000: "
+                                     "j**9 summed to about 10^20000, growth index 1")
+        digits = max((m := 4 + 2 * root_system(label).dimension)
+                     * math.log10(parahoric.MAX_PROFILE_WORK / m)
+                     for label in supported_labels(MAX_RANK))
+        assert digits < MAX_OUTPUT_DIGITS  # about 28,200 digits, at C48
