@@ -799,20 +799,22 @@ class TestBallEnumeration:
 
     # the edges of both guards: the count guard admits 213 and 41 and refuses the
     # next radius by the exact count; the stack guard admits 603 and 76 (refused
-    # by the count) and refuses the next radius by the rows of one stack level
+    # by the count) and refuses the next radius by the rows of one stack level.
+    # An admitted ball reaches _frames; a refused one builds no frame
     @pytest.mark.parametrize("dim, n, message", [
         (2, 213, None), (2, 214, "301163 ball candidates exceed guard 300000"),
         (2, 603, "2926935 ball candidates exceed guard 300000"),
         (2, 604, "at least 300335 ball candidates exceed guard 300000"),
+        (2, 1000, "at least 823081 ball candidates exceed guard 300000"),
         (3, 41, None), (3, 42, "327610 ball candidates exceed guard 300000"),
         (3, 76, "2177392 ball candidates exceed guard 300000"),
         (3, 77, "at least 301419 ball candidates exceed guard 300000"),
-    ], ids=["2-213", "2-214", "2-603", "2-604", "3-41", "3-42", "3-76", "3-77"])
+    ], ids=["2-213", "2-214", "2-603", "2-604", "2-1000", "3-41", "3-42", "3-76", "3-77"])
     def test_candidate_guard_edges(self, monkeypatch, dim, n, message):
         a = sublattice_counts(dim)
-        if message is None:  # admitted up to the frames, which are not built here
+        reach_frames(monkeypatch)
+        if message is None:
             assert direct_candidates(n, dim) <= cg.MAX_BALL_CANDIDATES
-            reach_frames(monkeypatch)
             with pytest.raises(FramesReached):
                 cg._ball_keys(n, dim)
             return
@@ -827,15 +829,6 @@ class TestBallEnumeration:
             seconds.append(time.perf_counter() - start)
             assert str(caught.value) == message
         assert min(seconds) < 0.1
-
-    def test_refused_ball_builds_no_frame(self, monkeypatch):
-        # each candidate guard refuses before _frames runs
-        reach_frames(monkeypatch)
-        Z3 = RationalLattice.standard(3)
-        for gamma, n in ((Z2, 214), (BIG2, 603), (Z2, 1000), (Z3, 42), (Z3, 76), (Z3, 77)):
-            with pytest.raises(ResourceLimitError):
-                enumerate_ball(gamma, n)
-        assert main(["ball", "--family", "lattice", "--dim", "2", "--n", "1000"]) == 3
 
     # the largest admitted ball of each dimension, and every radius to 40; the
     # cyclic oracle's rows (b, a) of the members (a/b)Z, sorted by (a, b), are
