@@ -154,11 +154,10 @@ def _run_rank1(args: argparse.Namespace) -> int:
 
 
 def _run_ball(args: argparse.Namespace) -> int:
-    from .commgraph import _ball_keys, _check_ball
+    from .commgraph import _ball_keys
     cyclic, d = args.family == "cyclic", args.dim
     if cyclic and d != 1:
         raise DomainError("cyclic subgroups live in dimension 1")
-    _check_ball(args.n, d)
     # (a/b)Z and (b/a)Z lie at one index a*b from Z: cyclic rows (b, a) read as (a, b) are the ball
     keys = _ball_keys(args.n, d)
     # a `%d` template over q and the upper triangle, as str() or json.dumps(indent=2) lays

@@ -322,8 +322,8 @@ def chain_length(chain) -> int:
 
 def _hnf_stack(dim: int, n: int):
     """Every dim x dim HNF matrix of determinant <= n, as the int64 columns {(r, c): entries}
-    of its upper triangle, and the determinants, in increasing order.  These index the
-    sublattices of index <= n of Z^dim.  A level past MAX_BALL_CANDIDATES rows is refused
+    of its upper triangle, and the determinants, in the order they are built.  These index
+    the sublattices of index <= n of Z^dim.  A level past MAX_BALL_CANDIDATES rows is refused
     before it is built: in _ball_keys each row pairs with the frame of index 1 at least."""
     import numpy as np
     H, det = {}, np.ones(1, np.int64)  # the 0 x 0 matrix, of determinant 1
@@ -339,44 +339,38 @@ def _hnf_stack(dim: int, n: int):
             code, H[0, c] = code // H[c, c], code % H[c, c]
         H[0, 0] = code + 1
         det = H[0, 0] * np.repeat(det, count)
-    order = det.argsort(kind="stable")
-    return {rc: col[order] for rc, col in H.items()}, det[order]
+    return H, det
 
 
 def _frames(H, det):
     """The frame of each HNF matrix H of determinant j: K = j * rowspan(H)^*, so
     (1/j)*K*L runs over the overlattices of index j of any lattice L in its basis.
     K is spanned by the rows of adj(H)^T; reversing the coordinates, an automorphism
-    of Z^dim, makes them the upper triangular anti-transpose of adj(H)."""
+    of Z^dim, makes them the upper triangular anti-transpose of adj(H), left unreduced:
+    rowspan(K*L) is the same for every basis of K, and _triangular_canonical reduces K*L."""
     dim, adj = max(H)[0] + 1, {}
     for r in range(dim - 1, -1, -1):  # row r of H*adj(H) = j*I, by back-substitution
         adj[r, r] = det // H[r, r]
         for x in range(r + 1, dim):
             adj[r, x] = -sum(H[r, c] * adj[c, x] for c in range(r + 1, x + 1)) // H[r, r]
-    return _reduced({(r, c): adj[dim - 1 - c, dim - 1 - r] for r, c in adj})
-
-
-def _reduced(P):
-    """P, upper triangle columns with positive diagonals (int64 or Python ints), brought
-    in place to HNF as by _row_hnf: each entry above a pivot into [0, pivot)."""
-    for r, c in itertools.combinations(range(dim := max(P)[0] + 1), 2):  # row c still as given
-        k = P[r, c] // P[c, c]
-        for t in range(c, dim):
-            P[r, t] = P[r, t] - k * P[c, t]
-    return P
+    return {(r, c): adj[dim - 1 - c, dim - 1 - r] for r, c in adj}
 
 
 def _triangular_canonical(q, a, b, dim: int):
     """Key columns (q, P row by row) of (1/q)*rowspan(P) for P = A*B, upper triangles with
     positive diagonals and entries a(r, t) and b(t, c) (int64 or Python ints).  P is the sum
-    over t of column t of A times row t of B, each entry fetched once and dropped after."""
+    over t of column t of A times row t of B, each entry fetched once and dropped after, then
+    brought to HNF as by _row_hnf: each entry above a pivot into [0, pivot)."""
     import numpy as np
-    P = {}
+    P, g = {}, q
     for t in range(dim):
         col, row = [a(r, t) for r in range(t + 1)], [b(t, c) for c in range(t, dim)]
         for (r, x), (c, y) in itertools.product(enumerate(col), enumerate(row, t)):
             P[r, c] = P[r, c] + x * y if r < t else x * y
-    P, g = _reduced(P), q
+    for r, c in itertools.combinations(range(dim), 2):  # row c still as given
+        k = P[r, c] // P[c, c]
+        for t in range(c, dim):
+            P[r, t] = P[r, t] - k * P[c, t]
     for col in P.values():
         g = np.gcd(g, col)
     return np.stack([q // g] + [P[rc] // g for rc in sorted(P)])
@@ -384,19 +378,23 @@ def _triangular_canonical(q, a, b, dim: int):
 
 def _ball_keys(n: int, dim: int):
     """Sorted, distinct int64 key rows (q, upper triangle row by row) of the ball of radius n
-    around Z^dim.  S = rel*Z^dim of index i lies in L & Z^dim for L = (1/j)*frame*rel, so
-    c(Z^dim, L) <= i*j <= n; each L arises with S = L & Z^dim.  int64 is exact: as
-    0 <= H_rc < H_cc, induction up from adj_xx = j/H_xx bounds H_rr*adj_rx and each of its
-    terms and partial sums in _frames by 2^(x-r-1)*j <= 2^(dim-2)*n.  With 0 <= F_rt <= F_tt <= j
-    and 0 <= R_tc <= R_cc <= i, frame*rel has terms in [0, n] and entries in [0, dim*n].
-    From entries of size at most B, _reduced subtracts k*(row c) from row r with
-    |k| < (B + 1)^(c-r), by induction on c - r: all it forms is below (B + 1)^dim."""
+    around Z^dim, its exact candidate count refused before any sort.  S = rel*Z^dim of index i
+    lies in L & Z^dim for L = (1/j)*frame*rel, so c(Z^dim, L) <= i*j <= n; each L arises with
+    S = L & Z^dim.  int64 is exact: as 0 <= H_rc < H_cc, induction up from adj_xx = j/H_xx
+    bounds H_rr*adj_rx and each of its terms and partial sums in _frames by 2^(x-r-1)*j, so
+    |F_rt| <= 2^(dim-2)*j (j if dim = 1).  As 0 <= R_tc <= R_cc <= i, frame*rel has terms of
+    size <= 2^(dim-2)*n and entries of size <= B = dim*2^(dim-2)*n; _triangular_canonical
+    then subtracts k*(row c) from row r with |k| < (B + 1)^(c-r), by induction on c - r: all
+    it forms is below (B + 1)^dim."""
+    n = _check_ball(n, dim)
     import numpy as np
     R, det = _hnf_stack(dim, n)
-    # the frames of index j <= n // i are a prefix of the stack
-    counts = np.searchsorted(det, n // det, side="right")
+    # a relation of index i pairs with the A[n // i] frames of index j <= n // i
+    counts = np.cumsum(np.bincount(det, minlength=n + 1))[n // det]
     _guard(total := int(counts.sum()), MAX_BALL_CANDIDATES,
            lambda: f"{total} ball candidates exceed guard {MAX_BALL_CANDIDATES}")
+    order = det.argsort(kind="stable")  # then those frames are a prefix of the stack
+    R, det, counts = {rc: col[order] for rc, col in R.items()}, det[order], counts[order]
     F = _frames(R, det)
     frame_of = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
     columns = _triangular_canonical(det[frame_of], lambda r, t: F[r, t][frame_of],
@@ -414,8 +412,8 @@ def _ball_keys(n: int, dim: int):
 
 def _check_ball(n: int, dim: int):
     """Refuse a lattice dimension or ball radius that is no integer, below 1 or past
-    its guard, before the kernel runs; return n as an int.  The candidate count is
-    guarded by _hnf_stack and _ball_keys, on the arrays they are about to build."""
+    its guard; return n as an int.  _ball_keys calls it before anything is built; the
+    candidate count is guarded by _hnf_stack and _ball_keys, on the arrays they build."""
     dim = _at_least("dim", dim, 1)
     n = _at_least("ball radius", n, 1)
     _guard(n, MAX_BALL_RADIUS, lambda: f"ball bound {_shown(n)} exceeds guard {MAX_BALL_RADIUS}")
@@ -427,12 +425,11 @@ def _check_ball(n: int, dim: int):
 def enumerate_ball(gamma, n: int):
     """All subgroups in gamma's family at commensurability index <= n,
     in canonical form, sorted, duplicate free, within MAX_BALL_RADIUS, MAX_BALL_DIM
-    and MAX_BALL_CANDIDATES, the last read by the kernel before it builds a frame."""
+    and MAX_BALL_CANDIDATES, all three checked by the kernel before it sorts."""
     d = _subgroups(gamma)[0].dim
-    n = _check_ball(n, d)
+    keys, upper = _ball_keys(n, d), list(itertools.combinations_with_replacement(range(d), 2))
     import numpy as np
     cyclic = isinstance(gamma, RationalCyclic)  # its members are sorted by (a, b)
-    keys, upper = _ball_keys(n, d), list(itertools.combinations_with_replacement(range(d), 2))
     moved = (gamma.denom, _hnf_det(gamma.basis)) != (1, 1)  # not Z^d, whose HNF is the identity
     if moved:  # x -> x*gamma maps ball(Z^d) onto ball(gamma) injectively; in Python ints
         K = dict(zip(upper, keys.T[1:].astype(object)))
@@ -457,7 +454,7 @@ def check_transfer_inequality(A, B, n: int) -> BoundReport:
     c_ab = comm_index(A, B).value
     n = _check_ball(n, A.dim)
     # the larger ball first: a refused transfer builds no smaller ball
-    right, left = (len(_ball_keys(m, A.dim)) for m in (_check_ball(c_ab * n, A.dim), n))
+    right, left = (len(_ball_keys(m, A.dim)) for m in (c_ab * n, n))
     return compare("ball_transfer", left, right, n=n, c_ab=c_ab, left_card=left, right_card=right)
 
 
