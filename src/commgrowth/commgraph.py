@@ -35,13 +35,12 @@ MAX_LATTICE_ENTRIES = 10 ** 6
 def _row_hnf(rows, cols):
     """Hermite normal form of the row span: upper triangular, positive
     pivots, entries above each pivot reduced into [0, pivot)."""
-    m = [list(r) for r in rows]
-    if cols == len(m) == 2 and (det := abs(m[0][0] * m[1][1] - m[0][1] * m[1][0])):
-        (a, b), (c, d) = m  # full rank: one gcd step s*a + t*c = g, second pivot |det|/g
+    if cols == len(rows) == 2 and (det := abs(rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0])):
+        (a, b), (c, d) = rows  # full rank: one gcd step s*a + t*c = g, second pivot |det|/g
         g = math.gcd(a, c)  # when c is 0, s = a // g is the sign of a, and t = 0
         s = pow(a // g, -1, abs(c) // g) if c else a // g
         return [[g, (s * b + (g - s * a) // (c or 1) * d) % (det // g)], [0, det // g]]
-    pivot_row = 0
+    m, pivot_row = [list(r) for r in rows], 0
     for j in range(cols):
         pivot = next((i for i in range(pivot_row, len(m)) if m[i][j]), None)
         if pivot is None:
@@ -119,7 +118,7 @@ class RationalLattice:
     def _from_hnf(cls, dim: int, denom: int, hnf) -> "RationalLattice":
         """(1/denom)*rowspan(hnf), for a full-rank HNF of ints: the common content
         of denom and the entries is stripped, and nothing else is checked."""
-        content = math.gcd(denom, *(v for row in hnf for v in row))
+        content = math.gcd(denom, *itertools.chain.from_iterable(hnf))
         if content > 1:
             denom, hnf = denom // content, [[v // content for v in row] for row in hnf]
         return cls._canonical({"dim": dim, "denom": denom, "basis": tuple(map(tuple, hnf))})
@@ -149,8 +148,6 @@ class RationalLattice:
 
     def _numerators(self, q: int):
         """Basis rows written over the denominator q, a multiple of denom."""
-        if q == self.denom:
-            return self.basis
         return [[v * (q // self.denom) for v in row] for row in self.basis]
 
     def intersection(self, other: "RationalLattice") -> "RationalLattice":
@@ -159,16 +156,26 @@ class RationalLattice:
             a = math.lcm(self.basis[0][0], other.basis[0][0])
             return type(self)._canonical({"dim": 1, "denom": math.gcd(self.denom, other.denom),
                                           "basis": ((a,),)})
-        q = math.lcm(self.denom, other.denom)
-        A, B = self._numerators(q), other._numerators(q)
         if self.dim == 2:  # A & B has pivots a, c with a*c = det(A)*[A : A & B]
-            ((a1, b1), (_, c1)), ((a2, b2), (_, c2)) = A, B
+            q, a1, b1, c1, a2, b2, c2, total = self._plane_pair(other)
             c, g = math.lcm(c1, c2), math.gcd(c1, c2)  # (0, c) spans it on the second axis
-            a = a1 * c1 * self._indices(other)[0] // c
+            a = a1 * c1 * (a2 * c2 // total) // c
             r1, r2 = b1 * (a // a1), b2 * (a // a2)  # its corner b = r1 mod c1, r2 mod c2
             b = (r1 + c1 * ((r2 - r1) // g * pow(c1 // g, -1, c2 // g))) % c  # by the CRT
             return type(self)._from_hnf(2, q, [[a, b], [0, c]])
-        return type(self)._from_hnf(self.dim, q, _intersect_integer(A, B))
+        q = math.lcm(self.denom, other.denom)
+        return type(self)._from_hnf(self.dim, q,
+                                    _intersect_integer(self._numerators(q), other._numerators(q)))
+
+    def _plane_pair(self, other: "RationalLattice"):
+        """q = lcm(denoms), each plane HNF ((a, b), (0, c)) over q as a, b, c, and det(A + B)."""
+        q = math.lcm(self.denom, other.denom)
+        s, t = q // self.denom, q // other.denom
+        ((a1, b1), (_, c1)), ((a2, b2), (_, c2)) = self.basis, other.basis
+        a1, b1, c1, a2, b2, c2 = a1 * s, b1 * s, c1 * s, a2 * t, b2 * t, c2 * t
+        # det(A + B) is the gcd of the 2x2 minors of the four stacked rows
+        total = math.gcd(math.gcd(a1, a2) * math.gcd(c1, c2), a1 * b2 - a2 * b1)
+        return q, a1, b1, c1, a2, b2, c2, total
 
     def _indices(self, other: "RationalLattice") -> tuple[int, int]:
         _require_same_family(self, other)
@@ -178,14 +185,11 @@ class RationalLattice:
             return a // a1 * (self.denom // b), a // a2 * (other.denom // b)
         # [A : A & B] = [A + B : B]; over a common denominator each
         # index is a ratio of determinants, and A and B are already HNF
+        if self.dim == 2:
+            _, a1, _, c1, a2, _, c2, total = self._plane_pair(other)
+            return a2 * c2 // total, a1 * c1 // total
         q = math.lcm(self.denom, other.denom)
         A, B = self._numerators(q), other._numerators(q)
-        if self.dim == 2:
-            # det(A + B) is the gcd of the 2x2 minors of the four stacked rows
-            (a1, b1), (_, c1) = A
-            (a2, b2), (_, c2) = B
-            total = math.gcd(math.gcd(a1, a2) * math.gcd(c1, c2), a1 * b2 - a2 * b1)
-            return a2 * c2 // total, a1 * c1 // total
         total = _hnf_det(_row_hnf([*A, *B], self.dim))
         return _hnf_det(B) // total, _hnf_det(A) // total
 
@@ -215,6 +219,11 @@ class RationalCyclic(RationalLattice):
             raise DomainError("build (a/b)Z as RationalCyclic(a, b)")
         g = math.gcd(a := _at_least("a", a, 1), b := _at_least("b", b, 1))
         self.__dict__.update(dim=1, denom=b // g, basis=((a // g,),))
+
+    @classmethod
+    def _reduced(cls, a: int, b: int) -> "RationalCyclic":  # ints a, b >= 1, unchecked
+        g = math.gcd(a, b)
+        return cls._canonical({"dim": 1, "denom": b // g, "basis": ((a // g,),)})
 
     a = property(lambda self: self.basis[0][0])
     b = property(lambda self: self.denom)
@@ -463,31 +472,32 @@ def check_transfer_inequality(A, B, n: int) -> BoundReport:
 
 
 def _random_cyclic(rng: random.Random) -> RationalCyclic:
-    return RationalCyclic(rng.randint(1, 60), rng.randint(1, 60))
+    # randrange(k) + 1 and choice from k values each draw one _randbelow(k), as randint does
+    return RationalCyclic._reduced(rng.randrange(60) + 1, rng.randrange(60) + 1)
 
 
 def _random_lattice(rng: random.Random, dim: int = 2) -> RationalLattice:
-    while True:
-        rows = [[rng.randint(-4, 4) for _ in range(dim)] for _ in range(dim)]
-        hnf = _row_hnf(rows, dim)
+    while True:  # dim * dim entries in [-4, 4], row by row
+        hnf = _row_hnf(list(zip(*[map(rng.choice, [_ENTRIES] * (dim * dim))] * dim)), dim)
         if len(hnf) == dim:
-            return RationalLattice._from_hnf(dim, rng.randint(1, 6), hnf)
+            return RationalLattice._from_hnf(dim, rng.randrange(6) + 1, hnf)
 
 
 # the 2x2 HNFs ((a, v), (0, k // a)) of determinant k <= 4, by a and then v
 _CHAIN_STEPS = {k: [((a, v), (0, k // a)) for a in range(1, k + 1) if k % a == 0
                     for v in range(k // a)] for k in range(1, 5)}
+_ENTRIES = tuple(range(-4, 5))  # the basis entries _random_lattice draws
 
 
 def _random_chain(rng: random.Random, sample):
     """A nested chain down from sample(rng), a cyclic or a dim-2 lattice sampler."""
     desc = [sample(rng)]
-    for _ in range(rng.randint(1, 4)):
+    for _ in range(rng.randrange(4) + 1):
         last = desc[-1]
         if isinstance(last, RationalCyclic):
-            desc.append(RationalCyclic(last.a * rng.randint(1, 4), last.b))
+            desc.append(RationalCyclic._reduced(last.a * (rng.randrange(4) + 1), last.b))
         else:
-            (a, v), (_, d) = rng.choice(_CHAIN_STEPS[rng.randint(1, 4)])
+            (a, v), (_, d) = rng.choice(_CHAIN_STEPS[rng.randrange(4) + 1])
             (p, u), (_, r) = last.basis  # rel*basis is triangular: only its corner is reduced
             step = [[a * p, (a * u + v * r) % (d * r)], [0, d * r]]
             desc.append(RationalLattice._from_hnf(2, last.denom, step))

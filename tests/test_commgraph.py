@@ -412,10 +412,12 @@ class TestCommIndex:
         total = diagonal_product(cg._row_hnf([*Aq, *Bq], A.dim))
         return diagonal_product(Bq) // total, diagonal_product(Aq) // total
 
-    @pytest.mark.parametrize("denoms", [(1, 1), (2, 3), (4, 6)], ids=["1-1", "2-3", "4-6"])
+    @pytest.mark.parametrize("denoms", [(1, 1), (2, 3), (4, 6), (2, 4), (3, 1)],
+                             ids=["1-1", "2-3", "4-6", "2-4", "3-1"])
     def test_plane_indices_match_stacked_pivots(self, denoms):
         # every ordered pair of 2x2 HNFs of determinant <= 8; the closed-form
-        # plane intersection against the stacked 4x4 reduction too
+        # plane intersection against the stacked 4x4 reduction too; in 2-4
+        # and 3-1 only one side is rescaled to the common denominator
         hnfs = [((a, v), (0, k // a)) for k in range(1, 9) for a in divisors(k)
                 for v in range(k // a)]
         assert len(hnfs) == sum(sigma(k) for k in range(1, 9))
@@ -542,6 +544,34 @@ class TestSamplers:
             text = "\n".join(str(draw(rng)) for _ in range(50))
             got.append(hashlib.sha256(text.encode()).hexdigest()[:16])
         assert (tuple(got), rng.random()) == (digests, after)
+
+    # the same shape for the cyclic chains, which the suite draws too
+    @pytest.mark.parametrize("seed, digest, after", [
+        (0, "e3b85705213cdaef", 0.19045993029254593),
+        (1, "a114a7012106b8cc", 0.11468936216224745),
+        (2, "244ae26a09d185de", 0.2843593509803859),
+    ])
+    def test_cyclic_chain_draws_pinned(self, seed, digest, after):
+        rng = random.Random(seed)
+        text = "\n".join(str(cg._random_chain(rng, cg._random_cyclic)) for _ in range(50))
+        assert (hashlib.sha256(text.encode()).hexdigest()[:16], rng.random()) == (digest, after)
+
+    @pytest.mark.parametrize("seed, after", [
+        (0, 0.8768405645756486), (1, 0.006401242239479132), (2, 0.251312857159803),
+    ])
+    def test_suite_draws_pinned(self, monkeypatch, seed, after):
+        # the suite's one generator, caught as it is made: its next random()
+        # moves if any draw of the suite is skipped, added or reordered
+        made = []
+
+        class Recording(random.Random):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        monkeypatch.setattr(random, "Random", Recording)
+        run_metric_checks(20, seed)
+        assert len(made) == 1 and made[0].random() == after
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_unchecked_lattices_are_canonical(self, dim):
