@@ -217,8 +217,7 @@ class RationalCyclic(RationalLattice):
     def __init__(self, a: int, b: int, *basis):
         if basis:  # the inherited standard, scaled and from_rows pass (dim, denom, basis)
             raise DomainError("build (a/b)Z as RationalCyclic(a, b)")
-        g = math.gcd(a := _at_least("a", a, 1), b := _at_least("b", b, 1))
-        self.__dict__.update(dim=1, denom=b // g, basis=((a // g,),))
+        self.__dict__.update(vars(self._reduced(_at_least("a", a, 1), _at_least("b", b, 1))))
 
     @classmethod
     def _reduced(cls, a: int, b: int) -> "RationalCyclic":  # ints a, b >= 1, unchecked
@@ -291,7 +290,9 @@ def index_in(sub, sup) -> int:
 def comm_index(A, B) -> CommIndex:
     """Exact commensurability index data of two commensurable subgroups."""
     _subgroups(A, B)
-    return CommIndex(*A._indices(B))
+    ci = object.__new__(CommIndex)  # both fields set as its __init__ would; it checks nothing
+    ci.__dict__["left_index"], ci.__dict__["right_index"] = A._indices(B)
+    return ci
 
 
 def distance(A, B) -> float:
@@ -319,10 +320,7 @@ def chain_length(chain) -> int:
     groups = _subgroups(*_items("chain", chain, MAX_LATTICE_ENTRIES))
     if not groups:
         raise DomainError("chain must contain at least one subgroup")
-    total = 1
-    for sub, sup in zip(groups, groups[1:]):
-        total *= sup.index_of(sub)
-    return total
+    return math.prod(sup.index_of(sub) for sub, sup in zip(groups, groups[1:]))
 
 
 # ---------------------------------------------------------------------------
