@@ -327,20 +327,37 @@ def chain_length(chain) -> int:
 # ball enumeration
 
 
+def _offsets(count):
+    """0, 1, ..., c - 1 for each c of the int64 array count, one after another."""
+    import numpy as np
+    return np.arange(count.sum()) - (count.cumsum() - count).repeat(count)
+
+
+def _sublattice_counts(dim: int, n: int):
+    """a(m) for m <= n: the sublattices of index m of Z^dim, the rows of determinant m of
+    _hnf_stack, counted by its level step on int64 counts.  Exact, as _check_ball caps dim <= 3
+    and n <= 1000: the largest candidate total sum a(i)*A(n // i) is 8,172,554,483 at (3, 1000)."""
+    import numpy as np
+    a, i = np.minimum(np.arange(n + 1), 1), np.arange(1, n + 1)  # a(m) = 1 at dim 1
+    if dim > 1:  # the pairs (j, t) with t*j <= n, the same at every level
+        j, t = i.repeat(c := n // i), _offsets(c) + 1
+    for _ in range(dim - 1):  # a first row (t, v) on a row of determinant j: j choices of v
+        a, below = np.zeros(n + 1, np.int64), a
+        np.add.at(a, j * t, j * below[j])
+    return a
+
+
 def _hnf_stack(dim: int, n: int):
     """Every dim x dim HNF matrix of determinant <= n, as the int64 columns {(r, c): entries}
     of its upper triangle, and the determinants, in the order they are built.  These index
-    the sublattices of index <= n of Z^dim.  A level past MAX_BALL_CANDIDATES rows is refused
-    before it is built: in _ball_keys each row pairs with the frame of index 1 at least."""
+    the sublattices of index <= n of Z^dim; _ball_keys counts them before it builds them."""
     import numpy as np
     H, det = {}, np.ones(1, np.int64)  # the 0 x 0 matrix, of determinant 1
     for s in range(1, dim + 1):
         # a first row (a, v) on top of H' of size s - 1, with a*det(H') <= n and
         # 0 <= v_c < H'_cc: det(H') choices of v, the mixed-radix digits of one code
         count = n // det * det
-        _guard(total := int(count.sum()), MAX_BALL_CANDIDATES,
-               lambda: f"at least {total} ball candidates exceed guard {MAX_BALL_CANDIDATES}")
-        code = np.arange(total) - np.repeat(np.cumsum(count) - count, count)
+        code = _offsets(count)
         H = {(r + 1, c + 1): np.repeat(col, count) for (r, c), col in H.items()}
         for c in range(1, s):
             code, H[0, c] = code // H[c, c], code % H[c, c]
@@ -385,7 +402,7 @@ def _triangular_canonical(q, a, b, dim: int):
 
 def _ball_keys(n: int, dim: int):
     """Sorted, distinct int64 key rows (q, upper triangle row by row) of the ball of radius n
-    around Z^dim, its exact candidate count refused before any sort.  S = rel*Z^dim of index i
+    around Z^dim, its candidate count refused before the stack is built.  S = rel*Z^dim of index i
     lies in L & Z^dim for L = (1/j)*frame*rel, so c(Z^dim, L) <= i*j <= n; each L arises with
     S = L & Z^dim.  int64 is exact: as 0 <= H_rc < H_cc, induction up from adj_xx = j/H_xx
     bounds H_rr*adj_rx and each of its terms and partial sums in _frames by 2^(x-r-1)*j, so
@@ -395,15 +412,15 @@ def _ball_keys(n: int, dim: int):
     it forms is below (B + 1)^dim."""
     n = _check_ball(n, dim)
     import numpy as np
-    R, det = _hnf_stack(dim, n)
     # a relation of index i pairs with the A[n // i] frames of index j <= n // i
-    counts = np.cumsum(np.bincount(det, minlength=n + 1))[n // det]
-    _guard(total := int(counts.sum()), MAX_BALL_CANDIDATES,
+    A = np.cumsum(a := _sublattice_counts(dim, n))
+    _guard(total := int(a[1:] @ A[n // np.arange(1, n + 1)]), MAX_BALL_CANDIDATES,
            lambda: f"{total} ball candidates exceed guard {MAX_BALL_CANDIDATES}")
+    R, det = _hnf_stack(dim, n)
     order = det.argsort(kind="stable")  # then those frames are a prefix of the stack
-    R, det, counts = {rc: col[order] for rc, col in R.items()}, det[order], counts[order]
-    F = _frames(R, det)
-    frame_of = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
+    R, det = {rc: col[order] for rc, col in R.items()}, det[order]
+    counts, F = A[n // det], _frames(R, det)
+    frame_of = _offsets(counts)
     columns = _triangular_canonical(det[frame_of], lambda r, t: F[r, t][frame_of],
                                     lambda t, c: np.repeat(R[t, c], counts), dim)
     # one int64 per row: its mixed-radix digits, most significant first, of radix max + 1
@@ -418,9 +435,8 @@ def _ball_keys(n: int, dim: int):
 
 
 def _check_ball(n: int, dim: int):
-    """Refuse a lattice dimension or ball radius that is no integer, below 1 or past
-    its guard; return n as an int.  _ball_keys calls it before anything is built; the
-    candidate count is guarded by _hnf_stack and _ball_keys, on the arrays they build."""
+    """Refuse a lattice dimension or ball radius that is no integer, below 1 or past its
+    guard; return n as an int.  _ball_keys calls it before it counts or builds anything."""
     dim = _at_least("dim", dim, 1)
     n = _at_least("ball radius", n, 1)
     _guard(n, MAX_BALL_RADIUS, lambda: f"ball bound {_shown(n)} exceeds guard {MAX_BALL_RADIUS}")
@@ -430,9 +446,9 @@ def _check_ball(n: int, dim: int):
 
 
 def enumerate_ball(gamma, n: int):
-    """All subgroups in gamma's family at commensurability index <= n,
-    in canonical form, sorted, duplicate free, within MAX_BALL_RADIUS, MAX_BALL_DIM
-    and MAX_BALL_CANDIDATES, all three checked by the kernel before it sorts."""
+    """All subgroups in gamma's family at commensurability index <= n, in canonical form,
+    sorted, duplicate free, within MAX_BALL_RADIUS, MAX_BALL_DIM and MAX_BALL_CANDIDATES,
+    all three checked by the kernel before it builds anything."""
     d = _subgroups(gamma)[0].dim
     keys, upper = _ball_keys(n, d), list(itertools.combinations_with_replacement(range(d), 2))
     import numpy as np

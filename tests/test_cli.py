@@ -521,7 +521,7 @@ class TestMalformedInput:
         (["rank1", "--n", str(10 ** 7 + 1)], EXIT_RESOURCE),
         (["rank1", "--n", str(10 ** 20)], EXIT_RESOURCE),
         (["rank1", "--n", str(10 ** 400)], EXIT_RESOURCE),
-        # the candidate guard refuses before any candidate is built
+        # the candidate guard refuses before the HNF stack is built
         (["ball", "--family", "lattice", "--dim", "2", "--n", "1000"], EXIT_RESOURCE),
         (["ball", "--family", "lattice", "--dim", "3", "--n", "60"], EXIT_RESOURCE),
     ])

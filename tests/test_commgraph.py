@@ -133,7 +133,7 @@ class FramesReached(Exception):
 
 
 def reach_frames(monkeypatch):
-    """Make _frames raise FramesReached: a ball past both candidate guards
+    """Make _frames raise FramesReached: a ball the candidate guard admits
     reaches it, and a refused one must not."""
     def frames(*args):
         raise FramesReached
@@ -654,8 +654,10 @@ class TestBallEnumeration:
         # so the stack is a set of HNF matrices; the count a(m) of each
         # determinant m then pins it to all of them: the candidate totals
         # sum a(i)*A(m // i) over i <= m determine a(m) one m at a time, and
-        # must equal the independent recurrence in direct_candidates
-        n = 40
+        # must equal the independent recurrence in direct_candidates; and
+        # _sublattice_counts, which _ball_keys guards before it builds the
+        # stack, must give that a(m)
+        n = {1: 1000, 2: 64, 3: 41}[dim]
         columns, det = cg._hnf_stack(dim, n)
         assert set(columns) == set(itertools.combinations_with_replacement(range(dim), 2))
         assert all(col.dtype == det.dtype == np.int64 and col.shape == det.shape
@@ -670,6 +672,7 @@ class TestBallEnumeration:
         a = np.bincount(det, minlength=n + 1)
         A = np.cumsum(a)
         assert a[0] == 0 and det[-1] <= n
+        assert cg._sublattice_counts(dim, n).tolist() == a.tolist()
         for m in range(1, n + 1):
             assert direct_candidates(m, dim) == sum(a[i] * A[m // i] for i in range(1, m + 1))
         if dim == 2:
@@ -815,7 +818,6 @@ class TestBallEnumeration:
         assert str(caught.value) == "4469 ball candidates exceed guard 3947"
         # the guarded value is the number of candidates (relation, frame) the
         # kernel builds: admitted at that budget, up to _frames, refused below it
-        # (past n = 1 the stack's A(n) rows are fewer, so its guard passes)
         reach_frames(monkeypatch)
         for dim, ns in ((1, [*range(2, 41), 1000]), (2, [*range(2, 41), 213, 603]),
                         (3, [*range(2, 13), 41, 76])):
@@ -829,30 +831,32 @@ class TestBallEnumeration:
                     cg._ball_keys(n, dim)
                 assert str(caught.value) == f"{count} ball candidates exceed guard {count - 1}"
 
-    # the edges of both guards: the count guard admits 213 and 41 and refuses the
-    # next radius by the exact count; the stack guard admits 603 and 76 (refused
-    # by the count) and refuses the next radius by the rows of one stack level.
-    # An admitted ball reaches _frames; a refused one builds no frame
+    # the edges of the one candidate guard: it admits 213 and 41 and refuses
+    # the next radius by the exact count. At the largest radius, 1000, the
+    # dim-1 ball is admitted, and (3, 1000) has the most candidates of any
+    # dimension and radius that _check_ball lets through, past 2^32, so its
+    # count shows no wrap. An admitted ball reaches _frames; a refused one
+    # builds no frame
     @pytest.mark.parametrize("dim, n, message", [
+        (1, 1000, None),
         (2, 213, None), (2, 214, "301163 ball candidates exceed guard 300000"),
         (2, 603, "2926935 ball candidates exceed guard 300000"),
-        (2, 604, "at least 300335 ball candidates exceed guard 300000"),
-        (2, 1000, "at least 823081 ball candidates exceed guard 300000"),
+        (2, 604, "2933927 ball candidates exceed guard 300000"),
+        (2, 1000, "8704350 ball candidates exceed guard 300000"),
         (3, 41, None), (3, 42, "327610 ball candidates exceed guard 300000"),
         (3, 76, "2177392 ball candidates exceed guard 300000"),
-        (3, 77, "at least 301419 ball candidates exceed guard 300000"),
-    ], ids=["2-213", "2-214", "2-603", "2-604", "2-1000", "3-41", "3-42", "3-76", "3-77"])
+        (3, 77, "2207716 ball candidates exceed guard 300000"),
+        (3, 1000, "8172554483 ball candidates exceed guard 300000"),
+    ], ids=["1-1000", "2-213", "2-214", "2-603", "2-604", "2-1000", "3-41", "3-42", "3-76",
+            "3-77", "3-1000"])
     def test_candidate_guard_edges(self, monkeypatch, dim, n, message):
-        a = sublattice_counts(dim)
         reach_frames(monkeypatch)
         if message is None:
             assert direct_candidates(n, dim) <= cg.MAX_BALL_CANDIDATES
             with pytest.raises(FramesReached):
                 cg._ball_keys(n, dim)
             return
-        # the stack guard's value is the row count A(n) of the last level
-        count = sum(a[:n + 1]) if message.startswith("at least") else direct_candidates(n, dim)
-        assert message.split(" ball")[0].split()[-1] == str(count)
+        assert message.split()[0] == str(direct_candidates(n, dim))
         seconds = []
         for _ in range(3):
             start = time.perf_counter()
@@ -862,15 +866,15 @@ class TestBallEnumeration:
             assert str(caught.value) == message
         assert min(seconds) < 0.1
 
-    # the exact count is refused before the stack is sorted: the refusal's
-    # peak is the unsorted stack and the counts, where a sorted copy would add
-    # about one stack more (2.3-2.5x its bytes)
-    @pytest.mark.parametrize("dim, n", [(2, 214), (2, 603), (3, 42), (3, 76)],
-                             ids=["2-214", "2-603", "3-42", "3-76"])
-    def test_candidate_refusal_sorts_nothing(self, dim, n):
-        columns, det = cg._hnf_stack(dim, n)
-        size = det.nbytes + sum(col.nbytes for col in columns.values())
-        del columns, det
+    # the exact count is refused before the stack is built, so nothing is
+    # sorted either: the refusal never calls _hnf_stack, whose stack would be
+    # 1.2-26 MB at these radii, and peaks at the count's arrays alone
+    @pytest.mark.parametrize("dim, n", [(2, 214), (2, 603), (2, 1000), (3, 42), (3, 76)],
+                             ids=["2-214", "2-603", "2-1000", "3-42", "3-76"])
+    def test_candidate_refusal_sorts_nothing(self, monkeypatch, dim, n):
+        def stack(*args):
+            raise AssertionError("_hnf_stack called")
+        monkeypatch.setattr(cg, "_hnf_stack", stack)
         tracemalloc.start()
         try:
             with pytest.raises(ResourceLimitError, match="ball candidates exceed"):
@@ -878,7 +882,7 @@ class TestBallEnumeration:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.75 * size
+        assert peak < 512 * 1024
 
     # the largest admitted ball of each dimension, and every radius to 40; the
     # cyclic oracle's rows (b, a) of the members (a/b)Z, sorted by (a, b), are
