@@ -22,7 +22,7 @@ for k in range(1, 5):
 
 print()
 print("=== enumeration receipts ===")
-jobs = [("A1", (2, 3, 4, 5, 7, 8, 9)), ("A2", (2, 3)), ("C2", (2,))]
+jobs = [("A1", (2, 3, 4, 5, 7, 8, 9)), ("A2", (2, 3)), ("C2", (2, 3))]
 for label, moduli in jobs:
     rs = root_system(label)
     family = ORACLE_FAMILIES[label]

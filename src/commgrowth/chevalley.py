@@ -4,7 +4,9 @@ Over a prime field the order comes from Steinberg's formula
 p**N * prod_i (p**d_i - 1); over Z/p**k the congruence filtration
 contributes a clean factor p**((k-1)*d).  Both are cross-checkable against
 exhaustive matrix enumeration for the small special-linear and symplectic
-cases, which ``brute_force_order`` provides by scanning in numpy blocks.
+cases, which ``brute_force_order`` provides: it scans the first n - 1
+columns in numpy blocks and decides every last column at once by int64
+products of linear forms, still checking all m**(n*n) candidates.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ def order_zm(rs: RootSystem, m: int) -> int:
 
 def _det_mod(rows, m: int):
     """Determinant mod m of a small matrix whose entries are integers or
-    equal-length integer arrays (one determinant per array position)."""
+    equal-shape integer arrays (one determinant per array position)."""
     n = len(rows)
     if n == 1:
         return rows[0][0] % m
@@ -72,9 +74,13 @@ def brute_force_order(family: str, m: int) -> int:
     families: "SL2", "SL3" (determinant one) or "Sp4" (standard
     antidiagonal alternating form preserved, determinant one).
 
-    This is the independent oracle for the closed-form orders; it scans
-    every candidate matrix in numpy blocks and must stay well inside desk
-    scale, hence MAX_CANDIDATES on m**(n*n).
+    This is the independent oracle for the closed-form orders.  It scans
+    the first n - 1 columns of every candidate in numpy blocks against a
+    table of every last column x: each condition on the matrix is then a
+    linear form in x, so each block is decided by int64 products of its
+    forms with the table, at most _BOX_BLOCK of them at a time.  Every
+    one of the m**(n*n) candidates is still decided, so it must stay well
+    inside desk scale, hence MAX_CANDIDATES on m**(n*n).
     """
     m = _at_least("modulus", m, 1)
     sizes = {"SL2": 2, "SL3": 3, "Sp4": 4}
@@ -85,21 +91,30 @@ def brute_force_order(family: str, m: int) -> int:
            lambda: f"{family} mod {_shown(m)} needs {_shown(candidates)} "
                    f"candidates, guard is {_shown(MAX_CANDIDATES)}")
     import numpy as np
-    one = 1 % m
+    from .arith import _BOX_BLOCK  # read at call time
+    J, X = np.array(_SP4_FORM), np.indices((m,) * n).reshape(n, -1)  # X: every last column
+    # det by the last column: cofactor a is (-1)^(a + n - 1) times the minor without row a
+    others = np.array([[r for r in range(n) if r != a] for a in range(n)])
+    sign = (-1) ** (np.arange(n) + n - 1)[:, None]
+    step = max(1, _BOX_BLOCK // len(X[0]))  # prefixes per product chunk
     count = 0
-    for digits in _box_blocks(m, n * n):
-        # rows[a][b] holds entry (a, b) of every candidate in the block
-        rows = [list(digits.T[a * n:(a + 1) * n]) for a in range(n)]
+    for digits in _box_blocks(m, n * (n - 1)):
+        C, omega = digits.T.reshape(n - 1, n, -1), ()  # C[b, a]: entry (a, b) of each prefix
         if family == "Sp4":
-            # M^T J M is alternating, so test its upper triangle only
+            # (M^T J M)_ij = omega(c_i, c_j) for omega(u, v) = (u^T J) v: the rows c_i^T J
+            # are the forms in x, and the entries i < j < 3 involve the prefix only
+            omega = J.T @ C
             keep = np.ones(len(digits), dtype=bool)
-            for i in range(4):
-                for j in range(i + 1, 4):
-                    pair = (rows[0][i] * rows[3][j] + rows[1][i] * rows[2][j]
-                            - rows[2][i] * rows[1][j] - rows[3][i] * rows[0][j])
-                    keep &= pair % m == _SP4_FORM[i][j] % m
-            rows = [[entry[keep] for entry in row] for row in rows]
-        count += int(np.count_nonzero(_det_mod(rows, m) == one))
+            for i, j in ((0, 1), (0, 2), (1, 2)):
+                keep &= (omega[i] * C[j]).sum(axis=0) % m == J[i, j] % m
+            C, omega = C[..., keep], omega[..., keep]
+        # all n minors in one call: entry (b, r) of minor a is C[b, others[a, r]]
+        cof = sign * _det_mod([[C[b, others[:, r]] for r in range(n - 1)] for b in range(n - 1)], m)
+        for lo in range(0, cof.shape[1], step):
+            hits = (cof[:, lo:lo + step].T @ X) % m == 1 % m
+            for i, form in enumerate(omega):  # Sp4: omega(c_i, x) = J_i3
+                hits &= (form[:, lo:lo + step].T @ X) % m == J[i, 3] % m
+            count += int(np.count_nonzero(hits))
     return count
 
 

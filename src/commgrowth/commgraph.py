@@ -358,11 +358,11 @@ def _hnf_stack(dim: int, n: int):
         # 0 <= v_c < H'_cc: det(H') choices of v, the mixed-radix digits of one code
         count = n // det * det
         code = _offsets(count)
-        H = {(r + 1, c + 1): np.repeat(col, count) for (r, c), col in H.items()}
+        H = {(r + 1, c + 1): col.repeat(count) for (r, c), col in H.items()}
         for c in range(1, s):
             code, H[0, c] = code // H[c, c], code % H[c, c]
         H[0, 0] = code + 1
-        det = H[0, 0] * np.repeat(det, count)
+        det = H[0, 0] * det.repeat(count)
     return H, det
 
 
@@ -413,7 +413,7 @@ def _ball_keys(n: int, dim: int):
     n = _check_ball(n, dim)
     import numpy as np
     # a relation of index i pairs with the A[n // i] frames of index j <= n // i
-    A = np.cumsum(a := _sublattice_counts(dim, n))
+    A = (a := _sublattice_counts(dim, n)).cumsum()
     _guard(total := int(a[1:] @ A[n // np.arange(1, n + 1)]), MAX_BALL_CANDIDATES,
            lambda: f"{total} ball candidates exceed guard {MAX_BALL_CANDIDATES}")
     R, det = _hnf_stack(dim, n)
@@ -422,7 +422,7 @@ def _ball_keys(n: int, dim: int):
     counts, F = A[n // det], _frames(R, det)
     frame_of = _offsets(counts)
     columns = _triangular_canonical(det[frame_of], lambda r, t: F[r, t][frame_of],
-                                    lambda t, c: np.repeat(R[t, c], counts), dim)
+                                    lambda t, c: R[t, c].repeat(counts), dim)
     # one int64 per row: its mixed-radix digits, most significant first, of radix max + 1
     radices = [int(col.max()) + 1 for col in columns]
     _guard(size := math.prod(radices), 2 ** 63,

@@ -123,7 +123,7 @@ def test_order_formulas_equal_brute_force():
     started = time.monotonic()
     jobs = [("A1", "SL2", (2, 3, 4, 5, 7, 8, 9)),
             ("A2", "SL3", (2, 3)),
-            ("C2", "Sp4", (2,))]
+            ("C2", "Sp4", (2, 3))]
     ok = True
     for label, family, moduli in jobs:
         rs = root_system(label)
@@ -133,11 +133,12 @@ def test_order_formulas_equal_brute_force():
     pinned = (order_zm(root_system("A1"), 2) == 6
               and order_zm(root_system("A1"), 4) == 48
               and order_zm(root_system("A2"), 2) == 168
-              and order_zm(root_system("C2"), 2) == 720)
+              and order_zm(root_system("C2"), 2) == 720
+              and order_zm(root_system("C2"), 3) == 51840)
     elapsed = time.monotonic() - started
     _verdict("group order formula equals exhaustive enumeration",
              ok and pinned and elapsed < 300,
-             f"SL2 mod {{2,3,4,5,7,8,9}}, SL3 mod {{2,3}}, Sp4 mod 2, "
+             f"SL2 mod {{2,3,4,5,7,8,9}}, SL3 mod {{2,3}}, Sp4 mod {{2,3}}, "
              f"{elapsed:.1f}s < 300s")
 
 

@@ -1,13 +1,14 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from commgrowth import arith, chevalley
-from commgrowth.arith import prime_sieve
-from commgrowth.chevalley import (ORACLE_FAMILIES, brute_force_order,
-                                  check_order_bound, order_fp, order_zm,
-                                  order_zpk)
+from commgrowth.arith import _box_blocks, prime_sieve
+from commgrowth.chevalley import (_SP4_FORM, ORACLE_FAMILIES, _det_mod,
+                                  brute_force_order, check_order_bound,
+                                  order_fp, order_zm, order_zpk)
 from commgrowth.errors import DomainError, ResourceLimitError
 from commgrowth.parahoric import count_admissible_cocharacters
 from commgrowth.root_systems import root_system
@@ -16,6 +17,33 @@ A1 = root_system("A1")
 A2 = root_system("A2")
 B2 = root_system("B2")
 C2 = root_system("C2")
+
+
+def _full_scan(family, m):
+    """brute_force_order as it was before it scanned by the last column: every one of
+    the m**(n*n) candidate matrices in numpy blocks, each tested whole."""
+    n = {"SL2": 2, "SL3": 3, "Sp4": 4}[family]
+    one = 1 % m
+    count = 0
+    for digits in _box_blocks(m, n * n):
+        # rows[a][b] holds entry (a, b) of every candidate in the block
+        rows = [list(digits.T[a * n:(a + 1) * n]) for a in range(n)]
+        if family == "Sp4":
+            # M^T J M is alternating, so test its upper triangle only
+            keep = np.ones(len(digits), dtype=bool)
+            for i in range(4):
+                for j in range(i + 1, 4):
+                    pair = (rows[0][i] * rows[3][j] + rows[1][i] * rows[2][j]
+                            - rows[2][i] * rows[1][j] - rows[3][i] * rows[0][j])
+                    keep &= pair % m == _SP4_FORM[i][j] % m
+            rows = [[entry[keep] for entry in row] for row in rows]
+        count += int(np.count_nonzero(_det_mod(rows, m) == one))
+    return count
+
+
+#: every case the full scan checks brute_force_order on
+FULL_SCAN_CASES = ([("SL2", m) for m in range(1, 21)] + [("SL3", m) for m in range(1, 5)]
+                   + [("Sp4", 1), ("Sp4", 2)])
 
 
 class TestOrderFp:
@@ -103,6 +131,22 @@ class TestBruteForce:
         # includes the composite non-prime-power m=6 (CRT path) and
         # m=60 = 4*3*5, three primes through the multiplicative path
         assert brute_force_order("SL2", m) == order_zm(A1, m)
+
+    @pytest.mark.parametrize("family,m", [*(("SL3", m) for m in range(1, 8)),
+                                          ("Sp4", 1), ("Sp4", 2), ("Sp4", 3)])
+    def test_every_inguard_sl3_and_sp4_modulus(self, family, m):
+        # m = 7 and m = 3 are the last moduli under MAX_CANDIDATES
+        assert brute_force_order(family, m) == order_zm(A2 if family == "SL3" else C2, m)
+
+    @pytest.mark.parametrize("block", [None, 7])
+    def test_equals_the_full_scan(self, monkeypatch, block):
+        # partial chunks both ways: at the default block SL2 mod 20 takes its 400 prefixes
+        # in product chunks of 163, 163 and 74; a block of 7 leaves a partial last prefix
+        # block on most boxes, and takes one prefix per product chunk
+        want = [_full_scan(family, m) for family, m in FULL_SCAN_CASES]
+        if block:
+            monkeypatch.setattr(arith, "_BOX_BLOCK", block)
+        assert [brute_force_order(family, m) for family, m in FULL_SCAN_CASES] == want
 
     def test_trivial_modulus(self):
         assert brute_force_order("SL2", 1) == 1
