@@ -5,7 +5,7 @@ p**N * prod_i (p**d_i - 1); over Z/p**k the congruence filtration
 contributes a clean factor p**((k-1)*d).  Both are cross-checkable against
 exhaustive matrix enumeration for the small special-linear and symplectic
 cases, which ``brute_force_order`` provides: it scans the first n - 1
-columns in numpy blocks and decides every last column at once by int64
+columns in numpy blocks and decides every last column at once by int32
 products of linear forms, still checking all m**(n*n) candidates.
 """
 
@@ -77,7 +77,7 @@ def brute_force_order(family: str, m: int) -> int:
     This is the independent oracle for the closed-form orders.  It scans
     the first n - 1 columns of every candidate in numpy blocks against a
     table of every last column x: each condition on the matrix is then a
-    linear form in x, so each block is decided by int64 products of its
+    linear form in x, so each block is decided by int32 products of its
     forms with the table, at most _BOX_BLOCK of them at a time.  Every
     one of the m**(n*n) candidates is still decided, so it must stay well
     inside desk scale, hence MAX_CANDIDATES on m**(n*n).
@@ -92,7 +92,9 @@ def brute_force_order(family: str, m: int) -> int:
                    f"candidates, guard is {_shown(MAX_CANDIDATES)}")
     import numpy as np
     from .arith import _BOX_BLOCK  # read at call time
-    J, X = np.array(_SP4_FORM), np.indices((m,) * n).reshape(n, -1)  # X: every last column
+    # X: every last column.  A form's coefficients are signed cofactors mod m or prefix entries
+    # (J is a signed permutation), so int32 is exact: |form @ X| <= n*(m - 1)**2 <= 19,602
+    J, X = np.array(_SP4_FORM), np.indices((m,) * n, np.int32).reshape(n, -1)
     # det by the last column: cofactor a is (-1)^(a + n - 1) times the minor without row a
     others = np.array([[r for r in range(n) if r != a] for a in range(n)])
     sign = (-1) ** (np.arange(n) + n - 1)[:, None]
@@ -110,10 +112,13 @@ def brute_force_order(family: str, m: int) -> int:
             C, omega = C[..., keep], omega[..., keep]
         # all n minors in one call: entry (b, r) of minor a is C[b, others[a, r]]
         cof = sign * _det_mod([[C[b, others[:, r]] for r in range(n - 1)] for b in range(n - 1)], m)
+        # det = 1, and for Sp4 omega(c_i, x) = J_i3: each a form in x and its value
+        forms = [(cof, 1)] + [(form, J[i, 3]) for i, form in enumerate(omega)]
         for lo in range(0, cof.shape[1], step):
-            hits = (cof[:, lo:lo + step].T @ X) % m == 1 % m
-            for i, form in enumerate(omega):  # Sp4: omega(c_i, x) = J_i3
-                hits &= (form[:, lo:lo + step].T @ X) % m == J[i, 3] % m
+            hits = True
+            for form, value in forms:  # as in _box_blocks, % costs several times // on int32
+                P = form[:, lo:lo + step].T.astype(X.dtype) @ X
+                hits &= P - P // m * m == value % m
             count += int(np.count_nonzero(hits))
     return count
 

@@ -35,11 +35,8 @@ MAX_LATTICE_ENTRIES = 10 ** 6
 def _row_hnf(rows, cols):
     """Hermite normal form of the row span: upper triangular, positive
     pivots, entries above each pivot reduced into [0, pivot)."""
-    if cols == len(rows) == 2 and (det := abs(rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0])):
-        (a, b), (c, d) = rows  # full rank: one gcd step s*a + t*c = g, second pivot |det|/g
-        g = math.gcd(a, c)  # when c is 0, s = a // g is the sign of a, and t = 0
-        s = pow(a // g, -1, abs(c) // g) if c else a // g
-        return [[g, (s * b + (g - s * a) // (c or 1) * d) % (det // g)], [0, det // g]]
+    if cols == len(rows) == 2 and (hnf := _plane_hnf(*rows[0], *rows[1])):
+        return [[hnf[0], hnf[1]], [0, hnf[2]]]
     m, pivot_row = [list(r) for r in rows], 0
     for j in range(cols):
         pivot = next((i for i in range(pivot_row, len(m)) if m[i][j]), None)
@@ -59,6 +56,14 @@ def _row_hnf(rows, cols):
                 m[i] = [a - q * b for a, b in zip(m[i], m[pivot_row])]
         pivot_row += 1
     return m[:pivot_row]
+
+
+def _plane_hnf(a, b, c, d):
+    """The HNF ((g, v), (0, k)) of the rows (a, b), (c, d) as (g, v, k), None if singular."""
+    if det := abs(a * d - b * c):  # one gcd step s*a + t*c = g, and second pivot k = |det|/g
+        g = math.gcd(a, c)  # when c is 0, s = a // g is the sign of a, and t = 0
+        s = pow(a // g, -1, abs(c) // g) if c else a // g
+        return g, (s * b + (g - s * a) // (c or 1) * d) % (det // g), det // g
 
 
 def _intersect_integer(A, B):
@@ -108,10 +113,11 @@ class RationalLattice:
         self.__dict__.update(vars(self._from_hnf(dim, denom, hnf)))
 
     @classmethod
-    def _canonical(cls, fields: dict):
-        """The value of fields, by name, already in canonical form: unchecked."""
+    def _canonical(cls, dim: int, denom: int, basis):
+        """The value of these fields, already in canonical form: unchecked."""
         self = object.__new__(cls)
-        self.__dict__.update(fields)
+        fields = self.__dict__
+        fields["dim"], fields["denom"], fields["basis"] = dim, denom, basis
         return self
 
     @classmethod
@@ -121,7 +127,14 @@ class RationalLattice:
         content = math.gcd(denom, *itertools.chain.from_iterable(hnf))
         if content > 1:
             denom, hnf = denom // content, [[v // content for v in row] for row in hnf]
-        return cls._canonical({"dim": dim, "denom": denom, "basis": tuple(map(tuple, hnf))})
+        return cls._canonical(dim, denom, tuple(map(tuple, hnf)))
+
+    @classmethod
+    def _plane(cls, denom: int, a: int, b: int, c: int) -> "RationalLattice":
+        """(1/denom)*rowspan(((a, b), (0, c))), for a plane HNF of ints: _from_hnf at dim 2."""
+        if (content := math.gcd(denom, a, b, c)) > 1:
+            denom, a, b, c = denom // content, a // content, b // content, c // content
+        return cls._canonical(2, denom, ((a, b), (0, c)))
 
     @classmethod
     def from_rows(cls, rows, denom: int = 1) -> "RationalLattice":
@@ -154,15 +167,14 @@ class RationalLattice:
         _require_same_family(self, other)
         if self.dim == 1:  # (a/b)Z & (a'/b')Z is (lcm(a, a')/gcd(b, b'))Z, already canonical
             a = math.lcm(self.basis[0][0], other.basis[0][0])
-            return type(self)._canonical({"dim": 1, "denom": math.gcd(self.denom, other.denom),
-                                          "basis": ((a,),)})
+            return type(self)._canonical(1, math.gcd(self.denom, other.denom), ((a,),))
         if self.dim == 2:  # A & B has pivots a, c with a*c = det(A)*[A : A & B]
             q, a1, b1, c1, a2, b2, c2, total = self._plane_pair(other)
             c, g = math.lcm(c1, c2), math.gcd(c1, c2)  # (0, c) spans it on the second axis
             a = a1 * c1 * (a2 * c2 // total) // c
             r1, r2 = b1 * (a // a1), b2 * (a // a2)  # its corner b = r1 mod c1, r2 mod c2
             b = (r1 + c1 * ((r2 - r1) // g * pow(c1 // g, -1, c2 // g))) % c  # by the CRT
-            return type(self)._from_hnf(2, q, [[a, b], [0, c]])
+            return type(self)._plane(q, a, b, c)
         q = math.lcm(self.denom, other.denom)
         return type(self)._from_hnf(self.dim, q,
                                     _intersect_integer(self._numerators(q), other._numerators(q)))
@@ -222,7 +234,7 @@ class RationalCyclic(RationalLattice):
     @classmethod
     def _reduced(cls, a: int, b: int) -> "RationalCyclic":  # ints a, b >= 1, unchecked
         g = math.gcd(a, b)
-        return cls._canonical({"dim": 1, "denom": b // g, "basis": ((a // g,),)})
+        return cls._canonical(1, b // g, ((a // g,),))
 
     a = property(lambda self: self.basis[0][0])
     b = property(lambda self: self.denom)
@@ -463,11 +475,8 @@ def enumerate_ball(gamma, n: int):
     # sorted around Z^d; a cyclic row (b, a) reads as (a, b): (b/a)Z lies at a*b from Z too
     rows = sorted(rows[:, ::-1 if cyclic else 1].tolist()) if moved else rows.tolist()
     if cyclic:
-        return [RationalCyclic._canonical({"dim": 1, "denom": b, "basis": ((a,),)})
-                for a, b in rows]
-    return [RationalLattice._canonical({"dim": d, "denom": q,
-                                        "basis": tuple(zip(*[iter(flat)] * d))})
-            for q, *flat in rows]
+        return [RationalCyclic._canonical(1, b, ((a,),)) for a, b in rows]
+    return [RationalLattice._canonical(d, q, tuple(zip(*[iter(flat)] * d))) for q, *flat in rows]
 
 
 def check_transfer_inequality(A, B, n: int) -> BoundReport:
@@ -485,36 +494,47 @@ def check_transfer_inequality(A, B, n: int) -> BoundReport:
 # seeded property sampling
 
 
+def _below(getrandbits, k: int) -> int:
+    """A draw from [0, k) as Random._randbelow(k) makes it: k.bit_length() bits until < k."""
+    while (r := getrandbits(k.bit_length())) >= k:
+        pass
+    return r
+
+
 def _random_cyclic(rng: random.Random) -> RationalCyclic:
-    # randrange(k) + 1 and choice from k values each draw one _randbelow(k), as randint does
-    return RationalCyclic._reduced(rng.randrange(60) + 1, rng.randrange(60) + 1)
+    bits = rng.getrandbits
+    return RationalCyclic._reduced(_below(bits, 60) + 1, _below(bits, 60) + 1)
 
 
 def _random_lattice(rng: random.Random, dim: int = 2) -> RationalLattice:
+    bits = rng.getrandbits
     while True:  # dim * dim entries in [-4, 4], row by row
-        hnf = _row_hnf(list(zip(*[map(rng.choice, [_ENTRIES] * (dim * dim))] * dim)), dim)
-        if len(hnf) == dim:
-            return RationalLattice._from_hnf(dim, rng.randrange(6) + 1, hnf)
+        if dim != 2:
+            hnf = _row_hnf([[_below(bits, 9) - 4 for _ in range(dim)] for _ in range(dim)], dim)
+            if len(hnf) == dim:
+                return RationalLattice._from_hnf(dim, _below(bits, 6) + 1, hnf)
+        elif hnf := _plane_hnf(_below(bits, 9) - 4, _below(bits, 9) - 4,  # faster than a loop
+                               _below(bits, 9) - 4, _below(bits, 9) - 4):
+            return RationalLattice._plane(_below(bits, 6) + 1, *hnf)
 
 
-# the 2x2 HNFs ((a, v), (0, k // a)) of determinant k <= 4, by a and then v
-_CHAIN_STEPS = {k: [((a, v), (0, k // a)) for a in range(1, k + 1) if k % a == 0
+# the 2x2 HNFs ((a, v), (0, k // a)) of determinant k <= 4, by a and then v, as (a, v, k // a)
+_CHAIN_STEPS = {k: [(a, v, k // a) for a in range(1, k + 1) if k % a == 0
                     for v in range(k // a)] for k in range(1, 5)}
-_ENTRIES = tuple(range(-4, 5))  # the basis entries _random_lattice draws
 
 
 def _random_chain(rng: random.Random, sample):
     """A nested chain down from sample(rng), a cyclic or a dim-2 lattice sampler."""
-    desc = [sample(rng)]
-    for _ in range(rng.randrange(4) + 1):
+    bits, desc = rng.getrandbits, [sample(rng)]
+    for _ in range(_below(bits, 4) + 1):
         last = desc[-1]
         if isinstance(last, RationalCyclic):
-            desc.append(RationalCyclic._reduced(last.a * (rng.randrange(4) + 1), last.b))
+            desc.append(RationalCyclic._reduced(last.a * (_below(bits, 4) + 1), last.b))
         else:
-            (a, v), (_, d) = rng.choice(_CHAIN_STEPS[rng.randrange(4) + 1])
+            steps = _CHAIN_STEPS[_below(bits, 4) + 1]
+            a, v, d = steps[_below(bits, len(steps))]
             (p, u), (_, r) = last.basis  # rel*basis is triangular: only its corner is reduced
-            step = [[a * p, (a * u + v * r) % (d * r)], [0, d * r]]
-            desc.append(RationalLattice._from_hnf(2, last.denom, step))
+            desc.append(type(last)._plane(last.denom, a * p, (a * u + v * r) % (d * r), d * r))
     return list(reversed(desc))
 
 

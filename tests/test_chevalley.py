@@ -148,6 +148,18 @@ class TestBruteForce:
             monkeypatch.setattr(arith, "_BOX_BLOCK", block)
         assert [brute_force_order(family, m) for family, m in FULL_SCAN_CASES] == want
 
+    @pytest.mark.parametrize("family,n", [("SL2", 2), ("SL3", 3), ("Sp4", 4)])
+    def test_int32_exact_at_guard_edge(self, family, n):
+        # the largest modulus MAX_CANDIDATES admits, found in Python ints; a form's
+        # coefficients are signed cofactors reduced mod m, or omega(c_i, x) = (c_i^T J) x,
+        # which is a signed prefix entry as each column of J has one entry +-1; x is in
+        # [0, m), so each product with X is a sum of n terms of size <= (m - 1)**2
+        m = max(m for m in range(1, 10 ** 4) if m ** (n * n) <= chevalley.MAX_CANDIDATES)
+        assert sorted(sorted(map(abs, col)) for col in zip(*_SP4_FORM)) == [[0, 0, 0, 1]] * 4
+        assert n * (m - 1) ** 2 == {"SL2": 19602, "SL3": 108, "Sp4": 16}[family] < 2 ** 31
+        with pytest.raises(ResourceLimitError):  # and m is the edge
+            brute_force_order(family, m + 1)
+
     def test_trivial_modulus(self):
         assert brute_force_order("SL2", 1) == 1
 

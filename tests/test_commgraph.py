@@ -596,6 +596,85 @@ class TestSamplers:
             assert all(type(v) is int for v in flat) and math.gcd(L.denom, *flat) == 1
 
 
+# The samplers as they drew before _below and the plane closed forms: Random's own
+# choice and randrange, the generic _row_hnf entry point and _from_hnf's row lists.
+OLD_ENTRIES = tuple(range(-4, 5))
+OLD_CHAIN_STEPS = {k: [((a, v), (0, k // a)) for a in range(1, k + 1) if k % a == 0
+                       for v in range(k // a)] for k in range(1, 5)}
+
+
+def old_random_cyclic(rng):
+    return RationalCyclic._reduced(rng.randrange(60) + 1, rng.randrange(60) + 1)
+
+
+def old_random_lattice(rng, dim=2):
+    while True:
+        hnf = cg._row_hnf(list(zip(*[map(rng.choice, [OLD_ENTRIES] * (dim * dim))] * dim)), dim)
+        if len(hnf) == dim:
+            return RationalLattice._from_hnf(dim, rng.randrange(6) + 1, hnf)
+
+
+def old_random_chain(rng, sample):
+    desc = [sample(rng)]
+    for _ in range(rng.randrange(4) + 1):
+        last = desc[-1]
+        if isinstance(last, RationalCyclic):
+            desc.append(RationalCyclic._reduced(last.a * (rng.randrange(4) + 1), last.b))
+        else:
+            (a, v), (_, d) = rng.choice(OLD_CHAIN_STEPS[rng.randrange(4) + 1])
+            (p, u), (_, r) = last.basis
+            step = [[a * p, (a * u + v * r) % (d * r)], [0, d * r]]
+            desc.append(RationalLattice._from_hnf(2, last.denom, step))
+    return list(reversed(desc))
+
+
+class TestSamplersAgainstOldDraws:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_below_is_randbelow(self, seed):
+        mine, theirs = random.Random(seed), random.Random(seed)
+        for k in range(1, 71):
+            assert [cg._below(mine.getrandbits, k) for _ in range(20)] == \
+                [theirs._randbelow(k) for _ in range(20)], k
+        assert mine.getstate() == theirs.getstate()
+
+    @pytest.mark.parametrize("new, old", [
+        (cg._random_cyclic, old_random_cyclic),
+        (cg._random_lattice, old_random_lattice),
+        (functools.partial(cg._random_lattice, dim=1),
+         functools.partial(old_random_lattice, dim=1)),
+        (functools.partial(cg._random_lattice, dim=3),
+         functools.partial(old_random_lattice, dim=3)),
+        (lambda r: cg._random_chain(r, cg._random_cyclic),
+         lambda r: old_random_chain(r, old_random_cyclic)),
+        (lambda r: cg._random_chain(r, cg._random_lattice),
+         lambda r: old_random_chain(r, old_random_lattice)),
+    ], ids=["cyclic", "dim2", "dim1", "dim3", "cyclic-chain", "lattice-chain"])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_equal_values_and_stream(self, new, old, seed):
+        # equal values of one type, with equal fields, and the generator left
+        # in the same state: its next random() is the same
+        def fields(x):  # a chain is a list of values
+            return [fields(v) for v in x] if isinstance(x, list) else (type(x), vars(x))
+
+        mine, theirs = random.Random(seed), random.Random(seed)
+        got, want = [new(mine) for _ in range(2000)], [old(theirs) for _ in range(2000)]
+        assert fields(got) == fields(want)
+        assert mine.random() == theirs.random()
+
+    def test_plane_is_from_hnf(self):
+        # random plane HNFs ((a, b), (0, c)) over random denominators, each
+        # scaled by a random content, so the strip runs on about half of them
+        rng, stripped = random.Random(7), 0
+        for _ in range(5000):
+            a, c, t = rng.randint(1, 40), rng.randint(1, 40), rng.choice([1, 1, 2, 3, 6, 35])
+            b, denom = rng.randrange(c), rng.randint(1, 40)
+            got = RationalLattice._plane(denom * t, a * t, b * t, c * t)
+            want = RationalLattice._from_hnf(2, denom * t, [[a * t, b * t], [0, c * t]])
+            assert (type(got), vars(got), hash(got)) == (type(want), vars(want), hash(want))
+            stripped += math.gcd(denom * t, a * t, b * t, c * t) > 1
+        assert 2000 < stripped < 4000
+
+
 class TestBallEnumeration:
     def test_cyclic_ball_examples(self):
         ball = enumerate_ball(Z, 6)

@@ -222,6 +222,18 @@ def test_point_queries_do_not_import_numpy():
     assert (result.stdout, result.stderr) == ("[0, 0, 0, 2, 0, 0, 0, 0] False\n", "")
 
 
+LOADED_MODULES = """
+import contextlib, io, sys
+from commgrowth.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        status = main(sys.argv[1:])
+    except SystemExit as exc:
+        status = exc.code
+print(status, *sorted(name for name in sys.modules if name.startswith("commgrowth.")))
+"""
+
+
 @pytest.mark.parametrize("argv, modules", [
     (["--version"], set()),
     (["rootsys", "--type", "E8"], {"root_systems"}),
@@ -232,12 +244,13 @@ def test_point_queries_do_not_import_numpy():
 def test_each_subcommand_loads_only_its_modules(argv, modules):
     # the package namespace imports a module on first access to it, and each
     # CLI handler imports what it uses when it runs, so a fresh `growth`
-    # process loads cli, errors and only the modules its subcommand needs
-    result = run_fresh("-X", "importtime", "-m", "commgrowth", *argv)
+    # process loads cli, errors and only the modules its subcommand needs;
+    # sys.modules also holds a module that `from . import <name>` loaded
+    # through the package's __getattr__
+    result = run_fresh("-c", LOADED_MODULES, *argv)
     assert result.returncode == 0, result.stderr
-    imported = {line.rpartition("|")[2].strip() for line in result.stderr.splitlines()
-                if line.startswith("import time:")}
-    assert {name for name in imported if name.startswith("commgrowth.")} == \
+    status, *loaded = result.stdout.split()
+    assert status == "0" and set(loaded) == \
         {f"commgrowth.{name}" for name in {"cli", "errors", *modules}}
 
 
