@@ -347,8 +347,7 @@ def _offsets(count):
 
 def _sublattice_counts(dim: int, n: int):
     """a(m) for m <= n: the sublattices of index m of Z^dim, the rows of determinant m of
-    _hnf_stack, counted by its level step on int64 counts.  Exact, as _check_ball caps dim <= 3
-    and n <= 1000: the largest candidate total sum a(i)*A(n // i) is 8,172,554,483 at (3, 1000)."""
+    _hnf_stack, counted by its level step on int64 counts (exact: see _ball_census)."""
     import numpy as np
     a, i = np.minimum(np.arange(n + 1), 1), np.arange(1, n + 1)  # a(m) = 1 at dim 1
     if dim > 1:  # the pairs (j, t) with t*j <= n, the same at every level
@@ -422,12 +421,8 @@ def _ball_keys(n: int, dim: int):
     size <= 2^(dim-2)*n and entries of size <= B = dim*2^(dim-2)*n; _triangular_canonical
     then subtracts k*(row c) from row r with |k| < (B + 1)^(c-r), by induction on c - r: all
     it forms is below (B + 1)^dim."""
-    n = _check_ball(n, dim)
+    n, _, A, _ = _ball_census(n, dim)
     import numpy as np
-    # a relation of index i pairs with the A[n // i] frames of index j <= n // i
-    A = (a := _sublattice_counts(dim, n)).cumsum()
-    _guard(total := int(a[1:] @ A[n // np.arange(1, n + 1)]), MAX_BALL_CANDIDATES,
-           lambda: f"{total} ball candidates exceed guard {MAX_BALL_CANDIDATES}")
     R, det = _hnf_stack(dim, n)
     order = det.argsort(kind="stable")  # then those frames are a prefix of the stack
     R, det = {rc: col[order] for rc, col in R.items()}, det[order]
@@ -446,9 +441,23 @@ def _ball_keys(n: int, dim: int):
     return columns[:, order[np.diff(code[order], prepend=-1) != 0]].T
 
 
+def _ball_census(n: int, dim: int):
+    """n as _check_ball returns it; a(m) and A(m) = a(1) + ... + a(m) for m <= n; and K, where
+    K(x) = sum a(i)*A(x // i) over i <= x counts the candidates (a relation of index i, a frame of
+    index j <= x // i) of the ball of radius x <= n, refused past the guard at n.  All int64, and
+    exact, as _check_ball caps dim <= 3 and n <= 1000: K(n) <= 8,172,554,483, at (3, 1000)."""
+    n = _check_ball(n, dim)
+    import numpy as np
+    A = (a := _sublattice_counts(dim, n)).cumsum()
+    K = lambda x: int(a[1:x + 1] @ A[x // np.arange(1, x + 1)])
+    _guard(total := K(n), MAX_BALL_CANDIDATES,
+           lambda: f"{total} ball candidates exceed guard {MAX_BALL_CANDIDATES}")
+    return n, a, A, K
+
+
 def _check_ball(n: int, dim: int):
     """Refuse a lattice dimension or ball radius that is no integer, below 1 or past its
-    guard; return n as an int.  _ball_keys calls it before it counts or builds anything."""
+    guard; return n as an int.  _ball_census calls it before it counts or builds anything."""
     dim = _at_least("dim", dim, 1)
     n = _at_least("ball radius", n, 1)
     _guard(n, MAX_BALL_RADIUS, lambda: f"ball bound {_shown(n)} exceeds guard {MAX_BALL_RADIUS}")
@@ -480,13 +489,16 @@ def enumerate_ball(gamma, n: int):
 
 
 def check_transfer_inequality(A, B, n: int) -> BoundReport:
-    """Ball-size transfer: |ball(A, n)| <= |ball(B, c(A,B)*n)|.  x -> x*gamma carries
-    ball(Z^d, n) onto ball(gamma, n), so both sizes are counted on the keys around Z^d,
-    and no member is built."""
-    c_ab = comm_index(A, B).value
-    n = _check_ball(n, A.dim)
-    # the larger ball first: a refused transfer builds no smaller ball
-    right, left = (len(_ball_keys(m, A.dim)) for m in (c_ab * n, n))
+    """Ball-size transfer: |ball(A, n)| <= |ball(B, c(A,B)*n)|.  x -> x*gamma carries ball(Z^d, n)
+    onto ball(gamma, n): both are counted around Z^d by _ball_census at c(A,B)*n, building nothing.
+    As sum c_m m^-s = zeta(s)^2/zeta(2s), zeta(s) = sum a(m) m^-s (Lubotzky-Segal 2003), K sums
+    a*a = c*(a(e) at e^2): C(x) = |ball(Z^d, x)| = K(x) - sum a(e)*C(x // e^2), e = 2..isqrt(x)."""
+    c_ab, n = comm_index(A, B).value, _check_ball(n, A.dim)
+    top, a, _, K = _ball_census(c_ab * n, A.dim)
+    C = {}  # in Python ints, at each top // k: every x // e^2 and n = top // c_ab are one
+    for x in sorted({top // k for k in range(1, top + 1)}):
+        C[x] = K(x) - sum(int(a[e]) * C[x // e ** 2] for e in range(2, math.isqrt(x) + 1))
+    left, right = C[n], C[top]
     return compare("ball_transfer", left, right, n=n, c_ab=c_ab, left_card=left, right_card=right)
 
 

@@ -18,6 +18,7 @@ from commgrowth.commgraph import (RationalCyclic, RationalLattice, chain_length,
                                   enumerate_ball, geodesic, index_in, intersect,
                                   run_metric_checks)
 from commgrowth.errors import DomainError, ResourceLimitError
+from commgrowth.reporting import compare
 
 Z = RationalCyclic(1, 1)
 Z2 = RationalLattice.standard(2)
@@ -1088,15 +1089,40 @@ class TestTransfer:
         with pytest.raises(ResourceLimitError):
             check_transfer_inequality(Z4, Z4, 1)
 
-    def test_larger_ball_is_counted_first(self, monkeypatch):
-        # c(Z^2, 2Z + Z) = 2, so n = 150 admits the smaller ball and refuses
-        # the larger, of radius 300: it is counted first, and alone
-        calls, keys = [], cg._ball_keys
-        monkeypatch.setattr(cg, "_ball_keys", lambda n, dim: calls.append(n) or keys(n, dim))
+    def test_transfer_counts_without_the_key_kernel(self, monkeypatch):
+        # both sizes come from the candidate count: with every step of the key
+        # kernel made to raise, c(Z^2, 2Z + Z) = 2 at n = 150 is still refused
+        # by the count of the larger ball, and an admitted transfer gives the
+        # report its key lengths gave
+        def reached(*args, **kwargs):
+            raise AssertionError("the key kernel was reached")
+        for name in ("_ball_keys", "_hnf_stack", "_frames", "_triangular_canonical",
+                     "enumerate_ball"):
+            monkeypatch.setattr(cg, name, reached)
         with pytest.raises(ResourceLimitError) as caught:
             check_transfer_inequality(Z2, RationalLattice.from_rows([[2, 0], [0, 1]]), 150)
         assert str(caught.value) == "645434 ball candidates exceed guard 300000"
-        assert calls == [300]
+        report = check_transfer_inequality(Z2, RationalLattice.from_rows([[2, 1], [0, 3]]), 35)
+        assert report == compare("ball_transfer", 4459, 249409, n=35, c_ab=6,
+                                 left_card=4459, right_card=249409)
+        assert type(report.lhs) is type(report.rhs) is int
+
+    # the key lengths are the oracle of the counted sizes, at every radius up
+    # to 64 (12 at d = 3) and at the edge the candidate guard admits
+    @pytest.mark.parametrize("dim, radii", [(1, [*range(1, 65), 1000]),
+                                            (2, [*range(1, 65), 213]),
+                                            (3, [*range(1, 13), 41])], ids=["1", "2", "3"])
+    def test_sizes_are_key_lengths(self, dim, radii):
+        Zd = RationalLattice.standard(dim)
+        for n in radii:
+            report = check_transfer_inequality(Zd, Zd, n)
+            assert report.lhs == report.rhs == len(cg._ball_keys(n, dim)), n
+            assert type(report.lhs) is type(report.rhs) is int
+        if dim == 1:
+            C = growth_series_rank1(1000).C
+            assert all(check_transfer_inequality(Zd, Zd, n).lhs == C[n - 1] for n in radii)
+            report = check_transfer_inequality(Z, cyclic(2, 3), 166)
+            assert (report.lhs, report.rhs) == (C[165], C[995])
 
     def test_equal_basepoints_give_equal_balls(self):
         report = check_transfer_inequality(cyclic(3), cyclic(3), 5)

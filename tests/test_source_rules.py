@@ -4,6 +4,7 @@ import ast
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -308,6 +309,18 @@ def test_public_names_are_their_modules_objects():
         for name in names:
             assert getattr(commgrowth, name) is getattr(home, name), name
     assert set(ALL) | set(PUBLIC_NAMES) <= set(dir(commgrowth))
+
+
+def test_readme_names_every_public_name_and_guard():
+    # the README is the contract: each public name and each MAX_* guard
+    # constant is named in it, in backticks (fences are no inline code)
+    readme = (Path(__file__).parents[1] / "README.md").read_text().replace("```", "")
+    named = set(re.findall(r"\w+", " ".join(re.findall(r"`([^`]+)`", readme))))
+    guards = {target.id for _, node in library_nodes() if isinstance(node, ast.Assign)
+              for target in node.targets
+              if isinstance(target, ast.Name) and target.id.startswith("MAX_")}
+    assert {"MAX_BALL_CANDIDATES", "MAX_SIEVE_LIMIT"} <= guards
+    assert sorted({*ALL, *guards} - {"__version__"} - named) == []
 
 
 @pytest.mark.parametrize("name", ["nonexistent", "cli_main", "_EXPORT", "numpy"])
