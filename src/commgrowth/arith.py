@@ -338,10 +338,14 @@ def check_sandwich_bounds(series: GrowthSeries, n_min: int) -> BoundReport:
     upto = _integer("upto", series.upto)
     if upto < n_min:
         raise DomainError("series too short for requested n_min")
-    if len(series.C) != upto:
-        raise DomainError("series must hold upto prefix sums")
+    _check_sieve_limit(upto, n_min)  # before any array of upto ints
     import numpy as np
-    C = np.fromiter(series.C, np.int64, upto)
+    try:  # a C with no len, or with a value no int64 holds, is refused as a short one is
+        if len(series.C) != upto:
+            raise DomainError("series must hold upto prefix sums")
+        C = np.fromiter(series.C, np.int64, upto)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError("series must hold upto prefix sums") from None
     k = np.arange(1, upto + 1, dtype=np.int64)
     dsum = np.cumsum(divisor_count_sieve(upto)[1:], dtype=np.int64)
 

@@ -22,7 +22,7 @@ EXIT_FAILED_CHECK = 1
 EXIT_DOMAIN = 2
 EXIT_RESOURCE = 3
 
-# rows per block of `growth rank1` output, the fastest of 2^12 to 2^16 as measured
+# rows per block of every `growth` listing, the fastest of 2^12 to 2^16 as measured
 _ROW_BLOCK = 1 << 14
 
 
@@ -123,33 +123,32 @@ def _ascii_rows(columns, widths, seps) -> str:
     return (text.translate(None, b"\0") if nul else text).decode()
 
 
+def _write_rows(head: str, columns, widths, seps, cut: int = 0):
+    """head, then the rows of the columns as _ascii_rows lays them out, _ROW_BLOCK rows at
+    a time and without the last cut characters; a None column (never the last) is 1, 2, ..."""
+    import numpy as np
+    sys.stdout.write(head)
+    for lo in range(0, n := len(columns[-1]), _ROW_BLOCK):
+        hi = min(lo + _ROW_BLOCK, n)
+        text = _ascii_rows([np.arange(lo + 1, hi + 1, dtype=np.int32) if col is None else
+                            col[lo:hi] for col in columns], widths, seps)
+        sys.stdout.write(text[:len(text) - cut] if hi == n else text)
+        del text  # the next block is built with one block of text alive, not two
+
+
 def _run_rank1(args: argparse.Namespace) -> int:
     from .arith import _rank1_arrays
-    n = args.n
-    c, C = _rank1_arrays(n)
-    import numpy as np
-    blocks = range(0, n, _ROW_BLOCK)
-    if args.json:
-        # json.dumps(..., indent=2) layout: all of c, then all of C
+    c, C = _rank1_arrays(args.n)
+    if args.json:  # json.dumps(..., indent=2) layout: all of c, then all of C
         sep = ",\n    "
-        for head, values in (('{\n  "n": %d,\n  "c": [\n    ' % n, c),
-                             ('\n  ],\n  "C": [\n    ', C)):
-            sys.stdout.write(head)
-            for lo in blocks:
-                text = _ascii_rows([values[lo:lo + _ROW_BLOCK]], [0], [sep])
-                sys.stdout.write(text if lo + _ROW_BLOCK < n else text[:-len(sep)])
+        _write_rows('{\n  "n": %d,\n  "c": [\n    ' % args.n, [c], [0], [sep], len(sep))
+        _write_rows('\n  ],\n  "C": [\n    ', [C], [0], [sep], len(sep))
         sys.stdout.write("\n  ]\n}\n")
-        return EXIT_OK
-    if args.csv:
-        sys.stdout.write("k,c_k,C_k\n")
-        widths, seps = [0, 0, 0], [",", ",", "\n"]
+    elif args.csv:
+        _write_rows("k,c_k,C_k\n", [None, c, C], [0, 0, 0], [",", ",", "\n"])
     else:
         width = len(str(int(C[-1])))
-        widths, seps = [6, width, width], [" ", " ", "\n"]
-    for lo in blocks:
-        hi = min(lo + _ROW_BLOCK, n)
-        k = np.arange(lo + 1, hi + 1, dtype=np.int32)
-        sys.stdout.write(_ascii_rows([k, c[lo:hi], C[lo:hi]], widths, seps))
+        _write_rows("", [None, c, C], [6, width, width], [" ", " ", "\n"])
     return EXIT_OK
 
 
@@ -172,8 +171,8 @@ def _run_ball(args: argparse.Namespace) -> int:
     # split at each `%d`; the last separator runs on to the next head, trimmed after the last
     head, *seps = template.split("%d")
     seps[-1] += sep + head
-    rows = head + _ascii_rows(keys.T, [0] * len(seps), seps)[:-len(sep + head)]
-    _emit(f"[\n{rows}\n]" if args.json else rows)
+    _write_rows("[\n" * args.json + head, keys.T, [0] * len(seps), seps, len(sep + head))
+    sys.stdout.write("\n]\n" if args.json else "\n")
     return EXIT_OK
 
 

@@ -34,12 +34,20 @@ def _shorten(text: str, unit: str, show=str, count=None) -> str:
 
 def _shown(value) -> str:
     """A value for a one-line message: an int past 18 digits as its sign and a power of ten,
-    a container by a bounded repr and its item count, else its str, as _shorten shows it."""
-    if isinstance(value, (list, tuple, dict, set, frozenset, deque, array, bytes, bytearray)):
-        text = reprlib.repr(value[:19] if isinstance(value, (bytes, bytearray)) else value)
-        return _shorten(text, "items", count=len(value))
-    if not isinstance(value, int):
-        return _shorten(str(value), "characters")
+    a container by a bounded repr and its item count, else its str, as _shorten shows it;
+    a value that str or repr refuses (it holds an int past CPython's int->str digit limit)
+    by its type name and item count, and never by lifting that limit."""
+    try:
+        if isinstance(value, (list, tuple, dict, set, frozenset, deque, array, bytes, bytearray)):
+            text = reprlib.repr(value[:19] if isinstance(value, (bytes, bytearray)) else value)
+            return _shorten(text, "items", count=len(value))
+        if not isinstance(value, int):
+            return _shorten(str(value), "characters")
+    except ValueError:
+        try:
+            return f"{type(value).__name__}... ({len(value)} items)"
+        except TypeError:
+            return type(value).__name__
     if abs(value) < 10 ** 18:
         return str(value)
     shift = abs(value).bit_length() - 53

@@ -413,6 +413,32 @@ class TestSandwich:
             arith.check_sandwich_bounds(series, 3)
         assert str(caught.value) == f"series must be a GrowthSeries, got {shown}"
 
+    @pytest.mark.parametrize("upto", [10 ** 7 + 1, 10 ** 12])
+    def test_upto_past_the_sieve_guard_refused_before_any_array(self, upto):
+        # a range holds upto prefix sums in O(1) memory; the sieve guard refuses
+        # it before np.fromiter or np.arange allocate upto int64s
+        series = arith.GrowthSeries(upto, (), range(upto))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError) as caught:
+                arith.check_sandwich_bounds(series, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(caught.value) == f"sieve limit {upto} exceeds guard {arith.MAX_SIEVE_LIMIT}"
+        assert peak < 64 * 1024
+
+    @pytest.mark.parametrize("C", [None, iter(range(1, 6)), (1, 2, 3, 4, 2 ** 63),
+                                   (1, 2, 3, 4, -2 ** 63 - 1), (1, 2, 3, 4, None),
+                                   (1, 2, 3, 4, "x")],
+                             ids=["None", "iterator", "past-int64", "below-int64", "None-item",
+                                  "str-item"])
+    def test_prefix_sums_not_held_as_int64_refused(self, C):
+        # one DomainError line, never numpy's TypeError, ValueError or OverflowError
+        with pytest.raises(DomainError) as caught:
+            arith.check_sandwich_bounds(arith.GrowthSeries(5, (), C), 3)
+        assert str(caught.value) == "series must hold upto prefix sums"
+
     def test_detects_violated_chain(self):
         # doctored series breaking C_k >= k must fail
         fake = arith.GrowthSeries(4, (1, 0, 0, 0), (1, 1, 1, 1))

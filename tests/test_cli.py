@@ -77,6 +77,32 @@ def reference_rank1(n, fmt):
     return "".join(f"{k:>6} {ck:>{width}} {Ck:>{width}}\n" for k, ck, Ck in rows)
 
 
+def reference_ball(gamma, n, as_json):
+    """Per-member rendering of enumerate_ball that `growth ball` must reproduce
+    byte for byte, and the ball's size."""
+    ball = enumerate_ball(gamma, n)
+    cyclic = isinstance(gamma, RationalCyclic)
+    if as_json:
+        items = [{"a": s.a, "b": s.b} if cyclic else
+                 {"denom": s.denom, "hnf": [list(r) for r in s.basis]} for s in ball]
+        return json.dumps(items, indent=2) + "\n", len(ball)
+    return "\n".join(f"{s.a}/{s.b}" if cyclic else str(s) for s in ball) + "\n", len(ball)
+
+
+class HashSink:
+    """A stdout that keeps only the length and sha256 of what is written."""
+
+    def __init__(self):
+        self.size, self.sha = 0, hashlib.sha256()
+
+    def write(self, text):
+        self.size += len(text)
+        self.sha.update(text.encode())
+
+    def flush(self):
+        pass
+
+
 class TestRank1:
     def test_csv_golden(self):
         result = run_cli("rank1", "--n", "10", "--csv")
@@ -248,6 +274,58 @@ class TestBall:
         assert capsys.readouterr().out == text + "\n"
         assert main(["ball", *argv, "--n", "1", "--json"]) == EXIT_OK
         assert capsys.readouterr().out == json.dumps([member], indent=2) + "\n"
+
+
+    # with the block shrunk to a few rows, a listing of k whole blocks, and one
+    # of k blocks and a row, must equal the per-member rendering: each block is
+    # laid out on its own and only the last one is trimmed
+    @pytest.mark.parametrize("argv, gamma, n, rows, block", [
+        (["--family", "cyclic"], RationalCyclic(1, 1), 25, 69, 23),
+        (["--family", "cyclic"], RationalCyclic(1, 1), 25, 69, 17),
+        (["--family", "lattice", "--dim", "1"], RationalLattice.standard(1), 14, 35, 7),
+        (["--family", "lattice", "--dim", "1"], RationalLattice.standard(1), 14, 35, 17),
+        (["--family", "lattice", "--dim", "2"], RationalLattice.standard(2), 8, 165, 55),
+        (["--family", "lattice", "--dim", "2"], RationalLattice.standard(2), 8, 165, 41),
+        (["--family", "lattice", "--dim", "3"], RationalLattice.standard(3), 4, 153, 17),
+        (["--family", "lattice", "--dim", "3"], RationalLattice.standard(3), 4, 153, 19),
+    ], ids=["cyclic-3x23", "cyclic-4x17+1", "dim1-5x7", "dim1-2x17+1", "dim2-3x55",
+            "dim2-4x41+1", "dim3-9x17", "dim3-8x19+1"])
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    def test_output_across_block_edges(self, argv, gamma, n, rows, block, as_json,
+                                       monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_ROW_BLOCK", block)
+        expected, size = reference_ball(gamma, n, as_json)
+        assert size == rows and rows // block >= 2 and rows % block in (0, 1)
+        assert main(["ball", *argv, "--n", str(n)] + ["--json"] * as_json) == EXIT_OK
+        assert capsys.readouterr().out == expected
+
+    def test_json_past_one_block(self, capsys):
+        # Z^2 at 64 lists 18,051 members: a full block of 2^14 and a second one
+        expected, size = reference_ball(RationalLattice.standard(2), 64, True)
+        assert size == 18051 > cli._ROW_BLOCK
+        assert main(["ball", "--family", "lattice", "--dim", "2", "--n", "64", "--json"]) == EXIT_OK
+        assert capsys.readouterr().out == expected
+
+    def test_output_takes_one_block_of_memory(self, monkeypatch, capsys):
+        # the 253,145 rows of `ball --dim 2 --n 213 --json` (30.9 MB of text)
+        # are written a block at a time, never as one whole listing: with the
+        # keys precomputed, the output step peaks below 16 MB
+        from commgrowth import commgraph
+        keys = commgraph._ball_keys(213, 2)
+        monkeypatch.setattr(commgraph, "_ball_keys", lambda n, d: keys)
+        # the parser and the shared digit table are built once, outside the count
+        assert main(["ball", "--family", "cyclic", "--n", "1"]) == EXIT_OK
+        sink = HashSink()
+        monkeypatch.setattr(sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            assert main(["ball", "--family", "lattice", "--dim", "2", "--n", "213",
+                         "--json"]) == EXIT_OK
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (sink.size, sink.sha.hexdigest()[:16]) == (30898183, "0d7f9e75c0de10f1")
+        assert peak < 16 * 2 ** 20
 
 
 class TestRootsys:
@@ -550,14 +628,21 @@ class TestHarness:
         assert result.returncode == plain.returncode == EXIT_OK
         assert result.stdout == plain.stdout
 
-    @pytest.mark.parametrize("fmt", ["--csv", "--json", None])
-    def test_reader_closing_early_is_quiet(self, fmt):
+    @pytest.mark.parametrize("args", [
+        pytest.param(["rank1", "--n", "200000", "--csv"], id="--csv"),
+        pytest.param(["rank1", "--n", "200000", "--json"], id="--json"),
+        pytest.param(["rank1", "--n", "200000"], id="None"),
+        pytest.param(["ball", "--family", "lattice", "--dim", "2", "--n", "64", "--json"],
+                     id="ball"),
+    ])
+    def test_reader_closing_early_is_quiet(self, args):
         # `growth rank1 ... | head`: the output outgrows the pipe, so the
-        # writer meets the closed end, and exits 0 with nothing on stderr
+        # writer meets the closed end, and exits 0 with nothing on stderr;
+        # the ball's two blocks (18,051 rows) may meet it between two writes
         import os
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-        argv = [sys.executable, "-m", "commgrowth", "rank1", "--n", "200000"]
-        with subprocess.Popen(argv + ([fmt] if fmt else []), stdout=subprocess.PIPE,
+        argv = [sys.executable, "-m", "commgrowth", *args]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE,
                               stderr=subprocess.PIPE, env=env) as child:
             assert len(child.stdout.read(100)) == 100
             child.stdout.close()

@@ -1,8 +1,10 @@
 import dataclasses
 import itertools
+import sys
 import tracemalloc
 from array import array
 from collections import deque
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -53,6 +55,31 @@ def test_containers_past_18_characters_by_their_start_and_item_count():
     assert _shown(deque([0] * 6)) == "deque([0... (6 items)"
     assert _shown(array("i", [7] * 3)) == "array('i... (3 items)"
     assert _shown(range(10 ** 20)) == "range(0,... (31 characters)"  # str, as before
+
+
+# a refused value holding an int past CPython's int->str digit limit, which
+# str and reprlib.repr refuse with ValueError: shown by its type name and
+# item count, with the interpreter's limit left as it was
+@pytest.mark.parametrize("call, message", [
+    (lambda: arith.factorize([10 ** 5000]), "n must be an integer, got list... (1 items)"),
+    (lambda: arith.is_prime((10 ** 5000,)), "n must be an integer, got tuple... (1 items)"),
+    (lambda: arith.factorize(Fraction(10 ** 5000, 3)), "n must be an integer, got Fraction"),
+    (lambda: arith.factorize(np.array([10 ** 5000], dtype=object)),
+     "n must be an integer, got ndarray... (1 items)"),
+    (lambda: arith.factorize(np.array(10 ** 5000, dtype=object)),
+     "n must be an integer, got ndarray"),
+    (lambda: parahoric.upper_bound_profile(A1, 1, [Fraction(10 ** 5000, 3)]),
+     "growth value must be an integer, got Fraction"),
+    (lambda: RationalLattice.from_rows([[1, [10 ** 5000]], [0, 1]]),
+     "basis entry must be an integer, got list... (1 items)"),
+], ids=["factorize-list", "is_prime-tuple", "factorize-Fraction", "factorize-ndarray",
+        "factorize-ndarray-0d", "upper_bound_profile-Fraction", "from_rows-entry"])
+def test_values_past_the_int_str_digit_limit_are_shown_bounded(call, message):
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(DomainError) as caught:
+        call()
+    assert str(caught.value) == message
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_refusing_a_long_list_takes_bounded_memory():
