@@ -1,8 +1,8 @@
 """Exact arithmetic functions and the rank-1 commensurability growth series.
 
-Everything that lands in a series is an exact Python integer.  Floating
-point appears only inside the asymptotic comparators and never feeds back
-into series data.
+Every value in a series is an exact integer: Python ints in the scalar
+functions, read-only int32 arrays in a GrowthSeries.  Floating point appears
+only inside the asymptotic comparators and never feeds back into series data.
 """
 
 from __future__ import annotations
@@ -58,13 +58,16 @@ class Factorization:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GrowthSeries:
-    """Counts c_k and their prefix sums C_k for k = 1..upto, all exact."""
+    """Counts c_k and their prefix sums C_k for k = 1..upto as read-only int32 arrays
+    (.tolist() gives Python ints), exact as C_n <= sum_{k<=n} d(k), the chain
+    check_sandwich_bounds checks, and sum_divisor_count(MAX_SIEVE_LIMIT) < 2**31.
+    Arrays have no truth value, so a series equals only itself."""
 
     upto: int
-    c: tuple[int, ...]
-    C: tuple[int, ...]
+    c: np.ndarray
+    C: np.ndarray
 
 
 def _trial_divisors():
@@ -272,20 +275,15 @@ def divisor_count_sieve(limit: int) -> np.ndarray:
     return t
 
 
-def _rank1_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """int32 arrays of c_k = 2**omega(k) and C_k for k = 1..n, exact as C_n <= sum_{k<=n} d(k)
-    (the chain check_sandwich_bounds checks) and sum_divisor_count(MAX_SIEVE_LIMIT) < 2**31."""
+def growth_series_rank1(n: int) -> GrowthSeries:
+    """Exact series c_k = 2**omega(k) and prefix sums C_k for k = 1..n, as GrowthSeries."""
     n = _at_least("series length", n, 1)
     w = omega_sieve(n)[1:]  # refuses n past the sieve guard before numpy is imported
     import numpy as np
     c = np.left_shift(np.int32(1), w)
-    return c, np.cumsum(c, dtype=np.int32)
-
-
-def growth_series_rank1(n: int) -> GrowthSeries:
-    """Exact series c_k = 2**omega(k) and prefix sums C_k for k = 1..n."""
-    c, C = _rank1_arrays(n)
-    return GrowthSeries(len(c), tuple(c.tolist()), tuple(C.tolist()))
+    C = np.cumsum(c, dtype=np.int32)
+    c.flags.writeable = C.flags.writeable = False
+    return GrowthSeries(n, c, C)
 
 
 def sum_omega(n: int) -> int:
@@ -340,12 +338,12 @@ def check_sandwich_bounds(series: GrowthSeries, n_min: int) -> BoundReport:
         raise DomainError("series too short for requested n_min")
     _check_sieve_limit(upto, n_min)  # before any array of upto ints
     import numpy as np
-    try:  # a C with no len, or with a value no int64 holds, is refused as a short one is
-        if len(series.C) != upto:
-            raise DomainError("series must hold upto prefix sums")
-        C = np.fromiter(series.C, np.int64, upto)
+    try:  # a C with no len, or not of integers int64 holds, is refused as a short one is
+        C = np.asarray(series.C) if len(series.C) == upto else None
     except (TypeError, ValueError, OverflowError):
-        raise DomainError("series must hold upto prefix sums") from None
+        C = None
+    if C is None or C.shape != (upto,) or C.dtype.kind not in "iu" or C.dtype == np.uint64:
+        raise DomainError("series must hold upto prefix sums")
     k = np.arange(1, upto + 1, dtype=np.int64)
     dsum = np.cumsum(divisor_count_sieve(upto)[1:], dtype=np.int64)
 

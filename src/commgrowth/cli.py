@@ -137,18 +137,18 @@ def _write_rows(head: str, columns, widths, seps, cut: int = 0):
 
 
 def _run_rank1(args: argparse.Namespace) -> int:
-    from .arith import _rank1_arrays
-    c, C = _rank1_arrays(args.n)
+    from .arith import growth_series_rank1
+    series = growth_series_rank1(args.n)
     if args.json:  # json.dumps(..., indent=2) layout: all of c, then all of C
         sep = ",\n    "
-        _write_rows('{\n  "n": %d,\n  "c": [\n    ' % args.n, [c], [0], [sep], len(sep))
-        _write_rows('\n  ],\n  "C": [\n    ', [C], [0], [sep], len(sep))
+        _write_rows('{\n  "n": %d,\n  "c": [\n    ' % args.n, [series.c], [0], [sep], len(sep))
+        _write_rows('\n  ],\n  "C": [\n    ', [series.C], [0], [sep], len(sep))
         sys.stdout.write("\n  ]\n}\n")
     elif args.csv:
-        _write_rows("k,c_k,C_k\n", [None, c, C], [0, 0, 0], [",", ",", "\n"])
+        _write_rows("k,c_k,C_k\n", [None, series.c, series.C], [0, 0, 0], [",", ",", "\n"])
     else:
-        width = len(str(int(C[-1])))
-        _write_rows("", [None, c, C], [6, width, width], [" ", " ", "\n"])
+        width = len(str(int(series.C[-1])))
+        _write_rows("", [None, series.c, series.C], [6, width, width], [" ", " ", "\n"])
     return EXIT_OK
 
 

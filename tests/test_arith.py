@@ -208,23 +208,43 @@ class TestRank1Series:
             assert arith.cn_rank1(n) == coprime_pair_count(n)
 
     def test_series_small(self):
-        assert arith.growth_series_rank1(1).C == (1,)
-        assert arith.growth_series_rank1(6).c == (1, 2, 2, 2, 2, 4)
+        assert arith.growth_series_rank1(1).C.tolist() == [1]
+        assert arith.growth_series_rank1(6).c.tolist() == [1, 2, 2, 2, 2, 4]
         assert arith.growth_series_rank1(10).C[-1] == 23
 
     @pytest.mark.parametrize("n", [1, 6, 10 ** 4])
-    def test_series_holds_python_ints(self, n):
+    def test_series_is_read_only_int32(self, n):
         series = arith.growth_series_rank1(n)
         c = [2 ** int(w) for w in omega_sieve_oracle(n)[1:]]
-        assert type(series.c) is tuple and type(series.C) is tuple
-        assert {type(v) for v in series.c + series.C} == {int}
-        assert series.c == tuple(c) and series.C == tuple(itertools.accumulate(c))
+        assert series.upto == n and type(series.upto) is int
+        for values in (series.c, series.C):
+            assert type(values) is np.ndarray and values.dtype == np.int32
+            assert values.shape == (n,) and not values.flags.writeable
+            with pytest.raises(ValueError):
+                values[0] = 0
+        assert {type(v) for v in series.c.tolist() + series.C.tolist()} == {int}
+        assert series.c.tolist() == c and series.C.tolist() == list(itertools.accumulate(c))
+        # arrays have no truth value: a series equals only itself
+        assert series == series and series != arith.growth_series_rank1(n)
+
+    def test_series_takes_two_arrays_of_memory(self):
+        # the two int32 arrays of 10**6 values are 8 MB; boxing them into
+        # tuples of Python ints took 64 MB
+        arith.growth_series_rank1(10)  # numpy is imported and warm
+        tracemalloc.start()
+        try:
+            series = arith.growth_series_rank1(10 ** 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert int(series.C[-1]) == int(series.c.sum(dtype=np.int64))
+        assert peak < 16 * 2 ** 20
 
     def test_rank1_arrays_are_int32_up_to_the_sieve_guard(self):
         # int32 is exact because C_n <= sum_{k<=n} d(k), the sandwich chain,
         # and that sum is below 2**31 at the largest n the sieve admits
-        c, C = arith._rank1_arrays(1000)
-        assert c.dtype == C.dtype == np.int32
+        series = arith.growth_series_rank1(1000)
+        assert series.c.dtype == series.C.dtype == np.int32
         assert arith.sum_divisor_count(arith.MAX_SIEVE_LIMIT) < 2 ** 31
 
     def test_series_prefix_sums_exact(self):
@@ -430,14 +450,27 @@ class TestSandwich:
 
     @pytest.mark.parametrize("C", [None, iter(range(1, 6)), (1, 2, 3, 4, 2 ** 63),
                                    (1, 2, 3, 4, -2 ** 63 - 1), (1, 2, 3, 4, None),
-                                   (1, 2, 3, 4, "x")],
+                                   (1, 2, 3, 4, "x"), (1, 2, 3, 4, 5.5), (1, 2, 3, 4, "5"),
+                                   np.arange(1, 6, dtype=np.float64),
+                                   np.arange(1, 6, dtype=np.uint64), np.ones(5, dtype=bool),
+                                   np.arange(1, 6).reshape(5, 1)],
                              ids=["None", "iterator", "past-int64", "below-int64", "None-item",
-                                  "str-item"])
+                                  "str-item", "float-item", "numeric-str-item", "float64-array",
+                                  "uint64-array", "bool-array", "column"])
     def test_prefix_sums_not_held_as_int64_refused(self, C):
         # one DomainError line, never numpy's TypeError, ValueError or OverflowError
         with pytest.raises(DomainError) as caught:
             arith.check_sandwich_bounds(arith.GrowthSeries(5, (), C), 3)
         assert str(caught.value) == "series must hold upto prefix sums"
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.int64, np.uint32])
+    def test_prefix_sums_held_by_any_int64_dtype_are_read(self, dtype):
+        series = arith.growth_series_rank1(20)
+        report = arith.check_sandwich_bounds(series, 3)
+        cast = arith.GrowthSeries(20, series.c, series.C.astype(dtype))
+        assert arith.check_sandwich_bounds(cast, 3) == report
+        assert arith.check_sandwich_bounds(arith.GrowthSeries(20, (), series.C.tolist()), 3) \
+            == report
 
     def test_detects_violated_chain(self):
         # doctored series breaking C_k >= k must fail
@@ -453,7 +486,7 @@ def test_parallel_aggregation_order_independent():
     ks = list(range(1, 401))
     random.Random(3).shuffle(ks)
     values = {k: arith.cn_rank1(k) for k in ks}
-    assert tuple(values[k] for k in range(1, 401)) == series.c
+    assert [values[k] for k in range(1, 401)] == series.c.tolist()
 
 
 def test_euler_mascheroni_constant_digits():

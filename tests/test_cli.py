@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from commgrowth import cli, parahoric
+from commgrowth import arith, cli, parahoric
 from commgrowth.arith import MAX_OUTPUT_DIGITS, growth_series_rank1
 from commgrowth.chevalley import order_zpk
 from commgrowth.cli import EXIT_DOMAIN, EXIT_FAILED_CHECK, EXIT_OK, EXIT_RESOURCE, main
@@ -67,13 +67,13 @@ def reference_rank1(n, fmt):
     """Row-by-row rendering of `growth rank1` that the bulk formatter must
     reproduce byte for byte."""
     series = growth_series_rank1(n)
-    rows = list(zip(range(1, n + 1), series.c, series.C))
+    c, C = series.c.tolist(), series.C.tolist()
+    rows = list(zip(range(1, n + 1), c, C))
     if fmt == "--json":
-        return json.dumps({"n": n, "c": list(series.c), "C": list(series.C)},
-                          indent=2) + "\n"
+        return json.dumps({"n": n, "c": c, "C": C}, indent=2) + "\n"
     if fmt == "--csv":
         return "k,c_k,C_k\n" + "".join(f"{k},{ck},{Ck}\n" for k, ck, Ck in rows)
-    width = len(str(series.C[-1]))
+    width = len(str(C[-1]))
     return "".join(f"{k:>6} {ck:>{width}} {Ck:>{width}}\n" for k, ck, Ck in rows)
 
 
@@ -133,6 +133,21 @@ class TestRank1:
     def test_output_bytes(self, n, fmt, capsys):
         assert main(["rank1", "--n", str(n)] + ([fmt] if fmt else [])) == EXIT_OK
         assert capsys.readouterr().out == reference_rank1(n, fmt)
+
+    @pytest.mark.parametrize("fmt", ["--csv", "--json", None])
+    def test_writes_the_public_series(self, fmt, monkeypatch, capsys):
+        # `growth rank1` prints the arrays of arith.growth_series_rank1, one call a run
+        calls = []
+
+        def counted(n):
+            calls.append(n)
+            return growth_series_rank1(n)
+
+        monkeypatch.setattr(arith, "growth_series_rank1", counted)
+        for n in (1, 30):
+            assert main(["rank1", "--n", str(n)] + ([fmt] if fmt else [])) == EXIT_OK
+            assert capsys.readouterr().out == reference_rank1(n, fmt)
+        assert calls == [1, 30]
 
     # rank 1 never reaches a third digit group (C_{10^7} < 10^8), so the row
     # kernel is checked on its own: one column for each top digit count up
