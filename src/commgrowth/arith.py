@@ -40,7 +40,8 @@ _WHEEL_BUDGET = 10 ** 6
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _PSI13 = 3317044064679887385961981
 
-# rows per block of the exhaustive box walker and of omega_sieve's last step
+# rows per block of the exhaustive box walker and of omega_sieve's last step, and the
+# products (prefixes times last columns) per chunk of chevalley.brute_force_order
 _BOX_BLOCK = 1 << 16
 
 
@@ -282,8 +283,8 @@ def growth_series_rank1(n: int) -> GrowthSeries:
     import numpy as np
     c = np.left_shift(np.int32(1), w)
     C = np.cumsum(c, dtype=np.int32)
-    c.flags.writeable = C.flags.writeable = False
-    return GrowthSeries(n, c, C)
+    c.flags.writeable = C.flags.writeable = False  # views of read-only bases stay read-only
+    return GrowthSeries(n, c[:], C[:])
 
 
 def sum_omega(n: int) -> int:

@@ -68,9 +68,9 @@ def _digit_groups() -> np.ndarray:
     place = 10 ** np.arange(3, -1, -1)
     digits = r // place % 10 + ord("0")
     lead = np.where(r >= place, digits, 0)
-    groups = np.concatenate([lead, digits, [[0, 0, 0, 48]]]).astype(np.uint8).view(np.uint32)[:, 0]
-    groups.flags.writeable = False  # one table is shared by every call
-    return groups
+    table = np.concatenate([lead, digits, [[0, 0, 0, 48]]]).astype(np.uint8)
+    table.flags.writeable = False  # shared by every call: its views stay read-only
+    return table.view(np.uint32)[:, 0]
 
 
 def _ascii_rows(columns, widths, seps) -> str:

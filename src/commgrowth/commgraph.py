@@ -420,7 +420,9 @@ def _ball_keys(n: int, dim: int):
     |F_rt| <= 2^(dim-2)*j (j if dim = 1).  As 0 <= R_tc <= R_cc <= i, frame*rel has terms of
     size <= 2^(dim-2)*n and entries of size <= B = dim*2^(dim-2)*n; _triangular_canonical
     then subtracts k*(row c) from row r with |k| < (B + 1)^(c-r), by induction on c - r: all
-    it forms is below (B + 1)^dim."""
+    it forms is below (B + 1)^dim.  At dim 2 the frame of [[a, b], [0, c]] is [[a, -b], [0, c]].
+    The sort code's radices multiply to 2.1e9 at (n, dim) = (213, 2) and 2.1e11 at (41, 3), the
+    largest balls admitted, under the 1.7e10 and 1.5e14 that entries below dim*n allow."""
     n, _, A, _ = _ball_census(n, dim)
     import numpy as np
     R, det = _hnf_stack(dim, n)

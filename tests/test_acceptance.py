@@ -10,7 +10,7 @@ import random
 import time
 
 import numpy as np
-from conftest import square_stack
+from ball_oracles import ball_sizes, hnf_matrices
 
 from commgrowth import commgraph as cg
 from commgrowth.arith import (EULER_MASCHERONI, check_sandwich_bounds, cn_rank1,
@@ -88,10 +88,10 @@ def test_metric_geodesic_chain_suite():
 
 def test_transfer_inequality_seeded_cases():
     rng = random.Random(0)
-    H, det = cg._hnf_stack(2, 4)
-    H = square_stack(H, 2)
+    rels = {step: [np.array(H, dtype=object) for H, m in hnf_matrices(2, 4) if m == step]
+            for step in range(1, 5)}
     cases = 0
-    all_hold = True
+    all_hold = counted = True
     while cases < 50:
         dim = rng.choice((1, 2))
         if dim == 1:
@@ -104,8 +104,8 @@ def test_transfer_inequality_seeded_cases():
             B = RationalCyclic(A.a * step, A.b) if rng.random() < 0.5 \
                 else RationalCyclic(A.a, A.b * step)
         else:
-            rel = rng.choice(H[det == step])
-            B = RationalLattice(A.dim, A.denom, (rel.astype(object) @ A.basis).tolist())
+            rel = rng.choice(rels[step])
+            B = RationalLattice(A.dim, A.denom, (rel @ A.basis).tolist())
         c_ab = comm_index(A, B).value
         if c_ab > 32:
             continue
@@ -113,10 +113,15 @@ def test_transfer_inequality_seeded_cases():
         if c_ab * n > 64:
             continue
         cases += 1
-        if not check_transfer_inequality(A, B, n).holds:
+        report = check_transfer_inequality(A, B, n)
+        if not report.holds:
             all_hold = False
+        # both cards are the zeta counts |ball(Z^d, n)| and |ball(Z^d, c*n)|
+        C = ball_sizes(A.dim)
+        if (report.context["left_card"], report.context["right_card"]) != (C[n], C[c_ab * n]):
+            counted = False
     _verdict("ball transfer inequality on 50 seeded commensurable pairs",
-             all_hold, "c(A,B)*n <= 64, exact cardinalities")
+             all_hold and counted, "c(A,B)*n <= 64, cards equal to the zeta counts")
 
 
 def test_order_formulas_equal_brute_force():

@@ -222,6 +222,9 @@ class TestRank1Series:
             assert values.shape == (n,) and not values.flags.writeable
             with pytest.raises(ValueError):
                 values[0] = 0
+            # a view of a read-only base: no holder can make it writeable again
+            with pytest.raises(ValueError):
+                values.flags.writeable = True
         assert {type(v) for v in series.c.tolist() + series.C.tolist()} == {int}
         assert series.c.tolist() == c and series.C.tolist() == list(itertools.accumulate(c))
         # arrays have no truth value: a series equals only itself

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from ball_oracles import ball_sizes, candidate_count
 
 from commgrowth import arith, cli, parahoric
 from commgrowth.arith import MAX_OUTPUT_DIGITS, growth_series_rank1
@@ -223,6 +224,16 @@ class TestRank1:
         if low == 10 ** 5:
             assert peak < 2.5 * len(expected)
 
+    def test_digit_groups_table_stays_read_only(self):
+        # every call shares one cached table, so no caller may write to it,
+        # nor make it writeable again
+        groups = cli._digit_groups()
+        assert groups is cli._digit_groups() and not groups.flags.writeable
+        with pytest.raises(ValueError):
+            groups[0] = 0
+        with pytest.raises(ValueError):
+            groups.flags.writeable = True
+
 
 class TestBall:
     def test_cyclic_json(self):
@@ -246,6 +257,25 @@ class TestBall:
         result = run_cli("ball", "--family", "lattice", "--dim", "5", "--n", "2")
         assert result.returncode == EXIT_RESOURCE
         assert "resource guard" in result.stderr
+
+    # one row per member, as many as the oracle's zeta count, and a refusal
+    # past the candidate guard names the oracle's candidate count
+    @pytest.mark.parametrize("argv, dim, n", [
+        (["--family", "cyclic"], 1, 1000),
+        (["--family", "lattice", "--dim", "2"], 2, 64),
+        (["--family", "lattice", "--dim", "3"], 3, 12),
+    ], ids=["cyclic-1000", "dim2-64", "dim3-12"])
+    def test_rows_count_the_ball(self, argv, dim, n, capsys):
+        assert main(["ball", *argv, "--n", str(n)]) == EXIT_OK
+        assert capsys.readouterr().out.count("\n") == ball_sizes(dim)[n]
+
+    @pytest.mark.parametrize("dim, n", [(2, 214), (3, 42)], ids=["dim2-214", "dim3-42"])
+    def test_refusal_names_the_candidate_count(self, dim, n, capsys):
+        argv = ["ball", "--family", "lattice", "--dim", str(dim), "--n", str(n)]
+        assert main(argv) == EXIT_RESOURCE
+        err = capsys.readouterr().err
+        assert f"{candidate_count(dim, n)} ball candidates exceed guard 300000" in err
+        assert err.count("\n") == 1
 
     # stdout against the per-member rendering of enumerate_ball, and its
     # size and sha256 prefix as that rendering first printed it

@@ -8,6 +8,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from ball_oracles import (ball_sizes, candidate_count, hnf_matrices, overlattices,
+                          sublattice_counts, undeduplicated_ball)
 from conftest import lattice_contains_oracle, square_stack, upper_row_span_mask
 
 from commgrowth import commgraph as cg
@@ -36,25 +38,6 @@ def sigma(k):
     return sum(divisors(k))
 
 
-def hnf_stack_3d(dim, n):
-    """The HNF stack as _hnf_stack first built it: every dim x dim HNF matrix
-    of determinant <= n in one (N, dim, dim) int64 array, and the
-    determinants, in increasing order."""
-    H, det = np.arange(1, n + 1).reshape(-1, 1, 1), np.arange(1, n + 1)
-    for s in range(2, dim + 1):
-        count = n // det * det
-        of = np.repeat(np.arange(len(H)), count)
-        code = np.arange(len(of)) - np.repeat(np.cumsum(count) - count, count)
-        new = np.zeros((len(of), s, s), np.int64)
-        new[:, 1:, 1:] = H[of]
-        new[:, 0, 0], code = code // det[of] + 1, code % det[of]
-        for c in range(1, s):
-            code, new[:, 0, c] = code // new[:, c, c], code % new[:, c, c]
-        H, det = new, new[:, 0, 0] * det[of]
-    order = det.argsort(kind="stable")
-    return H[order], det[order]
-
-
 def reduced_3d(P):
     """An (N, dim, dim) stack of upper triangular matrices with positive
     diagonals, brought in place to HNF as _reduced first did."""
@@ -77,13 +60,15 @@ def frames_3d(H, det):
 
 def lexsort_ball_keys(dim, radii):
     """The key rows of the ball of radius n around Z^dim, for each n in radii,
-    as _ball_keys first gave them: (q, P row by row), from (N, dim, dim)
-    stacks multiplied by a batched @.  The candidates of the largest radius are
-    made canonical by a gcd along each key row and sorted by np.lexsort over
-    every key column (the cyclic rows (b, a) as (a, b)); those of radius n
-    are the ones of index product i*j <= n, deduplicated row by row."""
+    as _ball_keys first gave them: (q, P row by row), from the brute HNF list
+    as an (N, dim, dim) stack by determinant, and its frames, multiplied by a
+    batched @.  The candidates of the largest radius are made canonical by a
+    gcd along each key row and sorted by np.lexsort over every key column
+    (the cyclic rows (b, a) as (a, b)); those of radius n are the ones of
+    index product i*j <= n, deduplicated row by row."""
     top = max(radii)
-    R, det = hnf_stack_3d(dim or 1, top)
+    R = np.array([H for H, _ in hnf_matrices(dim or 1, top)], np.int64)
+    det = np.array([m for _, m in hnf_matrices(dim or 1, top)], np.int64)
     F = frames_3d(R, det)
     counts = np.searchsorted(det, top // det, side="right")
     rel_of = np.repeat(np.arange(len(R)), counts)
@@ -110,35 +95,6 @@ def reduced_in_ints(P, dim):
             P[r, t] = P[r, t] - step
             top = max(top, abs(step).max(), abs(P[r, t]).max())
     return top
-
-
-@functools.cache
-def sublattice_counts(dim, n=1000):
-    """a(k), the number of sublattices of index k of Z^dim, for k <= n."""
-    a = [0] + [1] * n
-    for e in range(1, dim):
-        for k in range(n // 2, 0, -1):
-            a[2 * k::k] = [x + q ** e * a[k] for q, x in enumerate(a[2 * k::k], 2)]
-    return a
-
-
-def direct_candidates(n, dim):
-    """The candidate count as first written: a(i) * A(n // i) summed over
-    every i <= n, each prefix sum A taken afresh."""
-    a = sublattice_counts(dim)
-    return sum(a[i] * sum(a[:n // i + 1]) for i in range(1, n + 1))
-
-
-class FramesReached(Exception):
-    """Raised by the _frames that reach_frames patches in."""
-
-
-def reach_frames(monkeypatch):
-    """Make _frames raise FramesReached: a ball the candidate guard admits
-    reaches it, and a refused one must not."""
-    def frames(*args):
-        raise FramesReached
-    monkeypatch.setattr(cg, "_frames", frames)
 
 
 class TestCanonicalForms:
@@ -721,40 +677,28 @@ class TestBallEnumeration:
                                     for s in enumerate_ball(Z, n))
             assert all(v <= n for v in values)
 
-    def test_sublattice_count_oracle(self):
-        # index-k sublattices of Z^2 are counted by sigma(k)
-        _, det = cg._hnf_stack(2, 30)
-        for k in range(1, 31):
-            count = np.count_nonzero(det == k)
-            assert count == sigma(k)
-
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_hnf_stack_oracle(self, dim):
-        # each row is HNF, no row repeats and det is the sorted pivot product,
-        # so the stack is a set of HNF matrices; the count a(m) of each
-        # determinant m then pins it to all of them: the candidate totals
-        # sum a(i)*A(m // i) over i <= m determine a(m) one m at a time, and
-        # must equal the independent recurrence in direct_candidates; and
-        # _sublattice_counts, which _ball_keys guards before it builds the
-        # stack, must give that a(m)
+        # the stack, read as (N, dim, dim) matrices, is the brute HNF list as a
+        # set, with no row repeated and det the pivot product; its count a(m)
+        # of each determinant m is the zeta recurrence's, and at dim 2 it is
+        # sigma(m); _sublattice_counts, which _ball_keys guards before it
+        # builds the stack, must give that a(m); and the candidate totals
+        # sum a(i)*A(m // i) over i <= m must equal the oracle's count
         n = {1: 1000, 2: 64, 3: 41}[dim]
         columns, det = cg._hnf_stack(dim, n)
         assert set(columns) == set(itertools.combinations_with_replacement(range(dim), 2))
         assert all(col.dtype == det.dtype == np.int64 and col.shape == det.shape
                    for col in columns.values())
-        H = square_stack(columns, dim)
-        diag = H[:, range(dim), range(dim)]
-        assert (diag > 0).all() and not np.tril(H, -1).any()
-        assert all((0 <= H[:, r, c]).all() and (H[:, r, c] < H[:, c, c]).all()
-                   for c in range(dim) for r in range(c))
-        assert len(np.unique(H.reshape(len(H), -1), axis=0)) == len(H)
-        assert (det == diag.prod(axis=1)).all()
+        stack = zip(det.tolist(), square_stack(columns, dim).tolist())
+        assert sorted((m, tuple(map(tuple, H))) for m, H in stack) == \
+            sorted((m, H) for H, m in hnf_matrices(dim, n))
         a = np.bincount(det, minlength=n + 1)
         A = np.cumsum(a)
-        assert a[0] == 0 and det[-1] <= n
+        assert a.tolist() == list(sublattice_counts(dim, n))
         assert cg._sublattice_counts(dim, n).tolist() == a.tolist()
         for m in range(1, n + 1):
-            assert direct_candidates(m, dim) == sum(a[i] * A[m // i] for i in range(1, m + 1))
+            assert candidate_count(dim, m) == sum(a[i] * A[m // i] for i in range(1, m + 1))
         if dim == 2:
             assert a[1:].tolist() == [sigma(m) for m in range(1, n + 1)]
 
@@ -770,7 +714,7 @@ class TestBallEnumeration:
         (BIG2, 31, 3541),
     ], ids=["Z-1000", "Z2-31", "Z3-8", "gamma2-31", "gamma3-5", "big2-31"])
     def test_ball_size_pinned(self, gamma, n, size):
-        assert len(enumerate_ball(gamma, n)) == size
+        assert len(enumerate_ball(gamma, n)) == size == ball_sizes(gamma.dim)[n]
 
     def test_ball_duplicate_free_and_value_closed(self):
         for n in (3, 4, 6, 31):
@@ -786,34 +730,21 @@ class TestBallEnumeration:
         gamma2, gamma3 = (cg._random_lattice(random.Random(0), dim) for dim in (2, 3))
         assert all(g.denom > 1 and g.basis[0][-1] != 0 for g in (gamma2, gamma3))
         for gamma, n in ((Z2, 6), (gamma2, 6), (gamma3, 4), (BIG2, 4)):
-            dim = gamma.dim
-            H, det = cg._hnf_stack(dim, 2 * n)
-            H, F = square_stack(H, dim), square_stack(cg._frames(H, det), dim)
-            seen = set()
-            for rel, i in zip(H.astype(object), det.tolist()):
-                M = RationalLattice(dim, gamma.denom, (rel @ gamma.basis).tolist())
-                for frame, j in zip(F.astype(object), det.tolist()):
-                    if i * j > 2 * n:
-                        continue
-                    L = RationalLattice(dim, M.denom * j, (frame @ M.basis).tolist())
-                    if comm_index(gamma, L).value <= n:
-                        seen.add(L)
-            assert seen == set(enumerate_ball(gamma, n)), gamma
+            assert undeduplicated_ball(gamma, n) == set(enumerate_ball(gamma, n)), gamma
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_overlattice_frames_against_brute_filter(self, dim):
-        # the frames, reduced, are the HNF matrices of determinant j**(dim-1)
-        # whose row span holds each j*e_t, tested by back-substitution
-        H, det = cg._hnf_stack(dim, 8 ** (dim - 1))
-        H = square_stack(H, dim)
-        rels, index = cg._hnf_stack(dim, 8)
-        F = reduced_3d(square_stack(cg._frames(rels, index), dim))
+        # the members of the ball that hold Z^dim with index j are the
+        # lattices (1/j)*K, K of determinant j**(dim-1) holding each j*e_t
+        Zd = RationalLattice.standard(dim)
+        over = {}
+        for L in enumerate_ball(Zd, 8):
+            if L.contains(Zd):
+                over.setdefault(L.index_of(Zd), set()).add(L)
+        assert sorted(over) == list(range(1, 9))
         for j in range(1, 9):
-            units = j * np.eye(dim, dtype=np.int64)
-            want = {tuple(map(tuple, mat)) for mat in H[det == j ** (dim - 1)].tolist()
-                    if upper_row_span_mask(np.array(mat, dtype=np.int64), units).all()}
-            frames = [tuple(map(tuple, mat)) for mat in F[index == j].tolist()]
-            assert len(frames) == len(want) and set(frames) == want, (dim, j)
+            assert over[j] == overlattices(dim, j), (dim, j)
+            assert len(over[j]) == sublattice_counts(dim)[j]
 
     def test_ball_sorted_deterministic(self):
         ball = enumerate_ball(Z2, 4)
@@ -896,27 +827,29 @@ class TestBallEnumeration:
         with pytest.raises(ResourceLimitError) as caught:
             enumerate_ball(BIG2, 32)
         assert str(caught.value) == "4469 ball candidates exceed guard 3947"
-        # the guarded value is the number of candidates (relation, frame) the
-        # kernel builds: admitted at that budget, up to _frames, refused below it
-        reach_frames(monkeypatch)
+        # the guarded value is the oracle's count of the candidates (relation,
+        # frame): _ball_census counts it and admits it at that budget, where a
+        # small ball is built with its zeta size, and one below it the kernel
+        # refuses, with the count in its message
         for dim, ns in ((1, [*range(2, 41), 1000]), (2, [*range(2, 41), 213, 603]),
                         (3, [*range(2, 13), 41, 76])):
             for n in ns:
-                count = direct_candidates(n, dim)
+                count = candidate_count(dim, n)
                 monkeypatch.setattr(cg, "MAX_BALL_CANDIDATES", count)
-                with pytest.raises(FramesReached):
-                    cg._ball_keys(n, dim)
+                assert cg._ball_census(n, dim)[3](n) == count
+                if n <= 40:
+                    assert len(cg._ball_keys(n, dim)) == ball_sizes(dim)[n]
                 monkeypatch.setattr(cg, "MAX_BALL_CANDIDATES", count - 1)
                 with pytest.raises(ResourceLimitError) as caught:
                     cg._ball_keys(n, dim)
                 assert str(caught.value) == f"{count} ball candidates exceed guard {count - 1}"
 
-    # the edges of the one candidate guard: it admits 213 and 41 and refuses
-    # the next radius by the exact count. At the largest radius, 1000, the
-    # dim-1 ball is admitted, and (3, 1000) has the most candidates of any
+    # the edges of the one candidate guard, by the oracle's count: it admits
+    # 213 and 41, the largest radii whose count is within the guard, and
+    # refuses the next radius by the exact count. At the largest radius, 1000,
+    # the dim-1 ball is admitted, and (3, 1000) has the most candidates of any
     # dimension and radius that _check_ball lets through, past 2^32, so its
-    # count shows no wrap. An admitted ball reaches _frames; a refused one
-    # builds no frame
+    # count shows no wrap. An admitted ball is built, with its zeta size
     @pytest.mark.parametrize("dim, n, message", [
         (1, 1000, None),
         (2, 213, None), (2, 214, "301163 ball candidates exceed guard 300000"),
@@ -929,14 +862,14 @@ class TestBallEnumeration:
         (3, 1000, "8172554483 ball candidates exceed guard 300000"),
     ], ids=["1-1000", "2-213", "2-214", "2-603", "2-604", "2-1000", "3-41", "3-42", "3-76",
             "3-77", "3-1000"])
-    def test_candidate_guard_edges(self, monkeypatch, dim, n, message):
-        reach_frames(monkeypatch)
+    def test_candidate_guard_edges(self, dim, n, message):
+        count = candidate_count(dim, n)
         if message is None:
-            assert direct_candidates(n, dim) <= cg.MAX_BALL_CANDIDATES
-            with pytest.raises(FramesReached):
-                cg._ball_keys(n, dim)
+            assert cg._ball_census(n, dim)[3](n) == count <= cg.MAX_BALL_CANDIDATES
+            assert n == cg.MAX_BALL_RADIUS or candidate_count(dim, n + 1) > cg.MAX_BALL_CANDIDATES
+            assert len(cg._ball_keys(n, dim)) == ball_sizes(dim)[n]
             return
-        assert message.split()[0] == str(direct_candidates(n, dim))
+        assert message == f"{count} ball candidates exceed guard {cg.MAX_BALL_CANDIDATES}"
         seconds = []
         for _ in range(3):
             start = time.perf_counter()
@@ -946,15 +879,14 @@ class TestBallEnumeration:
             assert str(caught.value) == message
         assert min(seconds) < 0.1
 
-    # the exact count is refused before the stack is built, so nothing is
-    # sorted either: the refusal never calls _hnf_stack, whose stack would be
-    # 1.2-26 MB at these radii, and peaks at the count's arrays alone
+    # the exact count is refused before anything is built, so nothing is
+    # sorted either: the refusal peaks at the count's arrays alone, below
+    # 512 KiB, where the sublattices alone, at one int64 per entry and
+    # determinant, would take 1.2-26 MB at these radii
     @pytest.mark.parametrize("dim, n", [(2, 214), (2, 603), (2, 1000), (3, 42), (3, 76)],
                              ids=["2-214", "2-603", "2-1000", "3-42", "3-76"])
-    def test_candidate_refusal_sorts_nothing(self, monkeypatch, dim, n):
-        def stack(*args):
-            raise AssertionError("_hnf_stack called")
-        monkeypatch.setattr(cg, "_hnf_stack", stack)
+    def test_candidate_refusal_sorts_nothing(self, dim, n):
+        stack = 8 * (1 + dim * (dim + 1) // 2) * sum(sublattice_counts(dim)[:n + 1])
         tracemalloc.start()
         try:
             with pytest.raises(ResourceLimitError, match="ball candidates exceed"):
@@ -962,7 +894,7 @@ class TestBallEnumeration:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 512 * 1024
+        assert peak < 512 * 1024 < stack // 2
 
     # the largest admitted ball of each dimension, and every radius to 40; the
     # cyclic oracle's rows (b, a) of the members (a/b)Z, sorted by (a, b), are
@@ -985,19 +917,6 @@ class TestBallEnumeration:
         keys = cg._ball_keys(edge, dim)
         size = math.prod(int(col.max()) + 1 for col in keys.T)
         assert size <= (edge + 1) * (dim * edge + 1) ** (dim * (dim + 1) // 2) < 2 ** 63
-
-    @pytest.mark.parametrize("dim, n", [(1, 5), (2, 30), (3, 7)])
-    def test_columns_against_stacks(self, dim, n):
-        # the stack, kept as upper triangle columns and stably sorted by det, is
-        # the (N, dim, dim) stack first built, entry by entry; its frames, reduced,
-        # are the frames first built: the same lattices
-        columns, det = cg._hnf_stack(dim, n)
-        H, det3 = hnf_stack_3d(dim, n)
-        order = det.argsort(kind="stable")
-        assert np.array_equal(square_stack(columns, dim)[order], H)
-        assert np.array_equal(det[order], det3)
-        frames = reduced_3d(square_stack(cg._frames(columns, det), dim)[order])
-        assert np.array_equal(frames, frames_3d(H, det3))
 
     @pytest.mark.parametrize("dim, n", [(1, 1000), (2, 213), (3, 41)],
                              ids=["dim1", "dim2", "dim3"])
@@ -1090,25 +1009,35 @@ class TestTransfer:
             check_transfer_inequality(Z4, Z4, 1)
 
     def test_transfer_counts_without_the_key_kernel(self, monkeypatch):
-        # both sizes come from the candidate count: with every step of the key
-        # kernel made to raise, c(Z^2, 2Z + Z) = 2 at n = 150 is still refused
-        # by the count of the larger ball, and an admitted transfer gives the
-        # report its key lengths gave
+        # both sizes come from the candidate count: with the key kernel and
+        # enumerate_ball made to raise, c(Z^2, 2Z + Z) = 2 at n = 150 is still
+        # refused by the count of the larger ball, and an admitted transfer
+        # gives the report the oracle's zeta sizes; neither builds a key, as
+        # the tracemalloc peak shows: the smaller ball's keys alone take 0.75 MB
         def reached(*args, **kwargs):
             raise AssertionError("the key kernel was reached")
-        for name in ("_ball_keys", "_hnf_stack", "_frames", "_triangular_canonical",
-                     "enumerate_ball"):
+        for name in ("_ball_keys", "enumerate_ball"):
             monkeypatch.setattr(cg, name, reached)
-        with pytest.raises(ResourceLimitError) as caught:
-            check_transfer_inequality(Z2, RationalLattice.from_rows([[2, 0], [0, 1]]), 150)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError) as caught:
+                check_transfer_inequality(Z2, RationalLattice.from_rows([[2, 0], [0, 1]]), 150)
+            report = check_transfer_inequality(Z2, RationalLattice.from_rows([[2, 1], [0, 3]]), 35)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024
         assert str(caught.value) == "645434 ball candidates exceed guard 300000"
-        report = check_transfer_inequality(Z2, RationalLattice.from_rows([[2, 1], [0, 3]]), 35)
-        assert report == compare("ball_transfer", 4459, 249409, n=35, c_ab=6,
-                                 left_card=4459, right_card=249409)
+        assert candidate_count(2, 300) == 645434
+        C = ball_sizes(2)
+        assert (C[35], C[210]) == (4459, 249409)
+        assert report == compare("ball_transfer", C[35], C[210], n=35, c_ab=6,
+                                 left_card=C[35], right_card=C[210])
         assert type(report.lhs) is type(report.rhs) is int
 
-    # the key lengths are the oracle of the counted sizes, at every radius up
-    # to 64 (12 at d = 3) and at the edge the candidate guard admits
+    # the key lengths and the oracle's zeta sizes are the oracles of the
+    # counted sizes, at every radius up to 64 (12 at d = 3) and at the edge
+    # the candidate guard admits
     @pytest.mark.parametrize("dim, radii", [(1, [*range(1, 65), 1000]),
                                             (2, [*range(1, 65), 213]),
                                             (3, [*range(1, 13), 41])], ids=["1", "2", "3"])
@@ -1116,7 +1045,7 @@ class TestTransfer:
         Zd = RationalLattice.standard(dim)
         for n in radii:
             report = check_transfer_inequality(Zd, Zd, n)
-            assert report.lhs == report.rhs == len(cg._ball_keys(n, dim)), n
+            assert report.lhs == report.rhs == len(cg._ball_keys(n, dim)) == ball_sizes(dim)[n], n
             assert type(report.lhs) is type(report.rhs) is int
         if dim == 1:
             C = growth_series_rank1(1000).C
@@ -1149,7 +1078,7 @@ class TestTransfer:
         # while C_n is monotone, but this fails when transport or comm_index
         # goes wrong.  B is (1/q)*rel*A with det(rel), q <= 4, in either order
         rng = random.Random(21 + (dim or 0))
-        H = square_stack(cg._hnf_stack(dim or 1, 4)[0], dim or 1)
+        H = [np.array(rel, dtype=object) for rel, _ in hnf_matrices(dim or 1, 4)]
         pairs = 0
         while pairs < 16:
             if dim is None:
@@ -1157,7 +1086,7 @@ class TestTransfer:
                 B = cyclic(A.a * rng.randint(1, 4), A.b * rng.randint(1, 4))
             else:
                 A = cg._random_lattice(rng, dim)
-                rel = H[rng.randrange(len(H))].astype(object)
+                rel = H[rng.randrange(len(H))]
                 B = RationalLattice(dim, A.denom * rng.randint(1, 4), (rel @ A.basis).tolist())
             c_ab = comm_index(A, B).value
             if c_ab > budget:
@@ -1174,7 +1103,7 @@ class TestTransfer:
         # both balls, on seeded pairs whose denominators are both > 1
         rng, cases = random.Random(23), []
         for dim, budget in ((None, 60), (1, 60), (2, 20), (3, 4)):
-            H = square_stack(cg._hnf_stack(dim or 1, 3)[0], dim or 1)
+            H = [np.array(rel, dtype=object) for rel, _ in hnf_matrices(dim or 1, 3)]
             for _ in range(4):
                 while True:
                     if dim is None:
@@ -1182,7 +1111,7 @@ class TestTransfer:
                         B = cyclic(A.a * rng.randint(1, 3), A.b * rng.randint(1, 3))
                     else:
                         A = cg._random_lattice(rng, dim)
-                        rel = H[rng.randrange(len(H))].astype(object)
+                        rel = H[rng.randrange(len(H))]
                         B = RationalLattice(dim, A.denom * rng.randint(1, 3),
                                             (rel @ A.basis).tolist())
                     c_ab = comm_index(A, B).value
@@ -1192,6 +1121,7 @@ class TestTransfer:
                 n = rng.randint(1, budget // c_ab)
                 cases.append((A, B, n, len(enumerate_ball(A, n)),
                               len(enumerate_ball(B, c_ab * n))))
+                assert cases[-1][3:] == (ball_sizes(A.dim)[n], ball_sizes(A.dim)[c_ab * n])
 
         def built(*args, **kwargs):
             raise AssertionError("a ball member was built")

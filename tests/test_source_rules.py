@@ -129,10 +129,10 @@ def test_one_guard_routine():
     assert found == []
 
 
-def owned_nodes(name):
+def owned_nodes(name, home=Path(commgrowth.__file__).parent):
     """(outermost function around it or None, node) for every AST node of the
-    library module name."""
-    path = Path(commgrowth.__file__).parent / name
+    module file name in home, the library's directory unless given."""
+    path = home / name
 
     def visit(node, owner):
         for child in ast.iter_child_nodes(node):
@@ -165,6 +165,40 @@ def test_cyclic_branches_stay_in_their_functions():
              for owner, node in owned_nodes(name)
              if owner not in homes and branches_on_the_cyclic_family(node)]
     assert found == []
+
+
+def names_in(node):
+    """The names a node refers to: an attribute, a variable, an imported name,
+    or a string, as setattr and getattr take a name."""
+    if isinstance(node, ast.Attribute):
+        return {node.attr}
+    if isinstance(node, ast.Name):
+        return {node.id}
+    if isinstance(node, ast.alias):
+        return {node.name, node.asname}
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return {node.value}
+    return set()
+
+
+def test_ball_layout_stays_in_three_tests():
+    # the ball kernel's layout (the stack's rows, the unreduced frames, the
+    # triangular columns) belongs to commgraph: the ball tests check the
+    # kernel's output against tests/ball_oracles.py, and only these three
+    # read the layout, so a kernel rewrite edits commgraph and them alone.
+    # This file names the helpers to look for them, so it is not read
+    layout = {"_hnf_stack", "_frames", "_triangular_canonical"}
+    readers = {"test_hnf_stack_oracle", "test_int64_exact_at_guard_edge", "test_sort_code_guard"}
+    tests = Path(__file__).parent
+    found, seen = [], set()
+    for path in sorted(set(tests.glob("*.py")) - {Path(__file__)}):
+        for owner, node in owned_nodes(path.name, tests):
+            if names_in(node) & layout:
+                if owner in readers:
+                    seen.add(owner)
+                else:
+                    found.append(f"{path.name}:{owner}:{node.lineno}")
+    assert found == [] and seen == readers
 
 
 def converts_or_bounds_an_integer(node):
