@@ -677,6 +677,16 @@ class TestBallEnumeration:
                                     for s in enumerate_ball(Z, n))
             assert all(v <= n for v in values)
 
+    def test_sublattice_count_oracle(self):
+        # index-k sublattices of Z^2 are counted by sigma(k): in the ball of
+        # radius 30 around Z^2 they are the members inside Z^2 of index k
+        counts = [0] * 31
+        for L in enumerate_ball(Z2, 30):
+            if Z2.contains(L):
+                counts[Z2.index_of(L)] += 1
+        assert counts[1:] == [sigma(k) for k in range(1, 31)]
+        assert cg._sublattice_counts(2, 30)[1:].tolist() == counts[1:]
+
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_hnf_stack_oracle(self, dim):
         # the stack, read as (N, dim, dim) matrices, is the brute HNF list as a
