@@ -69,8 +69,8 @@ def _digit_groups() -> np.ndarray:
     digits = r // place % 10 + ord("0")
     lead = np.where(r >= place, digits, 0)
     table = np.concatenate([lead, digits, [[0, 0, 0, 48]]]).astype(np.uint8)
-    table.flags.writeable = False  # shared by every call: its views stay read-only
-    return table.view(np.uint32)[:, 0]
+    # shared by every call: over bytes, so no array in its .base chain can be made writeable
+    return np.frombuffer(table.tobytes(), np.uint32)
 
 
 def _ascii_rows(columns, widths, seps) -> str:

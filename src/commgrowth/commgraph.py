@@ -26,6 +26,9 @@ MAX_BALL_DIM = 3
 MAX_BALL_CANDIDATES = 3 * 10 ** 5
 MAX_SAMPLES = 10 ** 5
 MAX_LATTICE_ENTRIES = 10 ** 6
+#: Most bytes of ball keys _ball_keys keeps for reuse, the least recently used let go first:
+#: 2^25 holds the largest admitted ball, (41, 3) at 14.8 MB, twice.
+MAX_BALL_CACHE_BYTES = 2 ** 25
 
 
 # ---------------------------------------------------------------------------
@@ -411,6 +414,9 @@ def _triangular_canonical(q, a, b, dim: int):
     return np.stack([q // g] + [P[rc] // g for rc in sorted(P)])
 
 
+_ball_cache, _ball_cache_bytes = {}, 0  # (n, dim) -> keys, least recently used first; their bytes
+
+
 def _ball_keys(n: int, dim: int):
     """Sorted, distinct int64 key rows (q, upper triangle row by row) of the ball of radius n
     around Z^dim, its candidate count refused before the stack is built.  S = rel*Z^dim of index i
@@ -422,8 +428,15 @@ def _ball_keys(n: int, dim: int):
     then subtracts k*(row c) from row r with |k| < (B + 1)^(c-r), by induction on c - r: all
     it forms is below (B + 1)^dim.  At dim 2 the frame of [[a, b], [0, c]] is [[a, -b], [0, c]].
     The sort code's radices multiply to 2.1e9 at (n, dim) = (213, 2) and 2.1e11 at (41, 3), the
-    largest balls admitted, under the 1.7e10 and 1.5e14 that entries below dim*n allow."""
+    largest balls admitted, under the 1.7e10 and 1.5e14 that entries below dim*n allow.
+    Each (n, dim) the census admits is built once and kept within MAX_BALL_CACHE_BYTES: every
+    later call, around any basepoint, gets the same array, which lies over bytes, so neither it
+    nor any array in its .base chain can be made writeable."""
+    global _ball_cache_bytes
     n, _, A, _ = _ball_census(n, dim)
+    if (keys := _ball_cache.pop(key := (n, _integer("dim", dim)), None)) is not None:
+        _ball_cache[key] = keys  # last in the dict: the most recently used
+        return keys
     import numpy as np
     R, det = _hnf_stack(dim, n)
     order = det.argsort(kind="stable")  # then those frames are a prefix of the stack
@@ -440,7 +453,13 @@ def _ball_keys(n: int, dim: int):
     for col, radix in zip(columns, radices):  # a column of zeros, of radix 1, adds no digit
         code = code * radix + col
     order = code.argsort()
-    return columns[:, order[np.diff(code[order], prepend=-1) != 0]].T
+    keys = columns[:, order[np.diff(code[order], prepend=-1) != 0]]
+    keys = np.frombuffer(keys.tobytes(), np.int64).reshape(keys.shape).T
+    if keys.nbytes <= MAX_BALL_CACHE_BYTES:  # a larger ball is returned, not kept
+        while _ball_cache_bytes + keys.nbytes > MAX_BALL_CACHE_BYTES:
+            _ball_cache_bytes -= _ball_cache.pop(next(iter(_ball_cache))).nbytes
+        _ball_cache[key], _ball_cache_bytes = keys, _ball_cache_bytes + keys.nbytes
+    return keys
 
 
 def _ball_census(n: int, dim: int):

@@ -5,6 +5,8 @@ from itertools import accumulate, chain, cycle
 import numpy as np
 import pytest
 
+from commgrowth import commgraph
+
 DESK_LIMIT = 10 ** 6
 
 
@@ -98,6 +100,20 @@ def square_stack(columns, dim):
     for (r, c), column in columns.items():
         stack[:, r, c] = column
     return stack
+
+
+def empty_ball_cache():
+    commgraph._ball_cache.clear()
+    commgraph._ball_cache_bytes = 0
+
+
+@pytest.fixture(autouse=True)
+def cold_ball_cache():
+    """Every test starts and leaves with no ball kept by _ball_keys, so each
+    one runs the ball kernel cold and sees no ball another test built."""
+    empty_ball_cache()
+    yield
+    empty_ball_cache()
 
 
 @pytest.fixture(scope="session")

@@ -1002,6 +1002,116 @@ class TestBallEnumeration:
         assert str(caught.value) == "lattice dimension 4 exceeds guard 3"
 
 
+class TestBallCache:
+    """_ball_keys builds the keys of each admitted (n, dim) once and hands the
+    same read-only array to every later call, within MAX_BALL_CACHE_BYTES."""
+
+    @staticmethod
+    def held():
+        """The cached (n, dim) pairs, least recently used first, and the
+        held bytes, checked against the sizes of the cached arrays."""
+        assert cg._ball_cache_bytes == sum(keys.nbytes for keys in cg._ball_cache.values())
+        return list(cg._ball_cache), cg._ball_cache_bytes
+
+    def test_second_call_is_the_same_array(self):
+        keys = cg._ball_keys(6, 2)
+        assert cg._ball_keys(6, 2) is keys
+        assert self.held() == ([(6, 2)], keys.nbytes)
+        upper = list(itertools.combinations_with_replacement(range(2), 2))
+        want = sorted([L.denom, *(L.basis[r][c] for r, c in upper)]
+                      for L in undeduplicated_ball(Z2, 6))
+        assert keys.tolist() == want and len(want) == ball_sizes(2)[6]
+
+    def test_integer_kinds_share_one_entry(self):
+        keys = cg._ball_keys(5, 2)
+        assert cg._ball_keys(np.int64(5), 2) is keys
+        assert cg._ball_keys(5, np.int64(2)) is keys
+        assert cg._ball_keys(np.uint8(5), np.int32(2)) is keys
+        line = cg._ball_keys(True, True)
+        assert cg._ball_keys(1, 1) is line and cg._ball_keys(np.int64(1), True) is line
+        space = cg._ball_keys(5, 3)
+        assert space is not keys and len(space) == ball_sizes(3)[5] != len(keys)
+        assert self.held()[0] == [(5, 2), (1, 1), (5, 3)]
+        assert all(type(v) is int for key in cg._ball_cache for v in key)
+
+    # a hit is checked as a miss is: each guard, read at call time, refuses
+    # a kept ball with its usual message, and it is served again once the
+    # guard is back
+    @pytest.mark.parametrize("guard, value, message", [
+        ("MAX_BALL_CANDIDATES", candidate_count(2, 31) - 1,
+         f"{candidate_count(2, 31)} ball candidates exceed guard {candidate_count(2, 31) - 1}"),
+        ("MAX_BALL_RADIUS", 30, "ball bound 31 exceeds guard 30"),
+        ("MAX_BALL_DIM", 1, "lattice dimension 2 exceeds guard 1"),
+    ], ids=["candidates", "radius", "dim"])
+    def test_hit_refused_past_a_lowered_guard(self, monkeypatch, guard, value, message):
+        keys = cg._ball_keys(31, 2)
+        with monkeypatch.context() as patch:
+            patch.setattr(cg, guard, value)
+            with pytest.raises(ResourceLimitError) as caught:
+                cg._ball_keys(31, 2)
+            assert str(caught.value) == message
+            with pytest.raises(ResourceLimitError):
+                enumerate_ball(Z2, 31)
+        assert cg._ball_keys(31, 2) is keys
+
+    def test_refusal_stores_nothing(self, monkeypatch):
+        for n, dim, error in ((0, 2, DomainError), (2.5, 2, DomainError), (3, "2", DomainError),
+                              (1001, 1, ResourceLimitError), (1, 4, ResourceLimitError),
+                              (214, 2, ResourceLimitError), (42, 3, ResourceLimitError)):
+            with pytest.raises(error):
+                cg._ball_keys(n, dim)
+        monkeypatch.setattr(cg, "MAX_BALL_CANDIDATES", candidate_count(2, 31) - 1)
+        with pytest.raises(ResourceLimitError):
+            enumerate_ball(Z2, 31)
+        assert self.held() == ([], 0)
+
+    def test_budget_lets_the_least_recently_used_go_first(self, monkeypatch):
+        sizes = {nd: cg._ball_keys(*nd).nbytes for nd in ((5, 3), (30, 2), (950, 1), (64, 2))}
+        cg._ball_cache.clear()
+        cg._ball_cache_bytes = 0
+        budget = sizes[5, 3] + sizes[30, 2] + 1000  # (950, 1) and (30, 2) never fit together
+        assert sizes[5, 3] + sizes[950, 1] <= budget < sizes[30, 2] + sizes[950, 1] < sizes[64, 2]
+        monkeypatch.setattr(cg, "MAX_BALL_CACHE_BYTES", budget)
+        for nd, after in (((5, 3), [(5, 3)]), ((30, 2), [(5, 3), (30, 2)]),
+                          ((5, 3), [(30, 2), (5, 3)]), ((950, 1), [(5, 3), (950, 1)]),
+                          ((5, 3), [(950, 1), (5, 3)]), ((30, 2), [(5, 3), (30, 2)])):
+            assert len(cg._ball_keys(*nd)) == ball_sizes(nd[1])[nd[0]]
+            kept, held = self.held()
+            assert kept == after and held <= budget
+        # a ball larger than the whole budget is returned, and nothing is let go for it
+        assert len(cg._ball_keys(64, 2)) == ball_sizes(2)[64]
+        assert self.held() == ([(5, 3), (30, 2)], sizes[5, 3] + sizes[30, 2])
+
+    def test_every_basepoint_shares_the_keys_around_z(self):
+        moved = RationalLattice.from_rows([[2, 2], [0, 4]], denom=5)
+        assert len(enumerate_ball(Z2, 12)) == ball_sizes(2)[12]
+        (key,), _ = self.held()
+        keys = cg._ball_cache[key]
+        assert key == (12, 2) and cg._ball_keys(12, 2) is keys
+        ball = enumerate_ball(moved, 12)
+        assert self.held() == ([(12, 2)], keys.nbytes) and cg._ball_cache[12, 2] is keys
+        assert len(ball) == ball_sizes(2)[12] and ball == sorted(ball, key=lambda L: L.sort_key())
+        assert len(enumerate_ball(cyclic(3, 2), 12)) == ball_sizes(1)[12]
+        assert self.held()[0] == [(12, 2), (12, 1)]
+
+    def test_shared_arrays_cannot_be_made_writeable(self):
+        # a cached array, every view of it and every array in its .base chain
+        # refuse writeable = True: the chain ends at a bytes object, which
+        # numpy never writes through
+        from commgrowth.cli import _digit_groups
+        for shared in (_digit_groups(), cg._ball_keys(30, 2), cg._ball_keys(5, 3)[:, 1:]):
+            chain = [shared]
+            while isinstance(chain[-1].base, np.ndarray):
+                chain.append(chain[-1].base)
+            assert type(chain[-1].base) is bytes
+            for array in chain:
+                with pytest.raises(ValueError):
+                    array.flags.writeable = True
+                with pytest.raises(ValueError):
+                    array[(0,) * array.ndim] = 9
+        assert _digit_groups()[10000].tobytes() == b"0000"
+
+
 class TestTransfer:
     def test_examples(self):
         assert check_transfer_inequality(Z, cyclic(2), 3).holds

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""The mutant register of the lattice-ball kernel and the transfer check.
+"""The mutant register of the lattice-ball kernel, its cache of keys and the
+transfer check.
 
 Each entry breaks the library on purpose: the file, the exact text it
 replaces, the new text, and the tests that must fail.  For each entry the
@@ -37,6 +38,13 @@ MEMORY_BYTES = 3 * 2 ** 30
 GRAPH = "src/commgrowth/commgraph.py"
 BALL = "tests/test_commgraph.py::TestBallEnumeration::"
 TRANSFER = "tests/test_commgraph.py::TestTransfer::"
+CACHE = "tests/test_commgraph.py::TestBallCache::"
+# the head of _ball_keys: the census, the cache lookup, then the stack
+CENSUS = "    n, _, A, _ = _ball_census(n, dim)\n"
+LOOKUP = ("    if (keys := _ball_cache.pop(key := (n, _integer(\"dim\", dim)), None)) is not None:\n"
+          "        _ball_cache[key] = keys  # last in the dict: the most recently used\n"
+          "        return keys\n")
+STACK = "    import numpy as np\n    R, det = _hnf_stack(dim, n)\n"
 
 
 class Mutant(NamedTuple):
@@ -124,17 +132,13 @@ REGISTER = (
            ("tests/test_cli.py::TestBall::test_output_bytes[text-cyclic-1000]",)),
     # the guards
     Mutant("count guard after the stack is built", GRAPH,
-           "    n, _, A, _ = _ball_census(n, dim)\n    import numpy as np\n"
-           "    R, det = _hnf_stack(dim, n)\n",
-           "    import numpy as np\n    R, det = _hnf_stack(dim, _check_ball(n, dim))\n"
-           "    n, _, A, _ = _ball_census(n, dim)\n",
+           CENSUS + LOOKUP + STACK,
+           "    n = _check_ball(n, dim)\n" + LOOKUP + STACK + CENSUS,
            (BALL + "test_candidate_refusal_sorts_nothing",)),
     Mutant("count guard after the sort by determinant", GRAPH,
-           "    n, _, A, _ = _ball_census(n, dim)\n    import numpy as np\n"
-           "    R, det = _hnf_stack(dim, n)\n    order = det.argsort(kind=\"stable\")",
-           "    import numpy as np\n    R, det = _hnf_stack(dim, _check_ball(n, dim))\n"
-           "    order = det.argsort(kind=\"stable\")\n    n, _, A, _ = _ball_census(n, dim)\n"
-           "    order = order",
+           CENSUS + LOOKUP + STACK + "    order = det.argsort(kind=\"stable\")",
+           "    n = _check_ball(n, dim)\n" + LOOKUP + STACK
+           + "    order = det.argsort(kind=\"stable\")\n" + CENSUS + "    order = order",
            (BALL + "test_candidate_refusal_sorts_nothing",)),
     Mutant("count guard inline, with >=", GRAPH,
            "    _guard(total := K(n), MAX_BALL_CANDIDATES,\n"
@@ -148,6 +152,26 @@ REGISTER = (
            "    n = _check_ball(n, dim)\n    import numpy as np\n    A = (a",
            "    import numpy as np\n    A = (a",
            (BALL + "test_dimension_guard_boundary", BALL + "test_radius_guard_boundary")),
+    # the cache of ball keys
+    Mutant("cache lookup before the census", GRAPH,
+           CENSUS + LOOKUP,
+           LOOKUP.replace("(n, ", "(_check_ball(n, dim), ") + CENSUS,
+           (CACHE + "test_hit_refused_past_a_lowered_guard[candidates]",)),
+    Mutant("cache key without dim", GRAPH,
+           "key := (n, _integer(\"dim\", dim))", "key := (n,)",
+           (CACHE + "test_integer_kinds_share_one_entry",)),
+    Mutant("cached keys read-only, but not over bytes", GRAPH,
+           "    keys = np.frombuffer(keys.tobytes(), np.int64).reshape(keys.shape).T\n",
+           "    keys = keys.T\n    keys.flags.writeable = False\n",
+           (CACHE + "test_shared_arrays_cannot_be_made_writeable",)),
+    Mutant("cache eviction dropped", GRAPH,
+           "        while _ball_cache_bytes + keys.nbytes > MAX_BALL_CACHE_BYTES:\n"
+           "            _ball_cache_bytes -= _ball_cache.pop(next(iter(_ball_cache))).nbytes\n",
+           "",
+           (CACHE + "test_budget_lets_the_least_recently_used_go_first",)),
+    Mutant("cache hit left in place: first in, first out", GRAPH,
+           "keys := _ball_cache.pop(key", "keys := _ball_cache.get(key",
+           (CACHE + "test_budget_lets_the_least_recently_used_go_first",)),
     # the transfer check by counts
     Mutant("transfer without the e sum", GRAPH,
            "C[x] = K(x) - sum(int(a[e]) * C[x // e ** 2] for e in range(2, math.isqrt(x) + 1))",
