@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from ball_oracles import (ball_sizes, candidate_count, hnf_matrices, overlattices,
                           sublattice_counts, undeduplicated_ball)
-from conftest import lattice_contains_oracle, square_stack, upper_row_span_mask
+from conftest import empty_ball_cache, lattice_contains_oracle, square_stack, upper_row_span_mask
 
 from commgrowth import commgraph as cg
 from commgrowth.arith import divisors, growth_series_rank1
@@ -1067,8 +1067,7 @@ class TestBallCache:
 
     def test_budget_lets_the_least_recently_used_go_first(self, monkeypatch):
         sizes = {nd: cg._ball_keys(*nd).nbytes for nd in ((5, 3), (30, 2), (950, 1), (64, 2))}
-        cg._ball_cache.clear()
-        cg._ball_cache_bytes = 0
+        empty_ball_cache()
         budget = sizes[5, 3] + sizes[30, 2] + 1000  # (950, 1) and (30, 2) never fit together
         assert sizes[5, 3] + sizes[950, 1] <= budget < sizes[30, 2] + sizes[950, 1] < sizes[64, 2]
         monkeypatch.setattr(cg, "MAX_BALL_CACHE_BYTES", budget)
