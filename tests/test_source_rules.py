@@ -1,5 +1,7 @@
-"""Rules on the library source that the test suite enforces."""
+"""Rules on the library source that the test suite enforces, and pins of the
+README's contract."""
 
+import argparse
 import ast
 import importlib
 import json
@@ -238,7 +240,15 @@ for argv in (["--version"], ["order", "--type", "E8", "--p", "7", "--k", "2"],
              ["rootsys", "--type", "E8", "--json"], ["rootsys", "--type", "Q2"],
              ["check", "metric", "--samples", "5"], ["parahoric", "--type", "E8", "--k", "2"],
              ["parahoric", "--type", "F4", "--k", "99", "--json"],
-             ["parahoric", "--type", "A8", "--k", "3"]):
+             ["parahoric", "--type", "A8", "--k", "3"],
+             ["rank1", "--n", "0"], ["rank1", "--n", "10000001"],
+             ["ball", "--family", "cyclic", "--n", "1001"],
+             ["ball", "--family", "lattice", "--dim", "4", "--n", "2"],
+             ["order", "--type", "C2", "--p", "5", "--brute-force"],
+             ["order", "--type", "E8", "--p", "1000003", "--k", "100"],
+             ["order", "--type", "A1", "--p", "4"], ["rootsys", "--type", "A49"],
+             ["parahoric", "--type", "A1", "--k", "101"],
+             ["check", "metric", "--samples", "100001"]):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
             statuses.append(main(argv))
@@ -251,10 +261,12 @@ print(statuses, "numpy" in sys.modules)
 def test_point_queries_do_not_import_numpy():
     # numpy is imported inside the functions that build arrays, so a
     # process that prints the version, an order, a root system or a
-    # cocharacter count, refuses a label or runs the metric suite never
-    # pays for the import; one process runs all eight
+    # cocharacter count, runs the metric suite, or meets any refusal but the
+    # ball candidate guard's (which counts with numpy) never pays for the
+    # import; one process runs all eighteen
     result = run_fresh("-c", POINT_QUERIES)
-    assert (result.stdout, result.stderr) == ("[0, 0, 0, 2, 0, 0, 0, 0] False\n", "")
+    assert (result.stdout, result.stderr) == \
+        ("[0, 0, 0, 2, 0, 0, 0, 0, 2, 3, 3, 3, 3, 3, 2, 3, 3, 3] False\n", "")
 
 
 LOADED_MODULES = """
@@ -362,3 +374,134 @@ def test_unknown_public_name_raises_attribute_error(name):
     with pytest.raises(AttributeError, match=f"has no attribute '{name}'"):
         getattr(commgrowth, name)
     assert not hasattr(commgrowth, name)
+
+
+README = Path(__file__).parents[1] / "README.md"
+
+
+def readme_code():
+    """Every fenced block and every inline backticked span of the README."""
+    text = README.read_text()
+    fence = r"```[^\n]*\n(.*?)```"
+    inline = re.sub(fence, "", text, flags=re.S)
+    return re.findall(fence, text, re.S) + re.findall(r"`([^`]+)`", inline)
+
+
+def readme_rows():
+    """The stripped cells of each table row of the README."""
+    return [[cell.strip() for cell in line.strip("| ").split(" | ")]
+            for line in README.read_text().splitlines() if line.startswith("| ")]
+
+
+def parser_actions(parser, path=()):
+    """(subcommand path, action) for each option of parser and of its subparsers."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from parser_actions(sub, (*path, name))
+        else:
+            yield path, action
+
+
+def test_readme_is_the_contract():
+    # the README holds the contract, not how it is kept: a mechanism lives in
+    # the docstring that owns it, so the README names no private identifier
+    # (one leading underscore; a dunder such as __all__ passes), and a timing
+    # lives in the BENCH file or CHANGES.md entry that measured it, so the
+    # README cites no BENCH file; and it names every subcommand and option
+    # string that `growth` parses
+    from commgrowth.cli import build_parser
+    code = readme_code()
+    private = {name for span in code for name in re.findall(r"(?<!\w)_(?!_)\w+", span)}
+    assert sorted(private) == []
+    assert re.findall(r"BENCH_[\w*]*", README.read_text()) == []
+    words = {word for span in code for word in re.findall(r"-{1,2}[\w-]+|\w+", span)}
+    parsed = {word for path, action in parser_actions(build_parser())
+              for word in (*path, *action.option_strings)}
+    assert sorted(parsed - words) == []
+
+
+def test_readme_gives_every_flag_its_default():
+    # the flag table has a row for each option of each subcommand, with the
+    # parser's default: required, off for a switch, none, or the value, and
+    # each of its choices; --help and --version have no default
+    from commgrowth.cli import build_parser
+    rows = {(cells[0].strip("`"), flag): cells for cells in readme_rows() if len(cells) == 4
+            for flag in re.findall(r"`(-[\w-]+)`", cells[1])}
+    found = []
+    for path, action in parser_actions(build_parser()):
+        if action.default == argparse.SUPPRESS:
+            continue
+        default = "required" if action.required else "off" if action.const is True \
+            else "none" if action.default is None else f"`{action.default}`"
+        for flag in action.option_strings:
+            cells = rows.get((" ".join(path), flag), ["", "", "", ""])
+            if cells[2] != default or any(f"`{c}`" not in cells[3] for c in action.choices or ()):
+                found.append((" ".join(path), flag, default, cells[2]))
+    assert found == []
+
+
+def test_readme_gives_every_guard_its_value():
+    # the guard table gives each MAX_* constant as `module.NAME` and the
+    # expression its module assigns, so a changed guard changes its row too
+    table = {cells[0].strip("`"): ast.unparse(ast.parse(cells[1].strip("`"), mode="eval"))
+             for cells in readme_rows() if re.fullmatch(r"`\w+\.MAX_\w+`", cells[0])}
+    guards = {f"{name[:-3]}.{target.id}": ast.unparse(node.value)
+              for name, node in library_nodes() if isinstance(node, ast.Assign)
+              for target in node.targets
+              if isinstance(target, ast.Name) and target.id.startswith("MAX_")}
+    assert table == guards
+
+
+def test_readme_paths_are_the_repository_files():
+    # every file the README names exists, and every demo is named in it
+    root = README.parent
+    paths = {path for span in readme_code()
+             for path in re.findall(r"[\w/]+\.(?:py|json|toml)\b", span) if "/" in path}
+    assert sorted(path for path in paths if not (root / path).is_file()) == []
+    demos = {f"demos/{path.name}" for path in (root / "demos").glob("*.py")}
+    assert sorted(demos - paths) == []
+
+
+def test_readme_oracles_name_existing_tests():
+    # each test file, class or function the oracle table names is in tests/
+    known = set()
+    for path in Path(__file__).parent.glob("test_*.py"):
+        names = {node.name for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, (ast.ClassDef, ast.FunctionDef))}
+        known |= {path.name, *names, *(f"{path.name}::{name}" for name in names)}
+    table = readme_rows()[readme_rows().index(["closed form", "checked by", "against"]) + 2:]
+    named = {span for cells in table for cell in cells[1:]
+             for span in re.findall(r"`([^`]+)`", cell)
+             if re.fullmatch(r"(test_\w+\.py)?(::)?((Test|test_)\w+)?", span)}
+    assert len(named) >= 10 and sorted(named - known) == []
+
+
+def test_pyproject_installs_growth_with_numpy_alone():
+    # `pip install -e .` gives the `growth` command, and numpy is the only
+    # runtime dependency, as the README's Install section says
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((README.parent / "pyproject.toml").read_text())["project"]
+    assert project["scripts"] == {"growth": "commgrowth.cli:main"}
+    assert [re.match(r"[\w-]+", dep).group() for dep in project["dependencies"]] == ["numpy"]
+
+
+def test_failed_checks_exit_one(monkeypatch, capsys):
+    # exit 1, as the README's exit table gives it: a brute-force count unequal
+    # to the formula prints both and a `mismatch:` line on stderr, and a FAIL
+    # report of `check metric` prints its line and nothing on stderr
+    from commgrowth import chevalley, commgraph, reporting
+    from commgrowth.cli import main
+    monkeypatch.setattr(chevalley, "brute_force_order", lambda family, m: 7)
+    assert main(["order", "--type", "A1", "--p", "2", "--brute-force"]) == 1
+    assert capsys.readouterr() == ("6 (enumeration: 7)\n",
+                                   "mismatch: formula 6 != enumeration 7\n")
+    monkeypatch.setattr(commgraph, "run_metric_checks",
+                        lambda samples, seed: [reporting.compare("metric_symmetry", 1, 0)])
+    assert main(["check", "metric"]) == 1
+    assert capsys.readouterr() == ("FAIL metric_symmetry: 1 <= 0\n", "")
+
+
+def test_build_parser_returns_a_new_parser():
+    from commgrowth.cli import build_parser
+    assert build_parser() is not build_parser()

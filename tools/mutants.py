@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""The mutant register of the lattice-ball kernel, its cache of keys and the
-transfer check.
+"""The mutant register: the lattice-ball kernel, its cache of keys and the
+transfer check; the matrix oracle of chevalley and the metric-suite samplers;
+the block writer of every `growth` listing; and the rank-1 series.
 
 Each entry breaks the library on purpose: the file, the exact text it
 replaces, the new text, and the tests that must fail.  For each entry the
@@ -36,9 +37,17 @@ ROOT = Path(__file__).resolve().parents[1]
 MEMORY_BYTES = 3 * 2 ** 30
 
 GRAPH = "src/commgrowth/commgraph.py"
+CHEVALLEY = "src/commgrowth/chevalley.py"
+CLI = "src/commgrowth/cli.py"
+ARITH = "src/commgrowth/arith.py"
 BALL = "tests/test_commgraph.py::TestBallEnumeration::"
 TRANSFER = "tests/test_commgraph.py::TestTransfer::"
 CACHE = "tests/test_commgraph.py::TestBallCache::"
+ORACLE = "tests/test_chevalley.py::TestBruteForce::"
+SAMPLERS = "tests/test_commgraph.py::TestSamplersAgainstOldDraws::"
+LISTING = "tests/test_cli.py::TestBall::"
+SERIES = "tests/test_arith.py::TestRank1Series::"
+SANDWICH = "tests/test_arith.py::TestSandwich::test_prefix_sums_not_held_as_int64_refused"
 # the head of _ball_keys: the census, the cache lookup, then the stack
 CENSUS = "    n, _, A, _ = _ball_census(n, dim)\n"
 LOOKUP = ("    if (keys := _ball_cache.pop(key := (n, _integer(\"dim\", dim)), None)) is not None:\n"
@@ -192,6 +201,87 @@ REGISTER = (
     Mutant("transfer census at n, not c*n", GRAPH,
            "_ball_census(c_ab * n, A.dim)", "_ball_census(n, A.dim)",
            (TRANSFER + "test_guards_go_to_the_balls",)),
+    # the matrix oracle: forms in the last column, decided in chunks of products
+    Mutant("Sp4 prefix entry (0, 1) dropped", CHEVALLEY,
+           "for i, j in ((0, 1), (0, 2), (1, 2)):", "for i, j in ((0, 2), (1, 2)):",
+           (ORACLE + "test_examples[Sp4-2-720]",)),
+    Mutant("Sp4 prefix entry (1, 2) dropped", CHEVALLEY,  # the other five conditions imply it
+           "for i, j in ((0, 1), (0, 2), (1, 2)):", "for i, j in ((0, 1), (0, 2)):",
+           (ORACLE + "test_examples[Sp4-2-720]", ORACLE + "test_equals_the_full_scan[7]",
+            ORACLE + "test_every_inguard_sl3_and_sp4_modulus[Sp4-3]"),
+           equivalent=True),
+    Mutant("cofactor 0's sign flipped", CHEVALLEY,
+           "sign = (-1) ** (np.arange(n) + n - 1)[:, None]",
+           "sign = (-1) ** (np.arange(n) + n - 1 + (np.arange(n) == 0))[:, None]",
+           (ORACLE + "test_every_inguard_sl3_and_sp4_modulus[Sp4-3]",)),
+    Mutant("target 1 in place of 1 % m", CHEVALLEY,
+           "hits &= P - P // m * m == value % m", "hits &= P - P // m * m == value",
+           (ORACLE + "test_trivial_modulus",)),
+    Mutant("form omega(c_2, x) dropped", CHEVALLEY,
+           "for i, form in enumerate(omega)]", "for i, form in enumerate(omega) if i != 2]",
+           (ORACLE + "test_examples[Sp4-2-720]",)),
+    Mutant("chunk loop one prefix short", CHEVALLEY,
+           "for lo in range(0, cof.shape[1], step):",
+           "for lo in range(0, cof.shape[1] - 1, step):",
+           (ORACLE + "test_trivial_modulus",)),
+    Mutant("last columns built as int8", CHEVALLEY,
+           "np.indices((m,) * n, np.int32)", "np.indices((m,) * n, np.int8)",
+           (ORACLE + "test_every_inguard_sl2_modulus[60]",)),
+    # the metric-suite samplers and their plane closed forms
+    Mutant("_below draws (k - 1).bit_length() bits", GRAPH,
+           "getrandbits(k.bit_length())", "getrandbits((k - 1).bit_length())",
+           (SAMPLERS + "test_below_is_randbelow[0]",)),
+    Mutant("_plane without its content strip", GRAPH,
+           "        if (content := math.gcd(denom, a, b, c)) > 1:\n"
+           "            denom, a, b, c = denom // content, a // content, b // content, c // content\n",
+           "",
+           (SAMPLERS + "test_plane_is_from_hnf",)),
+    Mutant("_plane_hnf without % k", GRAPH,
+           "(s * b + (g - s * a) // (c or 1) * d) % (det // g)",
+           "(s * b + (g - s * a) // (c or 1) * d)",
+           ("tests/test_commgraph.py::test_two_row_hnf_matches_the_generic_loop",)),
+    Mutant("chain step's corner left unreduced", GRAPH,
+           "(a * u + v * r) % (d * r)", "(a * u + v * r)",
+           (SAMPLERS + "test_equal_values_and_stream[0-lattice-chain]",)),
+    # the block writer of every listing
+    Mutant("every block trimmed", CLI,
+           "text[:len(text) - cut] if hi == n else text", "text[:len(text) - cut]",
+           (LISTING + "test_output_across_block_edges[text-cyclic-3x23]",)),
+    Mutant("first block trimmed, not the last", CLI,
+           "if hi == n else text", "if lo == 0 else text",
+           (LISTING + "test_output_across_block_edges[text-cyclic-3x23]",)),
+    Mutant("row numbers restarted in each block", CLI,
+           "np.arange(lo + 1, hi + 1, dtype=np.int32)", "np.arange(1, hi - lo + 1, dtype=np.int32)",
+           ("tests/test_cli.py::TestRank1::test_output_bytes[--csv-16385]",)),
+    Mutant("a lone last row dropped", CLI,
+           "for lo in range(0, n := len(columns[-1]), _ROW_BLOCK):",
+           "for lo in range(0, (n := len(columns[-1])) - 1, _ROW_BLOCK):",
+           ("tests/test_cli.py::TestRank1::test_output_bytes[--csv-1]",)),
+    Mutant("del text dropped", CLI,  # two blocks of text alive at once: seen only by memory
+           "        del text  # the next block is built with one block of text alive, not two\n", "",
+           (LISTING + "test_output_takes_one_block_of_memory",),
+           equivalent=True),
+    # the rank-1 series and the prefix sums check_sandwich_bounds reads
+    Mutant("prefix sums without the dtype-kind check", ARITH,
+           'C.dtype.kind not in "iu" or C.dtype', "C.dtype",
+           (SANDWICH + "[float64-array]",)),
+    Mutant("prefix sums without the uint64 check", ARITH,
+           ' or C.dtype == np.uint64:', ":",
+           (SANDWICH + "[uint64-array]",)),
+    Mutant("prefix sums without the shape check", ARITH,
+           "C is None or C.shape != (upto,) or ", "C is None or ",
+           (SANDWICH + "[column]",)),
+    Mutant("series arrays left writeable", ARITH,
+           "    c.flags.writeable = C.flags.writeable = False", "    pass",
+           (SERIES + "test_series_is_read_only_int32[1]",)),
+    Mutant("series built as int64 arrays", ARITH,
+           "c = np.left_shift(np.int32(1), w)\n    C = np.cumsum(c, dtype=np.int32)",
+           "c = np.left_shift(np.int64(1), w)\n    C = np.cumsum(c, dtype=np.int64)",
+           (SERIES + "test_series_is_read_only_int32[1]",)),
+    Mutant("GrowthSeries without eq=False", ARITH,
+           "@dataclass(frozen=True, eq=False)\nclass GrowthSeries",
+           "@dataclass(frozen=True)\nclass GrowthSeries",
+           (SERIES + "test_series_is_read_only_int32[6]",)),
 )
 
 
