@@ -346,15 +346,14 @@ def check_sandwich_bounds(series: GrowthSeries, n_min: int) -> BoundReport:
     if C is None or C.shape != (upto,) or C.dtype.kind not in "iu" or C.dtype == np.uint64:
         raise DomainError("series must hold upto prefix sums")
     k = np.arange(1, upto + 1, dtype=np.int64)
-    dsum = np.cumsum(divisor_count_sieve(upto)[1:], dtype=np.int64)
-
+    dsum = np.cumsum(divisor_count_sieve(upto)[1:], dtype=np.int32)  # exact: see GrowthSeries
     worst = max(int((C - dsum).max()), int((k - C).max()))
 
-    ks = k[n_min - 1:].astype(np.float64)
-    cs = C[n_min - 1:].astype(np.float64)
+    ks, cs = k[n_min - 1:].astype(np.float64), C[n_min - 1:].astype(np.float64)
     logs = np.log(ks)
-    upper_ratio = float((cs / (ks * logs)).max())
-    lower_ratio = float((cs / (ks * logs ** math.log(2))).min())
-
+    ratio = np.multiply(ks, logs)  # one buffer for both ratios, cs / (ks * logs**e)
+    upper_ratio = float(np.divide(cs, ratio, out=ratio).max())
+    np.multiply(ks, np.power(logs, math.log(2), out=ratio), out=ratio)
+    lower_ratio = float(np.divide(cs, ratio, out=ratio).min())
     return compare("rank1_sandwich_chain", worst, 0, upper_ratio_max=upper_ratio,
                    lower_ratio_min=lower_ratio, n_min=n_min, upto=upto)

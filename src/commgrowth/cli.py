@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
 
@@ -33,6 +32,7 @@ def _emit(text: str):
 
 
 def _emit_json(obj):
+    import json  # here, so that a run that writes no JSON never loads it
     _emit(json.dumps(obj, indent=2))
 
 
@@ -163,6 +163,7 @@ def _run_ball(args: argparse.Namespace) -> int:
     # the member out: the entries below the diagonal are always 0
     hnf = [["%d" if r <= c else 0 for c in range(d)] for r in range(d)]
     if args.json:
+        import json
         member = {"a": "%d", "b": "%d"} if cyclic else {"denom": "%d", "hnf": hnf}
         template, sep = json.dumps([member], indent=2)[2:-2].replace('"%d"', "%d"), ",\n"
     else:

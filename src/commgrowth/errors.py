@@ -1,7 +1,7 @@
-"""Exception types shared by every module, how a message shows a value, the
-one integer check (_at_least, and _integer where no bound applies), the one
-iterable check (_iterable, and _items where the items are kept), and the one
-guard, _guard, the only raiser of ResourceLimitError."""
+"""Exception types shared by every module, how a message shows a value, the one integer
+check (_at_least, and _integer where no bound applies), the one rational intake, _rational,
+the one iterable check (_iterable, and _items where the items are kept), and the one guard,
+_guard, the only raiser of ResourceLimitError."""
 
 import math
 import operator
@@ -64,6 +64,18 @@ def _integer(name: str, value) -> int:
     except TypeError:
         shown = _shorten(value, "characters", repr) if isinstance(value, str) else _shown(value)
         raise DomainError(f"{name} must be an integer, got {shown}") from None
+
+
+def _rational(name: str, value):
+    """value, a Rational (numpy's too) or a Real such as a float, as a Fraction of Python ints."""
+    import numbers  # here, not above: fractions loads decimal, and every process loads errors
+    from fractions import Fraction
+    try:  # a str or Decimal, no Real, is refused before Fraction would parse it
+        ratio = (value.numerator, value.denominator) if isinstance(value, numbers.Rational) \
+            else value.as_integer_ratio() if isinstance(value, numbers.Real) else None
+        return Fraction(*map(operator.index, ratio))
+    except (ArithmeticError, AttributeError, TypeError, ValueError):  # inf, nan, no number
+        raise DomainError(f"{name} must be finite rational numbers") from None
 
 
 def _iterable(name: str, value):

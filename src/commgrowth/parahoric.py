@@ -14,13 +14,11 @@ rule, in check_cocharacter_bound, for the library and the CLI.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import islice
 
 from .arith import _power, _prime
-from .errors import DomainError, _at_least, _guard, _integer, _iterable, _shown
+from .errors import DomainError, _at_least, _guard, _integer, _iterable, _rational, _shown
 from .reporting import BoundReport, compare
 from .root_systems import RootSystem, _checked, _degrees
 
@@ -143,28 +141,20 @@ def maximal_lattice_bound(rs: RootSystem, m: int) -> int:
 
 
 def upper_bound_profile(rs: RootSystem, n: int, s, c_const=1, D_const=1) -> int:
-    """Evaluate (sum_{j=1}^{ceil(c*n)} j**M0) * s_{ceil(D*n)} with
-    M0 = 3 + 2*dim.
+    """Evaluate (sum_{j=1}^{ceil(c*n)} j**M0) * s_{ceil(D*n)} with M0 = 3 + 2*dim.
 
-    Under the counting hypotheses this dominates the full commensurability
-    growth C_n for lattices in the group; s is caller-supplied
-    subgroup-growth data s_1, s_2, ... (computing it is out of scope here),
-    any iterable of counts, read only up to s_{ceil(D*n)} and only once the
-    guards pass.  The constants c and D exist but are not pinned by the theory, so
-    they are parameters, defaulting to 1.
+    Under the counting hypotheses this dominates the full commensurability growth C_n
+    for lattices in the group; s is caller-supplied subgroup-growth data s_1, s_2, ...
+    (computing it is out of scope here), any iterable of counts, read only up to
+    s_{ceil(D*n)} and only once the guards pass.  The constants c and D are not pinned by
+    the theory, so they are parameters, defaulting to 1: a Rational or a Real, numpy's
+    too.  The work guard caps top*(M0+1), so the sum has at most
+    (M0+1)*log10(MAX_PROFILE_WORK/(M0+1)) digits, about 28,200 for C48.
     """
     rs, n = _checked(rs), _at_least("n", n, 1)
-    try:
-        # Fraction parses a string or Decimal in time that grows with its exponent
-        if not all(isinstance(v, (numbers.Rational, float)) for v in (c_const, D_const)):
-            raise TypeError
-        c_frac, d_frac = Fraction(c_const), Fraction(D_const)
-    except (ArithmeticError, TypeError, ValueError):  # inf, nan, no number
-        raise DomainError("profile constants must be finite rational numbers") from None
-    if c_frac <= 0 or d_frac <= 0:
+    top, s_index = (math.ceil(_rational("profile constants", v) * n) for v in (c_const, D_const))
+    if top <= 0 or s_index <= 0:  # n >= 1, so c <= 0 or D <= 0
         raise DomainError("profile constants must be positive")
-    top = math.ceil(c_frac * n)
-    s_index = math.ceil(d_frac * n)
     m0 = 3 + 2 * rs.dimension
     # top powers j**m0, each about m0+1 times a small one, or the values read
     _guard(work := max(top * (m0 + 1), s_index), MAX_PROFILE_WORK,

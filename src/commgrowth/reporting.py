@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
+from .errors import DomainError
+
 
 @dataclass(frozen=True)
 class BoundReport:
@@ -45,5 +47,11 @@ def _decimal_text(value) -> str:
 
 def compare(name: str, lhs, rhs, **context) -> BoundReport:
     """Build the report of ``lhs <= rhs``; every check builds its report
-    here."""
+    here.  Operands whose ``<=`` gives no bool, numpy's or Python's, are refused."""
+    try:
+        holds = lhs <= rhs
+    except TypeError:  # None, or a str against a number
+        holds = None
+    if type(holds).__name__ not in ("bool", "bool_"):  # numpy's bool was bool_ before 2.0
+        raise DomainError(f"{name}: {type(lhs).__name__} <= {type(rhs).__name__} gives no bool")
     return BoundReport(name=name, lhs=lhs, rhs=rhs, context=context)

@@ -475,6 +475,26 @@ class TestSandwich:
         assert arith.check_sandwich_bounds(arith.GrowthSeries(20, (), series.C.tolist()), 3) \
             == report
 
+    def test_report_at_a_million_against_int64(self):
+        # the library takes the prefix sums of d(k) in int32, exact as D(10**6)
+        # < 2**31, and both ratios in one buffer: the report equals one
+        # recomputed here in int64 and by the plain float expressions
+        n = 10 ** 6
+        series = arith.growth_series_rank1(n)
+        k = np.arange(1, n + 1, dtype=np.int64)
+        C = series.C.astype(np.int64)
+        dsum = np.cumsum(arith.divisor_count_sieve(n)[1:].astype(np.int64))
+        assert int(dsum[-1]) == arith.sum_divisor_count(n) < 2 ** 31
+        for n_min in (3, 50, 100):
+            ks, cs = k[n_min - 1:].astype(np.float64), C[n_min - 1:].astype(np.float64)
+            logs = np.log(ks)
+            report = arith.check_sandwich_bounds(series, n_min)
+            assert (report.lhs, report.rhs, report.context) == (
+                max(int((C - dsum).max()), int((k - C).max())), 0,
+                {"upper_ratio_max": float((cs / (ks * logs)).max()),
+                 "lower_ratio_min": float((cs / (ks * logs ** math.log(2))).min()),
+                 "n_min": n_min, "upto": n})
+
     def test_detects_violated_chain(self):
         # doctored series breaking C_k >= k must fail
         fake = arith.GrowthSeries(4, (1, 0, 0, 0), (1, 1, 1, 1))

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import sys
+import time
 import tracemalloc
 from array import array
 from collections import deque
@@ -251,6 +252,41 @@ def test_integer_arguments_go_through_one_check(call, value, name):
         with pytest.raises(DomainError) as caught:
             call(hostile)
         assert str(caught.value) == f"{name} must be an integer, got {shown}"
+
+
+# one row per rational argument of a public function, each read by
+# errors._rational: the call with the argument v
+RATIONAL_ARGUMENTS = [
+    ("c_const", lambda v: parahoric.upper_bound_profile(A1, 3, range(1, 10), c_const=v)),
+    ("D_const", lambda v: parahoric.upper_bound_profile(A1, 3, range(1, 10), D_const=v)),
+]
+
+
+def outcome(call, value):
+    """The typed value call(value) returns, or the type and message it raises."""
+    try:
+        return typed(call(value))
+    except (DomainError, ResourceLimitError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call", [pytest.param(call, id=name) for name, call in RATIONAL_ARGUMENTS])
+@pytest.mark.parametrize("value, plain", [
+    (np.int64(3), 3), (np.int32(2 ** 31 - 1), 2 ** 31 - 1), (np.int64(2 ** 62), 2 ** 62),
+    (np.uint64(2 ** 64 - 1), 2 ** 64 - 1), (Fraction(np.int64(2 ** 62), 1), 2 ** 62),
+    (Fraction(np.int64(3), np.int64(2)), Fraction(3, 2)), (np.float64(1.5), 1.5),
+    (np.float32(1.5), 1.5), (np.int64(0), 0), (np.float32("inf"), float("inf")),
+], ids=["int64", "int32-max", "int64-2^62", "uint64-max", "Fraction-int64", "Fraction-3/2",
+        "float64", "float32", "zero", "float32-inf"])
+def test_rational_arguments_go_through_one_intake(call, value, plain):
+    # a numpy scalar, or a Fraction of numpy ints, is the same argument as the
+    # Python value: read as a Fraction of Python ints before the work guard
+    # sees it (an int32 or int64 c*n would wrap past it), answered or refused
+    # alike and at once
+    started = time.monotonic()
+    assert outcome(call, value) == outcome(call, plain)
+    assert time.monotonic() - started < 0.1
 
 
 def test_integral_floats_are_refused():

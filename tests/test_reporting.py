@@ -1,9 +1,12 @@
 import random
 import sys
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from commgrowth import BoundReport, compare
+from commgrowth.errors import DomainError
 from commgrowth.parahoric import check_two_k_plus_three
 from commgrowth.reporting import _decimal_text
 
@@ -18,6 +21,27 @@ def test_verdict_follows_the_inequality(lhs, rhs, holds):
 def test_str_format():
     assert str(compare("bound", 1, 2)) == "PASS bound: 1 <= 2"
     assert str(compare("bound", 3, 2, p=5, k=1)) == "FAIL bound: 3 <= 2 [k=1 p=5]"
+
+
+@pytest.mark.parametrize("operand", [None, "3", [1, 2], np.arange(3)],
+                         ids=["None", "str", "list", "ndarray"])
+def test_operands_that_le_cannot_decide_are_refused(operand):
+    # `<=` raises, or gives an array: refused when the report is built, with
+    # one line naming the check, not when its verdict or text is read
+    for lhs, rhs in ((operand, 1), (1, operand)):
+        with pytest.raises(DomainError) as caught:
+            compare("check", lhs, rhs)
+        assert str(caught.value) == \
+            f"check: {type(lhs).__name__} <= {type(rhs).__name__} gives no bool"
+
+
+@pytest.mark.parametrize("operand", [2, Fraction(5, 2), 2.5, np.int64(2)],
+                         ids=["int", "Fraction", "float", "int64"])
+def test_orderable_operands_are_accepted(operand):
+    # a Python bool or a numpy bool decides the verdict
+    assert compare("check", operand, 3).holds is True
+    assert compare("check", 3, operand).holds is False
+    assert str(compare("check", operand, 3)) == f"PASS check: {operand} <= 3"
 
 
 def test_verdict_is_not_a_constructor_argument():

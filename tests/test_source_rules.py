@@ -203,23 +203,31 @@ def test_ball_layout_stays_in_three_tests():
     assert found == [] and seen == readers
 
 
+INTAKE_MODULES = ("operator", "numbers", "fractions")
+
+
 def converts_or_bounds_an_integer(node):
-    """True for an import of operator, a use of operator.index, or a string
-    that says an argument "must be >=" a bound or "must be an integer"."""
+    """True for an import of operator, numbers or fractions, a use of
+    operator.index, a name Fraction or Rational, or a string that says an
+    argument "must be >=" a bound or "must be an integer"."""
     if isinstance(node, ast.Import):
-        return any(alias.name == "operator" for alias in node.names)
+        return any(alias.name in INTAKE_MODULES for alias in node.names)
     if isinstance(node, ast.ImportFrom):
-        return node.module == "operator"
-    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
-        return (node.value.id, node.attr) == ("operator", "index")
+        return node.module in INTAKE_MODULES
+    if isinstance(node, ast.Name):
+        return node.id in ("Fraction", "Rational")
+    if isinstance(node, ast.Attribute):
+        return node.attr in ("Fraction", "Rational") or isinstance(node.value, ast.Name) \
+            and (node.value.id, node.attr) == ("operator", "index")
     return isinstance(node, ast.Constant) and isinstance(node.value, str) \
         and ("must be >=" in node.value or "must be an integer" in node.value)
 
 
 def test_one_integer_check():
     # every integer argument is converted and bounded by errors._at_least
-    # (or only converted, by errors._integer), so a numpy integer or a float
-    # is treated alike everywhere and every refusal reads alike
+    # (or only converted, by errors._integer), and every rational one read by
+    # errors._rational, so a numpy scalar or a float is treated alike
+    # everywhere and every refusal reads alike
     found = [f"{name}:{node.lineno}" for name, node in library_nodes()
              if name != "errors.py" and converts_or_bounds_an_integer(node)]
     assert found == []
@@ -299,6 +307,29 @@ def test_each_subcommand_loads_only_its_modules(argv, modules):
     status, *loaded = result.stdout.split()
     assert status == "0" and set(loaded) == \
         {f"commgrowth.{name}" for name in {"cli", "errors", *modules}}
+
+
+NO_JSON_WRITTEN = """
+import contextlib, io, sys
+from commgrowth.cli import main
+for argv in (["--version"], ["rootsys", "--type", "E8"], ["parahoric", "--type", "F4", "--k", "2"],
+             ["rank1", "--n", "10", "--csv"], ["ball", "--family", "cyclic", "--n", "5"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            main(argv)
+        except SystemExit:
+            pass
+    print(argv[0], *sorted({"json", "fractions", "decimal"} & set(sys.modules)))
+"""
+
+
+def test_runs_that_write_no_json_load_neither_json_nor_fractions():
+    # cli imports json only where it writes JSON, and errors imports fractions
+    # only where it reads a rational, so a fresh `--version`, a text report
+    # and a text or CSV listing leave json, fractions and decimal unloaded
+    result = run_fresh("-c", NO_JSON_WRITTEN)
+    assert (result.stdout.split(), result.stderr) == \
+        (["--version", "rootsys", "parahoric", "rank1", "ball"], "")
 
 
 # commgrowth.__all__ by defining module, as it stood when the package

@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """The mutant register: the lattice-ball kernel, its cache of keys and the
 transfer check; the matrix oracle of chevalley and the metric-suite samplers;
-the block writer of every `growth` listing; and the rank-1 series.
+the block writer of every `growth` listing; the rank-1 series and its
+sandwich check; and the rational intake of errors and the report builder.
 
 Each entry breaks the library on purpose: the file, the exact text it
 replaces, the new text, and the tests that must fail.  For each entry the
@@ -40,6 +41,8 @@ GRAPH = "src/commgrowth/commgraph.py"
 CHEVALLEY = "src/commgrowth/chevalley.py"
 CLI = "src/commgrowth/cli.py"
 ARITH = "src/commgrowth/arith.py"
+ERRORS = "src/commgrowth/errors.py"
+REPORTING = "src/commgrowth/reporting.py"
 BALL = "tests/test_commgraph.py::TestBallEnumeration::"
 TRANSFER = "tests/test_commgraph.py::TestTransfer::"
 CACHE = "tests/test_commgraph.py::TestBallCache::"
@@ -278,10 +281,22 @@ REGISTER = (
            "c = np.left_shift(np.int32(1), w)\n    C = np.cumsum(c, dtype=np.int32)",
            "c = np.left_shift(np.int64(1), w)\n    C = np.cumsum(c, dtype=np.int64)",
            (SERIES + "test_series_is_read_only_int32[1]",)),
+    Mutant("sandwich prefix sums taken in int16", ARITH,  # D(n) passes 2**15 before n = 4000
+           "dsum = np.cumsum(divisor_count_sieve(upto)[1:], dtype=np.int32)",
+           "dsum = np.cumsum(divisor_count_sieve(upto)[1:], dtype=np.int16)",
+           ("tests/test_arith.py::TestSandwich::test_chain_holds_on_exact_series",)),
     Mutant("GrowthSeries without eq=False", ARITH,
            "@dataclass(frozen=True, eq=False)\nclass GrowthSeries",
            "@dataclass(frozen=True)\nclass GrowthSeries",
            (SERIES + "test_series_is_read_only_int32[6]",)),
+    # the one rational intake and the one report builder
+    Mutant("rational intake without its Python-int normalisation", ERRORS,
+           "return Fraction(*map(operator.index, ratio))", "return Fraction(*ratio)",
+           ("tests/test_errors.py::test_rational_arguments_go_through_one_intake"
+            "[int64-2^62-c_const]",)),
+    Mutant("compare without its refusal", REPORTING,
+           'if type(holds).__name__ not in ("bool", "bool_"):', "if False:",
+           ("tests/test_reporting.py::test_operands_that_le_cannot_decide_are_refused[None]",)),
 )
 
 
