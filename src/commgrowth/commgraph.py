@@ -535,29 +535,26 @@ def _below(getrandbits, k: int) -> int:
 
 
 def _random_cyclic(rng: random.Random) -> RationalCyclic:
+    """(a/b)Z with a, b drawn from [1, 60], reduced by RationalCyclic's gcd step; no array."""
     bits = rng.getrandbits
     return RationalCyclic._reduced(_below(bits, 60) + 1, _below(bits, 60) + 1)
 
 
-def _random_lattice(rng: random.Random, dim: int = 2) -> RationalLattice:
+def _random_lattice(rng: random.Random) -> RationalLattice:
     bits = rng.getrandbits
-    while True:  # dim * dim entries in [-4, 4], row by row
-        if dim != 2:
-            hnf = _row_hnf([[_below(bits, 9) - 4 for _ in range(dim)] for _ in range(dim)], dim)
-            if len(hnf) == dim:
-                return RationalLattice._from_hnf(dim, _below(bits, 6) + 1, hnf)
-        elif hnf := _plane_hnf(_below(bits, 9) - 4, _below(bits, 9) - 4,  # faster than a loop
-                               _below(bits, 9) - 4, _below(bits, 9) - 4):
+    while True:  # a plane: four entries in [-4, 4], row by row, until they span it
+        if hnf := _plane_hnf(_below(bits, 9) - 4, _below(bits, 9) - 4,  # faster than a loop
+                             _below(bits, 9) - 4, _below(bits, 9) - 4):
             return RationalLattice._plane(_below(bits, 6) + 1, *hnf)
 
 
-# the 2x2 HNFs ((a, v), (0, k // a)) of determinant k <= 4, by a and then v, as (a, v, k // a)
+# a literal table of the 15 2x2 HNFs ((a, v), (0, k // a)) of determinant k <= 4, by k, a, v
 _CHAIN_STEPS = {k: [(a, v, k // a) for a in range(1, k + 1) if k % a == 0
                     for v in range(k // a)] for k in range(1, 5)}
 
 
 def _random_chain(rng: random.Random, sample):
-    """A nested chain down from sample(rng), a cyclic or a dim-2 lattice sampler."""
+    """A nested chain down from sample(rng), cyclic or plane (by _CHAIN_STEPS); no array."""
     bits, desc = rng.getrandbits, [sample(rng)]
     for _ in range(_below(bits, 4) + 1):
         last = desc[-1]

@@ -13,14 +13,23 @@ class BoundReport:
     """Outcome of evaluating a single inequality ``lhs <= rhs``.
 
     ``context`` carries the parameters the check ran with (prime, level,
-    type label, auxiliary ratios), keyed by name.  The verdict ``holds``
-    is derived from ``lhs <= rhs``, not stored.
+    type label, auxiliary ratios), keyed by name.  Every way of building one
+    refuses operands whose ``<=`` gives no bool; ``holds`` is derived, not stored.
     """
 
     name: str
     lhs: Any
     rhs: Any
     context: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        try:
+            holds = self.lhs <= self.rhs
+        except TypeError:  # None, or a str against a number
+            holds = None
+        if type(holds).__name__ not in ("bool", "bool_"):  # numpy's bool was bool_ before 2.0
+            left, right = type(self.lhs).__name__, type(self.rhs).__name__
+            raise DomainError(f"{self.name}: {left} <= {right} gives no bool")
 
     @property
     def holds(self) -> bool:
@@ -46,12 +55,5 @@ def _decimal_text(value) -> str:
 
 
 def compare(name: str, lhs, rhs, **context) -> BoundReport:
-    """Build the report of ``lhs <= rhs``; every check builds its report
-    here.  Operands whose ``<=`` gives no bool, numpy's or Python's, are refused."""
-    try:
-        holds = lhs <= rhs
-    except TypeError:  # None, or a str against a number
-        holds = None
-    if type(holds).__name__ not in ("bool", "bool_"):  # numpy's bool was bool_ before 2.0
-        raise DomainError(f"{name}: {type(lhs).__name__} <= {type(rhs).__name__} gives no bool")
-    return BoundReport(name=name, lhs=lhs, rhs=rhs, context=context)
+    """The report of ``lhs <= rhs``, its context given as keywords."""
+    return BoundReport(name, lhs, rhs, context)

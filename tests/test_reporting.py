@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import sys
 from fractions import Fraction
@@ -27,18 +28,23 @@ def test_str_format():
                          ids=["None", "str", "list", "ndarray"])
 def test_operands_that_le_cannot_decide_are_refused(operand):
     # `<=` raises, or gives an array: refused when the report is built, with
-    # one line naming the check, not when its verdict or text is read
+    # one line naming the check, not when its verdict or text is read; built
+    # directly, by compare or by dataclasses.replace alike
     for lhs, rhs in ((operand, 1), (1, operand)):
-        with pytest.raises(DomainError) as caught:
-            compare("check", lhs, rhs)
-        assert str(caught.value) == \
-            f"check: {type(lhs).__name__} <= {type(rhs).__name__} gives no bool"
+        for build in (lambda: BoundReport("check", lhs, rhs),
+                      lambda: compare("check", lhs, rhs),
+                      lambda: dataclasses.replace(compare("check", 1, 2), lhs=lhs, rhs=rhs)):
+            with pytest.raises(DomainError) as caught:
+                build()
+            assert str(caught.value) == \
+                f"check: {type(lhs).__name__} <= {type(rhs).__name__} gives no bool"
 
 
 @pytest.mark.parametrize("operand", [2, Fraction(5, 2), 2.5, np.int64(2)],
                          ids=["int", "Fraction", "float", "int64"])
 def test_orderable_operands_are_accepted(operand):
     # a Python bool or a numpy bool decides the verdict
+    assert BoundReport("check", operand, 3).holds is True
     assert compare("check", operand, 3).holds is True
     assert compare("check", 3, operand).holds is False
     assert str(compare("check", operand, 3)) == f"PASS check: {operand} <= 3"

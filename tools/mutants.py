@@ -2,7 +2,8 @@
 """The mutant register: the lattice-ball kernel, its cache of keys and the
 transfer check; the matrix oracle of chevalley and the metric-suite samplers;
 the block writer of every `growth` listing; the rank-1 series and its
-sandwich check; and the rational intake of errors and the report builder.
+sandwich check; and the rational intake of errors and the check of every
+report.
 
 Each entry breaks the library on purpose: the file, the exact text it
 replaces, the new text, and the tests that must fail.  For each entry the
@@ -51,6 +52,7 @@ SAMPLERS = "tests/test_commgraph.py::TestSamplersAgainstOldDraws::"
 LISTING = "tests/test_cli.py::TestBall::"
 SERIES = "tests/test_arith.py::TestRank1Series::"
 SANDWICH = "tests/test_arith.py::TestSandwich::test_prefix_sums_not_held_as_int64_refused"
+REFUSAL = "tests/test_reporting.py::test_operands_that_le_cannot_decide_are_refused[None]"
 # the head of _ball_keys: the census, the cache lookup, then the stack
 CENSUS = "    n, _, A, _ = _ball_census(n, dim)\n"
 LOOKUP = ("    if (keys := _ball_cache.pop(key := (n, _integer(\"dim\", dim)), None)) is not None:\n"
@@ -260,6 +262,9 @@ REGISTER = (
            "for lo in range(0, n := len(columns[-1]), _ROW_BLOCK):",
            "for lo in range(0, (n := len(columns[-1])) - 1, _ROW_BLOCK):",
            ("tests/test_cli.py::TestRank1::test_output_bytes[--csv-1]",)),
+    Mutant("zero entry mapped to an empty field", CLI,
+           "index = np.where(col == 0, 20000, index)", "index = np.where(col == 0, 0, index)",
+           ("tests/test_cli.py::TestRank1::test_ascii_rows_prints_zero[0]",)),
     Mutant("del text dropped", CLI,  # two blocks of text alive at once: seen only by memory
            "        del text  # the next block is built with one block of text alive, not two\n", "",
            (LISTING + "test_output_takes_one_block_of_memory",),
@@ -289,14 +294,17 @@ REGISTER = (
            "@dataclass(frozen=True, eq=False)\nclass GrowthSeries",
            "@dataclass(frozen=True)\nclass GrowthSeries",
            (SERIES + "test_series_is_read_only_int32[6]",)),
-    # the one rational intake and the one report builder
+    # the one rational intake, and the one check of every report however it is built
     Mutant("rational intake without its Python-int normalisation", ERRORS,
            "return Fraction(*map(operator.index, ratio))", "return Fraction(*ratio)",
            ("tests/test_errors.py::test_rational_arguments_go_through_one_intake"
             "[int64-2^62-c_const]",)),
-    Mutant("compare without its refusal", REPORTING,
+    Mutant("report without its refusal", REPORTING,
            'if type(holds).__name__ not in ("bool", "bool_"):', "if False:",
-           ("tests/test_reporting.py::test_operands_that_le_cannot_decide_are_refused[None]",)),
+           (REFUSAL,)),
+    Mutant("__post_init__ renamed away: construction checks nothing", REPORTING,
+           "    def __post_init__(self):\n", "    def _post_init(self):\n",
+           (REFUSAL,)),
 )
 
 
