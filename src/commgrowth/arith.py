@@ -52,11 +52,8 @@ class Factorization:
     n: int
     factors: tuple[tuple[int, int], ...]
 
-    def expand(self) -> int:
-        out = 1
-        for p, e in self.factors:
-            out *= p ** e
-        return out
+    def __init__(self, n, factors):  # the generated signature, refused
+        raise DomainError("build a Factorization with factorize")
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,7 +103,9 @@ def factorize(n: int) -> Factorization:
         m = 1
     if m > 1:
         factors.append((m, 1))
-    return Factorization(n, tuple(factors))
+    fac = object.__new__(Factorization)  # the one build of a Factorization: its __init__ refuses
+    fac.__dict__["n"], fac.__dict__["factors"] = n, tuple(factors)
+    return fac
 
 
 def _rho_primes(m: int) -> list[int]:
@@ -199,7 +198,8 @@ def cn_rank1(n: int) -> int:
 
 def _power(base: int, exponent: int) -> int:
     """base**exponent, refused before any work past MAX_OUTPUT_DIGITS digits;
-    an int compares with a float exactly, so no float product can overflow."""
+    every power of a caller's p or m is built here.  An int compares with a
+    float exactly, so no float product can overflow."""
     budget = MAX_OUTPUT_DIGITS / math.log10(base) if base > 1 else math.inf
     return base ** _guard(exponent, budget,
                           lambda: f"{_shown(base)} to the power {_shown(exponent)} is above "

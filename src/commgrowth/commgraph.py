@@ -183,7 +183,8 @@ class RationalLattice:
                                     _intersect_integer(self._numerators(q), other._numerators(q)))
 
     def _plane_pair(self, other: "RationalLattice"):
-        """q = lcm(denoms), each plane HNF ((a, b), (0, c)) over q as a, b, c, and det(A + B)."""
+        """q = lcm(denoms), each plane HNF ((a, b), (0, c)) over q as a, b, c, and det(A + B)
+        (Cohen, A Course in Computational Algebraic Number Theory, 1993, section 2.4)."""
         q = math.lcm(self.denom, other.denom)
         s, t = q // self.denom, q // other.denom
         ((a1, b1), (_, c1)), ((a2, b2), (_, c2)) = self.basis, other.basis
@@ -279,6 +280,9 @@ class CommIndex:
     left_index: int
     right_index: int
 
+    def __init__(self, left_index, right_index):  # the generated signature, refused
+        raise DomainError("build a CommIndex with comm_index")
+
     @property
     def value(self) -> int:
         return self.left_index * self.right_index
@@ -305,7 +309,7 @@ def index_in(sub, sup) -> int:
 def comm_index(A, B) -> CommIndex:
     """Exact commensurability index data of two commensurable subgroups."""
     _subgroups(A, B)
-    ci = object.__new__(CommIndex)  # both fields set as its __init__ would; it checks nothing
+    ci = object.__new__(CommIndex)  # the one build of a CommIndex: its __init__ refuses
     ci.__dict__["left_index"], ci.__dict__["right_index"] = A._indices(B)
     return ci
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .arith import _power, _prime
-from .errors import DomainError, _at_least, _guard, _integer, _iterable, _rational, _shown
+from .errors import DomainError, _at_least, _guard, _iterable, _rational, _shown
 from .reporting import BoundReport, compare
 from .root_systems import RootSystem, _checked, _degrees
 
@@ -40,8 +40,8 @@ class CocharacterCount:
     box_bound: int
 
     def __post_init__(self):
-        for name in ("cutoff", "box_bound", "exact"):
-            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        for name, least in (("cutoff", 0), ("box_bound", 1), ("exact", 0)):
+            object.__setattr__(self, name, _at_least(name, getattr(self, name), least))
         if self.exact > self.box_bound:
             raise DomainError("exact count cannot exceed the box bound")
 
@@ -75,7 +75,8 @@ def _epsilon_count(family: str, l: int, c: int) -> int:
     Z^l + (1/2, ..., 1/2) (C, D), with |x_i| + |x_j| <= c for i != j, and
     2|x_i| <= c for C.  At most one coordinate is above c/2, so in doubled
     units d = 2|x_i| a coset counts its points with every d <= c, and those
-    with one d in (c, top] and the others at most 2c - d."""
+    with one d in (c, top] and the others at most 2c - d; for C_l the two
+    cosets sum to (c+1)**l + c**l."""
     if family == "A":
         return (c + 1) ** (l + 1) - c ** (l + 1)
 

@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import itertools
+import pickle
 import sys
 import time
 import tracemalloc
@@ -11,8 +13,9 @@ import numpy as np
 import pytest
 
 from commgrowth import arith, chevalley, parahoric
-from commgrowth.commgraph import (RationalCyclic, RationalLattice, check_transfer_inequality,
-                                  enumerate_ball, run_metric_checks)
+from commgrowth.commgraph import (CommIndex, RationalCyclic, RationalLattice,
+                                  check_transfer_inequality, comm_index, enumerate_ball,
+                                  run_metric_checks)
 from commgrowth.errors import DomainError, ResourceLimitError, _guard, _items, _shown
 from commgrowth.root_systems import RootSystem, root_system, supported_labels
 
@@ -214,6 +217,41 @@ def test_cyclic_refuses_inherited_constructors(call):
     with pytest.raises(DomainError) as caught:
         call()
     assert str(caught.value) == "build (a/b)Z as RationalCyclic(a, b)"
+
+
+# the result records, each built only by its function: any other construction,
+# checked fields or not, dataclasses.replace included, is refused by its __init__
+RECORD_CONSTRUCTIONS = [
+    ("CommIndex-ints", lambda: CommIndex(2, 3), "comm_index"),
+    ("CommIndex-None", lambda: CommIndex(None, 1), "comm_index"),
+    ("CommIndex-str", lambda: CommIndex("a", 2), "comm_index"),
+    ("CommIndex-keywords", lambda: CommIndex(left_index=2, right_index=3), "comm_index"),
+    ("CommIndex-replace", lambda: dataclasses.replace(comm_index(Z, RationalCyclic(3, 2)),
+                                                      left_index=None), "comm_index"),
+    ("Factorization-str", lambda: arith.Factorization(6, ((2, "x"),)), "factorize"),
+    ("Factorization-true", lambda: arith.Factorization(12, ((2, 2), (3, 1))), "factorize"),
+    ("Factorization-replace", lambda: dataclasses.replace(arith.factorize(12), n=13),
+     "factorize"),
+]
+
+
+@pytest.mark.parametrize("call, builder", [pytest.param(call, builder, id=name)
+                                           for name, call, builder in RECORD_CONSTRUCTIONS])
+def test_records_are_built_only_by_their_function(call, builder):
+    with pytest.raises(DomainError) as caught:
+        call()
+    record = "CommIndex" if builder == "comm_index" else "Factorization"
+    assert str(caught.value) == f"build a {record} with {builder}"
+
+
+@pytest.mark.parametrize("record", [comm_index(Z, RationalCyclic(3, 2)), arith.factorize(12),
+                                    arith.factorize(1)], ids=["CommIndex", "Factorization", "one"])
+def test_built_records_copy_and_pickle(record):
+    # copy, deepcopy and pickle rebuild a record without its __init__
+    for twin in (copy.copy(record), copy.deepcopy(record),
+                 pickle.loads(pickle.dumps(record))):
+        assert type(twin) is type(record) and twin == record and hash(twin) == hash(record)
+        assert dataclasses.astuple(twin) == dataclasses.astuple(record)
 
 
 # refused non-integers, and how a refusal shows them: in full up to 18

@@ -452,6 +452,14 @@ def test_readme_is_the_contract():
     assert sorted(parsed - words) == []
 
 
+def test_readme_has_only_the_contract_sections():
+    # a note on how the code works belongs in the docstring of that code, so the
+    # README's sections are the contract's own and no other
+    sections = set(re.findall(r"^## (.+)$", README.read_text(), re.M))
+    assert sorted(sections - {"Install", "Tests", "Command line", "Guards", "Library",
+                              "Oracles", "Demos"}) == []
+
+
 def test_readme_gives_every_flag_its_default():
     # the flag table has a row for each option of each subcommand, with the
     # parser's default: required, off for a switch, none, or the value, and

@@ -2,8 +2,9 @@
 """The mutant register: the lattice-ball kernel, its cache of keys and the
 transfer check; the matrix oracle of chevalley and the metric-suite samplers;
 the block writer of every `growth` listing; the rank-1 series and its
-sandwich check; and the rational intake of errors and the check of every
-report.
+sandwich check; the rational intake of errors and the check of every
+report; and the two result records built by their functions alone, and the
+cocharacter counts.
 
 Each entry breaks the library on purpose: the file, the exact text it
 replaces, the new text, and the tests that must fail.  For each entry the
@@ -53,6 +54,8 @@ LISTING = "tests/test_cli.py::TestBall::"
 SERIES = "tests/test_arith.py::TestRank1Series::"
 SANDWICH = "tests/test_arith.py::TestSandwich::test_prefix_sums_not_held_as_int64_refused"
 REFUSAL = "tests/test_reporting.py::test_operands_that_le_cannot_decide_are_refused[None]"
+RECORDS = "tests/test_errors.py::test_records_are_built_only_by_their_function"
+PARAHORIC = "src/commgrowth/parahoric.py"
 # the head of _ball_keys: the census, the cache lookup, then the stack
 CENSUS = "    n, _, A, _ = _ball_census(n, dim)\n"
 LOOKUP = ("    if (keys := _ball_cache.pop(key := (n, _integer(\"dim\", dim)), None)) is not None:\n"
@@ -305,6 +308,27 @@ REGISTER = (
     Mutant("__post_init__ renamed away: construction checks nothing", REPORTING,
            "    def __post_init__(self):\n", "    def _post_init(self):\n",
            (REFUSAL,)),
+    # each result record built by its function alone, and the cocharacter counts
+    Mutant("CommIndex's refusing __init__ removed: the dataclass generates one", GRAPH,
+           "    def __init__(self, left_index, right_index):  # the generated signature, refused\n"
+           "        raise DomainError(\"build a CommIndex with comm_index\")\n", "",
+           (RECORDS + "[CommIndex-ints]",)),
+    Mutant("Factorization's refusing __init__ removed: the dataclass generates one", ARITH,
+           "    def __init__(self, n, factors):  # the generated signature, refused\n"
+           "        raise DomainError(\"build a Factorization with factorize\")\n", "",
+           (RECORDS + "[Factorization-true]",)),
+    Mutant("CocharacterCount's counts read with no bound, as _integer reads them", PARAHORIC,
+           "_at_least(name, getattr(self, name), least)",
+           "_at_least(name, getattr(self, name), -math.inf)",
+           ("tests/test_parahoric.py::test_arguments_must_be_ints[count_negative_cutoff]",)),
+    Mutant("level k read as cutoff k, not k + 1", PARAHORIC,
+           "    cc = count_admissible_cocharacters(rs, k + 1)\n",
+           "    cc = count_admissible_cocharacters(rs, k)\n",
+           ("tests/test_parahoric.py::TestCocharacterBound::test_a1_examples",)),
+    Mutant("last head not trimmed", CLI,
+           "keys.T, [0] * len(seps), seps, len(sep + head))",
+           "keys.T, [0] * len(seps), seps, len(sep))",
+           (LISTING + "test_radius_one[dim2]",)),
 )
 
 
