@@ -221,27 +221,28 @@ def test_cyclic_refuses_inherited_constructors(call):
 
 # the result records, each built only by its function: any other construction,
 # checked fields or not, dataclasses.replace included, is refused by its __init__
+BY_COMM_INDEX = "build a CommIndex with comm_index"
+BY_FACTORIZE = "build a Factorization with factorize"
 RECORD_CONSTRUCTIONS = [
-    ("CommIndex-ints", lambda: CommIndex(2, 3), "comm_index"),
-    ("CommIndex-None", lambda: CommIndex(None, 1), "comm_index"),
-    ("CommIndex-str", lambda: CommIndex("a", 2), "comm_index"),
-    ("CommIndex-keywords", lambda: CommIndex(left_index=2, right_index=3), "comm_index"),
+    ("CommIndex-ints", lambda: CommIndex(2, 3), BY_COMM_INDEX),
+    ("CommIndex-None", lambda: CommIndex(None, 1), BY_COMM_INDEX),
+    ("CommIndex-str", lambda: CommIndex("a", 2), BY_COMM_INDEX),
+    ("CommIndex-keywords", lambda: CommIndex(left_index=2, right_index=3), BY_COMM_INDEX),
     ("CommIndex-replace", lambda: dataclasses.replace(comm_index(Z, RationalCyclic(3, 2)),
-                                                      left_index=None), "comm_index"),
-    ("Factorization-str", lambda: arith.Factorization(6, ((2, "x"),)), "factorize"),
-    ("Factorization-true", lambda: arith.Factorization(12, ((2, 2), (3, 1))), "factorize"),
+                                                      left_index=None), BY_COMM_INDEX),
+    ("Factorization-str", lambda: arith.Factorization(6, ((2, "x"),)), BY_FACTORIZE),
+    ("Factorization-true", lambda: arith.Factorization(12, ((2, 2), (3, 1))), BY_FACTORIZE),
     ("Factorization-replace", lambda: dataclasses.replace(arith.factorize(12), n=13),
-     "factorize"),
+     BY_FACTORIZE),
 ]
 
 
-@pytest.mark.parametrize("call, builder", [pytest.param(call, builder, id=name)
-                                           for name, call, builder in RECORD_CONSTRUCTIONS])
-def test_records_are_built_only_by_their_function(call, builder):
+@pytest.mark.parametrize("call, message", [pytest.param(call, message, id=name)
+                                           for name, call, message in RECORD_CONSTRUCTIONS])
+def test_records_are_built_only_by_their_function(call, message):
     with pytest.raises(DomainError) as caught:
         call()
-    record = "CommIndex" if builder == "comm_index" else "Factorization"
-    assert str(caught.value) == f"build a {record} with {builder}"
+    assert str(caught.value) == message
 
 
 @pytest.mark.parametrize("record", [comm_index(Z, RationalCyclic(3, 2)), arith.factorize(12),

@@ -44,6 +44,7 @@ CHEVALLEY = "src/commgrowth/chevalley.py"
 CLI = "src/commgrowth/cli.py"
 ARITH = "src/commgrowth/arith.py"
 ERRORS = "src/commgrowth/errors.py"
+PARAHORIC = "src/commgrowth/parahoric.py"
 REPORTING = "src/commgrowth/reporting.py"
 BALL = "tests/test_commgraph.py::TestBallEnumeration::"
 TRANSFER = "tests/test_commgraph.py::TestTransfer::"
@@ -55,7 +56,6 @@ SERIES = "tests/test_arith.py::TestRank1Series::"
 SANDWICH = "tests/test_arith.py::TestSandwich::test_prefix_sums_not_held_as_int64_refused"
 REFUSAL = "tests/test_reporting.py::test_operands_that_le_cannot_decide_are_refused[None]"
 RECORDS = "tests/test_errors.py::test_records_are_built_only_by_their_function"
-PARAHORIC = "src/commgrowth/parahoric.py"
 # the head of _ball_keys: the census, the cache lookup, then the stack
 CENSUS = "    n, _, A, _ = _ball_census(n, dim)\n"
 LOOKUP = ("    if (keys := _ball_cache.pop(key := (n, _integer(\"dim\", dim)), None)) is not None:\n"
